@@ -31,6 +31,7 @@ from .comparison import (
     observable_pair_angle,
     optimal_success_over_subspace,
     optimal_test_state,
+    outcome_class_index,
     pairwise_success_angle,
     singlet_pairing_state,
     unlabeled_operators,
@@ -63,6 +64,7 @@ from .haar import (
     pure_moment,
     r_operator,
     rbar,
+    twirl,
 )
 from .simulate import (
     CampaignConfig,
@@ -117,13 +119,13 @@ __all__ = [
     "basis_family",
     # haar
     "MomentOperator", "pure_moment", "perp_moment_operator", "r_operator",
-    "rbar", "haar_unitary", "haar_unitaries", "haar_state", "haar_states",
+    "rbar", "twirl", "haar_unitary", "haar_unitaries", "haar_state", "haar_states",
     "mc_pure_moment", "mc_perp_moment", "mc_pair_split_moment", "mc_rbar",
     "mc_agrees",
     # comparison
     "Scenario", "Observable", "TestState", "ClassOperators", "LabeledAverages",
     "SuccessReport", "LABELED_CLASSES", "UNLABELED_CLASSES", "NO_ERROR_TOL",
-    "labeled_class_operators", "unlabeled_operators",
+    "labeled_class_operators", "unlabeled_operators", "outcome_class_index",
     "labeled_outcome_probabilities", "labeled_outcome_distribution",
     "labeled_fixed_pair_success", "unlabeled_outcome_distribution",
     "unlabeled_single_use_probability", "singlet_pairing_state", "kappa_state",

@@ -23,6 +23,10 @@ from .simulate import CampaignConfig, run_campaign, sweep_theta, sweep_to_csv
 from .verify import all_passed, render_report, run_checks
 
 DEFAULT_THETA_GRID = "0:1.5707963267948966:33"
+#: top-level keys every campaign JSON carries (the "required" list of
+#: docs/campaign_result.schema.json)
+CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_truth",
+                 "test_state", "shard_size", "conclusive_classes", "results")
 
 
 def _env_seed() -> Optional[int]:
@@ -158,9 +162,15 @@ def _cmd_report(args) -> int:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.file}: not valid JSON: {exc}") from exc
         if doc.get("format") != "qmeter.campaign/1":
             raise ConfigError(f"unrecognized JSON format: {doc.get('format')!r}")
+        missing = [key for key in CAMPAIGN_KEYS if key not in doc]
+        if missing:
+            raise ConfigError(f"{args.file}: campaign JSON lacks {', '.join(missing)}")
         sys.stdout.write(_render_campaign(doc))
         return 0
     if stripped.startswith("theta,"):
@@ -221,13 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QmeterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (QmeterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

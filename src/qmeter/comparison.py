@@ -10,9 +10,10 @@ class can certify difference: a test state supported inside
     Q_c = Pi_c - support(O_c^equal)        (Pi_c = support of O_c^different)
 
 never produces class c for equal devices, so observing c is an unambiguous
-"different" verdict.  The Q_c are extracted algebraically with a single
-eigendecomposition-based support primitive; nothing about them is
-hard-coded.
+"different" verdict.  Every class operator is the Haar twirl (haar.twirl)
+of a class indicator read off outcome_class_index, the one map from outcome
+record to class.  The Q_c are extracted with a single eigendecomposition-
+based support primitive; nothing about them is hard-coded.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConsistencyError,
     DimensionMismatchError,
     InvalidObservableError,
@@ -32,16 +34,9 @@ from .errors import (
     UnambiguityError,
     UnsupportedDimensionError,
 )
-from .haar import r_operator, rbar
-from .symmetry import (
-    antisymmetrizer,
-    basis_family,
-    pair_product,
-    phi_minus,
-    symmetrizer,
-    sym_dim,
-)
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, identity, kron, support_projector
+from .haar import twirl
+from .symmetry import antisymmetrizer, basis_family, pair_product, phi_minus
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, support_projector
 from . import haar as _haar
 
 #: a class is conclusive iff its equal-hypothesis probability is below this
@@ -60,7 +55,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in ("labeled", "unlabeled"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+            raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.dim < 2:
             raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dim}")
         if self.kind == "unlabeled" and self.dim != 2:
@@ -68,6 +63,15 @@ class Scenario:
                 "the unlabeled two-shot protocol is implemented for qubits (d=2); "
                 f"got d={self.dim}"
             )
+
+    @property
+    def slots(self) -> int:
+        """Tensor slots of the test state: one per device use."""
+        return 2 if self.kind == "labeled" else 4
+
+    @property
+    def classes(self) -> Tuple[str, ...]:
+        return LABELED_CLASSES if self.kind == "labeled" else UNLABELED_CLASSES
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +198,8 @@ class ClassOperators:
     no_error: Operator
 
 
-def _class_ops(name: str, equal: Operator, different: Operator,
-               domain: Optional[Operator] = None) -> ClassOperators:
-    if domain is None:
-        domain = support_projector(different)
+def _class_ops(name: str, equal: Operator, different: Operator) -> ClassOperators:
+    domain = support_projector(different)
     sup_eq = support_projector(equal)
     q = domain - sup_eq
     if np.max(np.abs(q.mat @ q.mat - q.mat)) > TOL_RANK:
@@ -209,76 +211,46 @@ def _class_ops(name: str, equal: Operator, different: Operator,
 
 
 @lru_cache(maxsize=None)
-def labeled_class_operators(d: int) -> Mapping[str, ClassOperators]:
-    """Two-slot class operators for the labeled protocol (classes same/diff)."""
-    eye = identity(d, 2)
-    same_eq = d * rbar("same", d).op
-    diff_eq = d * rbar("diff", d).op
-    # under independent Haar bases every outcome pair has probability 1/d^2
-    same_ne = eye / d
-    diff_ne = eye * ((d - 1) / d)
+def outcome_class_index(n: int, d: int) -> np.ndarray:
+    """Class of every flat n-slot outcome record (slot 1 most significant): one
+    bit per consecutive slot pair, set when its two outcomes differ, first pair
+    most significant.  Indexes LABELED_CLASSES (n=2) or UNLABELED_CLASSES (n=4)."""
+    digits = np.indices((d,) * n).reshape(n, -1)
+    cls = np.zeros(d ** n, dtype=np.intp)
+    for differ in digits[0::2] != digits[1::2]:
+        cls = 2 * cls + differ
+    cls.setflags(write=False)
+    return cls
+
+
+def _hypothesis_operators(names: Tuple[str, ...], n: int, d: int) -> Mapping[str, ClassOperators]:
+    """Twirl each class indicator over one Haar basis used by both devices
+    (blocks (n,)) and over independent bases for the two devices (blocks
+    (n/2, n/2))."""
+    indicators = (outcome_class_index(n, d) == np.arange(len(names))[:, None]).astype(float)
+    equal = twirl(indicators, (n,), d)
+    different = twirl(indicators, (n // 2, n // 2), d)
     return MappingProxyType({
-        "same": _class_ops("same", same_eq, same_ne, domain=eye),
-        "diff": _class_ops("diff", diff_eq, diff_ne, domain=eye),
+        c: _class_ops(c, Operator(eq, d, n), Operator(ne, d, n))
+        for c, eq, ne in zip(names, equal, different)
     })
 
 
 @lru_cache(maxsize=None)
+def labeled_class_operators(d: int) -> Mapping[str, ClassOperators]:
+    """Two-slot class operators for the labeled protocol (classes same/diff)."""
+    return _hypothesis_operators(LABELED_CLASSES, 2, d)
+
+
+@lru_cache(maxsize=None)
 def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
-    """Four-slot class operators for the unlabeled two-shot protocol (qubits).
+    """Four-slot class operators for the unlabeled two-shot protocol.
 
     Slots 1,2 receive the first device twice, slots 3,4 the second device
     twice.  Outcome classes record whether each side's two outcomes agree;
-    they are invariant under the unknown outcome relabelings.  The
-    equal-hypothesis closed forms are qubit-specific; the
-    different-hypothesis family d^2 rbar_x (x) rbar_y holds for every d.
+    they are invariant under the unknown outcome relabelings.
     """
-    if d != 2:
-        raise UnsupportedDimensionError(
-            f"unlabeled two-shot operators are implemented for d=2, got d={d}"
-        )
-    p34 = symmetrizer((3, 4), 4, d)
-    p24 = symmetrizer((2, 4), 4, d)
-    p23 = symmetrizer((2, 3), 4, d)
-    p12 = symmetrizer((1, 2), 4, d)
-    p123 = symmetrizer((1, 2, 3), 4, d)
-    p124 = symmetrizer((1, 2, 4), 4, d)
-    p134 = symmetrizer((1, 3, 4), 4, d)
-    p234 = symmetrizer((2, 3, 4), 4, d)
-    p1234 = symmetrizer((1, 2, 3, 4), 4, d)
-    eye = identity(d, 4)
-
-    r12 = r_operator("12-34", d).op
-    r13 = r_operator("13-24", d).op
-    r14 = r_operator("14-23", d).op
-
-    d4 = sym_dim(d, 4)
-    # equal hypothesis: average over one Haar basis used by both devices
-    eq = {
-        "same_same": (d / d4) * p1234 + 2 * (r12 @ p34),
-        "same_diff": 2 * ((p123 + p124) / 4 - (d / d4) * p1234),
-        "diff_same": 2 * ((p134 + p234) / 4 - (d / d4) * p1234),
-        "diff_diff": 2 * ((r13 @ p24) + (r14 @ p23)),
-    }
-    # different hypothesis: independent Haar bases factorize across the split
-    rb = {"same": rbar("same", d).op, "diff": rbar("diff", d).op}
-    ne = {
-        "same_same": (d * d) * kron(rb["same"], rb["same"]),
-        "same_diff": (d * d) * kron(rb["same"], rb["diff"]),
-        "diff_same": (d * d) * kron(rb["diff"], rb["same"]),
-        "diff_diff": (d * d) * kron(rb["diff"], rb["diff"]),
-    }
-    # domains (supports of the different-hypothesis operators) in closed form:
-    # P12+ (x) P34+, P12+ (x) 1, 1 (x) P34+, identity
-    dom = {
-        "same_same": Operator(p12.mat @ p34.mat, d, 4),
-        "same_diff": p12,
-        "diff_same": p34,
-        "diff_diff": eye,
-    }
-    return MappingProxyType({
-        c: _class_ops(c, eq[c], ne[c], domain=dom[c]) for c in UNLABELED_CLASSES
-    })
+    return _hypothesis_operators(UNLABELED_CLASSES, 4, d)
 
 
 # ----------------------------------------------------------- labeled protocol
@@ -335,15 +307,11 @@ def labeled_outcome_probabilities(state: Union[TestState, Operator]) -> LabeledA
     """
     state = _as_state(state, n=2)
     d = state.d
-    rho = state.rho.mat
-    psym = symmetrizer((1, 2), 2, d).mat
-    q_same_eq = float(np.trace(rho @ psym).real) / sym_dim(d, 2)
-    diff_op = np.eye(d * d) / d - psym / sym_dim(d, 2)
-    q_diff_eq = float(np.trace(rho @ diff_op).real) / (d - 1)
+    ops = labeled_class_operators(d)  # sums over the d equal / d(d-1) unequal pairs
     return LabeledAverages(
         d=d,
-        q_same_equal=q_same_eq,
-        q_diff_equal=q_diff_eq,
+        q_same_equal=_class_probability(ops["same"].equal, state) / d,
+        q_diff_equal=_class_probability(ops["diff"].equal, state) / (d * (d - 1)),
         q_same_different=1.0 / d ** 2,
         q_diff_different=1.0 / d ** 2,
     )
@@ -402,10 +370,7 @@ def unlabeled_single_use_probability(
         raise DimensionMismatchError("devices act on different dimensions")
     d = a.d
     state = _as_state(state, n=2, d=d)
-    uv = np.kron(a.basis, b.basis)
-    p = np.real(np.diagonal(uv.conj().T @ state.rho.mat @ uv)).reshape(d, d)
-    avg = np.full((d, d), float(p.sum()) / d ** 2)
-    return avg
+    return np.full((d, d), state.rho.trace().real / d ** 2)
 
 
 def singlet_pairing_state() -> Vector:
@@ -424,7 +389,7 @@ def kappa_state(j: int) -> TestState:
     """Pure test state on the j-th vector (1-based) of the kappa family."""
     fam = basis_family("kappa")
     if not 1 <= j <= len(fam):
-        raise ValueError(f"kappa index must be 1..{len(fam)}, got {j}")
+        raise ConfigError(f"kappa index must be 1..{len(fam)}, got {j}")
     return TestState.pure(fam[j - 1], kind=f"kappa_{j}")
 
 
@@ -468,8 +433,7 @@ def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) ->
     while its different-hypothesis probability exceeds that tolerance.
     """
     ops = _operators_for(scenario)
-    state = _as_state(state, n=2 if scenario.kind == "labeled" else 4,
-                      d=scenario.dim if scenario.kind == "labeled" else 2)
+    state = _as_state(state, n=scenario.slots, d=scenario.dim)
     out = []
     for name, cls in ops.items():
         p_eq = _class_probability(cls.equal, state)
@@ -493,8 +457,7 @@ def analytic_success(
     """
     if state is None:
         state = optimal_test_state(scenario)
-    state = _as_state(state, n=2 if scenario.kind == "labeled" else 4,
-                      d=scenario.dim if scenario.kind == "labeled" else 2)
+    state = _as_state(state, n=scenario.slots, d=scenario.dim)
     ops = _operators_for(scenario)
     if claimed is None:
         classes = conclusive_classes(scenario, state)
@@ -542,11 +505,8 @@ def fixed_pair_class_probability(
     """Probability of an unlabeled outcome class for fixed devices a, b."""
     if outcome_class not in UNLABELED_CLASSES:
         raise DimensionMismatchError(f"unknown outcome class {outcome_class!r}")
-    p = unlabeled_outcome_distribution(a, b, state)
-    same_a = np.eye(a.d, dtype=bool)
-    mask_a = same_a if outcome_class.startswith("same") else ~same_a
-    mask_b = same_a if outcome_class.endswith("same") else ~same_a
-    return float(p[mask_a][:, mask_b].sum())
+    p = unlabeled_outcome_distribution(a, b, state).reshape(-1)
+    return float(p[outcome_class_index(4, a.d) == UNLABELED_CLASSES.index(outcome_class)].sum())
 
 
 def optimal_success_over_subspace(subspace: Operator, objective: Operator) -> float:

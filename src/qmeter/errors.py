@@ -34,5 +34,5 @@ class ConsistencyError(QmeterError):
     """Internal cross-check failed (e.g. outcome probabilities do not sum to 1)."""
 
 
-class ConfigError(QmeterError):
-    """Invalid simulation or CLI configuration."""
+class ConfigError(QmeterError, ValueError):
+    """Invalid simulation or CLI configuration (also a ValueError)."""

@@ -1,7 +1,9 @@
-"""Haar-averaged moment operators and seeded Haar sampling.
+"""Haar twirls, closed-form Haar moments and seeded Haar sampling.
 
-The closed forms implemented here are the averages, over a Haar-random
-orthonormal measurement basis, of tensor products of basis projectors:
+twirl() averages diagonal operators over one Haar unitary per block of
+slots; every class operator of the comparison protocols is built with it.
+The closed forms below are such averages derived by hand, kept as oracles
+for the verify battery and the Monte Carlo checks:
 
 - pure_moment(k, d):    E[ (psi psi^dag)^(x)k ]            = P+_(1..k) / sym_dim(d, k)
 - perp_moment(k, d):    E[ (phi phi^dag)^(x)k ] over Haar phi orthogonal to a
@@ -19,13 +21,14 @@ cross-validating every closed form from seeded samples.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .symmetry import split_pairs, sym_dim, symmetrizer
+from .symmetry import perm_operator, split_pairs, sym_dim, symmetrizer
 from .tensors import TOL_ABS, Operator, Vector, identity
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -40,6 +43,33 @@ class MomentOperator:
     d: int
     split: Optional[str]
     op: Operator
+
+
+def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
+    """Haar twirl of a stack of diagonal operators on (C^d)^(x)k, k = sum(blocks).
+
+    Row i of `diagonals` (shape (m, d**k)) is the diagonal of X_i.  Each block
+    of consecutive slots gets its own Haar unitary: blocks (k,) averages
+    U^(x)k X U^dag(x)k, blocks (k/2, k/2) averages over independent U and V
+    on the two halves.  By Schur-Weyl duality the (m, d**k, d**k) result is
+    the projection onto the span of the slot permutations that keep every
+    block in place.  The projection goes through the pseudo-inverse of their
+    Gram matrix (Weingarten calculus), so it also holds for d < k.
+    """
+    k = sum(blocks)
+    diagonals = np.asarray(diagonals, dtype=float)
+    if diagonals.ndim != 2 or diagonals.shape[1] != d ** k:
+        raise DimensionMismatchError(f"twirl needs diagonals of shape (m, {d ** k}), "
+                                     f"got {diagonals.shape}")
+    starts = np.cumsum((0,) + tuple(blocks))
+    block_perms = (itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, blocks))
+    # complex like every other operator here: real LAPACK/BLAS routines would add ~1 MB RSS
+    perms = np.array([perm_operator(sum(images, ()), k, d).mat
+                      for images in itertools.product(*block_perms)])
+    flat = perms.reshape(len(perms), -1)
+    overlaps = np.diagonal(perms, axis1=1, axis2=2) @ diagonals.T  # tr(P_s^T X_i)
+    coeffs = np.linalg.pinv(flat @ flat.T, hermitian=True, rtol=1e-10) @ overlaps
+    return np.einsum("si,sab->iab", coeffs, perms)
 
 
 def pure_moment(k: int, d: int) -> MomentOperator:

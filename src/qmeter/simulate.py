@@ -31,8 +31,6 @@ import numpy as np
 
 from ._version import __version__
 from .comparison import (
-    LABELED_CLASSES,
-    UNLABELED_CLASSES,
     Observable,
     Scenario,
     TestState,
@@ -40,6 +38,7 @@ from .comparison import (
     kappa_state,
     labeled_outcome_distribution,
     optimal_test_state,
+    outcome_class_index,
     pairwise_success_angle,
     unlabeled_outcome_distribution,
 )
@@ -190,7 +189,7 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
         arr = np.load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read test state file {path!r}: {exc}") from exc
-    d, n = (scenario.dim, 2) if scenario.kind == "labeled" else (2, 4)
+    d, n = scenario.dim, scenario.slots
     dim = d ** n
     if arr.ndim == 1:
         if arr.shape != (dim,):
@@ -208,9 +207,6 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
 
 
 # ---------------------------------------------------------- single trials
-
-def _scenario_for(a: Observable, kind: str) -> Scenario:
-    return Scenario(kind, a.d)
 
 def _checked_flat_probs(p: np.ndarray) -> np.ndarray:
     flat = np.asarray(p, dtype=float).reshape(-1)
@@ -236,15 +232,14 @@ def run_labeled_trial(
 ) -> ShotRecord:
     """One shot of the labeled protocol with fixed devices a and b."""
     gen = rng_from(rng)
-    d = a.d
+    scen = Scenario("labeled", a.d)
     if conclusive is None:
-        conclusive = conclusive_classes(_scenario_for(a, "labeled"), state)
+        conclusive = conclusive_classes(scen, state)
     flat = _checked_flat_probs(labeled_outcome_distribution(a, b, state))
     idx = _sample_index(flat, gen)
-    j, k = divmod(idx, d)
-    cls = "same" if j == k else "diff"
+    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
     verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
-    return ShotRecord(outcomes=(j, k), outcome_class=cls, verdict=verdict)
+    return ShotRecord(outcomes=divmod(idx, a.d), outcome_class=cls, verdict=verdict)
 
 
 def run_unlabeled_trial(
@@ -261,16 +256,18 @@ def run_unlabeled_trial(
     of the same device, so they are unaffected.
     """
     gen = rng_from(rng)
+    scen = Scenario("unlabeled", a.d)
     if state is None:
-        state = optimal_test_state(_scenario_for(a, "unlabeled"))
+        state = optimal_test_state(scen)
     if conclusive is None:
-        conclusive = conclusive_classes(_scenario_for(a, "unlabeled"), state)
+        conclusive = conclusive_classes(scen, state)
     flat = _checked_flat_probs(unlabeled_outcome_distribution(a, b, state))
     idx = _sample_index(flat, gen)
-    j, k, m, n = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
+    j, k, m, n = (int(x) for x in np.unravel_index(idx, (2,) * scen.slots))
     ra, rb = int(gen.integers(0, 2)), int(gen.integers(0, 2))
     j, k, m, n = j ^ ra, k ^ ra, m ^ rb, n ^ rb
-    cls = ("same" if j == k else "diff") + "_" + ("same" if m == n else "diff")
+    # relabeling each device's outcomes leaves the class unchanged
+    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
     verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
     return ShotRecord(outcomes=(j, k, m, n), outcome_class=cls, verdict=verdict)
 
@@ -325,20 +322,6 @@ def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return (u[:, None] >= cum).sum(axis=1)
 
 
-_LABELED_CLASS_NAMES = LABELED_CLASSES
-_UNLABELED_CLASS_NAMES = UNLABELED_CLASSES
-
-
-def _unlabeled_class_of_index() -> np.ndarray:
-    """Map flat outcome index (j,k,m,n bits) -> class index into UNLABELED_CLASSES."""
-    idx = np.arange(16)
-    j, k, m, n = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-    return ((j != k) << 1) | (m != n)  # 0 ss, 1 sd, 2 ds, 3 dd
-
-
-_UNLABELED_CLASS_ORDER = ("same_same", "same_diff", "diff_same", "diff_diff")
-
-
 def _shard_counts(task: tuple) -> Dict[str, int]:
     """Simulate one shard and return its outcome-class counts.
 
@@ -348,6 +331,9 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     kind, d, truth, fast_antisym, weights, vecs, seed, shard, count = task
     seq = np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard))
     gen = np.random.default_rng(seq)
+    scen = Scenario(kind, d)
+    cls_of = outcome_class_index(scen.slots, d)
+    counts = np.zeros(len(scen.classes), dtype=np.int64)
 
     if kind == "labeled":
         if fast_antisym and truth == "equal":
@@ -364,23 +350,16 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
             else:
                 p = _labeled_probs_generic(us, vs, weights, vecs, d)
             idx = _sample_rows(p.reshape(count, -1), gen)
-        j, k = idx // d, idx % d
-        same = int(np.sum(j == k))
-        return {"same": same, "diff": count - same}
-
-    # unlabeled: process the shard in einsum-friendly sub-chunks
-    counts = np.zeros(4, dtype=np.int64)
-    cls_of = _unlabeled_class_of_index()
-    done = 0
-    while done < count:
-        step = min(_SUBCHUNK, count - done)
-        us = haar_unitaries(2, step, gen)
-        vs = haar_unitaries(2, step, gen) if truth == "different" else us
-        p = _unlabeled_probs(us, vs, weights, vecs)
-        idx = _sample_rows(p, gen)
-        counts += np.bincount(cls_of[idx], minlength=4)
-        done += step
-    return {name: int(c) for name, c in zip(_UNLABELED_CLASS_ORDER, counts)}
+        counts += np.bincount(cls_of[idx], minlength=len(counts))
+    else:
+        # unlabeled: process the shard in einsum-friendly sub-chunks
+        for done in range(0, count, _SUBCHUNK):
+            step = min(_SUBCHUNK, count - done)
+            us = haar_unitaries(2, step, gen)
+            vs = haar_unitaries(2, step, gen) if truth == "different" else us
+            p = _unlabeled_probs(us, vs, weights, vecs)
+            counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
+    return dict(zip(scen.classes, counts.tolist()))
 
 
 def _shards_for(trials: int) -> Sequence[Tuple[int, int]]:
@@ -408,7 +387,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     fast_antisym = scen.kind == "labeled" and state.kind == "antisymmetric"
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
-    class_names = _LABELED_CLASS_NAMES if scen.kind == "labeled" else _UNLABELED_CLASS_NAMES
 
     results = {}
     for truth in truths:
@@ -422,7 +400,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 partials = list(pool.map(_shard_counts, tasks))
         else:
             partials = [_shard_counts(t) for t in tasks]
-        totals = {name: 0 for name in class_names}
+        totals = {name: 0 for name in scen.classes}
         for part in partials:
             for name, c in part.items():
                 totals[name] += c
@@ -460,9 +438,7 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     conclusive = conclusive_classes(scen, state)
-    cls_of = _unlabeled_class_of_index()
-    conc_idx = [i for i in range(16)
-                if _UNLABELED_CLASS_ORDER[cls_of[i]] in conclusive]
+    conc = np.isin(np.array(scen.classes)[outcome_class_index(scen.slots, scen.dim)], conclusive)
     a = Observable.computational(2)
     points = []
     for i, theta in enumerate(thetas):
@@ -470,7 +446,7 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
         flat = _checked_flat_probs(unlabeled_outcome_distribution(a, b, state))
         gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(_STREAM["sweep"], i)))
         counts = gen.multinomial(trials, flat)
-        hits = int(counts[conc_idx].sum())
+        hits = int(counts[conc].sum())
         emp = hits / trials
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
         points.append(SweepPoint(

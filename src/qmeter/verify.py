@@ -15,6 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .comparison import (
+    UNLABELED_CLASSES,
     Observable,
     Scenario,
     TestState,
@@ -25,6 +26,7 @@ from .comparison import (
     labeled_outcome_probabilities,
     observable_pair_angle,
     optimal_success_over_subspace,
+    outcome_class_index,
     pairwise_success_angle,
     singlet_pairing_state,
     unlabeled_operators,
@@ -91,6 +93,8 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     p34 = symmetrizer((3, 4), 4, 2)
     p123 = symmetrizer((1, 2, 3), 4, 2)
     p124 = symmetrizer((1, 2, 4), 4, 2)
+    p134 = symmetrizer((1, 3, 4), 4, 2)
+    p234 = symmetrizer((2, 3, 4), 4, 2)
     p1234 = symmetrizer((1, 2, 3, 4), 4, 2)
     p12x34 = Operator(p12.mat @ p34.mat, 2, 4)
     bat.close("trace(P1234+) = 5", p1234.trace().real, 5.0, tol)
@@ -166,6 +170,20 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     bat.equal_int("rank Q_sd = 1", rank(ops["same_diff"].no_error), 1)
     bat.equal_int("rank Q_ds = 1", rank(ops["diff_same"].no_error), 1)
     bat.equal_int("rank Q_dd = 3", rank(ops["diff_diff"].no_error), 3)
+
+    # ---- twirled class operators vs the hand-derived closed forms (d=2, d4=5)
+    p23, p24 = symmetrizer((2, 3), 4, 2).mat, symmetrizer((2, 4), 4, 2).mat
+    p4 = p1234.mat
+    for c, label, closed in (
+        ("same_same", "(2/5) P1234+ + 2 R12-34 P34+", 0.4 * p4 + 2 * r12.op.mat @ p34.mat),
+        ("same_diff", "(P123+ + P124+)/2 - (4/5) P1234+", (p123.mat + p124.mat) / 2 - 0.8 * p4),
+        ("diff_same", "(P134+ + P234+)/2 - (4/5) P1234+", (p134.mat + p234.mat) / 2 - 0.8 * p4),
+        ("diff_diff", "2 (R13-24 P24+ + R14-23 P23+)", 2 * (r13.op.mat @ p24 + r14.op.mat @ p23)),
+    ):
+        first, second = c.split("_")
+        bat.maxdiff(f"O_{c} equal = {label}", ops[c].equal.mat, closed, tol)
+        bat.maxdiff(f"O_{c} different = 4 rbar({first}) (x) rbar({second})", ops[c].different.mat,
+                    4 * kron(rbar(first, 2).op, rbar(second, 2).op).mat, tol)
 
     # ---- no-error bases vs the named families
     phi = phi_q if phi_q is not None else singlet_pairing_state()
@@ -249,6 +267,12 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
         comp = lab["same"].equal.mat + lab["diff"].equal.mat
         bat.maxdiff(f"labeled equal-hypothesis classes sum to 1 (d={d})",
                     comp, np.eye(d * d), tol)
+        eye = np.eye(d * d)
+        bat.maxdiff(f"labeled O_same, O_diff = d rbar (equal), 1/d, (d-1)/d (different) (d={d})",
+                    [lab["same"].equal.mat, lab["diff"].equal.mat,
+                     lab["same"].different.mat, lab["diff"].different.mat],
+                    [d * rbar("same", d).op.mat, d * rbar("diff", d).op.mat,
+                     eye / d, eye * (d - 1) / d], tol)
     zx = labeled_fixed_pair_success(
         Observable.computational(2),
         Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
@@ -260,13 +284,13 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     bat.close("angle law at theta=pi/6: (2/3) sin^2(pi/3) = 1/2",
               pairwise_success_angle(np.pi / 6), 0.5, tol)
     a_obs = Observable.computational(2)
+    conclusive = np.isin(np.array(UNLABELED_CLASSES)[outcome_class_index(4, 2)],
+                         ("same_diff", "diff_same"))
     worst = 0.0
     for theta in np.linspace(0.0, np.pi / 2, 33):
         b_obs = Observable.qubit_angle(float(theta))
         table = unlabeled_outcome_distribution(a_obs, b_obs, state_for_phi)
-        direct = float(table[0, 0, 0, 1] + table[0, 0, 1, 0] + table[1, 1, 0, 1]
-                       + table[1, 1, 1, 0] + table[0, 1, 0, 0] + table[0, 1, 1, 1]
-                       + table[1, 0, 0, 0] + table[1, 0, 1, 1])
+        direct = float(table.reshape(-1)[conclusive].sum())
         worst = max(worst, abs(direct - pairwise_success_angle(float(theta))))
     bat.below("direct Born evaluation matches (2/3) sin^2(2 theta) on 33-point grid",
               worst, 1e-9)

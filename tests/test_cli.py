@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmeter.cli import main, parse_theta_grid
+from qmeter.cli import CAMPAIGN_KEYS, main, parse_theta_grid
 from qmeter.errors import ConfigError
 
 
@@ -123,6 +123,23 @@ def test_report_rejects_garbage(capsys, tmp_path):
     code, _, err = run_cli(["report", str(path)], capsys)
     assert code == 2
     assert "junk.txt" in err
+
+
+@pytest.mark.parametrize("content", [
+    '{"format": "qmeter.campaign/1", "scenario": {"ki',  # truncated
+    '{"format": "qmeter.campaign/1"}',                   # required keys missing
+])
+def test_report_rejects_broken_campaign_json(capsys, tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_text(content)
+    code, _, err = run_cli(["report", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "broken.json" in err
+
+
+def test_report_checks_the_schema_required_keys():
+    with open("docs/campaign_result.schema.json", encoding="utf-8") as fh:
+        assert list(CAMPAIGN_KEYS) == json.load(fh)["required"]
 
 
 def test_parse_theta_grid():

@@ -7,6 +7,7 @@ from qmeter import (
     InvalidStateError,
     LABELED_CLASSES,
     Observable,
+    QmeterError,
     Scenario,
     TestState,
     UNLABELED_CLASSES,
@@ -40,8 +41,11 @@ def test_scenario_validation():
     assert Scenario("labeled", 4).dim == 4
     with pytest.raises(UnsupportedDimensionError):
         Scenario("unlabeled", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         Scenario("mystery", 2)
+    assert isinstance(exc.value, QmeterError)
+    assert Scenario("labeled", 4).slots == 2
+    assert Scenario("unlabeled").slots == 4
 
 
 def test_observable_requires_unitary_basis():
@@ -140,17 +144,13 @@ def test_labeled_distribution_rows_sum_to_one():
 
 # --- unlabeled protocol -------------------------------------------------------
 
-def test_unlabeled_operators_qubits_only():
-    with pytest.raises(UnsupportedDimensionError):
-        unlabeled_operators(3)
-
-
-def test_unlabeled_class_operators_complete():
-    ops = unlabeled_operators(2)
+@pytest.mark.parametrize("d", [2, 3])
+def test_unlabeled_class_operators_complete(d):
+    ops = unlabeled_operators(d)
     assert set(ops) == set(UNLABELED_CLASSES)
     for hyp in ("equal", "different"):
         total = sum(getattr(ops[c], hyp).mat for c in UNLABELED_CLASSES)
-        assert_allclose(total, np.eye(16), atol=1e-10)
+        assert_allclose(total, np.eye(d ** 4), atol=1e-10)
     for c in UNLABELED_CLASSES:
         for hyp in ("equal", "different"):
             op = getattr(ops[c], hyp)
@@ -193,10 +193,10 @@ def test_kappa_states_success(j):
 
 
 def test_kappa_state_rejects_bad_index():
-    with pytest.raises(ValueError):
-        kappa_state(0)
-    with pytest.raises(ValueError):
-        kappa_state(4)
+    for j in (0, 4, 7):
+        with pytest.raises(ValueError) as exc:
+            kappa_state(j)
+        assert isinstance(exc.value, QmeterError)
 
 
 def test_optimal_success_over_no_error_subspaces():

@@ -19,12 +19,30 @@ from qmeter import (
     rbar,
     swap,
     symmetrizer,
+    twirl,
 )
 
 SEED = 20240817
 
 
 # --- closed forms -----------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_of_corner_is_pure_moment(k, d):
+    # U^(x)k |0...0> is (U|0>)^(x)k with U|0> Haar: the k-th pure moment,
+    # also for d < k where the slot permutations are linearly dependent
+    corner = np.eye(1, d ** k)
+    assert_allclose(twirl(corner, (k,), d)[0], pure_moment(k, d).op.mat, atol=1e-12)
+
+
+def test_twirl_over_independent_blocks_factorizes():
+    # independent unitaries on two blocks: the twirl of a product diagonal is
+    # the product of the blockwise twirls
+    corner = np.eye(1, 16)
+    assert_allclose(twirl(corner, (2, 2), 2)[0],
+                    np.kron(pure_moment(2, 2).op.mat, pure_moment(2, 2).op.mat), atol=1e-12)
+
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_first_moment_is_maximally_mixed(d):

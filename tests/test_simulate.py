@@ -192,6 +192,22 @@ def test_fast_antisymmetric_path_equals_generic():
         assert fast == slow
 
 
+def test_two_shard_class_counts_are_pinned():
+    # exact counts of two-shard campaigns; any change to the random streams
+    # or the outcome-to-class map shows up here
+    expected = {
+        ("labeled", 3): {"different": {"same": 22598, "diff": 45938},
+                         "equal": {"same": 0, "diff": 68536}},
+        ("unlabeled", 2): {"different": {"same_same": 30672, "same_diff": 15205,
+                                         "diff_same": 15081, "diff_diff": 7578},
+                           "equal": {"same_same": 45652, "same_diff": 0,
+                                     "diff_same": 0, "diff_diff": 22884}},
+    }
+    for (kind, dim), counts in expected.items():
+        res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000, seed=2024))
+        assert {t: dict(r.class_counts) for t, r in res.results.items()} == counts
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_points_and_csv():
