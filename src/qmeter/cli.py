@@ -19,7 +19,7 @@ import numpy as np
 
 from .comparison import Scenario
 from .errors import ConfigError, QmeterError
-from .simulate import CampaignConfig, run_campaign, sweep_theta, sweep_to_csv
+from .simulate import CAMPAIGN_FORMAT, CampaignConfig, run_campaign, sweep_theta, sweep_to_csv
 from .verify import all_passed, render_report, run_checks
 
 DEFAULT_THETA_GRID = "0:1.5707963267948966:33"
@@ -122,7 +122,7 @@ def _render_campaign(doc: dict) -> str:
         f"trials per ground truth: {doc['trials']}",
         f"conclusive classes: {', '.join(doc['conclusive_classes'])}",
     ]
-    results = doc.get("results", {})
+    results = doc["results"]
     if "different" in results:
         block = results["different"]
         est = block["success_estimate"]
@@ -157,26 +157,32 @@ def _render_sweep(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_report(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _render_report(text: str) -> str:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.file}: not valid JSON: {exc}") from exc
-        if doc.get("format") != "qmeter.campaign/1":
+        doc = json.loads(text)
+        if doc.get("format") != CAMPAIGN_FORMAT:
             raise ConfigError(f"unrecognized JSON format: {doc.get('format')!r}")
         missing = [key for key in CAMPAIGN_KEYS if key not in doc]
         if missing:
-            raise ConfigError(f"{args.file}: campaign JSON lacks {', '.join(missing)}")
-        sys.stdout.write(_render_campaign(doc))
-        return 0
+            raise ConfigError(f"campaign JSON lacks {', '.join(missing)}")
+        if not isinstance(doc["results"], dict):
+            raise ConfigError("campaign results are not an object")
+        return _render_campaign(doc)
     if stripped.startswith("theta,"):
-        sys.stdout.write(_render_sweep(text))
-        return 0
-    raise ConfigError(f"{args.file}: not a campaign JSON or sweep CSV")
+        return _render_sweep(text)
+    raise ConfigError("not a campaign JSON or sweep CSV")
+
+
+def _cmd_report(args) -> int:
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            rendered = _render_report(fh.read())
+    except (KeyError, TypeError, ValueError) as exc:
+        # ConfigError, UnicodeDecodeError and JSONDecodeError are ValueErrors too
+        raise ConfigError(f"{args.file}: {type(exc).__name__}: {exc}") from exc
+    sys.stdout.write(rendered)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QmeterError, FileNotFoundError) as exc:
+    except (QmeterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -321,12 +321,19 @@ def labeled_outcome_distribution(
     a: Observable, b: Observable, state: Union[TestState, Operator]
 ) -> np.ndarray:
     """Born probabilities p[j, k] for fixed devices a (slot 1) and b (slot 2)."""
+    return _outcome_table(a, b, state, 2)
+
+
+def _outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator],
+                   n: int) -> np.ndarray:
+    """Born probabilities p[j_1, ..., j_n] when device a measures the first
+    n/2 slots of the test state and device b the last n/2."""
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
-    state = _as_state(state, n=2, d=a.d)
-    uv = np.kron(a.basis, b.basis)
-    p = np.real(np.diagonal(uv.conj().T @ state.rho.mat @ uv))
-    return p.reshape(a.d, a.d)
+    state = _as_state(state, n=n, d=a.d)
+    w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
+    p = np.real(np.diagonal(w.conj().T @ state.rho.mat @ w))
+    return p.reshape((a.d,) * n)
 
 
 def labeled_fixed_pair_success(
@@ -346,13 +353,7 @@ def unlabeled_outcome_distribution(
     Device a measures slots 1 and 2 (outcomes j, k), device b slots 3 and 4
     (outcomes m, n), before any outcome relabeling is applied.
     """
-    if a.d != b.d:
-        raise DimensionMismatchError("devices act on different dimensions")
-    d = a.d
-    state = _as_state(state, n=4, d=d)
-    w = np.kron(np.kron(a.basis, a.basis), np.kron(b.basis, b.basis))
-    p = np.real(np.diagonal(w.conj().T @ state.rho.mat @ w))
-    return p.reshape(d, d, d, d)
+    return _outcome_table(a, b, state, 4)
 
 
 def unlabeled_single_use_probability(

@@ -5,6 +5,21 @@ trial from the exact Born probabilities, classify it, and issue a verdict:
 "different" iff the outcome class is conclusive for the campaign's test
 state, else "inconclusive".
 
+One kernel, one sampler
+-----------------------
+A shot of either protocol is one draw from the Born table of a test state on
+n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
+measures and whose last n/2 device B measures.  ``_born_table`` builds that
+table for a batch of device pairs at any d.  ``_sample_rows`` draws one
+outcome per row of it, and of the fixed-device tables of single trials and
+the sweep.  Probabilities below PROB_CLAMP are clamped to zero and the row
+renormalized (``_clamped``), and the inverse CDF pins its trailing plateau to
+1, so a category of clamped probability 0 is never drawn: unambiguity is
+exact in sampled campaigns, not just up to floating noise.  The labeled
+antisymmetric state has a closed-form table (``_labeled_probs_antisym``);
+with equal devices it is zero on every (j, j), so every such trial is class
+"diff" and is counted without sampling.
+
 Determinism contract
 --------------------
 Trials are processed in fixed shards of SHARD_SIZE regardless of worker
@@ -12,18 +27,16 @@ count.  Shard s of the ground-truth stream t uses
 ``np.random.SeedSequence(seed, spawn_key=(t, s))``, and only integer counts
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
---workers settings.
-
-Probabilities below PROB_CLAMP are clamped to zero and the row renormalized
-before sampling; classes that are analytically forbidden therefore never
-appear, making unambiguity exact in sampled campaigns, not just up to
-floating noise.
+--workers settings.  Within a shard, labeled campaigns draw the whole shard
+as one batch and unlabeled campaigns draw it in batches of _SUBCHUNK; the
+batch size fixes the order of the random draws, so it is part of the
+format.
 """
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -31,12 +44,13 @@ import numpy as np
 
 from ._version import __version__
 from .comparison import (
+    LABELED_CLASSES,
     Observable,
     Scenario,
     TestState,
+    _outcome_table,
     conclusive_classes,
     kappa_state,
-    labeled_outcome_distribution,
     optimal_test_state,
     outcome_class_index,
     pairwise_success_angle,
@@ -52,6 +66,8 @@ SHARD_SIZE = 1 << 16
 PROB_CLAMP = 1e-12
 #: tolerance for the internal "probabilities sum to 1" cross-check
 SUM_TOL = 1e-8
+#: the "format" field of every campaign JSON
+CAMPAIGN_FORMAT = "qmeter.campaign/1"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # einsum batch granularity inside a shard
@@ -125,7 +141,7 @@ class CampaignResult:
 
     def to_json_dict(self) -> dict:
         out = {
-            "format": "qmeter.campaign/1",
+            "format": CAMPAIGN_FORMAT,
             "version": self.version,
             "scenario": {"kind": self.config.scenario.kind, "dim": self.config.scenario.dim},
             "seed": int(self.config.seed),
@@ -208,19 +224,20 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
 
 # ---------------------------------------------------------- single trials
 
-def _checked_flat_probs(p: np.ndarray) -> np.ndarray:
-    flat = np.asarray(p, dtype=float).reshape(-1)
-    total = flat.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise ConsistencyError(f"outcome probabilities sum to {total!r}, not 1")
-    flat = np.where(flat < PROB_CLAMP, 0.0, flat)
-    return flat / flat.sum()
-
-
-def _sample_index(flat: np.ndarray, gen: np.random.Generator) -> int:
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-    return int(np.searchsorted(cum, gen.random(), side="right"))
+def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
+                        state: Union[TestState, Operator, None], gen: np.random.Generator,
+                        conclusive: Optional[Tuple[str, ...]]) -> ShotRecord:
+    """Draw one outcome record from the Born table of fixed devices a and b."""
+    if state is None:
+        state = optimal_test_state(scen)
+    if conclusive is None:
+        conclusive = conclusive_classes(scen, state)
+    table = _outcome_table(a, b, state, scen.slots)
+    idx = int(_sample_rows(table.reshape(1, -1), gen)[0])
+    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
+    verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
+    outcomes = tuple(int(x) for x in np.unravel_index(idx, table.shape))
+    return ShotRecord(outcomes=outcomes, outcome_class=cls, verdict=verdict)
 
 
 def run_labeled_trial(
@@ -231,15 +248,7 @@ def run_labeled_trial(
     conclusive: Optional[Tuple[str, ...]] = None,
 ) -> ShotRecord:
     """One shot of the labeled protocol with fixed devices a and b."""
-    gen = rng_from(rng)
-    scen = Scenario("labeled", a.d)
-    if conclusive is None:
-        conclusive = conclusive_classes(scen, state)
-    flat = _checked_flat_probs(labeled_outcome_distribution(a, b, state))
-    idx = _sample_index(flat, gen)
-    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
-    verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
-    return ShotRecord(outcomes=divmod(idx, a.d), outcome_class=cls, verdict=verdict)
+    return _fixed_device_trial(Scenario("labeled", a.d), a, b, state, rng_from(rng), conclusive)
 
 
 def run_unlabeled_trial(
@@ -256,34 +265,32 @@ def run_unlabeled_trial(
     of the same device, so they are unaffected.
     """
     gen = rng_from(rng)
-    scen = Scenario("unlabeled", a.d)
-    if state is None:
-        state = optimal_test_state(scen)
-    if conclusive is None:
-        conclusive = conclusive_classes(scen, state)
-    flat = _checked_flat_probs(unlabeled_outcome_distribution(a, b, state))
-    idx = _sample_index(flat, gen)
-    j, k, m, n = (int(x) for x in np.unravel_index(idx, (2,) * scen.slots))
+    rec = _fixed_device_trial(Scenario("unlabeled", a.d), a, b, state, gen, conclusive)
     ra, rb = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-    j, k, m, n = j ^ ra, k ^ ra, m ^ rb, n ^ rb
-    # relabeling each device's outcomes leaves the class unchanged
-    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
-    verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
-    return ShotRecord(outcomes=(j, k, m, n), outcome_class=cls, verdict=verdict)
+    j, k, m, n = rec.outcomes
+    return replace(rec, outcomes=(j ^ ra, k ^ ra, m ^ rb, n ^ rb))
 
 
 # ------------------------------------------------------------ batched paths
 
-def _labeled_probs_generic(us: np.ndarray, vs: np.ndarray,
-                           weights: np.ndarray, vecs: np.ndarray, d: int) -> np.ndarray:
-    """Born table p[b, j, k] = sum_r w_r |(U_b^dag M_r conj(V_b))_jk|^2."""
-    p = np.zeros((us.shape[0], d, d))
-    uc, vc = us.conj(), vs.conj()
+def _born_table(us: np.ndarray, vs: np.ndarray,
+                weights: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
+    """Born table p[b, idx] = sum_r w_r |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi_r>|^2
+    over flat n-slot outcome records."""
+    count, d = us.shape[0], us.shape[1]
+    slots, outs = "mnpqrs"[:n], "jkacef"[:n]
+    spec = ",".join([slots] + [f"b{s}{o}" for s, o in zip(slots, outs)]) + f"->b{outs}"
+    devices = [us.conj()] * (n // 2) + [vs.conj()] * (n // 2)
+    p = np.zeros((count, d ** n))
     for w, vec in zip(weights, vecs):
-        m = vec.reshape(d, d)
-        g = np.einsum("bmj,mp,bpk->bjk", uc, m, vc, optimize=True)
-        p += w * (g.real ** 2 + g.imag ** 2)
+        amp = np.einsum(spec, vec.reshape((d,) * n), *devices, optimize=True)
+        p += w * (amp.real ** 2 + amp.imag ** 2).reshape(count, -1)
     return p
+
+
+# The benchmark's tracer (perfbench/tracer.py) books the Born layer under
+# these names of the kernel.
+_labeled_probs_generic = _unlabeled_probs = _born_table
 
 
 def _labeled_probs_antisym(us: np.ndarray, vs: np.ndarray, d: int) -> np.ndarray:
@@ -293,31 +300,25 @@ def _labeled_probs_antisym(us: np.ndarray, vs: np.ndarray, d: int) -> np.ndarray
     return (1.0 - (w.real ** 2 + w.imag ** 2)) / (d * (d - 1))
 
 
-def _unlabeled_probs(us: np.ndarray, vs: np.ndarray,
-                     weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Born table p[b, idx] over the 16 outcome tuples (j,k,m,n) of two shots
-    of each qubit device."""
-    b = us.shape[0]
-    p = np.zeros((b, 16))
-    uc, vc = us.conj(), vs.conj()
-    for w, vec in zip(weights, vecs):
-        psi = vec.reshape(2, 2, 2, 2)
-        amp = np.einsum("mnpq,bmj,bnk,bpa,bqc->bjkac", psi, uc, uc, vc, vc, optimize=True)
-        p += w * (amp.real ** 2 + amp.imag ** 2).reshape(b, 16)
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """Rows of p, each checked to sum to 1 within SUM_TOL, with the entries
+    below PROB_CLAMP set to zero and renormalized."""
+    totals = p.sum(axis=1)
+    worst = np.argmax(np.abs(totals - 1.0))
+    if abs(totals[worst] - 1.0) > SUM_TOL:
+        raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
+    p = np.where(p < PROB_CLAMP, 0.0, p)
+    p /= p.sum(axis=1, keepdims=True)
     return p
 
 
 def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Clamp, renormalize and sample one category per row."""
-    totals = p.sum(axis=1)
-    if np.max(np.abs(totals - 1.0)) > SUM_TOL:
-        raise ConsistencyError(
-            f"outcome probabilities sum to at worst {totals[np.argmax(np.abs(totals - 1))]!r}"
-        )
-    p = np.where(p < PROB_CLAMP, 0.0, p)
-    p /= p.sum(axis=1, keepdims=True)
-    cum = np.cumsum(p, axis=1)
-    cum[:, -1] = 1.0
+    """Draw one category per row of p by inverse CDF, one uniform per row."""
+    cum = np.cumsum(_clamped(p), axis=1)
+    # The rows sum to 1 only up to rounding.  Pinning the whole trailing
+    # plateau (the last nonzero category and the zeros after it) to 1 sends
+    # a draw in the rounding gap to that last nonzero category.
+    cum[cum >= cum[:, -1:]] = 1.0
     u = gen.random(p.shape[0])
     return (u[:, None] >= cum).sum(axis=1)
 
@@ -329,36 +330,27 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     Deterministic in (seed, truth, shard) alone.
     """
     kind, d, truth, fast_antisym, weights, vecs, seed, shard, count = task
+    if fast_antisym and truth == "equal":
+        # the antisymmetric table is zero on every (j, j) for every device,
+        # so every trial is class "diff"
+        return dict(zip(LABELED_CLASSES, (0, count)))
     seq = np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard))
     gen = np.random.default_rng(seq)
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-
-    if kind == "labeled":
-        if fast_antisym and truth == "equal":
-            # U-independent table: uniform over the d(d-1) unequal pairs
-            flat = (1.0 - np.eye(d)).reshape(-1) / (d * (d - 1))
-            cum = np.cumsum(flat)
-            cum[-1] = 1.0
-            idx = np.searchsorted(cum, gen.random(count), side="right")
+    # The batch size fixes the order of the random draws, so each scenario
+    # keeps its own: the whole shard labeled, _SUBCHUNK rows unlabeled.
+    batch = count if kind == "labeled" else _SUBCHUNK
+    for done in range(0, count, batch):
+        step = min(batch, count - done)
+        us = haar_unitaries(d, step, gen)
+        vs = haar_unitaries(d, step, gen) if truth == "different" else us
+        if fast_antisym:
+            p = _labeled_probs_antisym(us, vs, d).reshape(step, -1)
         else:
-            us = haar_unitaries(d, count, gen)
-            vs = haar_unitaries(d, count, gen) if truth == "different" else us
-            if fast_antisym:
-                p = _labeled_probs_antisym(us, vs, d)
-            else:
-                p = _labeled_probs_generic(us, vs, weights, vecs, d)
-            idx = _sample_rows(p.reshape(count, -1), gen)
-        counts += np.bincount(cls_of[idx], minlength=len(counts))
-    else:
-        # unlabeled: process the shard in einsum-friendly sub-chunks
-        for done in range(0, count, _SUBCHUNK):
-            step = min(_SUBCHUNK, count - done)
-            us = haar_unitaries(2, step, gen)
-            vs = haar_unitaries(2, step, gen) if truth == "different" else us
-            p = _unlabeled_probs(us, vs, weights, vecs)
-            counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
+            p = _born_table(us, vs, weights, vecs, scen.slots)
+        counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
     return dict(zip(scen.classes, counts.tolist()))
 
 
@@ -443,7 +435,7 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     points = []
     for i, theta in enumerate(thetas):
         b = Observable.qubit_angle(float(theta))
-        flat = _checked_flat_probs(unlabeled_outcome_distribution(a, b, state))
+        flat = _clamped(unlabeled_outcome_distribution(a, b, state).reshape(1, -1))[0]
         gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(_STREAM["sweep"], i)))
         counts = gen.multinomial(trials, flat)
         hits = int(counts[conc].sum())

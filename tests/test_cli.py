@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmeter.cli import CAMPAIGN_KEYS, main, parse_theta_grid
+from qmeter.simulate import CAMPAIGN_FORMAT
 from qmeter.errors import ConfigError
 
 
@@ -125,21 +126,80 @@ def test_report_rejects_garbage(capsys, tmp_path):
     assert "junk.txt" in err
 
 
+def _campaign_doc(**changes) -> str:
+    doc = {"format": CAMPAIGN_FORMAT, "version": "0", "scenario": {"kind": "labeled", "dim": 2},
+           "seed": 1, "trials": 10, "ground_truth": "both", "test_state": "optimal",
+           "shard_size": 65536, "conclusive_classes": ["same"],
+           "results": {"different": {"trials": 10, "class_counts": {"same": 5, "diff": 5},
+                                     "different_verdicts": 5, "inconclusive_verdicts": 5,
+                                     "success_estimate": 0.5, "success_stderr": 0.16},
+                       "equal": {"trials": 10, "class_counts": {"same": 0, "diff": 10},
+                                 "different_verdicts": 0, "inconclusive_verdicts": 10,
+                                 "false_positives": 0}}}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_NO_ESTIMATE = json.loads(_campaign_doc())["results"]
+del _NO_ESTIMATE["different"]["success_estimate"]
+
+
 @pytest.mark.parametrize("content", [
     '{"format": "qmeter.campaign/1", "scenario": {"ki',  # truncated
     '{"format": "qmeter.campaign/1"}',                   # required keys missing
+    pytest.param(_campaign_doc(scenario={}), id="scenario-empty"),
+    pytest.param(_campaign_doc(scenario=[]), id="scenario-not-an-object"),
+    pytest.param(_campaign_doc(results=_NO_ESTIMATE), id="success-estimate-missing"),
+    pytest.param(_campaign_doc(results=[]), id="results-not-an-object"),
+    pytest.param("theta,trials,stderr,analytic\n0.1,10,0.0,0.0\n", id="sweep-no-empirical"),
+    pytest.param("theta,trials,empirical,stderr,analytic\n0.1,10,x,0.0,0.0\n",
+                 id="sweep-non-numeric"),
+    pytest.param("theta,trials,empirical,stderr,analytic\n", id="sweep-no-rows"),
+    pytest.param(b'{"format": "\xff"}', id="not-utf8"),
+    pytest.param(None, id="directory"),
 ])
 def test_report_rejects_broken_campaign_json(capsys, tmp_path, content):
     path = tmp_path / "broken.json"
-    path.write_text(content)
-    code, _, err = run_cli(["report", str(path)], capsys)
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(["report", str(path)], capsys)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:") and "broken.json" in err
+
+
+def test_report_accepts_the_valid_template(capsys, tmp_path):
+    # the documents above differ from this one only where they are broken
+    path = tmp_path / "ok.json"
+    path.write_text(_campaign_doc())
+    code, out, _ = run_cli(["report", str(path)], capsys)
+    assert code == 0
+    assert "false positives" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["simulate", "--scenario", "labeled", "--trials", "10", "--seed", "1"],
+    ["sweep", "--theta-grid", "0.3,0.7", "--trials", "10", "--seed", "1"],
+])
+def test_out_to_a_directory_exits_2(capsys, tmp_path, argv):
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and str(tmp_path) in err
 
 
 def test_report_checks_the_schema_required_keys():
     with open("docs/campaign_result.schema.json", encoding="utf-8") as fh:
         assert list(CAMPAIGN_KEYS) == json.load(fh)["required"]
+
+
+def test_campaign_format_matches_the_schema():
+    with open("docs/campaign_result.schema.json", encoding="utf-8") as fh:
+        assert CAMPAIGN_FORMAT == json.load(fh)["properties"]["format"]["const"]
 
 
 def test_parse_theta_grid():

@@ -12,6 +12,9 @@ from qmeter import (
     Scenario,
     TestState,
     Verdict,
+    basis_family,
+    labeled_class_operators,
+    labeled_outcome_distribution,
     optimal_test_state,
     pairwise_success_angle,
     resolve_test_state,
@@ -20,8 +23,17 @@ from qmeter import (
     run_unlabeled_trial,
     sweep_theta,
     sweep_to_csv,
+    unlabeled_operators,
+    unlabeled_outcome_distribution,
 )
-from qmeter.simulate import SHARD_SIZE, _shard_counts, _shards_for
+from qmeter.simulate import (
+    PROB_CLAMP,
+    SHARD_SIZE,
+    _born_table,
+    _sample_rows,
+    _shard_counts,
+    _shards_for,
+)
 
 SCHEMA_PATH = "docs/campaign_result.schema.json"
 
@@ -192,20 +204,108 @@ def test_fast_antisymmetric_path_equals_generic():
         assert fast == slow
 
 
-def test_two_shard_class_counts_are_pinned():
-    # exact counts of two-shard campaigns; any change to the random streams
-    # or the outcome-to-class map shows up here
+def _antisymmetric_qutrit_file(tmp_path) -> str:
+    # a pure antisymmetric d=3 vector: kind "custom", so it takes the generic
+    # Born path and both truths draw Haar devices
+    m = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
+    path = tmp_path / "anti3.npy"
+    np.save(path, m.reshape(-1) / np.linalg.norm(m))
+    return str(path)
+
+
+def _kappa_mixture_file(tmp_path) -> str:
+    fam = basis_family("kappa")
+    rho = sum(w * v.projector().mat for w, v in zip((0.5, 0.3, 0.2), fam))
+    path = tmp_path / "kappa_mix.npy"
+    np.save(path, rho)
+    return str(path)
+
+
+def test_two_shard_class_counts_are_pinned(tmp_path):
+    # exact counts of two-shard campaigns; any change to the random streams,
+    # the Born kernels, the sampler or the outcome-to-class map shows up here
+    anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3): {"different": {"same": 22598, "diff": 45938},
-                         "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2): {"different": {"same_same": 30672, "same_diff": 15205,
-                                         "diff_same": 15081, "diff_diff": 7578},
-                           "equal": {"same_same": 45652, "same_diff": 0,
-                                     "diff_same": 0, "diff_diff": 22884}},
+        ("labeled", 3, "optimal"): {"different": {"same": 22598, "diff": 45938},
+                                    "equal": {"same": 0, "diff": 68536}},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30672, "same_diff": 15205,
+                                                    "diff_same": 15081, "diff_diff": 7578},
+                                      "equal": {"same_same": 45652, "same_diff": 0,
+                                                "diff_same": 0, "diff_diff": 22884}},
+        ("labeled", 3, anti3): {"different": {"same": 22565, "diff": 45971},
+                                "equal": {"same": 0, "diff": 68536}},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30669, "same_diff": 15260,
+                                                    "diff_same": 15028, "diff_diff": 7579},
+                                      "equal": {"same_same": 22722, "same_diff": 22953,
+                                                "diff_same": 22861, "diff_diff": 0}},
     }
-    for (kind, dim), counts in expected.items():
-        res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000, seed=2024))
+    for (kind, dim, spec), counts in expected.items():
+        res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000,
+                                          seed=2024, test_state=spec))
         assert {t: dict(r.class_counts) for t, r in res.results.items()} == counts
+
+
+def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
+    g = rng.normal(size=(d ** n, rank)) + 1j * rng.normal(size=(d ** n, rank))
+    rho = g @ g.conj().T
+    return TestState.from_matrix(rho / np.trace(rho).real, d, n)
+
+
+@pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
+                                    ("unlabeled", 2), ("unlabeled", 3)])
+def test_born_table_matches_fixed_device_distributions(kind, d):
+    # the batched kernel against the dense kron oracle, pair by pair
+    rng = np.random.default_rng(d)
+    n, oracle = (2, labeled_outcome_distribution) if kind == "labeled" else (
+        4, unlabeled_outcome_distribution)
+    state = _random_mixed_state(d, n, 3, rng)
+    pairs = [(Observable.random(d, rng), Observable.random(d, rng)) for _ in range(6)]
+    pairs.append((pairs[0][0], pairs[0][0]))  # equal devices
+    us = np.stack([a.basis for a, _ in pairs])
+    vs = np.stack([b.basis for _, b in pairs])
+    table = _born_table(us, vs, *state.pure_components(), n)
+    for row, (a, b) in zip(table, pairs):
+        assert_allclose(row, oracle(a, b, state).reshape(-1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix")])
+def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
+    # trials are i.i.d. Haar, so class c occurs with probability tr(rho O_c)
+    # under each hypothesis; every count, not only the conclusive rate, must
+    # sit within 5 standard errors of it (a zero-probability class exactly at 0)
+    path = (_antisymmetric_qutrit_file if spec == "anti3" else _kappa_mixture_file)(tmp_path)
+    scen = Scenario(kind, dim)
+    trials = 20000
+    res = run_campaign(CampaignConfig(scen, trials=trials, seed=77, test_state=path))
+    rho = resolve_test_state(path, scen).rho.mat
+    ops = labeled_class_operators(dim) if kind == "labeled" else unlabeled_operators(dim)
+    for truth, block in res.results.items():
+        for name, count in block.class_counts.items():
+            op = ops[name].different if truth == "different" else ops[name].equal
+            p = max(float(np.trace(rho @ op.mat).real), 0.0)
+            se = np.sqrt(p * (1 - p) / trials)
+            assert abs(count / trials - p) <= 5 * se, (truth, name, count, p)
+
+
+class _TopOfRangeGenerator:
+    """Stands in for np.random.Generator: every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_sampler_never_draws_a_clamped_category():
+    # the rows sum to 1 only up to rounding; a uniform in the gap between the
+    # last nonzero cumulative value and 1 must not land on a trailing zero
+    uniform_pairs = ((1.0 - np.eye(3)) / 6).reshape(1, -1)  # cum[-2] < 1
+    assert np.cumsum(uniform_pairs)[-2] < 1.0
+    rng = np.random.default_rng(5)
+    st = TestState.antisymmetric(3)
+    equal_devices = [labeled_outcome_distribution(a, a, st).reshape(-1)
+                     for a in (Observable.random(3, rng) for _ in range(500))]
+    tables = np.vstack([uniform_pairs] + equal_devices)
+    idx = _sample_rows(tables, _TopOfRangeGenerator())
+    assert np.all(tables[np.arange(len(tables)), idx] >= PROB_CLAMP)
 
 
 # --- sweep ----------------------------------------------------------------------
