@@ -131,6 +131,8 @@ class TestState:
 
     def __post_init__(self):
         m = self.rho.mat
+        if not np.all(np.isfinite(m)):
+            raise InvalidStateError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > TOL_ABS:
             raise InvalidStateError("density matrix is not Hermitian")
         w = np.linalg.eigvalsh(m)

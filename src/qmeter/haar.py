@@ -16,6 +16,12 @@ for the verify battery and the Monte Carlo checks:
                         sum_j E[A_j (x) A_j] / d        = P+/d2
                         sum_(j!=k) E[A_j (x) A_k] / d   = 1/d - P+/d2
 
+haar_unitaries() draws Haar unitaries as the Q factor of a complex Ginibre
+matrix Z = QR with diag(R) real and positive, computed by Gram-Schmidt on the
+columns of Z.  That factorization is unique, and for any fixed unitary V the
+matrix VZ is again Ginibre with factorization (VQ)R, so VQ has the law of Q:
+Q is exactly Haar (Mezzadri, arXiv:math-ph/0609050).
+
 Monte Carlo estimators with elementwise standard errors are provided for
 cross-validating every closed form from seeded samples.
 """
@@ -153,13 +159,40 @@ def rng_from(seed: RngLike) -> np.random.Generator:
 
 
 def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
-    """Stack of `size` Haar-random d x d unitaries (Ginibre + QR, phases fixed
-    by the sign of diag(R) so the result is exactly Haar)."""
+    """Stack of `size` Haar-random d x d unitaries.
+
+    Gram-Schmidt orthonormalizes the columns of each complex Ginibre matrix Z
+    in order.  The result is the Q of Z = QR with diag(R) real and positive,
+    which is exactly Haar (see the module docstring).  The draws, and so the
+    random stream, are the real block then the imaginary block, each
+    standard_normal((size, d, d)) with Z[b, i, j] at [b, i, j].
+    """
     gen = rng_from(rng)
-    z = gen.standard_normal((size, d, d)) + 1j * gen.standard_normal((size, d, d))
-    q, r = np.linalg.qr(z / np.sqrt(2))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    cols = np.empty((size, d, d), dtype=np.complex128)  # cols[b, j] is column j of Z_b
+    cols.real = gen.standard_normal((size, d, d)).transpose(0, 2, 1)
+    cols.imag = gen.standard_normal((size, d, d)).transpose(0, 2, 1)
+    return _orthonormalize_rows(cols).transpose(0, 2, 1)
+
+
+def _orthonormalize_rows(vecs: np.ndarray) -> np.ndarray:
+    """Orthonormalize in place the rows vecs[b, 0], vecs[b, 1], ... of a complex
+    (size, d, d) stack by classical Gram-Schmidt, and return the stack.
+
+    Each row is projected off the earlier rows twice: one pass of classical
+    Gram-Schmidt loses orthogonality in proportion to the condition number,
+    and a second pass brings it back to roundoff ("twice is enough").  The
+    norm each row is divided by is diag(R), which is therefore real and
+    positive.
+    """
+    for j in range(vecs.shape[1]):
+        v = vecs[:, j]
+        done = vecs[:, :j]
+        for _ in range(2 if j else 0):
+            overlaps = np.einsum("bki,bi->bk", done, v.conj()).conj()  # <q_k, v>
+            v -= np.einsum("bk,bki->bi", overlaps, done)
+        v /= np.sqrt(np.einsum("bi,bi->b", v.real, v.real)
+                     + np.einsum("bi,bi->b", v.imag, v.imag))[:, None]
+    return vecs
 
 
 def haar_unitary(d: int, rng: RngLike = None) -> np.ndarray:

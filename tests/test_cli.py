@@ -96,6 +96,17 @@ def test_simulate_rejects_bad_state_file(capsys, tmp_path):
     assert "test state" in err or "nope.npy" in err
 
 
+def test_simulate_rejects_non_finite_state_file(capsys, tmp_path):
+    bad = tmp_path / "nan.npy"
+    np.save(bad, np.full(4, np.nan))
+    code, _, err = run_cli([
+        "simulate", "--scenario", "labeled", "--dim", "2", "--trials", "10",
+        "--seed", "1", "--test-state", str(bad),
+    ], capsys)
+    assert code == 2
+    assert "non-finite" in err
+
+
 def test_sweep_and_report(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli([

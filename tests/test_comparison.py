@@ -13,6 +13,7 @@ from qmeter import (
     UNLABELED_CLASSES,
     UnambiguityError,
     UnsupportedDimensionError,
+    Vector,
     analytic_success,
     conclusive_classes,
     fixed_pair_class_probability,
@@ -69,6 +70,11 @@ def test_test_state_validation():
         TestState.from_matrix(np.eye(4), 2, 2)  # trace 4
     with pytest.raises(InvalidStateError):
         TestState.from_matrix(np.diag([0.7, 0.5, -0.2, 0.0]), 2, 2)  # negative
+    for bad in (np.nan, np.inf):  # comparisons pass NaN; eigvalsh would raise LinAlgError
+        with pytest.raises(InvalidStateError):
+            TestState.from_matrix(np.diag([0.25, 0.25, 0.25, bad]), 2, 2)
+        with pytest.raises(InvalidStateError):
+            TestState.pure(Vector(np.full(4, bad), 2, 2))
     ok = TestState.from_matrix(np.diag([0.25] * 4), 2, 2)
     w, v = ok.pure_components()
     assert w.shape == (4,)

@@ -21,6 +21,7 @@ from qmeter import (
     symmetrizer,
     twirl,
 )
+from qmeter.haar import _orthonormalize_rows
 
 SEED = 20240817
 
@@ -109,6 +110,47 @@ def test_haar_unitaries_batch_shape():
     assert us.shape == (17, 2, 2)
     prods = np.einsum("bij,bkj->bik", us, us.conj())
     assert_allclose(prods, np.broadcast_to(np.eye(2), (17, 2, 2)), atol=1e-12)
+
+
+def _qr_reference(d, size, gen):
+    # Ginibre + LAPACK QR, with the phases of diag(R) moved into Q
+    z = gen.standard_normal((size, d, d)) + 1j * gen.standard_normal((size, d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_haar_unitaries_match_phase_fixed_qr(d):
+    us = haar_unitaries(d, 4096, np.random.default_rng(SEED))
+    assert np.max(np.abs(us - _qr_reference(d, 4096, np.random.default_rng(SEED)))) <= 1e-12
+
+
+def test_haar_unitaries_are_unitary_to_roundoff():
+    us = haar_unitaries(5, 65536, np.random.default_rng(SEED))
+    err = np.einsum("bij,bkj->bik", us, us.conj()) - np.eye(5)
+    assert np.max(np.abs(err)) <= 1e-13
+
+
+@pytest.mark.parametrize("d,size", [(2, 1), (3, 1000), (5, 257)])
+def test_haar_unitaries_draw_exactly_two_normal_blocks(d, size):
+    # the stream contract: a real and an imaginary (size, d, d) block, nothing more
+    gen, twin = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    haar_unitaries(d, size, gen)
+    twin.standard_normal(2 * size * d * d)
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def test_orthonormalization_survives_near_singular_rows():
+    # rows with singular values 1 .. 1e-10 (condition number 1e10); one
+    # Gram-Schmidt pass alone would leave them far from orthogonal
+    gen = np.random.default_rng(SEED)
+    x, y = haar_unitaries(5, 200, gen), haar_unitaries(5, 200, gen)
+    rows = (x * np.logspace(0, -10, 5)) @ y
+    assert np.linalg.cond(rows[0]) == pytest.approx(1e10, rel=1e-3)
+    q = _orthonormalize_rows(rows)
+    err = np.einsum("bij,bkj->bik", q, q.conj()) - np.eye(5)
+    assert np.max(np.abs(err)) <= 1e-13
 
 
 def test_haar_states_normalized():

@@ -238,6 +238,12 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
                                                     "diff_same": 15028, "diff_diff": 7579},
                                       "equal": {"same_same": 22722, "same_diff": 22953,
                                                 "diff_same": 22861, "diff_diff": 0}},
+        # d = 2 and 5 are the shortest and longest Gram-Schmidt column loops in
+        # haar_unitaries; these counts were taken with the LAPACK QR kernel
+        ("labeled", 2, "optimal"): {"different": {"same": 34330, "diff": 34206},
+                                    "equal": {"same": 0, "diff": 68536}},
+        ("labeled", 5, "optimal"): {"different": {"same": 13878, "diff": 54658},
+                                    "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
         res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000,
