@@ -12,7 +12,6 @@ them, and a deterministic shot-level simulator for the whole procedure.
 from ._version import __version__
 from .comparison import (
     LABELED_CLASSES,
-    NO_ERROR_TOL,
     UNLABELED_CLASSES,
     ClassOperators,
     LabeledAverages,
@@ -124,7 +123,7 @@ __all__ = [
     "mc_agrees",
     # comparison
     "Scenario", "Observable", "TestState", "ClassOperators", "LabeledAverages",
-    "SuccessReport", "LABELED_CLASSES", "UNLABELED_CLASSES", "NO_ERROR_TOL",
+    "SuccessReport", "LABELED_CLASSES", "UNLABELED_CLASSES",
     "labeled_class_operators", "unlabeled_operators", "outcome_class_index",
     "labeled_outcome_probabilities", "labeled_outcome_distribution",
     "labeled_fixed_pair_success", "unlabeled_outcome_distribution",

@@ -36,11 +36,8 @@ from .errors import (
 )
 from .haar import twirl
 from .symmetry import antisymmetrizer, basis_family, pair_product, phi_minus
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, support_projector
+from .tensors import TOL_ABS, Operator, Vector, support_projector
 from . import haar as _haar
-
-#: a class is conclusive iff its equal-hypothesis probability is below this
-NO_ERROR_TOL = 1e-10
 
 LABELED_CLASSES = ("same", "diff")
 UNLABELED_CLASSES = ("same_same", "same_diff", "diff_same", "diff_diff")
@@ -150,13 +147,13 @@ class TestState:
     def n(self) -> int:
         return self.rho.n
 
-    def pure_components(self, tol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition (weights, vectors) keeping weights > tol.
+    def pure_components(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition (weights, vectors) keeping weights > TOL_ABS.
 
         vectors has shape (r, dim) with row r the eigenvector of weight r.
         """
         w, v = np.linalg.eigh(self.rho.mat)
-        keep = w > tol
+        keep = w > TOL_ABS
         return w[keep], v[:, keep].T
 
     @classmethod
@@ -204,7 +201,7 @@ def _class_ops(name: str, equal: Operator, different: Operator) -> ClassOperator
     domain = support_projector(different)
     sup_eq = support_projector(equal)
     q = domain - sup_eq
-    if np.max(np.abs(q.mat @ q.mat - q.mat)) > TOL_RANK:
+    if not q.is_projector():
         raise ConsistencyError(
             f"no-error subspace of class {name} is not a projector; "
             "support(equal) is not contained in the class domain"
@@ -429,21 +426,32 @@ def _operators_for(scenario: Scenario) -> Mapping[str, ClassOperators]:
     return unlabeled_operators(scenario.dim)
 
 
+def _leaks(ops: Mapping[str, ClassOperators], state: TestState) -> Mapping[str, float]:
+    """tr(rho_+ S_c) per class, rho_+ the positive part of the state and S_c
+    the support of the class's equal-device operator: an upper bound on the
+    class's equal-device probability in any single trial."""
+    w, v = np.linalg.eigh(state.rho.mat)
+    rho_plus = (v * np.maximum(w, 0.0)) @ v.conj().T
+    return {name: float(np.vdot(cls.support_equal.mat, rho_plus).real)
+            for name, cls in ops.items()}
+
+
 def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) -> Tuple[str, ...]:
     """Outcome classes that certify "different" for this test state.
 
-    A class qualifies iff its equal-hypothesis probability is <= NO_ERROR_TOL
-    while its different-hypothesis probability exceeds that tolerance.
+    A class qualifies iff its leak tr(rho_+ S_c) is <= TOL_ABS/2 and its
+    different-hypothesis probability exceeds TOL_ABS.  U P_c U^dag <= S_c for
+    every device basis U, so the leak bounds the class's equal-device
+    probability trial by trial, not only on average; the sampler clamps Born
+    entries at or below TOL_ABS to zero, so a conclusive class is never drawn
+    for equal devices (tensors module docstring).
     """
     ops = _operators_for(scenario)
     state = _as_state(state, n=scenario.slots, d=scenario.dim)
-    out = []
-    for name, cls in ops.items():
-        p_eq = _class_probability(cls.equal, state)
-        p_ne = _class_probability(cls.different, state)
-        if p_eq <= NO_ERROR_TOL < p_ne:
-            out.append(name)
-    return tuple(out)
+    leaks = _leaks(ops, state)
+    return tuple(name for name, cls in ops.items()
+                 if leaks[name] <= TOL_ABS / 2
+                 and _class_probability(cls.different, state) > TOL_ABS)
 
 
 def analytic_success(
@@ -454,27 +462,26 @@ def analytic_success(
     """Exact success probability of the unambiguous comparison protocol.
 
     Success is the total different-hypothesis probability of the conclusive
-    classes.  If `claimed` names the classes explicitly, each is validated:
-    a claimed class with nonzero equal-hypothesis probability raises
-    UnambiguityError (reporting "different" on it would be a false positive).
+    classes.  If `claimed` names the classes explicitly, each must pass the
+    rule of conclusive_classes; one that does not raises UnambiguityError
+    (reporting "different" on it could be a false positive).
     """
     if state is None:
         state = optimal_test_state(scenario)
     state = _as_state(state, n=scenario.slots, d=scenario.dim)
     ops = _operators_for(scenario)
-    if claimed is None:
-        classes = conclusive_classes(scenario, state)
-    else:
-        classes = tuple(claimed)
-        for name in classes:
-            if name not in ops:
-                raise DimensionMismatchError(f"unknown outcome class {name!r}")
-            p_eq = _class_probability(ops[name].equal, state)
-            if p_eq > NO_ERROR_TOL:
-                raise UnambiguityError(
-                    f"class {name!r} has probability {p_eq:.6e} under equal devices "
-                    f"(tolerance {NO_ERROR_TOL:g}); reporting it would not be unambiguous"
-                )
+    conclusive = conclusive_classes(scenario, state)
+    classes = conclusive if claimed is None else tuple(claimed)
+    for name in classes:
+        if name not in ops:
+            raise DimensionMismatchError(f"unknown outcome class {name!r}")
+        if name not in conclusive:
+            raise UnambiguityError(
+                f"class {name!r} is not conclusive for this state: leak "
+                f"{_leaks(ops, state)[name]:.6e} (bound {TOL_ABS / 2:g}), different-device "
+                f"probability {_class_probability(ops[name].different, state):.6e} "
+                f"(must exceed {TOL_ABS:g}); reporting it would not be unambiguous"
+            )
     per_class = {name: _class_probability(ops[name].different, state) for name in classes}
     return SuccessReport(
         scenario=scenario,

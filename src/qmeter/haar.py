@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
 from .symmetry import perm_operator, split_pairs, sym_dim, symmetrizer
-from .tensors import TOL_ABS, Operator, Vector, identity
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, identity
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -74,7 +74,7 @@ def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
                       for images in itertools.product(*block_perms)])
     flat = perms.reshape(len(perms), -1)
     overlaps = np.diagonal(perms, axis1=1, axis2=2) @ diagonals.T  # tr(P_s^T X_i)
-    coeffs = np.linalg.pinv(flat @ flat.T, hermitian=True, rtol=1e-10) @ overlaps
+    coeffs = np.linalg.pinv(flat @ flat.T, hermitian=True, rtol=TOL_RANK) @ overlaps
     return np.einsum("si,sab->iab", coeffs, perms)
 
 

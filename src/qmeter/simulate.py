@@ -12,13 +12,15 @@ n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  ``_born_table`` builds that
 table for a batch of device pairs at any d.  ``_sample_rows`` draws one
 outcome per row of it, and of the fixed-device tables of single trials and
-the sweep.  Probabilities below PROB_CLAMP are clamped to zero and the row
-renormalized (``_clamped``), and the inverse CDF pins its trailing plateau to
-1, so a category of clamped probability 0 is never drawn: unambiguity is
-exact in sampled campaigns, not just up to floating noise.  The labeled
-antisymmetric state has a closed-form table (``_labeled_probs_antisym``);
-with equal devices it is zero on every (j, j), so every such trial is class
-"diff" and is counted without sampling.
+the sweep.  Probabilities at or below TOL_ABS are clamped to zero and the
+row renormalized (``_clamped``), and the inverse CDF pins its trailing
+plateau to 1, so a category of clamped probability 0 is never drawn.  A
+conclusive class has equal-device probability at most TOL_ABS/2 in every
+trial (the leak bound of ``conclusive_classes``), so each of its Born entries
+is clamped: unambiguity is exact in sampled campaigns, not just up to
+floating noise.  The labeled antisymmetric state has a closed-form table
+(``_labeled_probs_antisym``); with equal devices it is zero on every (j, j),
+so every such trial is class "diff" and is counted without sampling.
 
 Determinism contract
 --------------------
@@ -58,14 +60,10 @@ from .comparison import (
 )
 from .errors import ConfigError, ConsistencyError
 from .haar import haar_unitaries, rng_from
-from .tensors import Operator, Vector
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
-#: probabilities below this are treated as exact zeros before sampling
-PROB_CLAMP = 1e-12
-#: tolerance for the internal "probabilities sum to 1" cross-check
-SUM_TOL = 1e-8
 #: the "format" field of every campaign JSON
 CAMPAIGN_FORMAT = "qmeter.campaign/1"
 
@@ -301,13 +299,13 @@ def _labeled_probs_antisym(us: np.ndarray, vs: np.ndarray, d: int) -> np.ndarray
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
-    """Rows of p, each checked to sum to 1 within SUM_TOL, with the entries
-    below PROB_CLAMP set to zero and renormalized."""
+    """Rows of p, each checked to sum to 1 within TOL_RANK, with the entries
+    at or below TOL_ABS set to zero and renormalized."""
     totals = p.sum(axis=1)
     worst = np.argmax(np.abs(totals - 1.0))
-    if abs(totals[worst] - 1.0) > SUM_TOL:
+    if abs(totals[worst] - 1.0) > TOL_RANK:
         raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
-    p = np.where(p < PROB_CLAMP, 0.0, p)
+    p = np.where(p <= TOL_ABS, 0.0, p)
     p /= p.sum(axis=1, keepdims=True)
     return p
 

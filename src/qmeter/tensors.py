@@ -4,11 +4,25 @@ Everything in this package lives on (C^d)^(x)n for small d and n (at most
 16x16 matrices for the four-qubit constructions, d^2 x d^2 for the two-copy
 ones), so plain dense complex128 arrays with explicit (d, n) metadata are the
 whole story.  Slot 1 is the most significant tensor factor.
+
+Tolerance policy.  Every numerical zero in the package reads one of two
+constants.  TOL_ABS is absolute: inputs must pass identity checks
+(Hermiticity, unit trace or norm, orthonormality) to within it, and a
+probability or mixture weight at or below it is zero.  TOL_RANK is relative:
+an eigenvalue at or below TOL_RANK times the largest magnitude is zero, in
+support_projector, rank and the twirl's pseudo-inverse, and a Born row must
+sum to 1 within it.  The certificate follows from them.  The support S_c of
+a class's equal-device operator contains U P_c U^dag for every unitary U, so
+in any single trial the class has equal-device probability at most
+leak_c = tr(rho_+ S_c), rho_+ the positive part of the state.  A class is
+conclusive iff leak_c <= TOL_ABS/2 and its different-device probability
+exceeds TOL_ABS; the half leaves room for rounding in the Born kernel, so
+every Born entry of a conclusive class is clamped to an exact zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,19 +68,19 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def is_hermitian(self, tol: float = TOL_ABS) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= TOL_ABS)
 
-    def is_projector(self, tol: float = TOL_ABS) -> bool:
-        return self.is_hermitian(tol) and bool(
-            np.max(np.abs(self.mat @ self.mat - self.mat)) <= tol
+    def is_projector(self) -> bool:
+        return self.is_hermitian() and bool(
+            np.max(np.abs(self.mat @ self.mat - self.mat)) <= TOL_ABS
         )
 
-    def is_psd(self, tol: float = TOL_ABS) -> bool:
-        if not self.is_hermitian(tol):
+    def is_psd(self) -> bool:
+        if not self.is_hermitian():
             return False
         w = np.linalg.eigvalsh(self.mat)
-        return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+        return bool(w[0] >= -TOL_ABS * max(1.0, float(w[-1])))
 
     def expval(self, state: "Vector") -> complex:
         """<state| self |state>."""
@@ -193,58 +207,33 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
     return Vector(v, d, n)
 
 
-def support_projector(
-    op: Operator, tol_rank: float = TOL_RANK, tol_abs: float = TOL_ABS
-) -> Operator:
-    """Orthogonal projector onto the support (range) of a PSD operator.
-
-    Parameters
-    ----------
-    op : Operator
-        Must be Hermitian and positive semidefinite up to numerical noise.
-    tol_rank : float
-        Relative eigenvalue cutoff: eigenvectors with w > tol_rank * max(w)
-        span the support.
-    tol_abs : float
-        Absolute scale below which the whole operator counts as zero, and
-        relative scale of negative eigenvalues tolerated as roundoff.
-
-    Returns
-    -------
-    Operator
-        Projector of the same shape; the zero operator if `op` vanishes.
-
-    Raises
-    ------
-    NotPositiveSemidefiniteError
-        If an eigenvalue is negative beyond -tol_abs * max|w|.
-    """
+def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian operator above the rank
+    cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
     herm = (op.mat + op.mat.conj().T) / 2
-    if np.max(np.abs(op.mat - herm)) > tol_abs:
+    if np.max(np.abs(op.mat - herm)) > TOL_ABS:
         raise NotPositiveSemidefiniteError("operator is not Hermitian")
     w, v = np.linalg.eigh(herm)
     lam = float(np.max(np.abs(w)))
-    if lam <= tol_abs:
-        return zero(op.d, op.n)
-    if float(w[0]) < -tol_abs * lam:
-        raise NotPositiveSemidefiniteError(
-            f"negative eigenvalue {w[0]:.3e} (largest magnitude {lam:.3e})"
-        )
-    keep = v[:, w > tol_rank * lam]
-    return Operator(keep @ keep.conj().T, op.d, op.n)
+    keep = (np.abs(w) > TOL_RANK * lam) & (lam > TOL_ABS)
+    return w[keep], v[:, keep]
 
 
-def rank(op: Operator, tol_rank: float = TOL_RANK, tol_abs: float = TOL_ABS) -> int:
-    """Numerical rank of a Hermitian operator.
+def support_projector(op: Operator) -> Operator:
+    """Orthogonal projector onto the support (range) of a PSD operator.
 
-    Counts eigenvalues with |w| > tol_rank * max|w|; an operator whose largest
-    eigenvalue magnitude is below tol_abs has rank 0.
+    The support is spanned by the eigenvectors above the rank cutoff; the
+    zero operator has the zero projector.  Raises NotPositiveSemidefiniteError
+    if `op` is not Hermitian or an eigenvalue below -TOL_RANK * max|w| exists.
     """
-    herm = (op.mat + op.mat.conj().T) / 2
-    if np.max(np.abs(op.mat - herm)) > tol_abs:
-        raise NotPositiveSemidefiniteError("rank is defined here for Hermitian operators")
-    w = np.linalg.eigvalsh(herm)
-    lam = float(np.max(np.abs(w)))
-    if lam <= tol_abs:
-        return 0
-    return int(np.sum(np.abs(w) > tol_rank * lam))
+    w, v = _spectrum(op)
+    if w.size and w[0] < 0:
+        raise NotPositiveSemidefiniteError(
+            f"negative eigenvalue {w[0]:.3e} (largest magnitude {np.max(np.abs(w)):.3e})"
+        )
+    return Operator(v @ v.conj().T, op.d, op.n)
+
+
+def rank(op: Operator) -> int:
+    """Numerical rank of a Hermitian operator: eigenvalues above the rank cutoff."""
+    return len(_spectrum(op)[0])

@@ -1,0 +1,133 @@
+"""The zero-false-positive certificate: a class is conclusive iff its leak
+tr(rho_+ S_c) is at most TOL_ABS/2, so states inside the no-error subspace
+Q_c are certified and states that leak are not, however small the average
+equal-device probability they show."""
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmeter import (
+    TOL_ABS,
+    Scenario,
+    TestState,
+    UnambiguityError,
+    Vector,
+    analytic_success,
+    basis_family,
+    conclusive_classes,
+    haar_unitaries,
+    outcome_class_index,
+    singlet_pairing_state,
+)
+from qmeter.comparison import _leaks, _operators_for
+from qmeter.simulate import _born_table, _clamped
+
+UNLABELED = Scenario("unlabeled", 2)
+PHI_Q = singlet_pairing_state()
+ETA = basis_family("eta")
+KAPPA = np.array([v.vec for v in basis_family("kappa")])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _assert_uncertified(state: TestState) -> None:
+    assert not {"same_diff", "diff_same"} & set(conclusive_classes(UNLABELED, state))
+    with pytest.raises(UnambiguityError):
+        analytic_success(UNLABELED, state, claimed=("same_diff",))
+
+
+# --- the two leaks the certificate once missed ------------------------------
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_phi_q_plus_a_symmetric_admixture_is_not_certified(k):
+    # equal devices give same_diff about 2e-11 on average, but single trials
+    # reach 2.5e-11; both are below TOL_ABS, the leak 1e-10 is not below TOL_ABS/2
+    _assert_uncertified(TestState.pure((PHI_Q + 1e-5 * ETA[k - 1]).normalized()))
+
+
+def test_a_negative_eigenvalue_does_not_mask_a_leak():
+    # tr(rho O^eq) cancels to ~0, but the positive part still leaks 8e-11
+    a = b = 8e-11
+    rho = ((1 - a + b) * PHI_Q.projector().mat + a * ETA[1].projector().mat
+           - b * ETA[2].projector().mat)
+    _assert_uncertified(TestState.from_matrix(rho, 2, 4))
+
+
+# --- property tests -------------------------------------------------------------
+
+def _kappa_span(rank: int, rng):
+    """Random rank-`rank` mixture in span(kappa) = Q_diff_diff."""
+    vecs = (rng.normal(size=(rank, 3)) + 1j * rng.normal(size=(rank, 3))) @ KAPPA
+    return UNLABELED, "diff_diff", rng.dirichlet(np.ones(rank)), vecs
+
+
+def _antisymmetric(d: int, rng):
+    """Random antisymmetric two-slot vector: Q_same of the labeled protocol."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Scenario("labeled", d), "same", np.ones(1), (x - x.T).reshape(1, -1)
+
+
+_BUILDERS = [partial(_kappa_span, 1), partial(_kappa_span, 3),
+             partial(_antisymmetric, 2), partial(_antisymmetric, 3), partial(_antisymmetric, 4)]
+NO_ERROR_CASES = st.tuples(st.sampled_from(_BUILDERS), SEEDS).map(
+    lambda t: t[0](np.random.default_rng(t[1])))
+
+
+def _state(scen: Scenario, weights, vecs) -> TestState:
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    rho = np.einsum("r,ri,rj->ij", weights, vecs, vecs.conj())
+    return TestState.from_matrix(rho, scen.dim, scen.slots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(NO_ERROR_CASES)
+def test_states_inside_the_no_error_subspace_are_certified(case):
+    scen, cls, weights, vecs = case
+    state = _state(scen, weights, vecs)
+    assert cls in conclusive_classes(scen, state)
+    assert cls in analytic_success(scen, state, claimed=(cls,)).classes
+
+
+@settings(max_examples=15, deadline=None)
+@given(NO_ERROR_CASES, SEEDS)
+def test_clamped_equal_device_tables_never_weigh_on_a_certified_class(case, seed):
+    scen, cls, weights, vecs = case
+    state = _state(scen, weights, vecs)
+    us = haar_unitaries(scen.dim, 256, np.random.default_rng(seed))
+    p = _clamped(_born_table(us, us, *state.pure_components(), scen.slots))
+    in_class = outcome_class_index(scen.slots, scen.dim) == scen.classes.index(cls)
+    assert not np.any(p[:, in_class])
+
+
+@settings(max_examples=30, deadline=None)
+@given(NO_ERROR_CASES, st.floats(min_value=np.sqrt(TOL_ABS), max_value=1.0), SEEDS)
+def test_a_leak_of_tol_abs_is_never_certified(case, eps, seed):
+    scen, cls, _, vecs = case
+    assert eps ** 2 >= TOL_ABS
+    rng = np.random.default_rng(seed)
+    s = _operators_for(scen)[cls].support_equal.mat @ (rng.normal(size=vecs.shape[1])
+                                                    + 1j * rng.normal(size=vecs.shape[1]))
+    q = vecs[0] / np.linalg.norm(vecs[0])
+    leaky = Vector(q + eps * s / np.linalg.norm(s), scen.dim, scen.slots).normalized()
+    state = TestState.pure(leaky)
+    assert cls not in conclusive_classes(scen, state)
+    with pytest.raises(UnambiguityError):
+        analytic_success(scen, state, claimed=(cls,))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([Scenario("labeled", 3), UNLABELED]), st.integers(1, 3), SEEDS)
+def test_the_leak_bounds_every_equal_device_trial(scen, rank, seed):
+    # U P_c U^dag <= S_c for every U: no single trial exceeds tr(rho_+ S_c)
+    rng = np.random.default_rng(seed)
+    dim = scen.dim ** scen.slots
+    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    state = _state(scen, rng.dirichlet(np.ones(rank)), vecs)
+    us = haar_unitaries(scen.dim, 256, rng)
+    p = _born_table(us, us, *state.pure_components(), scen.slots)
+    cls_of = outcome_class_index(scen.slots, scen.dim)
+    leaks = _leaks(_operators_for(scen), state)
+    for i, name in enumerate(scen.classes):
+        assert p[:, cls_of == i].sum(axis=1).max() <= leaks[name] + 1e-12, name

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmeter import (
+    DimensionMismatchError,
     InvalidObservableError,
     InvalidStateError,
     LABELED_CLASSES,
@@ -235,6 +236,8 @@ def test_unlabeled_distribution_matches_class_table():
     # equal devices: conclusive classes carry zero weight
     for cls in ("same_diff", "diff_same"):
         assert fixed_pair_class_probability(a, a, st, cls) == pytest.approx(0.0, abs=1e-10)
+    with pytest.raises(DimensionMismatchError):
+        fixed_pair_class_probability(a, b, st, "bogus")
 
 
 def test_unlabeled_angle_law_on_grid():
@@ -265,3 +268,5 @@ def test_analytic_success_validates_claims():
     # same_same is never conclusive: equal devices can always land there
     with pytest.raises(UnambiguityError):
         analytic_success(Scenario("unlabeled", 2), claimed=("same_same",))
+    with pytest.raises(DimensionMismatchError):
+        analytic_success(Scenario("unlabeled", 2), claimed=("bogus",))

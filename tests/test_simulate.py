@@ -10,6 +10,7 @@ from qmeter import (
     ConfigError,
     Observable,
     Scenario,
+    TOL_ABS,
     TestState,
     Verdict,
     basis_family,
@@ -27,7 +28,6 @@ from qmeter import (
     unlabeled_outcome_distribution,
 )
 from qmeter.simulate import (
-    PROB_CLAMP,
     SHARD_SIZE,
     _born_table,
     _sample_rows,
@@ -311,7 +311,7 @@ def test_sampler_never_draws_a_clamped_category():
                      for a in (Observable.random(3, rng) for _ in range(500))]
     tables = np.vstack([uniform_pairs] + equal_devices)
     idx = _sample_rows(tables, _TopOfRangeGenerator())
-    assert np.all(tables[np.arange(len(tables)), idx] >= PROB_CLAMP)
+    assert np.all(tables[np.arange(len(tables)), idx] > TOL_ABS)
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from qmeter import (
     SPLITS,
+    DimensionMismatchError,
     UnsupportedDimensionError,
     antisymmetrizer,
     basis_family,
@@ -104,6 +105,8 @@ def test_split_pairs():
     assert split_pairs("12-34") == ((1, 2), (3, 4))
     assert split_pairs("13-24") == ((1, 3), (2, 4))
     assert split_pairs("14-23") == ((1, 4), (2, 3))
+    with pytest.raises(DimensionMismatchError):
+        split_pairs("bogus")
     assert set(SPLITS) == {"12-34", "13-24", "14-23"}
 
 
@@ -195,6 +198,5 @@ def test_basis_family_split_relabeling():
 
 
 def test_basis_family_rejects_unknown():
-    from qmeter import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
         basis_family("nope")

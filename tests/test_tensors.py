@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qmeter import (
     DimensionMismatchError,
+    NotPositiveSemidefiniteError,
     Operator,
     Vector,
     basis_ket,
@@ -101,6 +102,16 @@ def test_rank_uses_relative_cutoff():
     assert rank(op) == 1
     op2 = Operator(np.diag([1.0, 1e-3, 0.0, 0.0]), 2, 2)
     assert rank(op2) == 2
+
+
+def test_support_projector_zeroes_eigenvalues_inside_the_rank_cutoff():
+    # |w| <= TOL_RANK * max|w| counts as zero whatever its sign; a negative
+    # eigenvalue beyond the cutoff is not PSD
+    tiny = Operator(np.diag([1.0, -1e-9, 1e-9, 0.0]), 2, 2)
+    assert_allclose(support_projector(tiny).mat, np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert rank(tiny) == 1
+    with pytest.raises(NotPositiveSemidefiniteError):
+        support_projector(Operator(np.diag([1.0, -1e-7, 0.0, 0.0]), 2, 2))
 
 
 def test_is_psd_flags_negative_eigenvalues():
