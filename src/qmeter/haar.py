@@ -158,25 +158,42 @@ def rng_from(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: matrices per block of the transposing copy and of Gram-Schmidt, small
+#: enough for a block's temporaries to stay in cache
+_BLOCK = 8192
+
+
 def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
-    """Stack of `size` Haar-random d x d unitaries.
+    """Stack of `size` Haar-random d x d unitaries, as a (size, d, d) array.
 
     Gram-Schmidt orthonormalizes the columns of each complex Ginibre matrix Z
     in order.  The result is the Q of Z = QR with diag(R) real and positive,
     which is exactly Haar (see the module docstring).  The draws, and so the
     random stream, are the real block then the imaginary block, each
     standard_normal((size, d, d)) with Z[b, i, j] at [b, i, j].
+
+    The matrices live in a (d, d, size) buffer with the batch as the last,
+    contiguous axis, and the result is its transposed view: every step of
+    the orthonormalization is then one vector operation over many matrices
+    instead of a loop over tiny ones.
     """
     gen = rng_from(rng)
-    cols = np.empty((size, d, d), dtype=np.complex128)  # cols[b, j] is column j of Z_b
-    cols.real = gen.standard_normal((size, d, d)).transpose(0, 2, 1)
-    cols.imag = gen.standard_normal((size, d, d)).transpose(0, 2, 1)
-    return _orthonormalize_rows(cols).transpose(0, 2, 1)
+    cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of Z_b
+    draw = np.empty((size, d, d))
+    blocks = range(0, size, _BLOCK)
+    for part in (cols.real, cols.imag):
+        gen.standard_normal(out=draw)
+        for lo in blocks:
+            part[..., lo:lo + _BLOCK] = draw[lo:lo + _BLOCK].transpose(2, 1, 0)
+    for lo in blocks:
+        _orthonormalize_rows(cols[..., lo:lo + _BLOCK])
+    return cols.transpose(2, 1, 0)
 
 
 def _orthonormalize_rows(vecs: np.ndarray) -> np.ndarray:
-    """Orthonormalize in place the rows vecs[b, 0], vecs[b, 1], ... of a complex
-    (size, d, d) stack by classical Gram-Schmidt, and return the stack.
+    """Orthonormalize in place the rows vecs[0, :, b], vecs[1, :, b], ... of
+    every matrix b of a complex (d, d, size) buffer by classical
+    Gram-Schmidt, and return the buffer.
 
     Each row is projected off the earlier rows twice: one pass of classical
     Gram-Schmidt loses orthogonality in proportion to the condition number,
@@ -184,14 +201,13 @@ def _orthonormalize_rows(vecs: np.ndarray) -> np.ndarray:
     norm each row is divided by is diag(R), which is therefore real and
     positive.
     """
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        done = vecs[:, :j]
+    for j in range(vecs.shape[0]):
+        v, done = vecs[j], vecs[:j]
         for _ in range(2 if j else 0):
-            overlaps = np.einsum("bki,bi->bk", done, v.conj()).conj()  # <q_k, v>
-            v -= np.einsum("bk,bki->bi", overlaps, done)
-        v /= np.sqrt(np.einsum("bi,bi->b", v.real, v.real)
-                     + np.einsum("bi,bi->b", v.imag, v.imag))[:, None]
+            overlaps = [(q.conj() * v).sum(axis=0) for q in done]  # <q_k, v>
+            for q, c in zip(done, overlaps):
+                v -= c * q
+        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
     return vecs
 
 

@@ -29,10 +29,22 @@ count.  Shard s of the ground-truth stream t uses
 ``np.random.SeedSequence(seed, spawn_key=(t, s))``, and only integer counts
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
---workers settings.  Within a shard, labeled campaigns draw the whole shard
-as one batch and unlabeled campaigns draw it in batches of _SUBCHUNK; the
-batch size fixes the order of the random draws, so it is part of the
-format.
+--workers settings.  Within a shard, labeled campaigns draw the Haar devices
+of the whole shard as one batch and unlabeled campaigns draw them in batches
+of _SUBCHUNK; the Haar batch size fixes the order of the random draws, so it
+is part of the format.  The Born table and the sampler run in row blocks
+of _SUBCHUNK after each Haar batch; the block size is not part of the
+format, because the sampler's one uniform per row continues a single
+stream across blocks.
+
+Batch layout
+------------
+The shard path keeps the batch of trials as the last, contiguous axis:
+``haar_unitaries`` returns views of a (d, d, size) buffer, ``_born_table``
+and ``_labeled_probs_antisym`` build category-first tables, and
+``_clamped`` and ``_sample_rows`` work on that layout.  Every step is then
+a vector operation over many trials instead of a loop over tiny matrices,
+and no step calls BLAS, so the pool workers run one thread each.
 """
 from __future__ import annotations
 
@@ -68,7 +80,7 @@ SHARD_SIZE = 1 << 16
 CAMPAIGN_FORMAT = "qmeter.campaign/1"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
-_SUBCHUNK = 8192  # einsum batch granularity inside a shard
+_SUBCHUNK = 8192  # rows per Born/sampling block; also the unlabeled Haar batch
 
 
 class Verdict(str, Enum):
@@ -271,19 +283,50 @@ def run_unlabeled_trial(
 
 # ------------------------------------------------------------ batched paths
 
+def _device_kron(us: np.ndarray, k: int) -> np.ndarray:
+    """conj(U_b)^(x)k for a (size, d, d) stack, as a (d^k, d^k, size) array
+    with the batch innermost: [M, J, b] = prod_i conj(U_b[m_i, j_i])."""
+    # C order, so that the products below reshape without a copy
+    u = np.conjugate(us.transpose(1, 2, 0), order="C")
+    out = u
+    for _ in range(k - 1):
+        out = (out[:, None, :, None] * u[None, :, None, :]).reshape(
+            out.shape[0] * u.shape[0], out.shape[1] * u.shape[1], -1)
+    return out
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] * b[i], broadcast, accumulated in place: a contraction over
+    a leading axis of a few entries, one vector operation per entry."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc += x * y
+    return acc
+
+
 def _born_table(us: np.ndarray, vs: np.ndarray,
                 weights: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
     """Born table p[b, idx] = sum_r w_r |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi_r>|^2
-    over flat n-slot outcome records."""
-    count, d = us.shape[0], us.shape[1]
-    slots, outs = "mnpqrs"[:n], "jkacef"[:n]
-    spec = ",".join([slots] + [f"b{s}{o}" for s, o in zip(slots, outs)]) + f"->b{outs}"
-    devices = [us.conj()] * (n // 2) + [vs.conj()] * (n // 2)
-    p = np.zeros((count, d ** n))
+    over flat n-slot outcome records.
+
+    Each device's n/2 slots become one Kronecker power (_device_kron), and
+    psi_r, reshaped to D x D with D = d^(n/2), contracts with the two halves
+    in turn.  The batch is the innermost axis throughout, so every step is a
+    vector operation over device pairs, with no BLAS call.  The result is
+    the (size, d^n) transposed view of a category-first array.
+    """
+    ka = _device_kron(us, n // 2)
+    kb = ka if vs is us else _device_kron(vs, n // 2)
+    dim, size = ka.shape[0], ka.shape[2]
+    p = np.zeros((dim, dim, size))
     for w, vec in zip(weights, vecs):
-        amp = np.einsum(spec, vec.reshape((d,) * n), *devices, optimize=True)
-        p += w * (amp.real ** 2 + amp.imag ** 2).reshape(count, -1)
-    return p
+        psi = vec.reshape(dim, dim)
+        # half[J, N, b] = sum_M psi[M, N] ka[M, J, b]
+        half = _contract(psi[:, None, :, None], ka[:, :, None])
+        # amp[J, K, b] = sum_N half[J, N, b] kb[N, K, b]
+        amp = _contract(half.transpose(1, 0, 2)[:, :, None], kb[:, None])
+        p += w * (amp.real ** 2 + amp.imag ** 2)
+    return p.reshape(dim * dim, size).T
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
@@ -293,32 +336,34 @@ _labeled_probs_generic = _unlabeled_probs = _born_table
 
 def _labeled_probs_antisym(us: np.ndarray, vs: np.ndarray, d: int) -> np.ndarray:
     """Exact shortcut for the antisymmetric state:
-    p[b, j, k] = (1 - |(U_b^dag V_b)_jk|^2) / (d (d-1))."""
-    w = np.einsum("bmj,bmk->bjk", us.conj(), vs, optimize=True)
-    return (1.0 - (w.real ** 2 + w.imag ** 2)) / (d * (d - 1))
+    p[b, j d + k] = (1 - |(U_b^dag V_b)_jk|^2) / (d (d-1)), laid out like _born_table."""
+    w = _contract(_device_kron(us, 1)[:, :, None], vs.transpose(1, 2, 0)[:, None])
+    return ((1.0 - (w.real ** 2 + w.imag ** 2)) / (d * (d - 1))).reshape(d * d, -1).T
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
     """Rows of p, each checked to sum to 1 within TOL_RANK, with the entries
-    at or below TOL_ABS set to zero and renormalized."""
-    totals = p.sum(axis=1)
+    at or below TOL_ABS set to zero and renormalized.  The work is done on
+    the category-first transpose, where each step runs over all rows."""
+    q = p.T
+    totals = q.sum(axis=0)
     worst = np.argmax(np.abs(totals - 1.0))
     if abs(totals[worst] - 1.0) > TOL_RANK:
         raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
-    p = np.where(p <= TOL_ABS, 0.0, p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    q = np.where(q <= TOL_ABS, 0.0, q)
+    q /= q.sum(axis=0)
+    return q.T
 
 
 def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Draw one category per row of p by inverse CDF, one uniform per row."""
-    cum = np.cumsum(_clamped(p), axis=1)
+    cum = np.cumsum(_clamped(p).T, axis=0)
     # The rows sum to 1 only up to rounding.  Pinning the whole trailing
     # plateau (the last nonzero category and the zeros after it) to 1 sends
     # a draw in the rounding gap to that last nonzero category.
-    cum[cum >= cum[:, -1:]] = 1.0
+    cum[cum >= cum[-1]] = 1.0
     u = gen.random(p.shape[0])
-    return (u[:, None] >= cum).sum(axis=1)
+    return (u >= cum).sum(axis=0)
 
 
 def _shard_counts(task: tuple) -> Dict[str, int]:
@@ -337,18 +382,22 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-    # The batch size fixes the order of the random draws, so each scenario
-    # keeps its own: the whole shard labeled, _SUBCHUNK rows unlabeled.
+    # The Haar batch fixes the order of the random draws, so each scenario
+    # keeps its own: the whole shard labeled, _SUBCHUNK rows unlabeled.  The
+    # Born/sampling row blocks do not (see the module docstring).
     batch = count if kind == "labeled" else _SUBCHUNK
     for done in range(0, count, batch):
         step = min(batch, count - done)
         us = haar_unitaries(d, step, gen)
         vs = haar_unitaries(d, step, gen) if truth == "different" else us
-        if fast_antisym:
-            p = _labeled_probs_antisym(us, vs, d).reshape(step, -1)
-        else:
-            p = _born_table(us, vs, weights, vecs, scen.slots)
-        counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
+        for lo in range(0, step, _SUBCHUNK):
+            ub = us[lo:lo + _SUBCHUNK]
+            vb = ub if vs is us else vs[lo:lo + _SUBCHUNK]
+            if fast_antisym:
+                p = _labeled_probs_antisym(ub, vb, d)
+            else:
+                p = _born_table(ub, vb, weights, vecs, scen.slots)
+            counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
     return dict(zip(scen.classes, counts.tolist()))
 
 
@@ -377,21 +426,24 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     fast_antisym = scen.kind == "labeled" and state.kind == "antisymmetric"
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
+    shards = _shards_for(config.trials)
+    tasks = [
+        (scen.kind, scen.dim, truth, fast_antisym, weights, vecs, int(config.seed), shard, count)
+        for truth in truths for shard, count in shards
+    ]
+    # One pool for every shard of every truth.  A fork-based pool starts all
+    # of its workers up front, so it gets no more than there are tasks.
+    workers = min(config.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_shard_counts, tasks))
+    else:
+        partials = [_shard_counts(t) for t in tasks]
 
     results = {}
-    for truth in truths:
-        tasks = [
-            (scen.kind, scen.dim, truth, fast_antisym, weights, vecs,
-             int(config.seed), shard, count)
-            for shard, count in _shards_for(config.trials)
-        ]
-        if config.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                partials = list(pool.map(_shard_counts, tasks))
-        else:
-            partials = [_shard_counts(t) for t in tasks]
+    for i, truth in enumerate(truths):
         totals = {name: 0 for name in scen.classes}
-        for part in partials:
+        for part in partials[i * len(shards):(i + 1) * len(shards)]:
             for name, c in part.items():
                 totals[name] += c
         different = sum(totals[name] for name in conclusive)

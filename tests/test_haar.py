@@ -148,7 +148,8 @@ def test_orthonormalization_survives_near_singular_rows():
     x, y = haar_unitaries(5, 200, gen), haar_unitaries(5, 200, gen)
     rows = (x * np.logspace(0, -10, 5)) @ y
     assert np.linalg.cond(rows[0]) == pytest.approx(1e10, rel=1e-3)
-    q = _orthonormalize_rows(rows)
+    # the kernel's buffer layout: row j of matrix b at [j, :, b]
+    q = _orthonormalize_rows(np.ascontiguousarray(rows.transpose(1, 2, 0))).transpose(2, 0, 1)
     err = np.einsum("bij,bkj->bik", q, q.conj()) - np.eye(5)
     assert np.max(np.abs(err)) <= 1e-13
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ from qmeter import (
     unlabeled_operators,
     unlabeled_outcome_distribution,
 )
+from qmeter import simulate
+from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
     SHARD_SIZE,
     _born_table,
+    _labeled_probs_antisym,
     _sample_rows,
     _shard_counts,
     _shards_for,
@@ -152,6 +156,24 @@ def test_campaign_seed_determinism_and_worker_independence():
     assert "workers" not in json.loads(a)
 
 
+def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
+    # both truths share one pool, and a fork pool starts every worker up
+    # front, so it must not get more workers than there are shards
+    pools = []
+
+    class RecordingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    cfg = CampaignConfig(Scenario("unlabeled", 2), trials=3000, seed=5, workers=3)
+    pooled = run_campaign(cfg).to_json()
+    assert pools == [2]  # one shard per truth
+    assert pooled == run_campaign(replace(cfg, workers=1)).to_json()
+    assert pools == [2]  # workers=1 opens no pool
+
+
 def test_campaign_single_truth_blocks():
     cfg = CampaignConfig(Scenario("labeled", 2), trials=500, seed=2, ground_truth="different")
     doc = run_campaign(cfg).to_json_dict()
@@ -260,18 +282,39 @@ def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
                                     ("unlabeled", 2), ("unlabeled", 3)])
 def test_born_table_matches_fixed_device_distributions(kind, d):
-    # the batched kernel against the dense kron oracle, pair by pair
+    # the batched kernels against the dense kron oracle, pair by pair, both on
+    # the batch-last views that haar_unitaries returns and on C-contiguous
+    # (size, d, d) stacks
     rng = np.random.default_rng(d)
     n, oracle = (2, labeled_outcome_distribution) if kind == "labeled" else (
         4, unlabeled_outcome_distribution)
     state = _random_mixed_state(d, n, 3, rng)
-    pairs = [(Observable.random(d, rng), Observable.random(d, rng)) for _ in range(6)]
-    pairs.append((pairs[0][0], pairs[0][0]))  # equal devices
-    us = np.stack([a.basis for a, _ in pairs])
-    vs = np.stack([b.basis for _, b in pairs])
-    table = _born_table(us, vs, *state.pure_components(), n)
-    for row, (a, b) in zip(table, pairs):
-        assert_allclose(row, oracle(a, b, state).reshape(-1), rtol=0, atol=1e-12)
+    batch_last = haar_unitaries(d, 6, rng), haar_unitaries(d, 6, rng)
+    assert not batch_last[0].flags.c_contiguous
+    pairs = [(Observable(u), Observable(v)) for u, v in zip(*batch_last)]
+    for us, vs in (batch_last, tuple(np.ascontiguousarray(x) for x in batch_last)):
+        table = _born_table(us, vs, *state.pure_components(), n)
+        for row, (a, b) in zip(table, pairs):
+            assert_allclose(row, oracle(a, b, state).reshape(-1), rtol=0, atol=1e-12)
+        # equal devices: the kernel reuses one device half for both
+        for row, (a, _) in zip(_born_table(us, us, *state.pure_components(), n), pairs):
+            assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
+        if kind == "labeled":
+            anti = TestState.antisymmetric(d)
+            for row, (a, b) in zip(_labeled_probs_antisym(us, vs, d), pairs):
+                assert_allclose(row, oracle(a, b, anti).reshape(-1), rtol=0, atol=1e-12)
+
+
+def test_sampling_in_row_blocks_keeps_the_stream():
+    # _shard_counts samples each Haar batch in _SUBCHUNK row blocks; one
+    # uniform per row means consecutive blocks draw what one call would
+    gen = np.random.default_rng(31)
+    us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
+    table = _born_table(us, vs, *optimal_test_state(Scenario("unlabeled", 2)).pure_components(), 4)
+    whole = _sample_rows(table, np.random.default_rng(7))
+    blocks = np.random.default_rng(7)
+    pieces = [_sample_rows(table[lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 @pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix")])
