@@ -27,6 +27,9 @@ DEFAULT_THETA_GRID = "0:1.5707963267948966:33"
 #: docs/campaign_result.schema.json)
 CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_truth",
                  "test_state", "shard_size", "conclusive_classes", "results")
+#: campaign formats `report` reads; they differ in the random stream behind
+#: the counts, not in the document layout
+REPORT_FORMATS = ("qmeter.campaign/1", CAMPAIGN_FORMAT)
 
 
 def _env_seed() -> Optional[int]:
@@ -161,7 +164,7 @@ def _render_report(text: str) -> str:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        if doc.get("format") != CAMPAIGN_FORMAT:
+        if doc.get("format") not in REPORT_FORMATS:
             raise ConfigError(f"unrecognized JSON format: {doc.get('format')!r}")
         missing = [key for key in CAMPAIGN_KEYS if key not in doc]
         if missing:

@@ -1,9 +1,9 @@
 """Shot-level Monte Carlo simulation of the comparison protocols.
 
-Campaigns draw fresh Haar devices per trial, sample one outcome record per
-trial from the exact Born probabilities, classify it, and issue a verdict:
-"different" iff the outcome class is conclusive for the campaign's test
-state, else "inconclusive".
+Campaigns draw fresh Haar devices per trial, sample one outcome class per
+trial from the exact Born probabilities, and issue a verdict: "different"
+iff the class is conclusive for the campaign's test state, else
+"inconclusive".  Single trials sample and return a full outcome record.
 
 One kernel, one sampler
 -----------------------
@@ -11,16 +11,24 @@ A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  ``_born_table`` builds that
 table for a batch of device pairs at any d.  ``_sample_rows`` draws one
-outcome per row of it, and of the fixed-device tables of single trials and
-the sweep.  Probabilities at or below TOL_ABS are clamped to zero and the
-row renormalized (``_clamped``), and the inverse CDF pins its trailing
-plateau to 1, so a category of clamped probability 0 is never drawn.  A
-conclusive class has equal-device probability at most TOL_ABS/2 in every
-trial (the leak bound of ``conclusive_classes``), so each of its Born entries
-is clamped: unambiguity is exact in sampled campaigns, not just up to
-floating noise.  The labeled antisymmetric state has a closed-form table
-(``_labeled_probs_antisym``); with equal devices it is zero on every (j, j),
-so every such trial is class "diff" and is counted without sampling.
+outcome per row of it for single trials, whose records carry the outcomes;
+a campaign reports only class counts, so it sums each row into its (at most
+four) class probabilities through ``outcome_class_index`` and
+``_sample_rows`` draws the class directly.  The sweep draws one multinomial
+per fixed device pair from the same clamped table.  Probabilities at or
+below TOL_ABS are clamped to zero and the row renormalized (``_clamped``)
+before any summing, and the inverse CDF pins its trailing plateau to 1, so a
+category or class of clamped probability 0 is never drawn.  A conclusive
+class has equal-device probability at most TOL_ABS/2 in every trial (the
+leak bound of ``conclusive_classes``), so each of its Born entries is
+clamped and its class sum is exactly 0: unambiguity is exact in sampled
+campaigns, not just up to floating noise.  The labeled antisymmetric state
+has a closed-form table (``_labeled_probs_antisym``) that depends on the
+devices only through W = U^dag V.  W is Haar when U and V are independent
+Haar (Mezzadri, arXiv:math-ph/0609050), so a "different" campaign draws one
+unitary W per trial instead of two; with equal devices the table is zero on
+every (j, j), so every such trial is class "diff" and is counted without
+sampling.
 
 Determinism contract
 --------------------
@@ -29,13 +37,13 @@ count.  Shard s of the ground-truth stream t uses
 ``np.random.SeedSequence(seed, spawn_key=(t, s))``, and only integer counts
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
---workers settings.  Within a shard, labeled campaigns draw the Haar devices
-of the whole shard as one batch and unlabeled campaigns draw them in batches
-of _SUBCHUNK; the Haar batch size fixes the order of the random draws, so it
-is part of the format.  The Born table and the sampler run in row blocks
-of _SUBCHUNK after each Haar batch; the block size is not part of the
-format, because the sampler's one uniform per row continues a single
-stream across blocks.
+--workers settings.  Every scenario walks its shard in batches of
+_SUBCHUNK trials, and each batch draws, in order: the Haar unitaries (one
+per trial for W in the labeled antisymmetric "different" stream; U and then
+V in every other "different" stream; U alone for "equal"), then one uniform
+per trial for its class.  The batch size, these draws and the class order
+of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
+changes the counts and needs a new format version.
 
 Batch layout
 ------------
@@ -77,10 +85,10 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/1"
+CAMPAIGN_FORMAT = "qmeter.campaign/2"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
-_SUBCHUNK = 8192  # rows per Born/sampling block; also the unlabeled Haar batch
+_SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
 
 
 class Verdict(str, Enum):
@@ -311,9 +319,13 @@ def _born_table(us: np.ndarray, vs: np.ndarray,
 
     Each device's n/2 slots become one Kronecker power (_device_kron), and
     psi_r, reshaped to D x D with D = d^(n/2), contracts with the two halves
-    in turn.  The batch is the innermost axis throughout, so every step is a
-    vector operation over device pairs, with no BLAS call.  The result is
-    the (size, d^n) transposed view of a category-first array.
+    in turn, one outcome J of device A at a time.  The batch is the
+    innermost axis throughout, so every step is a vector operation over
+    device pairs, with no BLAS call.  Working per J keeps every intermediate
+    at (D, size), D times smaller than a whole (D, D, size) layer, so the
+    working set stays in cache and the heap reuses it from batch to batch
+    instead of returning it to the OS and faulting it back in.  The result
+    is the (size, d^n) transposed view of a category-first array.
     """
     ka = _device_kron(us, n // 2)
     kb = ka if vs is us else _device_kron(vs, n // 2)
@@ -321,11 +333,12 @@ def _born_table(us: np.ndarray, vs: np.ndarray,
     p = np.zeros((dim, dim, size))
     for w, vec in zip(weights, vecs):
         psi = vec.reshape(dim, dim)
-        # half[J, N, b] = sum_M psi[M, N] ka[M, J, b]
-        half = _contract(psi[:, None, :, None], ka[:, :, None])
-        # amp[J, K, b] = sum_N half[J, N, b] kb[N, K, b]
-        amp = _contract(half.transpose(1, 0, 2)[:, :, None], kb[:, None])
-        p += w * (amp.real ** 2 + amp.imag ** 2)
+        for j in range(dim):
+            # half[N, b] = sum_M psi[M, N] ka[M, j, b]
+            half = _contract(psi[:, :, None], ka[:, j, None, :])
+            # amp[K, b] = sum_N half[N, b] kb[N, K, b]
+            amp = _contract(half[:, None, :], kb)
+            p[j] += w * (amp.real ** 2 + amp.imag ** 2)
     return p.reshape(dim * dim, size).T
 
 
@@ -334,10 +347,13 @@ def _born_table(us: np.ndarray, vs: np.ndarray,
 _labeled_probs_generic = _unlabeled_probs = _born_table
 
 
-def _labeled_probs_antisym(us: np.ndarray, vs: np.ndarray, d: int) -> np.ndarray:
+def _labeled_probs_antisym(ws: np.ndarray, d: int) -> np.ndarray:
     """Exact shortcut for the antisymmetric state:
-    p[b, j d + k] = (1 - |(U_b^dag V_b)_jk|^2) / (d (d-1)), laid out like _born_table."""
-    w = _contract(_device_kron(us, 1)[:, :, None], vs.transpose(1, 2, 0)[:, None])
+    p[b, j d + k] = (1 - |W_b[j, k]|^2) / (d (d-1)) with W_b = U_b^dag V_b,
+    laid out like _born_table.  The table depends on the devices only
+    through W, and W is Haar when U and V are independent Haar, so a
+    campaign draws W directly."""
+    w = ws.transpose(1, 2, 0)
     return ((1.0 - (w.real ** 2 + w.imag ** 2)) / (d * (d - 1))).reshape(d * d, -1).T
 
 
@@ -355,9 +371,16 @@ def _clamped(p: np.ndarray) -> np.ndarray:
     return q.T
 
 
-def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draw one category per row of p by inverse CDF, one uniform per row."""
-    cum = np.cumsum(_clamped(p).T, axis=0)
+def _sample_rows(p: np.ndarray, gen: np.random.Generator,
+                 classes: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw one category per row of p by inverse CDF, one uniform per row.
+
+    Given ``classes``, the class index of each category, the clamped rows
+    are summed into class probabilities and a class is drawn instead."""
+    q = _clamped(p).T
+    if classes is not None:
+        q = np.stack([q[classes == c].sum(axis=0) for c in range(classes.max() + 1)])
+    cum = np.cumsum(q, axis=0)
     # The rows sum to 1 only up to rounding.  Pinning the whole trailing
     # plateau (the last nonzero category and the zeros after it) to 1 sends
     # a draw in the rounding gap to that last nonzero category.
@@ -382,22 +405,15 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-    # The Haar batch fixes the order of the random draws, so each scenario
-    # keeps its own: the whole shard labeled, _SUBCHUNK rows unlabeled.  The
-    # Born/sampling row blocks do not (see the module docstring).
-    batch = count if kind == "labeled" else _SUBCHUNK
-    for done in range(0, count, batch):
-        step = min(batch, count - done)
-        us = haar_unitaries(d, step, gen)
-        vs = haar_unitaries(d, step, gen) if truth == "different" else us
-        for lo in range(0, step, _SUBCHUNK):
-            ub = us[lo:lo + _SUBCHUNK]
-            vb = ub if vs is us else vs[lo:lo + _SUBCHUNK]
-            if fast_antisym:
-                p = _labeled_probs_antisym(ub, vb, d)
-            else:
-                p = _born_table(ub, vb, weights, vecs, scen.slots)
-            counts += np.bincount(cls_of[_sample_rows(p, gen)], minlength=len(counts))
+    for done in range(0, count, _SUBCHUNK):
+        step = min(_SUBCHUNK, count - done)
+        if fast_antisym:
+            p = _labeled_probs_antisym(haar_unitaries(d, step, gen), d)
+        else:
+            us = haar_unitaries(d, step, gen)
+            vs = haar_unitaries(d, step, gen) if truth == "different" else us
+            p = _born_table(us, vs, weights, vecs, scen.slots)
+        counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
     return dict(zip(scen.classes, counts.tolist()))
 
 

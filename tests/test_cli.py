@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/1"
+    assert doc["format"] == "qmeter.campaign/2"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -190,6 +190,25 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
     code, out, _ = run_cli(["report", str(path)], capsys)
     assert code == 0
     assert "false positives" in out
+
+
+def test_report_reads_format_1(capsys, tmp_path):
+    # format 2 changed the random stream behind the counts, not the layout
+    for fmt in ("qmeter.campaign/1", CAMPAIGN_FORMAT):
+        (tmp_path / f"{fmt[-1]}.json").write_text(_campaign_doc(format=fmt))
+    code, old, _ = run_cli(["report", str(tmp_path / "1.json")], capsys)
+    assert code == 0
+    assert "false positives" in old
+    assert old == run_cli(["report", str(tmp_path / "2.json")], capsys)[1]
+
+
+def test_report_rejects_an_unknown_format(capsys, tmp_path):
+    path = tmp_path / "future.json"
+    path.write_text(_campaign_doc(format="qmeter.campaign/99"))
+    code, out, err = run_cli(["report", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "qmeter.campaign/99" in err
 
 
 @pytest.mark.parametrize("argv", [

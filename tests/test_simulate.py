@@ -15,9 +15,11 @@ from qmeter import (
     TestState,
     Verdict,
     basis_family,
+    conclusive_classes,
     labeled_class_operators,
     labeled_outcome_distribution,
     optimal_test_state,
+    outcome_class_index,
     pairwise_success_angle,
     resolve_test_state,
     run_campaign,
@@ -216,14 +218,22 @@ def test_campaign_kappa_state():
 
 
 def test_fast_antisymmetric_path_equals_generic():
-    # the labeled simulator has a closed-form sampler for the antisymmetric
-    # state; with the same seed it must reproduce the generic Born sampler
-    st = TestState.antisymmetric(3)
-    w, v = st.pure_components()
-    for truth in ("different", "equal"):
-        fast = _shard_counts(("labeled", 3, truth, True, w, v, 99, 0, 4000))
-        slow = _shard_counts(("labeled", 3, truth, False, w, v, 99, 0, 4000))
-        assert fast == slow
+    # the closed-form antisymmetric table depends only on W = U^dag V, and a
+    # "different" shard draws W as one Haar unitary per trial.  The generic
+    # Born kernel on the device pair (I, W) has the same table, so replaying
+    # that shard's stream through it must give the same counts.  With equal
+    # devices both paths put every trial in class "diff".
+    d, trials = 3, 4000
+    w, v = TestState.antisymmetric(d).pure_components()
+    for fast_antisym in (False, True):
+        equal = _shard_counts(("labeled", d, "equal", fast_antisym, w, v, 99, 0, trials))
+        assert equal == {"same": 0, "diff": trials}
+    fast = _shard_counts(("labeled", d, "different", True, w, v, 99, 0, trials))
+    gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
+    ws = haar_unitaries(d, trials, gen)  # one batch: trials < _SUBCHUNK
+    table = _born_table(np.broadcast_to(np.eye(d), ws.shape), ws, w, v, 2)
+    drawn = _sample_rows(table, gen, outcome_class_index(2, d))
+    assert fast == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
@@ -244,27 +254,28 @@ def _kappa_mixture_file(tmp_path) -> str:
 
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
-    # exact counts of two-shard campaigns; any change to the random streams,
-    # the Born kernels, the sampler or the outcome-to-class map shows up here
+    # exact counts of two-shard campaigns in format qmeter.campaign/2; any
+    # change to the random streams, the Born kernels, the sampler or the
+    # outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22598, "diff": 45938},
+        ("labeled", 3, "optimal"): {"different": {"same": 22705, "diff": 45831},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30672, "same_diff": 15205,
-                                                    "diff_same": 15081, "diff_diff": 7578},
-                                      "equal": {"same_same": 45652, "same_diff": 0,
-                                                "diff_same": 0, "diff_diff": 22884}},
-        ("labeled", 3, anti3): {"different": {"same": 22565, "diff": 45971},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30317, "same_diff": 15142,
+                                                    "diff_same": 15310, "diff_diff": 7767},
+                                      "equal": {"same_same": 45779, "same_diff": 0,
+                                                "diff_same": 0, "diff_diff": 22757}},
+        ("labeled", 3, anti3): {"different": {"same": 22767, "diff": 45769},
                                 "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30669, "same_diff": 15260,
-                                                    "diff_same": 15028, "diff_diff": 7579},
-                                      "equal": {"same_same": 22722, "same_diff": 22953,
-                                                "diff_same": 22861, "diff_diff": 0}},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30358, "same_diff": 15085,
+                                                    "diff_same": 15323, "diff_diff": 7770},
+                                      "equal": {"same_same": 22863, "same_diff": 22903,
+                                                "diff_same": 22770, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest Gram-Schmidt column loops in
-        # haar_unitaries; these counts were taken with the LAPACK QR kernel
-        ("labeled", 2, "optimal"): {"different": {"same": 34330, "diff": 34206},
+        # haar_unitaries
+        ("labeled", 2, "optimal"): {"different": {"same": 34209, "diff": 34327},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13878, "diff": 54658},
+        ("labeled", 5, "optimal"): {"different": {"same": 13591, "diff": 54945},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -300,29 +311,38 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
         for row, (a, _) in zip(_born_table(us, us, *state.pure_components(), n), pairs):
             assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
         if kind == "labeled":
+            # the closed form takes W = A^dag B alone
             anti = TestState.antisymmetric(d)
-            for row, (a, b) in zip(_labeled_probs_antisym(us, vs, d), pairs):
+            ws = np.conj(us.transpose(0, 2, 1)) @ vs
+            for row, (a, b) in zip(_labeled_probs_antisym(ws, d), pairs):
                 assert_allclose(row, oracle(a, b, anti).reshape(-1), rtol=0, atol=1e-12)
 
 
 def test_sampling_in_row_blocks_keeps_the_stream():
-    # _shard_counts samples each Haar batch in _SUBCHUNK row blocks; one
-    # uniform per row means consecutive blocks draw what one call would
+    # one uniform per row, in row order, for categories and for classes:
+    # consecutive row blocks draw what one call would
     gen = np.random.default_rng(31)
     us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
     table = _born_table(us, vs, *optimal_test_state(Scenario("unlabeled", 2)).pure_components(), 4)
-    whole = _sample_rows(table, np.random.default_rng(7))
-    blocks = np.random.default_rng(7)
-    pieces = [_sample_rows(table[lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
-    assert np.array_equal(np.concatenate(pieces), whole)
+    for classes in (None, outcome_class_index(4, 2)):
+        whole = _sample_rows(table, np.random.default_rng(7), classes)
+        blocks = np.random.default_rng(7)
+        pieces = [_sample_rows(table[lo:lo + 300], blocks, classes) for lo in range(0, 1000, 300)]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
 
-@pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix")])
+@pytest.mark.parametrize("kind,dim,spec", [
+    ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"),
+    # the closed-form table on one Haar W per trial, d = 2..5
+    ("labeled", 2, "optimal"), ("labeled", 3, "optimal"), ("labeled", 4, "optimal"),
+    ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"),
+])
 def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     # trials are i.i.d. Haar, so class c occurs with probability tr(rho O_c)
     # under each hypothesis; every count, not only the conclusive rate, must
     # sit within 5 standard errors of it (a zero-probability class exactly at 0)
-    path = (_antisymmetric_qutrit_file if spec == "anti3" else _kappa_mixture_file)(tmp_path)
+    files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file}
+    path = files[spec](tmp_path) if spec in files else spec
     scen = Scenario(kind, dim)
     trials = 20000
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=77, test_state=path))
@@ -355,6 +375,21 @@ def test_sampler_never_draws_a_clamped_category():
     tables = np.vstack([uniform_pairs] + equal_devices)
     idx = _sample_rows(tables, _TopOfRangeGenerator())
     assert np.all(tables[np.arange(len(tables)), idx] > TOL_ABS)
+
+
+@pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "optimal"), ("unlabeled", 2, "optimal"),
+                                           ("unlabeled", 2, "kappa:2")])
+def test_class_sampler_never_draws_a_conclusive_class(kind, dim, spec):
+    # a conclusive class sums only clamped entries, so it is exactly 0 on
+    # equal-device rows; the class CDF's plateau pin keeps a uniform at the
+    # top of [0, 1) off it even when it is the last class (kappa:2 certifies
+    # diff_diff alone)
+    scen = Scenario(kind, dim)
+    state = resolve_test_state(spec, scen)
+    us = haar_unitaries(dim, 2000, np.random.default_rng(8))
+    table = _born_table(us, us, *state.pure_components(), scen.slots)
+    drawn = _sample_rows(table, _TopOfRangeGenerator(), outcome_class_index(scen.slots, dim))
+    assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
 
 
 # --- sweep ----------------------------------------------------------------------
