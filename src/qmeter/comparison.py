@@ -36,7 +36,7 @@ from .errors import (
 )
 from .haar import twirl
 from .symmetry import antisymmetrizer, basis_family, pair_product, phi_minus
-from .tensors import TOL_ABS, Operator, Vector, support_projector
+from .tensors import TOL_ABS, Operator, Vector, kron_arrays, support_projector
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -86,8 +86,10 @@ class Observable:
         object.__setattr__(self, "basis", b)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InvalidObservableError(f"basis must be square, got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise InvalidObservableError("basis has a non-finite entry")
         gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[0]))) > TOL_ABS:
+        if not np.max(np.abs(gram - np.eye(b.shape[0]))) <= TOL_ABS:
             raise InvalidObservableError("basis columns are not orthonormal")
 
     @property
@@ -330,7 +332,8 @@ def _outcome_table(a: Observable, b: Observable, state: Union[TestState, Operato
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
     state = _as_state(state, n=n, d=a.d)
-    w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
+    w = kron_arrays(reduce(kron_arrays, [a.basis] * (n // 2)),
+                    reduce(kron_arrays, [b.basis] * (n // 2)))
     p = np.real(np.diagonal(w.conj().T @ state.rho.mat @ w))
     return p.reshape((a.d,) * n)
 

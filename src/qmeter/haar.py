@@ -34,8 +34,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .symmetry import perm_operator, split_pairs, sym_dim, symmetrizer
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, identity
+from .symmetry import _slot_targets, split_pairs, sym_dim, symmetrizer
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, identity, kron_arrays
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -58,9 +58,15 @@ def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
     of consecutive slots gets its own Haar unitary: blocks (k,) averages
     U^(x)k X U^dag(x)k, blocks (k/2, k/2) averages over independent U and V
     on the two halves.  By Schur-Weyl duality the (m, d**k, d**k) result is
-    the projection onto the span of the slot permutations that keep every
+    the projection onto the span of the slot permutations P_s that keep every
     block in place.  The projection goes through the pseudo-inverse of their
     Gram matrix (Weingarten calculus), so it also holds for d < k.
+
+    Each P_s is taken as its index map t_s (symmetry._slot_targets), never as
+    a matrix: the Gram entry tr(P_s^T P_t) counts the kets on which t_s and
+    t_t agree, the overlap tr(P_s^T X_i) sums X_i's diagonal over the fixed
+    points of t_s, and sum_s c_s P_s is a weighted scatter-add of c_s at
+    (t_s[j], j).
     """
     k = sum(blocks)
     diagonals = np.asarray(diagonals, dtype=float)
@@ -69,13 +75,20 @@ def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
                                      f"got {diagonals.shape}")
     starts = np.cumsum((0,) + tuple(blocks))
     block_perms = (itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, blocks))
-    # complex like every other operator here: real LAPACK/BLAS routines would add ~1 MB RSS
-    perms = np.array([perm_operator(sum(images, ()), k, d).mat
-                      for images in itertools.product(*block_perms)])
-    flat = perms.reshape(len(perms), -1)
-    overlaps = np.diagonal(perms, axis1=1, axis2=2) @ diagonals.T  # tr(P_s^T X_i)
-    coeffs = np.linalg.pinv(flat @ flat.T, hermitian=True, rtol=TOL_RANK) @ overlaps
-    return np.einsum("si,sab->iab", coeffs, perms)
+    images = np.array([sum(p, ()) for p in itertools.product(*block_perms)])
+    targets = _slot_targets(images, k, d)  # (P, d**k)
+    dim, kets = d ** k, np.arange(d ** k)
+    # complex like every other operator here: real LAPACK/BLAS routines would add RSS
+    gram = (targets[:, None, :] == targets[None, :, :]).sum(axis=2).astype(complex)
+    overlaps = (targets == kets) @ diagonals.T
+    coeffs = np.linalg.pinv(gram, hermitian=True, rtol=TOL_RANK) @ overlaps  # (P, m)
+    # cell (i, t_s[j], j) of the flat result gathers c_s[i], summed in s order
+    cells = (np.arange(len(diagonals))[:, None, None] * dim + targets) * dim + kets
+    weights = np.broadcast_to(coeffs.T[:, :, None], cells.shape).ravel()
+    out = np.empty(len(diagonals) * dim * dim, dtype=complex)
+    out.real = np.bincount(cells.ravel(), weights.real, out.size)
+    out.imag = np.bincount(cells.ravel(), weights.imag, out.size)
+    return out.reshape(-1, dim, dim)
 
 
 def pure_moment(k: int, d: int) -> MomentOperator:
@@ -101,12 +114,12 @@ def perp_moment_operator(k: int, d: int) -> Callable[[Vector], Operator]:
     def moment(psi: Vector) -> Operator:
         if psi.n != 1 or psi.d != d:
             raise DimensionMismatchError(f"psi must be a single-slot vector of dimension {d}")
-        if abs(psi.norm() - 1.0) > TOL_ABS:
+        if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
             raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
         comp = np.eye(d) - np.outer(psi.vec, psi.vec.conj())
         power = comp
         for _ in range(k - 1):
-            power = np.kron(power, comp)
+            power = kron_arrays(power, comp)
         return Operator(coeff * power @ sym.mat, d, k)
 
     return moment

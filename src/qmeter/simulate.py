@@ -364,7 +364,7 @@ def _clamped(p: np.ndarray) -> np.ndarray:
     q = p.T
     totals = q.sum(axis=0)
     worst = np.argmax(np.abs(totals - 1.0))
-    if abs(totals[worst] - 1.0) > TOL_RANK:
+    if not abs(totals[worst] - 1.0) <= TOL_RANK:  # a NaN total fails too
         raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
     q = np.where(q <= TOL_ABS, 0.0, q)
     q /= q.sum(axis=0)

@@ -1,10 +1,16 @@
 """Permutation symmetry on n-fold tensor products and named four-qubit bases.
 
-Symmetrizers are built as explicit averages over subgroup permutations (at
-most 4! = 24 terms here), acting on the chosen slot subset and leaving the
-remaining slots alone.  The four-qubit basis families (eta, kappa, omega and
-their primed/complementary variants) are the exact vectors used to analyse
-the no-error subspaces of two-shot measurement comparison.
+A slot permutation maps every computational basis ket to another basis ket,
+so it is fully described by an index map: the target index of each of the
+d**n kets (``_slot_targets``, for one permutation or a stack of them).
+Every permutation operator here is built from such maps by scattering ones,
+or weights, at (target[i], i): ``perm_operator`` is one scatter, and a
+symmetrizer, the average over the |S|! permutations of a slot subset S
+(leaving the other slots alone), is one ``bincount`` over all |S|! maps.  No
+dense matrix is built per permutation.  ``haar.twirl`` works on the same
+maps.  The four-qubit basis families (eta, kappa, omega and their
+primed/complementary variants) are the exact vectors used to analyse the
+no-error subspaces of two-shot measurement comparison.
 """
 from __future__ import annotations
 
@@ -38,6 +44,19 @@ def _check_slots(slots: Sequence[int], n: int) -> Tuple[int, ...]:
     return slots
 
 
+def _slot_targets(images, n: int, d: int) -> np.ndarray:
+    """Index map of slot permutations on (C^d)^(x)n.
+
+    `images` is one permutation, shape (n,), or a stack of them, shape
+    (P, n), in the convention of perm_operator.  Returns the basis index that
+    each ket |i> goes to, shape (d**n,) or (P, d**n): the ket whose slot
+    images[a-1] carries the digit i_a, so slot a's digit moves to the place
+    value d**(n - images[a-1]).
+    """
+    digits = np.indices((d,) * n).reshape(n, -1)  # (n, d**n), slot 1 first
+    return d ** (n - np.asarray(images)) @ digits
+
+
 def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
     """Unitary permutation of tensor slots.
 
@@ -49,15 +68,8 @@ def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
     if sorted(images) != list(range(1, n + 1)):
         raise DimensionMismatchError(f"{images} is not a permutation of 1..{n}")
     dim = d ** n
-    idx = np.arange(dim)
-    powers = d ** np.arange(n - 1, -1, -1)
-    digits = (idx[:, None] // powers[None, :]) % d  # (dim, n), slot 1 first
-    tgt = np.empty_like(digits)
-    for a in range(n):
-        tgt[:, images[a] - 1] = digits[:, a]
-    target = tgt @ powers
     mat = np.zeros((dim, dim))
-    mat[target, idx] = 1.0
+    mat[_slot_targets(images, n, d), np.arange(dim)] = 1.0
     return Operator(mat, d, n)
 
 
@@ -77,13 +89,14 @@ def symmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
     slots has rank sym_dim(d, k) * d**(n-k).
     """
     slots = _check_slots(slots, n)
-    acc = np.zeros((d ** n, d ** n))
-    for sigma in itertools.permutations(slots):
-        images = list(range(1, n + 1))
-        for src, dst in zip(slots, sigma):
-            images[src - 1] = dst
-        acc += perm_operator(images, n, d).mat.real
-    return Operator(acc / math.factorial(len(slots)), d, n)
+    sigmas = list(itertools.permutations(slots))
+    images = np.tile(np.arange(1, n + 1), (len(sigmas), 1))
+    images[:, np.subtract(slots, 1)] = sigmas
+    dim = d ** n
+    # entry (a, b) counts the permutations that send ket b to ket a
+    cells = _slot_targets(images, n, d) * dim + np.arange(dim)
+    counts = np.bincount(cells.ravel(), minlength=dim * dim).reshape(dim, dim)
+    return Operator(counts / len(sigmas), d, n)
 
 
 def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:

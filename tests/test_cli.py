@@ -236,9 +236,18 @@ def test_parse_theta_grid():
     grid = parse_theta_grid("0:1:5")
     np.testing.assert_allclose(grid, np.linspace(0, 1, 5))
     np.testing.assert_allclose(parse_theta_grid("0.5, 0.75"), [0.5, 0.75])
-    for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y"):
+    for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y", "nan,1", "inf", "0:nan:5", "-inf:1:3"):
         with pytest.raises(ConfigError):
             parse_theta_grid(bad)
+
+
+@pytest.mark.parametrize("grid", ["nan,1", "inf"])
+def test_sweep_rejects_a_non_finite_angle(capsys, grid):
+    code, out, err = run_cli(["sweep", "--theta-grid", grid, "--trials", "10", "--seed", "1"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
 
 
 def test_main_rejects_unknown_command():

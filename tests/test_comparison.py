@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,6 +30,7 @@ from qmeter import (
     optimal_test_state,
     pairwise_success_angle,
     rank,
+    run_labeled_trial,
     singlet_pairing_state,
     unlabeled_operators,
     unlabeled_outcome_distribution,
@@ -57,6 +60,23 @@ def test_observable_requires_unitary_basis():
     projs = obs.projectors()
     assert projs.shape == (2, 2, 2)
     assert_allclose(projs.sum(axis=0), np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observable_rejects_a_non_finite_basis(bad):
+    # NaN fails every comparison, so an orthonormality test written as
+    # "error > tol" would pass it
+    with pytest.raises(InvalidObservableError):
+        Observable(np.full((2, 2), bad))
+    with pytest.raises(InvalidObservableError):
+        Observable(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_non_finite_device_cannot_yield_a_certificate():
+    # with a NaN basis accepted, this trial came out "different" on class same
+    with pytest.raises(InvalidObservableError):
+        run_labeled_trial(Observable(np.full((2, 2), np.nan)), Observable.computational(2),
+                          TestState.antisymmetric(2), rng=1)
 
 
 def test_observable_random_is_seeded():
@@ -238,6 +258,23 @@ def test_unlabeled_distribution_matches_class_table():
         assert fixed_pair_class_probability(a, a, st, cls) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(DimensionMismatchError):
         fixed_pair_class_probability(a, b, st, "bogus")
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (4, 2)])
+def test_outcome_tables_equal_the_np_kron_construction(n, d):
+    # bit for bit: the Kronecker powers associate as kron(A^(x)k, B^(x)k) and
+    # the diagonal comes from the same two matmuls
+    rng = np.random.default_rng(d)
+    weights = rng.uniform(size=3)
+    vecs = rng.normal(size=(3, d ** n)) + 1j * rng.normal(size=(3, d ** n))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    rho = (vecs.T * weights / weights.sum()) @ vecs.conj()
+    table = labeled_outcome_distribution if n == 2 else unlabeled_outcome_distribution
+    for _ in range(4):
+        a, b = Observable.random(d, rng), Observable.random(d, rng)
+        w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
+        expected = np.real(np.diagonal(w.conj().T @ rho @ w)).reshape((d,) * n)
+        assert np.array_equal(table(a, b, TestState.from_matrix(rho, d, n)), expected)
 
 
 def test_unlabeled_angle_law_on_grid():

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qmeter import (
+    TOL_RANK,
     basis_ket,
     haar_state,
     haar_states,
@@ -13,6 +16,8 @@ from qmeter import (
     mc_perp_moment,
     mc_pure_moment,
     mc_rbar,
+    outcome_class_index,
+    perm_operator,
     pure_moment,
     perp_moment_operator,
     r_operator,
@@ -43,6 +48,34 @@ def test_twirl_over_independent_blocks_factorizes():
     corner = np.eye(1, 16)
     assert_allclose(twirl(corner, (2, 2), 2)[0],
                     np.kron(pure_moment(2, 2).op.mat, pure_moment(2, 2).op.mat), atol=1e-12)
+
+
+def _dense_stack_twirl(diagonals, blocks, d):
+    """The twirl through a dense (P, d**k, d**k) stack of permutation
+    matrices: Gram matrix, overlaps and the sum over s all from the stack."""
+    k = sum(blocks)
+    starts = np.cumsum((0,) + tuple(blocks))
+    block_perms = (itertools.permutations(range(s + 1, s + b + 1))
+                   for s, b in zip(starts, blocks))
+    perms = np.array([perm_operator(sum(images, ()), k, d).mat
+                      for images in itertools.product(*block_perms)])
+    flat = perms.reshape(len(perms), -1)
+    overlaps = np.diagonal(perms, axis1=1, axis2=2) @ np.asarray(diagonals, dtype=float).T
+    coeffs = np.linalg.pinv(flat @ flat.T, hermitian=True, rtol=TOL_RANK) @ overlaps
+    return np.einsum("si,sab->iab", coeffs, perms)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3)])
+def test_twirl_matches_dense_permutation_stack(n, d):
+    # the class indicators of the labeled (n=2) and unlabeled (n=4) protocols,
+    # plus random diagonals, under both block structures
+    rng = np.random.default_rng(n * 10 + d)
+    classes = outcome_class_index(n, d)
+    diagonals = np.vstack([(classes == c).astype(float) for c in range(classes.max() + 1)]
+                          + [rng.normal(size=(2, d ** n))])
+    for blocks in ((n,), (n // 2, n // 2)):
+        assert_allclose(twirl(diagonals, blocks, d), _dense_stack_twirl(diagonals, blocks, d),
+                        rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

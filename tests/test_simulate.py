@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from qmeter import (
     CampaignConfig,
     ConfigError,
+    ConsistencyError,
     Observable,
     Scenario,
     TOL_ABS,
@@ -16,6 +18,7 @@ from qmeter import (
     Verdict,
     basis_family,
     conclusive_classes,
+    kappa_state,
     labeled_class_operators,
     labeled_outcome_distribution,
     optimal_test_state,
@@ -31,6 +34,7 @@ from qmeter import (
     unlabeled_outcome_distribution,
 )
 from qmeter import simulate
+from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
 from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
     SHARD_SIZE,
@@ -125,6 +129,51 @@ def test_unlabeled_trial_relabeling_hides_labels():
         rec = run_unlabeled_trial(a, a, rng=rng)
         assert rec.outcome_class in ("same_same", "diff_diff")
         assert rec.verdict is Verdict.INCONCLUSIVE
+
+
+def test_trial_records_are_pinned():
+    # labeled d = 2, 3, 4 with the antisymmetric state, then unlabeled with
+    # the optimal and kappa_2 states; every third (fourth) pair is equal
+    rng = np.random.default_rng(2024)
+    records = []
+    for d in (2, 3, 4):
+        state = TestState.antisymmetric(d)
+        for i in range(6):
+            a = Observable.random(d, rng)
+            b = a if i % 3 == 0 else Observable.random(d, rng)
+            records.append(run_labeled_trial(a, b, state, rng=rng))
+    for i in range(8):
+        a = Observable.random(2, rng)
+        b = a if i % 4 == 0 else Observable.random(2, rng)
+        records.append(run_unlabeled_trial(a, b, kappa_state(2) if i % 2 else None, rng=rng))
+    assert [(r.outcomes, r.outcome_class, r.verdict.value) for r in records] == [
+        ((0, 1), "diff", "inconclusive"),
+        ((0, 0), "same", "different"),
+        ((0, 0), "same", "different"),
+        ((0, 1), "diff", "inconclusive"),
+        ((0, 0), "same", "different"),
+        ((1, 1), "same", "different"),
+        ((0, 1), "diff", "inconclusive"),
+        ((0, 2), "diff", "inconclusive"),
+        ((2, 0), "diff", "inconclusive"),
+        ((2, 0), "diff", "inconclusive"),
+        ((2, 0), "diff", "inconclusive"),
+        ((0, 2), "diff", "inconclusive"),
+        ((0, 2), "diff", "inconclusive"),
+        ((1, 3), "diff", "inconclusive"),
+        ((0, 2), "diff", "inconclusive"),
+        ((2, 0), "diff", "inconclusive"),
+        ((1, 3), "diff", "inconclusive"),
+        ((2, 0), "diff", "inconclusive"),
+        ((1, 1, 1, 1), "same_same", "inconclusive"),
+        ((0, 0, 0, 1), "same_diff", "inconclusive"),
+        ((0, 0, 0, 0), "same_same", "inconclusive"),
+        ((0, 0, 1, 1), "same_same", "inconclusive"),
+        ((0, 0, 1, 1), "same_same", "inconclusive"),
+        ((0, 0, 1, 1), "same_same", "inconclusive"),
+        ((1, 0, 0, 0), "diff_same", "different"),
+        ((1, 1, 0, 0), "same_same", "inconclusive"),
+    ]
 
 
 # --- campaigns ------------------------------------------------------------------
@@ -363,6 +412,15 @@ class _TopOfRangeGenerator:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clamp_rejects_a_non_finite_born_row(bad):
+    # a NaN total fails every comparison; it must still fail the row-sum guard
+    # instead of sampling category 0
+    rows = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, bad, 0.25, 0.25]])
+    with pytest.raises(ConsistencyError):
+        _sample_rows(rows, np.random.default_rng(0))
+
+
 def test_sampler_never_draws_a_clamped_category():
     # the rows sum to 1 only up to rounding; a uniform in the gap between the
     # last nonzero cumulative value and 1 must not land on a trailing zero
@@ -408,6 +466,16 @@ def test_sweep_points_and_csv():
     assert len(lines) == 6
     # deterministic
     assert sweep_to_csv(sweep_theta(thetas, trials=20000, seed=21)) == text
+
+
+def test_default_sweep_csv_is_pinned():
+    # sha256 of `qmeter sweep --seed 5 --trials 20000` on the default grid: one
+    # multinomial per fixed-device Born table, so a change of a table in its
+    # last bit, or of the stream, shows up here
+    thetas = parse_theta_grid(DEFAULT_THETA_GRID)
+    csv = sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5))
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "431a343eac7e403a06001364ae9b7b62495fba0ffe2179a270b7d981b8f73673")
 
 
 def test_sweep_endpoints_are_exactly_inconclusive():

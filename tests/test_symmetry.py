@@ -200,3 +200,41 @@ def test_basis_family_split_relabeling():
 def test_basis_family_rejects_unknown():
     with pytest.raises(DimensionMismatchError):
         basis_family("nope")
+
+
+# --- index maps against dense construction --------------------------------------
+
+def _dense_perm(images, n, d):
+    """perm_operator built ket by ket: |i_1 ... i_n> -> the ket whose slot
+    images[a-1] carries i_a."""
+    dim = d ** n
+    mat = np.zeros((dim, dim))
+    for src, digits in enumerate(itertools.product(range(d), repeat=n)):
+        moved = [0] * n
+        for a, digit in enumerate(digits):
+            moved[images[a] - 1] = digit
+        mat[np.ravel_multi_index(moved, (d,) * n), src] = 1.0
+    return mat
+
+
+def _dense_symmetrizer(slots, n, d):
+    acc = np.zeros((d ** n, d ** n))
+    for sigma in itertools.permutations(slots):
+        images = list(range(1, n + 1))
+        for src, dst in zip(slots, sigma):
+            images[src - 1] = dst
+        acc += _dense_perm(images, n, d)
+    return acc / len(list(itertools.permutations(slots)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_perm_operator_and_symmetrizer_equal_dense_construction(n, d):
+    # bit for bit: both are exact 0/1 scatters, and a symmetrizer entry is an
+    # integer count divided by |slots|!
+    for images in itertools.permutations(range(1, n + 1)):
+        assert np.array_equal(perm_operator(images, n, d).mat, _dense_perm(images, n, d))
+    for size in range(1, n + 1):
+        for slots in itertools.combinations(range(1, n + 1), size):
+            assert np.array_equal(symmetrizer(slots, n, d).mat,
+                                  _dense_symmetrizer(slots, n, d))

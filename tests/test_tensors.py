@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qmeter.tensors import kron_arrays
 from qmeter import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
@@ -118,3 +119,13 @@ def test_is_psd_flags_negative_eigenvalues():
     assert identity(2, 1).is_psd()
     neg = Operator(np.diag([1.0, -0.5]), 2, 1)
     assert not neg.is_psd()
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3,), (5,)),
+                                             ((2, 3), (4, 1))])
+def test_kron_arrays_equals_np_kron_bitwise(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) + shape_b[0])
+    a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+    b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+    assert np.array_equal(kron_arrays(a, b), np.kron(a, b))
+    assert np.array_equal(kron_arrays(a.real, b), np.kron(a.real, b))
