@@ -296,8 +296,8 @@ def mc_pure_moment(k: int, d: int, samples: int, seed: RngLike, chunk: int = 819
 def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike, chunk: int = 8192):
     """Seeded MC estimate of E[(phi phi^dag)^(x)k] for Haar phi orthogonal to psi."""
     d = psi.d
-    if abs(psi.norm() - 1.0) > TOL_ABS:
-        raise InvalidStateError("psi must be normalized")
+    if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
+        raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
     gen = rng_from(seed)
     # orthonormal basis of the complement of psi from a complete QR
     q = np.linalg.qr(psi.vec.reshape(d, 1), mode="complete")[0][:, 1:]

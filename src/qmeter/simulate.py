@@ -22,13 +22,26 @@ category or class of clamped probability 0 is never drawn.  A conclusive
 class has equal-device probability at most TOL_ABS/2 in every trial (the
 leak bound of ``conclusive_classes``), so each of its Born entries is
 clamped and its class sum is exactly 0: unambiguity is exact in sampled
-campaigns, not just up to floating noise.  The labeled antisymmetric state
-has a closed-form table (``_labeled_probs_antisym``) that depends on the
-devices only through W = U^dag V.  W is Haar when U and V are independent
-Haar (Mezzadri, arXiv:math-ph/0609050), so a "different" campaign draws one
-unitary W per trial instead of two; with equal devices the table is zero on
-every (j, j), so every such trial is class "diff" and is counted without
-sampling.
+campaigns, not just up to floating noise.
+
+Invariant test states
+---------------------
+The optimal test states, the antisymmetric projector (labeled) and the
+crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
+unitary U; ``run_campaign`` reads this property off rho once
+(``_is_invariant``).  For such a state the Born table of the device pair
+(U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
+and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So a
+"different" trial draws one unitary W instead of two: the unlabeled kernel
+then takes device A as the computational basis, and a labeled table is
+p[j, k] = alpha + beta |W_jk|^2 (``_labeled_probs_invariant``), because
+every invariant two-slot state is alpha 1 + beta SWAP; the antisymmetric
+state has alpha = -beta = 1/(d(d-1)).  With equal devices W = I, so every
+trial has the same table, diag(rho): an "equal" shard draws no device and
+samples no single trial, only one multinomial over the classes of the
+clamped diagonal, as the sweep does for its fixed devices.  For the
+antisymmetric state that class law is (0, 1), and every trial is class
+"diff".
 
 Determinism contract
 --------------------
@@ -39,23 +52,26 @@ are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch draws, in order: the Haar unitaries (one
-per trial for W in the labeled antisymmetric "different" stream; U and then
+per trial for W in the "different" stream of an invariant state; U and then
 V in every other "different" stream; U alone for "equal"), then one uniform
-per trial for its class.  The batch size, these draws and the class order
-of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
+per trial for its class.  The "equal" shard of an invariant state draws one
+multinomial instead, over its classes of nonzero probability.  The batch
+size, these draws, the invariance test and the class order of
+``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
 changes the counts and needs a new format version.
 
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
 ``haar_unitaries`` returns views of a (d, d, size) buffer, ``_born_table``
-and ``_labeled_probs_antisym`` build category-first tables, and
+and ``_labeled_probs_invariant`` build category-first tables, and
 ``_clamped`` and ``_sample_rows`` work on that layout.  Every step is then
 a vector operation over many trials instead of a loop over tiny matrices,
 and no step calls BLAS, so the pool workers run one thread each.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -66,7 +82,6 @@ import numpy as np
 
 from ._version import __version__
 from .comparison import (
-    LABELED_CLASSES,
     Observable,
     Scenario,
     TestState,
@@ -85,7 +100,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/2"
+CAMPAIGN_FORMAT = "qmeter.campaign/3"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -312,7 +327,7 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _born_table(us: np.ndarray, vs: np.ndarray,
+def _born_table(us: Optional[np.ndarray], vs: np.ndarray,
                 weights: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
     """Born table p[b, idx] = sum_r w_r |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi_r>|^2
     over flat n-slot outcome records.
@@ -326,35 +341,70 @@ def _born_table(us: np.ndarray, vs: np.ndarray,
     working set stays in cache and the heap reuses it from batch to batch
     instead of returning it to the OS and faulting it back in.  The result
     is the (size, d^n) transposed view of a category-first array.
+
+    ``us`` None stands for device A measuring in the computational basis:
+    its Kronecker power is the identity, so the first contraction is row J
+    of psi_r itself.
     """
-    ka = _device_kron(us, n // 2)
-    kb = ka if vs is us else _device_kron(vs, n // 2)
-    dim, size = ka.shape[0], ka.shape[2]
+    kb = _device_kron(vs, n // 2)
+    ka = None if us is None else kb if us is vs else _device_kron(us, n // 2)
+    dim, size = kb.shape[0], kb.shape[2]
     p = np.zeros((dim, dim, size))
     for w, vec in zip(weights, vecs):
         psi = vec.reshape(dim, dim)
         for j in range(dim):
-            # half[N, b] = sum_M psi[M, N] ka[M, j, b]
-            half = _contract(psi[:, :, None], ka[:, j, None, :])
+            if ka is None:
+                half = psi[j, :, None]
+            else:
+                # half[N, b] = sum_M psi[M, N] ka[M, j, b]
+                half = _contract(psi[:, :, None], ka[:, j, None, :])
             # amp[K, b] = sum_N half[N, b] kb[N, K, b]
             amp = _contract(half[:, None, :], kb)
             p[j] += w * (amp.real ** 2 + amp.imag ** 2)
     return p.reshape(dim * dim, size).T
 
 
-# The benchmark's tracer (perfbench/tracer.py) books the Born layer under
-# these names of the kernel.
-_labeled_probs_generic = _unlabeled_probs = _born_table
-
-
-def _labeled_probs_antisym(ws: np.ndarray, d: int) -> np.ndarray:
-    """Exact shortcut for the antisymmetric state:
-    p[b, j d + k] = (1 - |W_b[j, k]|^2) / (d (d-1)) with W_b = U_b^dag V_b,
-    laid out like _born_table.  The table depends on the devices only
-    through W, and W is Haar when U and V are independent Haar, so a
-    campaign draws W directly."""
+def _labeled_probs_invariant(ws: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Labeled Born table of the invariant state alpha 1 + beta SWAP on the
+    device pair (I, W_b): p[b, j d + k] = alpha + beta |W_b[j, k]|^2, laid
+    out like _born_table.  It equals the table of every pair (U, V) with
+    U^dag V = W_b."""
     w = ws.transpose(1, 2, 0)
-    return ((1.0 - (w.real ** 2 + w.imag ** 2)) / (d * (d - 1))).reshape(d * d, -1).T
+    d = w.shape[0]
+    return (alpha + beta * (w.real ** 2 + w.imag ** 2)).reshape(d * d, -1).T
+
+
+# The benchmark's tracer (perfbench/tracer.py) books the Born layer under
+# these names of the two kernels.
+_labeled_probs_generic = _unlabeled_probs = _born_table
+_labeled_probs_antisym = _labeled_probs_invariant
+
+
+def _digit(axis: int, j: int) -> tuple:
+    """Index of the entries whose tensor axis `axis` holds digit j."""
+    return (slice(None),) * axis + (j,)
+
+
+def _is_invariant(rho: Operator) -> bool:
+    """Whether rho commutes with U^(x)n for every unitary U.
+
+    The U^(x)n are generated by dpi(E_ab) = sum over slots of
+    1 (x) ... (x) E_ab (x) ... (x) 1 for the d^2 matrix units E_ab, so rho
+    is invariant iff it commutes with each of them.  On the n row and n
+    column digits of rho, E_ab on the left of a slot moves row digit b to
+    a, and on the right it moves column digit a to b.  This is an identity
+    check on an input, so it holds to within TOL_ABS.
+    """
+    d, n = rho.d, rho.n
+    r = rho.mat.reshape((d,) * (2 * n))
+    for a, b in itertools.product(range(d), repeat=2):
+        comm = np.zeros_like(r)
+        for i in range(n):
+            comm[_digit(i, a)] += r[_digit(i, b)]
+            comm[_digit(n + i, b)] -= r[_digit(n + i, a)]
+        if not np.max(np.abs(comm)) <= TOL_ABS:  # a NaN fails too
+            return False
+    return True
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
@@ -392,27 +442,38 @@ def _sample_rows(p: np.ndarray, gen: np.random.Generator,
 def _shard_counts(task: tuple) -> Dict[str, int]:
     """Simulate one shard and return its outcome-class counts.
 
-    `task` = (kind, d, truth, fast_antisym, weights, vecs, seed, shard, count).
-    Deterministic in (seed, truth, shard) alone.
+    `task` = (kind, d, truth, invariant, weights, vecs, seed, shard, count),
+    where `invariant` says that the test state commutes with every U^(x)n
+    (see the module docstring).  Deterministic in (seed, truth, shard) alone.
     """
-    kind, d, truth, fast_antisym, weights, vecs, seed, shard, count = task
-    if fast_antisym and truth == "equal":
-        # the antisymmetric table is zero on every (j, j) for every device,
-        # so every trial is class "diff"
-        return dict(zip(LABELED_CLASSES, (0, count)))
+    kind, d, truth, invariant, weights, vecs, seed, shard, count = task
     seq = np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard))
     gen = np.random.default_rng(seq)
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
+    if invariant:
+        diag = weights @ (vecs.real ** 2 + vecs.imag ** 2)  # the table of (I, I)
+        if truth == "equal":
+            # Only classes of nonzero probability enter the multinomial, so
+            # none of probability 0 can receive its remainder; rounding can
+            # put a lone class an ulp above 1.
+            law = np.bincount(cls_of, _clamped(diag[None])[0], len(counts))
+            live = np.flatnonzero(law)
+            counts[live] = gen.multinomial(count, np.minimum(law[live], 1.0))
+            return dict(zip(scen.classes, counts.tolist()))
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
-        if fast_antisym:
-            p = _labeled_probs_antisym(haar_unitaries(d, step, gen), d)
-        else:
+        if not invariant:
             us = haar_unitaries(d, step, gen)
             vs = haar_unitaries(d, step, gen) if truth == "different" else us
             p = _born_table(us, vs, weights, vecs, scen.slots)
+        elif kind == "labeled":
+            # alpha = <01|rho|01> and alpha + beta = <00|rho|00>
+            p = _labeled_probs_invariant(haar_unitaries(d, step, gen),
+                                         diag[1], diag[0] - diag[1])
+        else:
+            p = _born_table(None, haar_unitaries(d, step, gen), weights, vecs, scen.slots)
         counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
     return dict(zip(scen.classes, counts.tolist()))
 
@@ -433,18 +494,19 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     Ground truth "different" samples two independent Haar devices per trial;
     "equal" samples one device used twice; "both" runs the two sub-campaigns
-    on independent seed streams.
+    on independent seed streams.  A test state that commutes with every
+    U^(x)n takes the shortcuts of the module docstring.
     """
     scen = config.scenario
     state = resolve_test_state(config.test_state, scen)
     conclusive = conclusive_classes(scen, state)
     weights, vecs = state.pure_components()
-    fast_antisym = scen.kind == "labeled" and state.kind == "antisymmetric"
+    invariant = _is_invariant(state.rho)
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
     shards = _shards_for(config.trials)
     tasks = [
-        (scen.kind, scen.dim, truth, fast_antisym, weights, vecs, int(config.seed), shard, count)
+        (scen.kind, scen.dim, truth, invariant, weights, vecs, int(config.seed), shard, count)
         for truth in truths for shard, count in shards
     ]
     # One pool for every shard of every truth.  A fork-based pool starts all

@@ -222,7 +222,7 @@ def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian operator above the rank
     cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
     herm = (op.mat + op.mat.conj().T) / 2
-    if np.max(np.abs(op.mat - herm)) > TOL_ABS:
+    if not np.max(np.abs(op.mat - herm)) <= TOL_ABS:  # a NaN fails too
         raise NotPositiveSemidefiniteError("operator is not Hermitian")
     w, v = np.linalg.eigh(herm)
     lam = float(np.max(np.abs(w)))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmeter.cli import CAMPAIGN_KEYS, main, parse_theta_grid
+from qmeter.cli import CAMPAIGN_KEYS, REPORT_FORMATS, main, parse_theta_grid
 from qmeter.simulate import CAMPAIGN_FORMAT
 from qmeter.errors import ConfigError
 
@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/2"
+    assert doc["format"] == "qmeter.campaign/3"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -193,13 +193,18 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # format 2 changed the random stream behind the counts, not the layout
-    for fmt in ("qmeter.campaign/1", CAMPAIGN_FORMAT):
-        (tmp_path / f"{fmt[-1]}.json").write_text(_campaign_doc(format=fmt))
-    code, old, _ = run_cli(["report", str(tmp_path / "1.json")], capsys)
-    assert code == 0
-    assert "false positives" in old
-    assert old == run_cli(["report", str(tmp_path / "2.json")], capsys)[1]
+    # formats 2 and 3 changed the random stream behind the counts, not the
+    # layout, so every listed format gives the same report
+    assert REPORT_FORMATS == ("qmeter.campaign/1", "qmeter.campaign/2", CAMPAIGN_FORMAT)
+    reports = []
+    for fmt in REPORT_FORMATS:
+        path = tmp_path / f"{fmt[-1]}.json"
+        path.write_text(_campaign_doc(format=fmt))
+        code, out, _ = run_cli(["report", str(path)], capsys)
+        assert code == 0
+        reports.append(out)
+    assert "false positives" in reports[0]
+    assert reports == [reports[0]] * len(REPORT_FORMATS)
 
 
 def test_report_rejects_an_unknown_format(capsys, tmp_path):

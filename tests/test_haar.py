@@ -220,6 +220,13 @@ def test_mc_perp_moment():
     _assert_moment_agrees(mean, se, perp_moment_operator(2, 2)(psi).mat)
 
 
+def test_mc_perp_moment_rejects_a_nan_state():
+    # NaN passes the comparison "|norm - 1| > tol"; the guard must still fail
+    from qmeter import InvalidStateError, Vector
+    with pytest.raises(InvalidStateError):
+        mc_perp_moment(Vector(np.array([np.nan, 0.0]), 2, 1), 2, samples=10, seed=SEED)
+
+
 def test_mc_pair_split_moment():
     mean, se = mc_pair_split_moment("12-34", 2, samples=20000, seed=SEED)
     target = r_operator("12-34", 2).op.mat @ symmetrizer((3, 4), 4, 2).mat * (2 / (2 * 1))

@@ -28,6 +28,7 @@ from qmeter import (
     run_campaign,
     run_labeled_trial,
     run_unlabeled_trial,
+    swap,
     sweep_theta,
     sweep_to_csv,
     unlabeled_operators,
@@ -39,7 +40,8 @@ from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
     SHARD_SIZE,
     _born_table,
-    _labeled_probs_antisym,
+    _is_invariant,
+    _labeled_probs_invariant,
     _sample_rows,
     _shard_counts,
     _shards_for,
@@ -274,8 +276,8 @@ def test_fast_antisymmetric_path_equals_generic():
     # devices both paths put every trial in class "diff".
     d, trials = 3, 4000
     w, v = TestState.antisymmetric(d).pure_components()
-    for fast_antisym in (False, True):
-        equal = _shard_counts(("labeled", d, "equal", fast_antisym, w, v, 99, 0, trials))
+    for invariant in (False, True):
+        equal = _shard_counts(("labeled", d, "equal", invariant, w, v, 99, 0, trials))
         assert equal == {"same": 0, "diff": trials}
     fast = _shard_counts(("labeled", d, "different", True, w, v, 99, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
@@ -286,11 +288,35 @@ def test_fast_antisymmetric_path_equals_generic():
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
-    # a pure antisymmetric d=3 vector: kind "custom", so it takes the generic
-    # Born path and both truths draw Haar devices
+    # a pure antisymmetric d=3 vector: one vector of a three-dimensional
+    # subspace is not invariant, so it takes the generic Born path and both
+    # truths draw Haar devices
     m = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
     path = tmp_path / "anti3.npy"
     np.save(path, m.reshape(-1) / np.linalg.norm(m))
+    return str(path)
+
+
+def _antisymmetric_projector_file(tmp_path) -> str:
+    # the labeled d=3 optimal state as a custom density matrix: invariant, so
+    # it takes the one-unitary path although its kind is "custom"
+    path = tmp_path / "anti_proj3.npy"
+    np.save(path, TestState.antisymmetric(3).rho.mat)
+    return str(path)
+
+
+def _invariant_mixture(d: int, w_sym: float) -> TestState:
+    # w_sym of the normalized symmetric projector plus the rest of the
+    # normalized antisymmetric one: alpha 1 + beta SWAP with beta != -alpha
+    s = swap(1, 2, 2, d).mat
+    one = np.eye(d * d)
+    rho = w_sym * (one + s) / (d * (d + 1)) + (1 - w_sym) * (one - s) / (d * (d - 1))
+    return TestState.from_matrix(rho, d, 2)
+
+
+def _invariant_mixture_file(tmp_path) -> str:
+    path = tmp_path / "invariant_mix3.npy"
+    np.save(path, _invariant_mixture(3, 0.3).rho.mat)
     return str(path)
 
 
@@ -303,17 +329,17 @@ def _kappa_mixture_file(tmp_path) -> str:
 
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
-    # exact counts of two-shard campaigns in format qmeter.campaign/2; any
+    # exact counts of two-shard campaigns in format qmeter.campaign/3; any
     # change to the random streams, the Born kernels, the sampler or the
     # outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22705, "diff": 45831},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30317, "same_diff": 15142,
-                                                    "diff_same": 15310, "diff_diff": 7767},
-                                      "equal": {"same_same": 45779, "same_diff": 0,
-                                                "diff_same": 0, "diff_diff": 22757}},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30347, "same_diff": 15305,
+                                                    "diff_same": 15392, "diff_diff": 7492},
+                                      "equal": {"same_same": 45794, "same_diff": 0,
+                                                "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22767, "diff": 45769},
                                 "equal": {"same": 0, "diff": 68536}},
         ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30358, "same_diff": 15085,
@@ -339,6 +365,65 @@ def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
     return TestState.from_matrix(rho / np.trace(rho).real, d, n)
 
 
+def test_invariance_is_read_off_rho(tmp_path):
+    # the optimal states commute with every U^(x)n whatever their kind, and so
+    # does the same projector read from a file; the kappa states, one vector
+    # of the three-dimensional antisymmetric qutrit subspace and generic
+    # mixed states do not
+    unlabeled, qutrits = Scenario("unlabeled", 2), Scenario("labeled", 3)
+    for d in range(2, 6):
+        assert _is_invariant(TestState.antisymmetric(d).rho)
+    assert _is_invariant(optimal_test_state(unlabeled).rho)
+    assert _is_invariant(resolve_test_state(_antisymmetric_projector_file(tmp_path), qutrits).rho)
+    assert _is_invariant(_invariant_mixture(3, 0.3).rho)
+    for j in (1, 2, 3):
+        assert not _is_invariant(kappa_state(j).rho)
+    assert not _is_invariant(resolve_test_state(_antisymmetric_qutrit_file(tmp_path), qutrits).rho)
+    rng = np.random.default_rng(12)
+    for d, n in ((2, 2), (3, 2), (5, 2), (2, 4)):
+        assert not _is_invariant(_random_mixed_state(d, n, 3, rng).rho)
+
+
+@pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 5),
+                                    ("unlabeled", 2)])
+def test_invariant_born_table_depends_on_w_alone(kind, d):
+    # for an invariant state the table of (U, V) is the table of (I, U^dag V):
+    # the unlabeled kernel with device A the computational basis, and the
+    # labeled alpha + beta |W|^2 form
+    rng = np.random.default_rng(40 + d)
+    us, vs = haar_unitaries(d, 50, rng), haar_unitaries(d, 50, rng)
+    ws = np.conj(us.transpose(0, 2, 1)) @ vs
+    if kind == "labeled":
+        w_sym = 0.3
+        state = _invariant_mixture(d, w_sym)
+        alpha = w_sym / (d * (d + 1)) + (1 - w_sym) / (d * (d - 1))
+        beta = w_sym / (d * (d + 1)) - (1 - w_sym) / (d * (d - 1))
+        shortcut = _labeled_probs_invariant(ws, alpha, beta)
+    else:
+        state = optimal_test_state(Scenario(kind, d))
+        shortcut = _born_table(None, ws, *state.pure_components(), 4)
+    n = 2 if kind == "labeled" else 4
+    assert_allclose(shortcut, _born_table(us, vs, *state.pure_components(), n),
+                    rtol=0, atol=1e-12)
+
+
+def test_invariant_equal_shard_draws_no_device(monkeypatch):
+    # with equal devices an invariant state's table is diag(rho) for every
+    # device, so the shard samples its class law without a Haar draw
+    def no_haar(*args, **kwargs):
+        raise AssertionError("haar_unitaries called")
+
+    monkeypatch.setattr(simulate, "haar_unitaries", no_haar)
+    for kind, d in (("labeled", 3), ("unlabeled", 2)):
+        scen = Scenario(kind, d)
+        w, v = optimal_test_state(scen).pure_components()
+        counts = _shard_counts((kind, d, "equal", True, w, v, 5, 0, 3000))
+        assert sum(counts.values()) == 3000
+        assert not any(counts[c] for c in conclusive_classes(scen, optimal_test_state(scen)))
+    with pytest.raises(AssertionError, match="haar_unitaries called"):
+        _shard_counts(("unlabeled", 2, "different", True, w, v, 5, 0, 10))
+
+
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
                                     ("unlabeled", 2), ("unlabeled", 3)])
 def test_born_table_matches_fixed_device_distributions(kind, d):
@@ -360,10 +445,12 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
         for row, (a, _) in zip(_born_table(us, us, *state.pure_components(), n), pairs):
             assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
         if kind == "labeled":
-            # the closed form takes W = A^dag B alone
+            # the closed form takes W = A^dag B alone; the antisymmetric state
+            # is alpha 1 + beta SWAP with alpha = -beta = 1/(d(d-1))
             anti = TestState.antisymmetric(d)
             ws = np.conj(us.transpose(0, 2, 1)) @ vs
-            for row, (a, b) in zip(_labeled_probs_antisym(ws, d), pairs):
+            alpha = 1 / (d * (d - 1))
+            for row, (a, b) in zip(_labeled_probs_invariant(ws, alpha, -alpha), pairs):
                 assert_allclose(row, oracle(a, b, anti).reshape(-1), rtol=0, atol=1e-12)
 
 
@@ -382,7 +469,9 @@ def test_sampling_in_row_blocks_keeps_the_stream():
 
 @pytest.mark.parametrize("kind,dim,spec", [
     ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"),
-    # the closed-form table on one Haar W per trial, d = 2..5
+    # invariant states: one Haar W per "different" trial and one multinomial
+    # per "equal" shard, for custom states too
+    ("labeled", 3, "anti_proj3"), ("labeled", 3, "invariant_mix"),
     ("labeled", 2, "optimal"), ("labeled", 3, "optimal"), ("labeled", 4, "optimal"),
     ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"),
 ])
@@ -390,7 +479,9 @@ def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     # trials are i.i.d. Haar, so class c occurs with probability tr(rho O_c)
     # under each hypothesis; every count, not only the conclusive rate, must
     # sit within 5 standard errors of it (a zero-probability class exactly at 0)
-    files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file}
+    files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file,
+             "anti_proj3": _antisymmetric_projector_file,
+             "invariant_mix": _invariant_mixture_file}
     path = files[spec](tmp_path) if spec in files else spec
     scen = Scenario(kind, dim)
     trials = 20000

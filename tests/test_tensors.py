@@ -115,6 +115,16 @@ def test_support_projector_zeroes_eigenvalues_inside_the_rank_cutoff():
         support_projector(Operator(np.diag([1.0, -1e-7, 0.0, 0.0]), 2, 2))
 
 
+def test_rank_and_support_reject_a_nan_operator():
+    # eigh returns NaN eigenvalues without raising, and no NaN passes the
+    # rank cutoff; without the guard this had rank 0 and the zero projector
+    op = Operator(np.full((2, 2), np.nan), 2, 1)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        rank(op)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        support_projector(op)
+
+
 def test_is_psd_flags_negative_eigenvalues():
     assert identity(2, 1).is_psd()
     neg = Operator(np.diag([1.0, -0.5]), 2, 1)
