@@ -30,7 +30,8 @@ CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_trut
                  "test_state", "shard_size", "conclusive_classes", "results")
 #: campaign formats `report` reads; they differ in the random stream behind
 #: the counts, not in the document layout
-REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", CAMPAIGN_FORMAT)
+REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
+                  CAMPAIGN_FORMAT)
 
 
 def _env_seed() -> Optional[int]:

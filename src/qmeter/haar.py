@@ -16,11 +16,13 @@ for the verify battery and the Monte Carlo checks:
                         sum_j E[A_j (x) A_j] / d        = P+/d2
                         sum_(j!=k) E[A_j (x) A_k] / d   = 1/d - P+/d2
 
-haar_unitaries() draws Haar unitaries as the Q factor of a complex Ginibre
-matrix Z = QR with diag(R) real and positive, computed by Gram-Schmidt on the
-columns of Z.  That factorization is unique, and for any fixed unitary V the
-matrix VZ is again Ginibre with factorization (VQ)R, so VQ has the law of Q:
-Q is exactly Haar (Mezzadri, arXiv:math-ph/0609050).
+haar_unitaries() draws Haar unitaries by the subgroup algorithm
+(Diaconis-Shahshahani; in Householder form as in Stewart 1980):
+U_k = H(x) (1 (+) U_(k-1)) for k = 1..d, with x uniform on the unit sphere
+of C^k and H(x) a unitary reflection that maps e_1 to x.  It is exactly
+Haar: the first column x is uniform, and the stabilizer 1 (+) U(k-1) of
+e_1 is absorbed by the Haar invariance of U_(k-1), so W U_k has the law of
+U_k for every fixed unitary W.
 
 Monte Carlo estimators with elementwise standard errors are provided for
 cross-validating every closed form from seeded samples.
@@ -171,57 +173,46 @@ def rng_from(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-#: matrices per block of the transposing copy and of Gram-Schmidt, small
-#: enough for a block's temporaries to stay in cache
-_BLOCK = 8192
-
-
 def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     """Stack of `size` Haar-random d x d unitaries, as a (size, d, d) array.
 
-    Gram-Schmidt orthonormalizes the columns of each complex Ginibre matrix Z
-    in order.  The result is the Q of Z = QR with diag(R) real and positive,
-    which is exactly Haar (see the module docstring).  The draws, and so the
-    random stream, are the real block then the imaginary block, each
-    standard_normal((size, d, d)) with Z[b, i, j] at [b, i, j].
+    Built from the bottom-right corner up by the subgroup algorithm (module
+    docstring).  Level k normalizes a complex Gaussian x in C^k per matrix;
+    H = 1 - v v^dag / (1 + a) with a = |x_0|, e^(i phi) = x_0 / a (1 if
+    a = 0) and v = x + e^(i phi) e_1, times diag(-e^(i phi), 1, ..., 1),
+    maps e_1 to x.  So column 0 of U_k is x, and each earlier column u
+    becomes [0; u] - v x[1:]^dag u / (1 + a).  As |v|^2 = 2 (1 + a) >= 2,
+    one pass is stable.
 
-    The matrices live in a (d, d, size) buffer with the batch as the last,
-    contiguous axis, and the result is its transposed view: every step of
-    the orthonormalization is then one vector operation over many matrices
-    instead of a loop over tiny ones.
+    The stream is one standard_normal call per level k = 1..d into the
+    float64 view of a complex (k, size) buffer (real and imaginary parts
+    interleaved): d (d + 1) size normals.  The result is the transposed
+    view of a (d, d, size) buffer with the batch last, and every update is
+    one vector operation on one column of all matrices.
     """
     gen = rng_from(rng)
-    cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of Z_b
-    draw = np.empty((size, d, d))
-    blocks = range(0, size, _BLOCK)
-    for part in (cols.real, cols.imag):
-        gen.standard_normal(out=draw)
-        for lo in blocks:
-            part[..., lo:lo + _BLOCK] = draw[lo:lo + _BLOCK].transpose(2, 1, 0)
-    for lo in blocks:
-        _orthonormalize_rows(cols[..., lo:lo + _BLOCK])
+    cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of U_b
+    draw = np.empty((d, size), dtype=np.complex128)
+    for k in range(1, d + 1):
+        top = d - k  # U_k fills rows and columns top..d-1
+        x = draw[:k]
+        gen.standard_normal(out=x.view(np.float64))
+        x *= 1.0 / np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=0))
+        cols[top, top:] = x
+        if k == 1:
+            continue
+        a = np.abs(x[0])
+        phase = np.ones(size, dtype=np.complex128)
+        np.divide(x[0], a, out=phase, where=a > 0)
+        scale = 1.0 / (1.0 + a)
+        tail, tail_conj = x[1:], x[1:].conj()  # v[1:] = x[1:]
+        for j in range(top + 1, d):
+            u = cols[j, top + 1:]
+            c = (tail_conj * u).sum(axis=0)
+            cols[j, top] = -phase * c  # -v_0 c with v_0 = e^(i phi) (1 + a)
+            c *= scale
+            u -= tail * c
     return cols.transpose(2, 1, 0)
-
-
-def _orthonormalize_rows(vecs: np.ndarray) -> np.ndarray:
-    """Orthonormalize in place the rows vecs[0, :, b], vecs[1, :, b], ... of
-    every matrix b of a complex (d, d, size) buffer by classical
-    Gram-Schmidt, and return the buffer.
-
-    Each row is projected off the earlier rows twice: one pass of classical
-    Gram-Schmidt loses orthogonality in proportion to the condition number,
-    and a second pass brings it back to roundoff ("twice is enough").  The
-    norm each row is divided by is diag(R), which is therefore real and
-    positive.
-    """
-    for j in range(vecs.shape[0]):
-        v, done = vecs[j], vecs[:j]
-        for _ in range(2 if j else 0):
-            overlaps = [(q.conj() * v).sum(axis=0) for q in done]  # <q_k, v>
-            for q, c in zip(done, overlaps):
-                v -= c * q
-        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
-    return vecs
 
 
 def haar_unitary(d: int, rng: RngLike = None) -> np.ndarray:

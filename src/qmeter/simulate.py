@@ -54,11 +54,13 @@ no timestamps and sorted keys) are byte-identical across runs and across
 _SUBCHUNK trials, and each batch draws, in order: the Haar unitaries (one
 per trial for W in the "different" stream of an invariant state; U and then
 V in every other "different" stream; U alone for "equal"), then one uniform
-per trial for its class.  The "equal" shard of an invariant state draws one
-multinomial instead, over its classes of nonzero probability.  The batch
-size, these draws, the invariance test and the class order of
-``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
-changes the counts and needs a new format version.
+per trial for its class.  Each ``haar_unitaries`` call for a batch of B
+d x d unitaries draws d (d + 1) B standard normals, a complex Gaussian in
+C^k per unitary for k = 1..d.  The "equal" shard of an invariant state
+draws one multinomial instead, over its classes of nonzero probability.
+The batch size, these draws, the Haar construction, the invariance test
+and the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
+change to any of them changes the counts and needs a new format version.
 
 Batch layout
 ------------
@@ -100,7 +102,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/3"
+CAMPAIGN_FORMAT = "qmeter.campaign/4"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -130,16 +132,19 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_int("trials", self.trials, 1)
+        _check_int("workers", self.workers, 1)
+        _check_int("seed", self.seed, 0)
         if self.ground_truth not in ("different", "equal", "both"):
             raise ConfigError(f"unknown ground truth {self.ground_truth!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer (not a bool) >= minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ class CampaignResult:
             "version": self.version,
             "scenario": {"kind": self.config.scenario.kind, "dim": self.config.scenario.dim},
             "seed": int(self.config.seed),
-            "trials": self.config.trials,
+            "trials": int(self.config.trials),
             "ground_truth": self.config.ground_truth,
             "test_state": self.config.test_state,
             "shard_size": SHARD_SIZE,
@@ -509,12 +514,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         (scen.kind, scen.dim, truth, invariant, weights, vecs, int(config.seed), shard, count)
         for truth in truths for shard, count in shards
     ]
-    # One pool for every shard of every truth.  A fork-based pool starts all
-    # of its workers up front, so it gets no more than there are tasks.
-    workers = min(config.workers, len(tasks))
+    # An "equal" shard of an invariant state draws no device and takes well
+    # under a millisecond, less than shipping it to a worker, so it runs
+    # here.  One pool takes every other shard of every truth; a fork-based
+    # pool starts all of its workers up front, so it gets no more than there
+    # are such shards, and none for a single one.
+    inline = [invariant and truth == "equal" for truth in truths for _ in shards]
+    workers = min(config.workers, inline.count(False))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_shard_counts, tasks))
+            done = pool.map(_shard_counts, [t for t, here in zip(tasks, inline) if not here])
+            partials = [_shard_counts(t) if here else next(done) for t, here in zip(tasks, inline)]
     else:
         partials = [_shard_counts(t) for t in tasks]
 
@@ -527,7 +537,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         different = sum(totals[name] for name in conclusive)
         results[truth] = TruthResult(
             ground_truth=truth,
-            trials=config.trials,
+            trials=int(config.trials),
             class_counts=totals,
             different_verdicts=different,
         )
@@ -553,8 +563,8 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     fixed within a point, so the outcome counts follow one multinomial draw
     from the exact Born table, which is sampled directly.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     conclusive = conclusive_classes(scen, state)

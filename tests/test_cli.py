@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/3"
+    assert doc["format"] == "qmeter.campaign/4"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -193,9 +193,11 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 and 3 changed the random stream behind the counts, not the
+    # formats 2 to 4 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
-    assert REPORT_FORMATS == ("qmeter.campaign/1", "qmeter.campaign/2", CAMPAIGN_FORMAT)
+    assert REPORT_FORMATS == ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
+                              CAMPAIGN_FORMAT)
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/4"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt[-1]}.json"
@@ -253,6 +255,25 @@ def test_sweep_rejects_a_non_finite_angle(capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("argv,env_seed", [
+    (["sweep", "--seed", "-1", "--trials", "10"], None),
+    (["sweep", "--trials", "10"], "-1"),
+    (["simulate", "--scenario", "labeled", "--seed", "-1", "--trials", "10"], None),
+    (["simulate", "--scenario", "labeled", "--trials", "10"], "-1"),
+    (["simulate", "--scenario", "labeled", "--seed", "1", "--trials", "10", "--workers", "0"],
+     None),
+])
+def test_negative_seeds_and_counts_exit_2(capsys, monkeypatch, argv, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("QMETER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QMETER_SEED", env_seed)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_main_rejects_unknown_command():

@@ -26,7 +26,7 @@ from qmeter import (
     symmetrizer,
     twirl,
 )
-from qmeter.haar import _orthonormalize_rows
+from qmeter.haar import _MatrixMean
 
 SEED = 20240817
 
@@ -145,18 +145,54 @@ def test_haar_unitaries_batch_shape():
     assert_allclose(prods, np.broadcast_to(np.eye(2), (17, 2, 2)), atol=1e-12)
 
 
-def _qr_reference(d, size, gen):
-    # Ginibre + LAPACK QR, with the phases of diag(R) moved into Q
-    z = gen.standard_normal((size, d, d)) + 1j * gen.standard_normal((size, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+def _householder_reference(d, size, gen):
+    # the subgroup algorithm matrix by matrix, with dense reflections: level
+    # k draws x in C^k for every matrix, re and im interleaved, and
+    # U_k = H (1 (+) U_(k-1)) with H e_1 = x / |x|
+    levels = [gen.standard_normal((k, 2 * size)).view(np.complex128) for k in range(1, d + 1)]
+    out = []
+    for b in range(size):
+        u = np.eye(0)
+        for k, z in enumerate(levels, 1):
+            x = z[:, b] / np.linalg.norm(z[:, b])
+            a = abs(x[0])
+            phase = x[0] / a if a > 0 else 1.0
+            v = x + phase * np.eye(k)[0]
+            h = (np.eye(k) - np.outer(v, v.conj()) / (1 + a)) @ np.diag([-phase] + [1.0] * (k - 1))
+            lifted = np.eye(k, dtype=np.complex128)
+            lifted[1:, 1:] = u
+            u = h @ lifted
+        out.append(u)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
-def test_haar_unitaries_match_phase_fixed_qr(d):
-    us = haar_unitaries(d, 4096, np.random.default_rng(SEED))
-    assert np.max(np.abs(us - _qr_reference(d, 4096, np.random.default_rng(SEED)))) <= 1e-12
+def test_haar_unitaries_match_dense_householder_products(d):
+    us = haar_unitaries(d, 300, np.random.default_rng(SEED))
+    ref = _householder_reference(d, 300, np.random.default_rng(SEED))
+    assert np.max(np.abs(us - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_haar_unitaries_follow_the_haar_law(d):
+    # Haar moments: E[U_ij] = E[U_ij^2] = E[det U] = 0, and the average of
+    # (U (x) U) X (U (x) U)^dag is the twirl of X for a diagonal X.  Dropping
+    # the phase fix of the reflection makes U_00 real and negative.
+    gen = np.random.default_rng(SEED + d)
+    diag = gen.normal(size=d * d)
+    target = twirl(diag[None], (2,), d)[0]
+    first, square, det, second = (_MatrixMean(d), _MatrixMean(d), _MatrixMean(1),
+                                  _MatrixMean(d * d))
+    for _ in range(10):
+        us = haar_unitaries(d, 2000, gen)
+        first.add(us)
+        square.add(us * us)
+        det.add(np.linalg.det(us)[:, None, None])
+        w = np.einsum("bij,bkl->bikjl", us, us).reshape(-1, d * d, d * d)
+        second.add((w * diag) @ w.conj().transpose(0, 2, 1))
+    for acc, expected in ((first, 0), (square, 0), (det, 0), (second, target)):
+        mean, se = acc.result()
+        _assert_moment_agrees(mean, se, np.broadcast_to(expected, mean.shape))
 
 
 def test_haar_unitaries_are_unitary_to_roundoff():
@@ -166,25 +202,32 @@ def test_haar_unitaries_are_unitary_to_roundoff():
 
 
 @pytest.mark.parametrize("d,size", [(2, 1), (3, 1000), (5, 257)])
-def test_haar_unitaries_draw_exactly_two_normal_blocks(d, size):
-    # the stream contract: a real and an imaginary (size, d, d) block, nothing more
+def test_haar_unitaries_draw_d_times_d_plus_1_normals(d, size):
+    # the stream contract: one complex Gaussian vector in C^k per level
+    # k = 1..d and matrix, nothing more
     gen, twin = np.random.default_rng(SEED), np.random.default_rng(SEED)
     haar_unitaries(d, size, gen)
-    twin.standard_normal(2 * size * d * d)
+    twin.standard_normal(d * (d + 1) * size)
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
-def test_orthonormalization_survives_near_singular_rows():
-    # rows with singular values 1 .. 1e-10 (condition number 1e10); one
-    # Gram-Schmidt pass alone would leave them far from orthogonal
-    gen = np.random.default_rng(SEED)
-    x, y = haar_unitaries(5, 200, gen), haar_unitaries(5, 200, gen)
-    rows = (x * np.logspace(0, -10, 5)) @ y
-    assert np.linalg.cond(rows[0]) == pytest.approx(1e10, rel=1e-3)
-    # the kernel's buffer layout: row j of matrix b at [j, :, b]
-    q = _orthonormalize_rows(np.ascontiguousarray(rows.transpose(1, 2, 0))).transpose(2, 0, 1)
-    err = np.einsum("bij,bkj->bik", q, q.conj()) - np.eye(5)
-    assert np.max(np.abs(err)) <= 1e-13
+class _ZeroLeadingEntry(np.random.Generator):
+    """Draws x_0 = 0 exactly for matrix 0 at every level k >= 2."""
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        result = super().standard_normal(*args, out=out, **kwargs)
+        if out is not None and out.shape[0] > 1:
+            out[0, :2] = 0.0  # re and im of x_0 of matrix 0
+        return result
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_unitaries_survive_a_zero_leading_entry(d):
+    # a = |x_0| = 0 leaves the phase x_0 / a undefined; it must not give NaN
+    us = haar_unitaries(d, 16, _ZeroLeadingEntry(np.random.PCG64(SEED)))
+    assert us[0, 0, 0] == 0
+    err = np.einsum("bij,bkj->bik", us, us.conj()) - np.eye(d)
+    assert np.all(np.isfinite(us)) and np.max(np.abs(err)) <= 1e-13
 
 
 def test_haar_states_normalized():

@@ -64,6 +64,20 @@ def test_config_rejects_bad_values():
         CampaignConfig(scen, trials=10, seed=True)
     with pytest.raises(ConfigError):
         CampaignConfig(scen, trials=10, seed=1, workers=0)
+    # counts and seeds are integers, and a bool is not one
+    for bad in ({"trials": 2.5}, {"trials": True}, {"workers": 2.5}, {"workers": True},
+                {"seed": 1.0}, {"trials": "10"}):
+        with pytest.raises(ConfigError):
+            CampaignConfig(scen, **{"trials": 10, "seed": 1, **bad})
+    cfg = CampaignConfig(scen, trials=np.int64(10), seed=np.uint32(1), workers=np.int8(1))
+    assert json.loads(run_campaign(cfg).to_json())["trials"] == 10
+
+
+@pytest.mark.parametrize("trials,seed", [(2.5, 1), (True, 1), (0, 1), (10, -1), (10, 1.0),
+                                         (10, False)])
+def test_sweep_rejects_bad_trials_and_seeds(trials, seed):
+    with pytest.raises(ConfigError):
+        sweep_theta([0.3], trials, seed)
 
 
 def test_resolve_test_state_specs(tmp_path):
@@ -151,30 +165,30 @@ def test_trial_records_are_pinned():
     assert [(r.outcomes, r.outcome_class, r.verdict.value) for r in records] == [
         ((0, 1), "diff", "inconclusive"),
         ((0, 0), "same", "different"),
-        ((0, 0), "same", "different"),
+        ((1, 1), "same", "different"),
         ((0, 1), "diff", "inconclusive"),
         ((0, 0), "same", "different"),
+        ((1, 1), "same", "different"),
+        ((2, 0), "diff", "inconclusive"),
         ((1, 1), "same", "different"),
         ((0, 1), "diff", "inconclusive"),
         ((0, 2), "diff", "inconclusive"),
         ((2, 0), "diff", "inconclusive"),
-        ((2, 0), "diff", "inconclusive"),
-        ((2, 0), "diff", "inconclusive"),
+        ((2, 1), "diff", "inconclusive"),
+        ((2, 1), "diff", "inconclusive"),
+        ((2, 3), "diff", "inconclusive"),
+        ((2, 1), "diff", "inconclusive"),
+        ((0, 1), "diff", "inconclusive"),
         ((0, 2), "diff", "inconclusive"),
-        ((0, 2), "diff", "inconclusive"),
-        ((1, 3), "diff", "inconclusive"),
-        ((0, 2), "diff", "inconclusive"),
-        ((2, 0), "diff", "inconclusive"),
-        ((1, 3), "diff", "inconclusive"),
-        ((2, 0), "diff", "inconclusive"),
-        ((1, 1, 1, 1), "same_same", "inconclusive"),
-        ((0, 0, 0, 1), "same_diff", "inconclusive"),
+        ((3, 3), "same", "different"),
         ((0, 0, 0, 0), "same_same", "inconclusive"),
+        ((1, 0, 0, 1), "diff_diff", "different"),
+        ((0, 0, 0, 0), "same_same", "inconclusive"),
+        ((0, 0, 1, 0), "same_diff", "inconclusive"),
+        ((1, 1, 1, 1), "same_same", "inconclusive"),
         ((0, 0, 1, 1), "same_same", "inconclusive"),
-        ((0, 0, 1, 1), "same_same", "inconclusive"),
-        ((0, 0, 1, 1), "same_same", "inconclusive"),
-        ((1, 0, 0, 0), "diff_same", "different"),
         ((1, 1, 0, 0), "same_same", "inconclusive"),
+        ((1, 0, 0, 0), "diff_same", "inconclusive"),
     ]
 
 
@@ -211,20 +225,32 @@ def test_campaign_seed_determinism_and_worker_independence():
 
 def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
     # both truths share one pool, and a fork pool starts every worker up
-    # front, so it must not get more workers than there are shards
+    # front, so it must not get more workers than there are shards to send;
+    # the "equal" shards of an invariant state draw no device and never go
     pools = []
 
     class RecordingPool(simulate.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
+            pools.append([max_workers])
             super().__init__(max_workers=max_workers, **kwargs)
 
+        def map(self, fn, tasks, **kwargs):
+            pools[-1].append(sorted((t[2], t[7]) for t in tasks))
+            return super().map(fn, tasks, **kwargs)
+
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    cfg = CampaignConfig(Scenario("unlabeled", 2), trials=3000, seed=5, workers=3)
+    cfg = CampaignConfig(Scenario("unlabeled", 2), trials=3000, seed=5, workers=3,
+                         test_state="kappa:2")
     pooled = run_campaign(cfg).to_json()
-    assert pools == [2]  # one shard per truth
+    assert pools == [[2, [("different", 0), ("equal", 0)]]]  # one shard per truth
     assert pooled == run_campaign(replace(cfg, workers=1)).to_json()
-    assert pools == [2]  # workers=1 opens no pool
+    assert len(pools) == 1  # workers=1 opens no pool
+    optimal = replace(cfg, test_state="optimal")
+    run_campaign(optimal)
+    assert len(pools) == 1  # a single shard draws devices
+    pooled = run_campaign(replace(optimal, trials=SHARD_SIZE + 1)).to_json()
+    assert pools[1] == [2, [("different", 0), ("different", 1)]]
+    assert pooled == run_campaign(replace(optimal, trials=SHARD_SIZE + 1, workers=1)).to_json()
 
 
 def test_campaign_single_truth_blocks():
@@ -329,28 +355,28 @@ def _kappa_mixture_file(tmp_path) -> str:
 
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
-    # exact counts of two-shard campaigns in format qmeter.campaign/3; any
+    # exact counts of two-shard campaigns in format qmeter.campaign/4; any
     # change to the random streams, the Born kernels, the sampler or the
     # outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22705, "diff": 45831},
+        ("labeled", 3, "optimal"): {"different": {"same": 22802, "diff": 45734},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30347, "same_diff": 15305,
-                                                    "diff_same": 15392, "diff_diff": 7492},
+        # the "equal" block draws no device, so it is the format-3 count
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
+                                                    "diff_same": 15327, "diff_diff": 7662},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
-        ("labeled", 3, anti3): {"different": {"same": 22767, "diff": 45769},
+        ("labeled", 3, anti3): {"different": {"same": 22783, "diff": 45753},
                                 "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30358, "same_diff": 15085,
-                                                    "diff_same": 15323, "diff_diff": 7770},
-                                      "equal": {"same_same": 22863, "same_diff": 22903,
-                                                "diff_same": 22770, "diff_diff": 0}},
-        # d = 2 and 5 are the shortest and longest Gram-Schmidt column loops in
-        # haar_unitaries
-        ("labeled", 2, "optimal"): {"different": {"same": 34209, "diff": 34327},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
+                                                    "diff_same": 15263, "diff_diff": 7603},
+                                      "equal": {"same_same": 22656, "same_diff": 23043,
+                                                "diff_same": 22837, "diff_diff": 0}},
+        # d = 2 and 5 are the fewest and most reflection levels in haar_unitaries
+        ("labeled", 2, "optimal"): {"different": {"same": 34264, "diff": 34272},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13591, "diff": 54945},
+        ("labeled", 5, "optimal"): {"different": {"same": 13599, "diff": 54937},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
