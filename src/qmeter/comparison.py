@@ -53,6 +53,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("labeled", "unlabeled"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        # a bool is an int, but not a dimension
+        if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool):
+            raise ConfigError(f"dimension must be an integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 2:
             raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dim}")
         if self.kind == "unlabeled" and self.dim != 2:
@@ -430,22 +434,26 @@ def _operators_for(scenario: Scenario) -> Mapping[str, ClassOperators]:
 
 
 def _leaks(ops: Mapping[str, ClassOperators], state: TestState) -> Mapping[str, float]:
-    """tr(rho_+ S_c) per class, rho_+ the positive part of the state and S_c
-    the support of the class's equal-device operator: an upper bound on the
-    class's equal-device probability in any single trial."""
+    """tr(cover S_c) per class, S_c the support of the class's equal-device
+    operator and cover the positive part of the state with every weight
+    above TOL_ABS raised to at least 1: an upper bound on the class's
+    equal-device probability in any single trial, both of rho itself and of
+    each pure component that a simulated trial prepares (pure_components)."""
     w, v = np.linalg.eigh(state.rho.mat)
-    rho_plus = (v * np.maximum(w, 0.0)) @ v.conj().T
-    return {name: float(np.vdot(cls.support_equal.mat, rho_plus).real)
+    lift = np.where(w > TOL_ABS, np.maximum(w, 1.0), np.maximum(w, 0.0))
+    cover = (v * lift) @ v.conj().T
+    return {name: float(np.vdot(cls.support_equal.mat, cover).real)
             for name, cls in ops.items()}
 
 
 def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) -> Tuple[str, ...]:
     """Outcome classes that certify "different" for this test state.
 
-    A class qualifies iff its leak tr(rho_+ S_c) is <= TOL_ABS/2 and its
+    A class qualifies iff its leak (_leaks) is <= TOL_ABS/2 and its
     different-hypothesis probability exceeds TOL_ABS.  U P_c U^dag <= S_c for
     every device basis U, so the leak bounds the class's equal-device
-    probability trial by trial, not only on average; the sampler clamps Born
+    probability trial by trial, not only on average, and for every pure
+    component of a mixed state, not only for the mixture; the sampler clamps Born
     entries at or below TOL_ABS to zero, so a conclusive class is never drawn
     for equal devices (tensors module docstring).
     """

@@ -10,19 +10,37 @@ One kernel, one sampler
 A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  ``_born_table`` builds that
-table for a batch of device pairs at any d.  ``_sample_rows`` draws one
-outcome per row of it for single trials, whose records carry the outcomes;
-a campaign reports only class counts, so it sums each row into its (at most
-four) class probabilities through ``outcome_class_index`` and
-``_sample_rows`` draws the class directly.  The sweep draws one multinomial
-per fixed device pair from the same clamped table.  Probabilities at or
-below TOL_ABS are clamped to zero and the row renormalized (``_clamped``)
-before any summing, and the inverse CDF pins its trailing plateau to 1, so a
-category or class of clamped probability 0 is never drawn.  A conclusive
-class has equal-device probability at most TOL_ABS/2 in every trial (the
-leak bound of ``conclusive_classes``), so each of its Born entries is
-clamped and its class sum is exactly 0: unambiguity is exact in sampled
-campaigns, not just up to floating noise.
+table of a pure state for a batch of device pairs at any d, summing over the
+state's support only.  ``_sample_rows`` draws one outcome per row of it for
+single trials, whose records carry the outcomes; a campaign reports only
+class counts, so it sums each row into its (at most four) class
+probabilities through ``outcome_class_index`` and ``_sample_rows`` draws the
+class directly.  The sweep draws one multinomial per fixed device pair from
+the same clamped table.  Probabilities at or below TOL_ABS are clamped to
+zero and the row renormalized (``_clamped``) before any summing, and the
+inverse CDF pins its trailing plateau to 1, so a category or class of
+clamped probability 0 is never drawn.  A conclusive class has
+equal-device probability at most TOL_ABS/2 in every trial (the leak bound
+of ``conclusive_classes``), so each of its Born entries is clamped and its
+class sum is exactly 0: unambiguity is exact in sampled campaigns, not just
+up to floating noise.
+
+Mixed test states
+-----------------
+A mixed test state rho = sum_r w_r |psi_r><psi_r| (``pure_components``:
+the eigenvectors of weight above TOL_ABS) is simulated the way it can be
+prepared: each trial prepares one pure component, component r with
+probability w_r / sum(w).  A batch draws how many of its trials go to each
+component with one multinomial, and gives the components contiguous
+sub-batches in ``pure_components`` order; each sub-batch takes one pure
+Born pass.  This is exact in law: the device pairs of a batch are i.i.d.,
+so which trials get which component does not matter, and a trial's class
+law is sum_r w_r tr(psi_r psi_r^dag O) = tr(rho O).  A rank-r state then
+costs one Born pass per trial instead of r.  Unambiguity holds per
+component: the leak of ``conclusive_classes`` weighs every component of
+weight above TOL_ABS by at least 1, so each psi_r has equal-device
+probability at most TOL_ABS/2 in a conclusive class, in every trial,
+however small w_r is.
 
 Invariant test states
 ---------------------
@@ -53,14 +71,20 @@ no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch draws, in order: the Haar unitaries (one
 per trial for W in the "different" stream of an invariant state; U and then
-V in every other "different" stream; U alone for "equal"), then one uniform
-per trial for its class.  Each ``haar_unitaries`` call for a batch of B
+V in every other "different" stream; U alone for "equal"), then, for a test
+state of rank above 1 that takes the Born kernel (every mixed state but the
+labeled invariant ones), one multinomial of the batch size over its
+components, then one uniform per trial for its class, component by
+component.  Each ``haar_unitaries`` call for a batch of B
 d x d unitaries draws d (d + 1) B standard normals, a complex Gaussian in
 C^k per unitary for k = 1..d.  The "equal" shard of an invariant state
 draws one multinomial instead, over its classes of nonzero probability.
-The batch size, these draws, the Haar construction, the invariance test
-and the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
-change to any of them changes the counts and needs a new format version.
+The batch size, these draws, the Haar construction, the invariance test,
+the component order and the class order of ``outcome_class_index`` make up
+CAMPAIGN_FORMAT; a change to any of them changes the counts and needs a new
+format version.  Format 5 added the component multinomial: pure and
+invariant states count as in format 4, mixed states that take the Born
+kernel do not.
 
 Batch layout
 ------------
@@ -102,7 +126,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/4"
+CAMPAIGN_FORMAT = "qmeter.campaign/5"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -332,40 +356,48 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _born_table(us: Optional[np.ndarray], vs: np.ndarray,
-                weights: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
-    """Born table p[b, idx] = sum_r w_r |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi_r>|^2
-    over flat n-slot outcome records.
+def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
+                n: int) -> np.ndarray:
+    """Born table p[b, idx] = |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi>|^2
+    of one pure test state psi over flat n-slot outcome records.
 
     Each device's n/2 slots become one Kronecker power (_device_kron), and
-    psi_r, reshaped to D x D with D = d^(n/2), contracts with the two halves
-    in turn, one outcome J of device A at a time.  The batch is the
+    psi, reshaped to D x D with D = d^(n/2), contracts with the two halves
+    in turn, one outcome J of device A at a time.  Only the support of psi
+    enters: the sums run over the rows M and columns N of psi that hold a
+    nonzero entry, and with device A in the computational basis over the
+    nonzero entries of row J.  The terms left out are exact zeros and the
+    sums keep the M-then-N order of the dense contraction, so every entry is
+    bitwise the dense one; the paper's test states are sparse (kappa_2 has
+    2 nonzero entries of 16, in 2 rows and 2 columns).  The batch is the
     innermost axis throughout, so every step is a vector operation over
-    device pairs, with no BLAS call.  Working per J keeps every intermediate
-    at (D, size), D times smaller than a whole (D, D, size) layer, so the
-    working set stays in cache and the heap reuses it from batch to batch
-    instead of returning it to the OS and faulting it back in.  The result
-    is the (size, d^n) transposed view of a category-first array.
+    device pairs, with no BLAS call, and every intermediate is at most
+    (D, size), which keeps the working set in cache.  The result is the
+    (size, d^n) transposed view of a category-first array.
 
     ``us`` None stands for device A measuring in the computational basis:
     its Kronecker power is the identity, so the first contraction is row J
-    of psi_r itself.
+    of psi itself.
     """
     kb = _device_kron(vs, n // 2)
     ka = None if us is None else kb if us is vs else _device_kron(us, n // 2)
     dim, size = kb.shape[0], kb.shape[2]
+    psi = psi.reshape(dim, dim)
+    rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
+    sub = psi[np.ix_(rows, cols)][:, :, None]
     p = np.zeros((dim, dim, size))
-    for w, vec in zip(weights, vecs):
-        psi = vec.reshape(dim, dim)
-        for j in range(dim):
-            if ka is None:
-                half = psi[j, :, None]
-            else:
-                # half[N, b] = sum_M psi[M, N] ka[M, j, b]
-                half = _contract(psi[:, :, None], ka[:, j, None, :])
+    for j in range(dim):
+        if ka is None:
+            live = np.flatnonzero(psi[j])
+            halves = psi[j, live, None, None]
+        else:
+            # half[N, b] = sum_M psi[M, N] ka[M, j, b]
+            live = cols
+            halves = _contract(sub, [ka[m, j] for m in rows])
+        if live.size:
             # amp[K, b] = sum_N half[N, b] kb[N, K, b]
-            amp = _contract(half[:, None, :], kb)
-            p[j] += w * (amp.real ** 2 + amp.imag ** 2)
+            amp = _contract(halves, [kb[c] for c in live])
+            p[j] = amp.real ** 2 + amp.imag ** 2
     return p.reshape(dim * dim, size).T
 
 
@@ -448,8 +480,9 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     """Simulate one shard and return its outcome-class counts.
 
     `task` = (kind, d, truth, invariant, weights, vecs, seed, shard, count),
-    where `invariant` says that the test state commutes with every U^(x)n
-    (see the module docstring).  Deterministic in (seed, truth, shard) alone.
+    where (weights, vecs) are the test state's pure components and
+    `invariant` says that it commutes with every U^(x)n (see the module
+    docstring).  Deterministic in (seed, truth, shard) alone.
     """
     kind, d, truth, invariant, weights, vecs, seed, shard, count = task
     seq = np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard))
@@ -469,17 +502,30 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
             return dict(zip(scen.classes, counts.tolist()))
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
-        if not invariant:
-            us = haar_unitaries(d, step, gen)
-            vs = haar_unitaries(d, step, gen) if truth == "different" else us
-            p = _born_table(us, vs, weights, vecs, scen.slots)
-        elif kind == "labeled":
+        if invariant and kind == "labeled":
             # alpha = <01|rho|01> and alpha + beta = <00|rho|00>
             p = _labeled_probs_invariant(haar_unitaries(d, step, gen),
                                          diag[1], diag[0] - diag[1])
+            counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
+            continue
+        if invariant:
+            us, vs = None, haar_unitaries(d, step, gen)
         else:
-            p = _born_table(None, haar_unitaries(d, step, gen), weights, vecs, scen.slots)
-        counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
+            us = haar_unitaries(d, step, gen)
+            vs = haar_unitaries(d, step, gen) if truth == "different" else us
+        # each trial prepares one pure component (module docstring)
+        parts = gen.multinomial(step, weights / weights.sum()) if len(vecs) > 1 else (step,)
+        lo = 0
+        for vec, k in zip(vecs, parts):
+            if k:
+                a = None if us is None else us[lo:lo + k]
+                b = a if vs is us else vs[lo:lo + k]
+                p = _born_table(a, b, vec, scen.slots)
+                counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
+                lo += k
+                # the views would keep this batch's unitaries alive through
+                # the next batch's Haar draws, which then take fresh pages
+                del a, b
     return dict(zip(scen.classes, counts.tolist()))
 
 

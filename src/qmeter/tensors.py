@@ -14,10 +14,13 @@ support_projector, rank and the twirl's pseudo-inverse, and a Born row must
 sum to 1 within it.  The certificate follows from them.  The support S_c of
 a class's equal-device operator contains U P_c U^dag for every unitary U, so
 in any single trial the class has equal-device probability at most
-leak_c = tr(rho_+ S_c), rho_+ the positive part of the state.  A class is
-conclusive iff leak_c <= TOL_ABS/2 and its different-device probability
-exceeds TOL_ABS; the half leaves room for rounding in the Born kernel, so
-every Born entry of a conclusive class is clamped to an exact zero.
+leak_c = tr(C S_c), where C is the positive part of the state with every
+weight above TOL_ABS raised to at least 1; the raise makes leak_c bound
+each pure component that a simulated trial may prepare as well as the
+state itself.  A class is conclusive iff leak_c <= TOL_ABS/2 and its
+different-device probability exceeds TOL_ABS; the half leaves room for
+rounding in the Born kernel, so every Born entry of a conclusive class is
+clamped to an exact zero.
 """
 from __future__ import annotations
 

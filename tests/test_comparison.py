@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmeter import (
+    CampaignConfig,
     DimensionMismatchError,
     InvalidObservableError,
     InvalidStateError,
@@ -30,6 +31,7 @@ from qmeter import (
     optimal_test_state,
     pairwise_success_angle,
     rank,
+    run_campaign,
     run_labeled_trial,
     singlet_pairing_state,
     unlabeled_operators,
@@ -51,6 +53,21 @@ def test_scenario_validation():
     assert isinstance(exc.value, QmeterError)
     assert Scenario("labeled", 4).slots == 2
     assert Scenario("unlabeled").slots == 4
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 3.0, "3", None])
+def test_scenario_dimension_must_be_an_integer(bad):
+    # a float or bool dimension once reached run_campaign and died there
+    # with a raw TypeError
+    with pytest.raises(QmeterError):
+        Scenario("labeled", bad)
+
+
+def test_scenario_accepts_a_numpy_integer_dimension():
+    scen = Scenario("labeled", np.int64(3))
+    assert scen.dim == 3 and type(scen.dim) is int
+    doc = run_campaign(CampaignConfig(scen, trials=10, seed=1)).to_json_dict()
+    assert doc["scenario"] == {"kind": "labeled", "dim": 3}
 
 
 def test_observable_requires_unitary_basis():

@@ -15,6 +15,7 @@ from qmeter import (
     Scenario,
     TOL_ABS,
     TestState,
+    Vector,
     Verdict,
     basis_family,
     conclusive_classes,
@@ -28,6 +29,7 @@ from qmeter import (
     run_campaign,
     run_labeled_trial,
     run_unlabeled_trial,
+    singlet_pairing_state,
     swap,
     sweep_theta,
     sweep_to_csv,
@@ -37,6 +39,7 @@ from qmeter import (
 from qmeter import simulate
 from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
 from qmeter.haar import haar_unitaries
+from qmeter.comparison import _outcome_table
 from qmeter.simulate import (
     SHARD_SIZE,
     _born_table,
@@ -48,6 +51,12 @@ from qmeter.simulate import (
 )
 
 SCHEMA_PATH = "docs/campaign_result.schema.json"
+
+
+def _mixture_table(us, vs, state: TestState, n: int) -> np.ndarray:
+    """The Born table of a mixed state: its pure components' tables, weighted."""
+    weights, vecs = state.pure_components()
+    return sum(w * _born_table(us, vs, vec, n) for w, vec in zip(weights, vecs))
 
 
 # --- config validation --------------------------------------------------------
@@ -301,14 +310,15 @@ def test_fast_antisymmetric_path_equals_generic():
     # that shard's stream through it must give the same counts.  With equal
     # devices both paths put every trial in class "diff".
     d, trials = 3, 4000
-    w, v = TestState.antisymmetric(d).pure_components()
+    state = TestState.antisymmetric(d)
+    w, v = state.pure_components()
     for invariant in (False, True):
         equal = _shard_counts(("labeled", d, "equal", invariant, w, v, 99, 0, trials))
         assert equal == {"same": 0, "diff": trials}
     fast = _shard_counts(("labeled", d, "different", True, w, v, 99, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
     ws = haar_unitaries(d, trials, gen)  # one batch: trials < _SUBCHUNK
-    table = _born_table(np.broadcast_to(np.eye(d), ws.shape), ws, w, v, 2)
+    table = _mixture_table(np.broadcast_to(np.eye(d), ws.shape), ws, state, 2)
     drawn = _sample_rows(table, gen, outcome_class_index(2, d))
     assert fast == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
 
@@ -354,10 +364,34 @@ def _kappa_mixture_file(tmp_path) -> str:
     return str(path)
 
 
+def _antisymmetric_mixture(d: int, weights, seed: int) -> TestState:
+    # a mixture of random antisymmetric vectors: certified for class "same",
+    # and not invariant while its rank is below d(d-1)/2
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(len(weights), d, d)) + 1j * rng.normal(size=(len(weights), d, d))
+    vecs = (x - x.transpose(0, 2, 1)).reshape(len(weights), -1)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    rho = np.einsum("r,ri,rj->ij", np.asarray(weights), vecs, vecs.conj())
+    return TestState.from_matrix(rho, d, 2)
+
+
+def _antisymmetric_mixture_file(tmp_path) -> str:
+    path = tmp_path / "anti_mix4.npy"
+    np.save(path, _antisymmetric_mixture(4, (0.5, 0.3, 0.2), 404).rho.mat)
+    return str(path)
+
+
+def _dense_mixture_file(tmp_path) -> str:
+    path = tmp_path / "dense_mix.npy"
+    np.save(path, _random_mixed_state(2, 4, 3, np.random.default_rng(505)).rho.mat)
+    return str(path)
+
+
 def test_two_shard_class_counts_are_pinned(tmp_path):
-    # exact counts of two-shard campaigns in format qmeter.campaign/4; any
-    # change to the random streams, the Born kernels, the sampler or the
-    # outcome-to-class map shows up here
+    # exact counts of two-shard campaigns of pure and invariant states, the
+    # same in formats qmeter.campaign/4 and /5; any change to the random
+    # streams, the Born kernels, the sampler or the outcome-to-class map
+    # shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22802, "diff": 45734},
@@ -383,6 +417,63 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
         res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000,
                                           seed=2024, test_state=spec))
         assert {t: dict(r.class_counts) for t, r in res.results.items()} == counts
+
+
+def test_mixed_state_class_counts_are_pinned(tmp_path):
+    # exact counts of two-shard campaigns of mixed, non-invariant states in
+    # format qmeter.campaign/5, where each trial prepares one pure component
+    expected = {
+        ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
+            "different": {"same_same": 30398, "same_diff": 15320, "diff_same": 15242,
+                          "diff_diff": 7576},
+            "equal": {"same_same": 22676, "same_diff": 23113, "diff_same": 22747,
+                      "diff_diff": 0}},
+        ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
+            "different": {"same": 17264, "diff": 51272},
+            "equal": {"same": 0, "diff": 68536}},
+    }
+    for (kind, dim, spec), counts in expected.items():
+        res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000,
+                                          seed=2024, test_state=spec))
+        assert {t: dict(r.class_counts) for t, r in res.results.items()} == counts
+
+
+def test_a_mixed_shard_prepares_one_component_per_trial():
+    # after its Haar unitaries a batch draws one multinomial over the
+    # components, gives them contiguous sub-batches in pure_components order
+    # and samples each from its own pure table; replaying that stream by
+    # hand gives the shard's counts
+    state = _antisymmetric_mixture(3, (0.7, 0.3), 8)
+    w, v = state.pure_components()
+    assert len(w) == 2
+    trials, cls_of = 3000, outcome_class_index(2, 3)
+    counts = _shard_counts(("labeled", 3, "different", False, w, v, 12, 0, trials))
+    gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(0, 0)))
+    us, vs = haar_unitaries(3, trials, gen), haar_unitaries(3, trials, gen)
+    parts = gen.multinomial(trials, w / w.sum())
+    drawn, lo = [], 0
+    for vec, k in zip(v, parts):
+        table = _born_table(us[lo:lo + k], vs[lo:lo + k], vec, 2)
+        drawn.append(_sample_rows(table, gen, cls_of))
+        lo += k
+    assert counts == dict(zip(("same", "diff"),
+                              np.bincount(np.concatenate(drawn), minlength=2).tolist()))
+
+
+def test_a_certified_mixed_state_never_reports_equal_devices_different():
+    # each trial prepares one pure component, and every component of a
+    # certified state keeps its own equal-device leak below TOL_ABS/2
+    state = _antisymmetric_mixture(3, (0.6, 0.4), 31)
+    assert not _is_invariant(state.rho)
+    scen = Scenario("labeled", 3)
+    assert conclusive_classes(scen, state) == ("same",)
+    w, v = state.pure_components()
+    assert len(w) == 2
+    trials = 2 * SHARD_SIZE
+    counts = [_shard_counts(("labeled", 3, "equal", False, w, v, 77, shard, SHARD_SIZE))
+              for shard in range(trials // SHARD_SIZE)]
+    assert sum(c["diff"] for c in counts) == trials
+    assert sum(c["same"] for c in counts) == 0
 
 
 def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
@@ -427,10 +518,9 @@ def test_invariant_born_table_depends_on_w_alone(kind, d):
         shortcut = _labeled_probs_invariant(ws, alpha, beta)
     else:
         state = optimal_test_state(Scenario(kind, d))
-        shortcut = _born_table(None, ws, *state.pure_components(), 4)
+        shortcut = _born_table(None, ws, state.pure_components()[1][0], 4)
     n = 2 if kind == "labeled" else 4
-    assert_allclose(shortcut, _born_table(us, vs, *state.pure_components(), n),
-                    rtol=0, atol=1e-12)
+    assert_allclose(shortcut, _mixture_table(us, vs, state, n), rtol=0, atol=1e-12)
 
 
 def test_invariant_equal_shard_draws_no_device(monkeypatch):
@@ -464,11 +554,11 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
     assert not batch_last[0].flags.c_contiguous
     pairs = [(Observable(u), Observable(v)) for u, v in zip(*batch_last)]
     for us, vs in (batch_last, tuple(np.ascontiguousarray(x) for x in batch_last)):
-        table = _born_table(us, vs, *state.pure_components(), n)
+        table = _mixture_table(us, vs, state, n)
         for row, (a, b) in zip(table, pairs):
             assert_allclose(row, oracle(a, b, state).reshape(-1), rtol=0, atol=1e-12)
         # equal devices: the kernel reuses one device half for both
-        for row, (a, _) in zip(_born_table(us, us, *state.pure_components(), n), pairs):
+        for row, (a, _) in zip(_mixture_table(us, us, state, n), pairs):
             assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
         if kind == "labeled":
             # the closed form takes W = A^dag B alone; the antisymmetric state
@@ -480,12 +570,45 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
                 assert_allclose(row, oracle(a, b, anti).reshape(-1), rtol=0, atol=1e-12)
 
 
+def _kernel_states():
+    """(id, d, n, psi): the paper's sparse states, a vector with a zero row
+    and a zero column, and dense random vectors."""
+    rng = np.random.default_rng(55)
+    anti3 = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
+    holes = np.array([[1, 2j, 0], [0, 0, 0], [3, -1j, 0]])  # row 1 and column 2 zero
+    out = [(f"kappa:{j}", 2, 4, kappa_state(j).pure_components()[1][0]) for j in (1, 2, 3)]
+    out += [("phi_q", 2, 4, singlet_pairing_state().vec), ("anti3", 3, 2, anti3.reshape(-1)),
+            ("holes", 3, 2, holes.reshape(-1))]
+    for d, n in ((2, 2), (3, 2), (4, 2), (2, 4)):
+        out.append((f"dense{d}^{n}", d, n,
+                    rng.normal(size=d ** n) + 1j * rng.normal(size=d ** n)))
+    return [(name, d, n, psi / np.linalg.norm(psi)) for name, d, n, psi in out]
+
+
+@pytest.mark.parametrize("name,d,n,psi", [pytest.param(*c, id=c[0]) for c in _kernel_states()])
+def test_born_table_matches_the_oracle_on_sparse_and_dense_states(name, d, n, psi):
+    # the kernel sums over the support of psi only; every entry must match
+    # the dense kron oracle, with device A Haar, the same device twice, and
+    # device A the computational basis (us=None)
+    rng = np.random.default_rng(len(name) + d)
+    us, vs = haar_unitaries(d, 8, rng), haar_unitaries(d, 8, rng)
+    state = TestState.pure(Vector(psi, d, n))
+    eye = Observable.computational(d)
+    for a_side, b_side in ((us, vs), (us, us), (None, vs)):
+        table = _born_table(a_side, b_side, psi, n)
+        for i, row in enumerate(table):
+            a = eye if a_side is None else Observable(a_side[i])
+            expected = _outcome_table(a, Observable(b_side[i]), state, n).reshape(-1)
+            assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+
 def test_sampling_in_row_blocks_keeps_the_stream():
     # one uniform per row, in row order, for categories and for classes:
     # consecutive row blocks draw what one call would
     gen = np.random.default_rng(31)
     us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
-    table = _born_table(us, vs, *optimal_test_state(Scenario("unlabeled", 2)).pure_components(), 4)
+    phi_q = optimal_test_state(Scenario("unlabeled", 2)).pure_components()[1][0]
+    table = _born_table(us, vs, phi_q, 4)
     for classes in (None, outcome_class_index(4, 2)):
         whole = _sample_rows(table, np.random.default_rng(7), classes)
         blocks = np.random.default_rng(7)
@@ -494,7 +617,8 @@ def test_sampling_in_row_blocks_keeps_the_stream():
 
 
 @pytest.mark.parametrize("kind,dim,spec", [
-    ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"),
+    ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"), ("unlabeled", 2, "dense_mix"),
+    ("labeled", 4, "anti_mix4"),
     # invariant states: one Haar W per "different" trial and one multinomial
     # per "equal" shard, for custom states too
     ("labeled", 3, "anti_proj3"), ("labeled", 3, "invariant_mix"),
@@ -507,7 +631,8 @@ def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     # sit within 5 standard errors of it (a zero-probability class exactly at 0)
     files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file,
              "anti_proj3": _antisymmetric_projector_file,
-             "invariant_mix": _invariant_mixture_file}
+             "invariant_mix": _invariant_mixture_file, "dense_mix": _dense_mixture_file,
+             "anti_mix4": _antisymmetric_mixture_file}
     path = files[spec](tmp_path) if spec in files else spec
     scen = Scenario(kind, dim)
     trials = 20000
@@ -562,9 +687,10 @@ def test_class_sampler_never_draws_a_conclusive_class(kind, dim, spec):
     scen = Scenario(kind, dim)
     state = resolve_test_state(spec, scen)
     us = haar_unitaries(dim, 2000, np.random.default_rng(8))
-    table = _born_table(us, us, *state.pure_components(), scen.slots)
-    drawn = _sample_rows(table, _TopOfRangeGenerator(), outcome_class_index(scen.slots, dim))
-    assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
+    for vec in state.pure_components()[1]:  # a trial prepares one component
+        table = _born_table(us, us, vec, scen.slots)
+        drawn = _sample_rows(table, _TopOfRangeGenerator(), outcome_class_index(scen.slots, dim))
+        assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
 
 
 # --- sweep ----------------------------------------------------------------------
