@@ -48,23 +48,7 @@ from .errors import (
     UnambiguityError,
     UnsupportedDimensionError,
 )
-from .haar import (
-    MomentOperator,
-    haar_state,
-    haar_states,
-    haar_unitaries,
-    haar_unitary,
-    mc_agrees,
-    mc_pair_split_moment,
-    mc_perp_moment,
-    mc_pure_moment,
-    mc_rbar,
-    perp_moment_operator,
-    pure_moment,
-    r_operator,
-    rbar,
-    twirl,
-)
+from .haar import haar_unitaries, haar_unitary, mc_agrees, mc_perp_moment, mc_twirl, twirl
 from .simulate import (
     CampaignConfig,
     CampaignResult,
@@ -117,9 +101,7 @@ __all__ = [
     "antisymmetrizer", "split_pairs", "pair_product", "phi_plus", "phi_minus",
     "basis_family",
     # haar
-    "MomentOperator", "pure_moment", "perp_moment_operator", "r_operator",
-    "rbar", "twirl", "haar_unitary", "haar_unitaries", "haar_state", "haar_states",
-    "mc_pure_moment", "mc_perp_moment", "mc_pair_split_moment", "mc_rbar",
+    "twirl", "mc_twirl", "haar_unitary", "haar_unitaries", "mc_perp_moment",
     "mc_agrees",
     # comparison
     "Scenario", "Observable", "TestState", "ClassOperators", "LabeledAverages",

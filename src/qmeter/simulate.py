@@ -161,6 +161,8 @@ class CampaignConfig:
         _check_int("seed", self.seed, 0)
         if self.ground_truth not in ("different", "equal", "both"):
             raise ConfigError(f"unknown ground truth {self.ground_truth!r}")
+        if not isinstance(self.test_state, str):
+            raise ConfigError(f"test_state must be a string, got {self.test_state!r}")
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -267,6 +269,11 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
         arr = np.load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read test state file {path!r}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):  # an .npz archive
+        arr.close()
+        raise ConfigError(f"test state file {path!r} must hold one array, not an archive")
+    if not np.issubdtype(arr.dtype, np.number):
+        raise ConfigError(f"test state file {path!r} holds {arr.dtype} values, not numbers")
     d, n = scenario.dim, scenario.slots
     dim = d ** n
     if arr.ndim == 1:

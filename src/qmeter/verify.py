@@ -6,6 +6,20 @@ value and the tolerance used.  The battery is the backing of the `verify`
 CLI command; `run_checks(phi_q=...)` allows substituting the optimal test
 state, which is used to demonstrate that a corrupted state makes the battery
 fail.
+
+The hand-derived closed forms of Haar moments live here, as oracles for the
+twirled operators (battery) and for haar.mc_twirl (acceptance gate):
+
+- pure_moment(k, d):    E[ (psi psi^dag)^(x)k ]            = P+_(1..k) / sym_dim(d, k)
+- perp_moment(psi, k):  E[ (phi phi^dag)^(x)k ] over Haar phi orthogonal to a
+                        fixed psi: (1/sym_dim(d-1, k)) (1 - psi psi^dag)^(x)k P+_(1..k)
+- r_operator(split, d): the four-slot combination
+                        P+_pair1/d2 + P+_1234/d4 - sum_q P+_(pair1+q)/d3
+                        whose product with P+_pair2 gives, up to the factor
+                        d(d-1)/2, the average of psi^(x)2 (x) psi_perp^(x)2
+- rbar(which, d):       two-slot averages of same/distinct outcome pairs:
+                        sum_j E[A_j (x) A_j] / d        = P+/d2
+                        sum_(j!=k) E[A_j (x) A_k] / d   = 1/d - P+/d2
 """
 from __future__ import annotations
 
@@ -33,9 +47,10 @@ from .comparison import (
     unlabeled_outcome_distribution,
     unlabeled_single_use_probability,
 )
-from .haar import perp_moment_operator, pure_moment, r_operator, rbar
-from .symmetry import basis_family, swap, sym_dim, symmetrizer
-from .tensors import Operator, Vector, basis_ket, identity, kron, rank, support_projector
+from .errors import DimensionMismatchError, InvalidStateError
+from .symmetry import basis_family, split_pairs, swap, sym_dim, symmetrizer
+from .tensors import (TOL_ABS, Operator, Vector, basis_ket, identity, kron, kron_arrays, rank,
+                      support_projector)
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,70 @@ class _Battery:
         ))
 
 
+# ------------------------------------------------ closed-form Haar moments
+
+def pure_moment(k: int, d: int) -> Operator:
+    """E[(psi psi^dag)^(x)k] over Haar psi: symmetrizer over k slots / sym_dim(d,k)."""
+    if k < 1 or d < 2:
+        raise DimensionMismatchError(f"pure_moment needs k >= 1 and d >= 2, got k={k}, d={d}")
+    return symmetrizer(range(1, k + 1), k, d) / sym_dim(d, k)
+
+
+def perp_moment(psi: Vector, k: int) -> Operator:
+    """E[(phi phi^dag)^(x)k] over Haar phi in the complement of psi.
+
+    The complement is (d-1)-dimensional, so the average is the symmetric
+    projector of the complement divided by sym_dim(d-1, k), which in the full
+    space reads (1/sym_dim(d-1,k)) (1-psi psi^dag)^(x)k P+_(1..k).
+    """
+    d = psi.d
+    if k < 1 or d < 2 or psi.n != 1:
+        raise DimensionMismatchError(f"perp moment needs k >= 1 and a single-slot psi with "
+                                     f"d >= 2, got k={k}, d={d}, n={psi.n}")
+    if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
+        raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
+    coeff = 1.0 / sym_dim(d - 1, k)
+    sym = symmetrizer(range(1, k + 1), k, d)
+    comp = np.eye(d) - np.outer(psi.vec, psi.vec.conj())
+    power = comp
+    for _ in range(k - 1):
+        power = kron_arrays(power, comp)
+    return Operator(coeff * power @ sym.mat, d, k)
+
+
+def r_operator(split: str, d: int) -> Operator:
+    """Four-slot moment combination attached to a pair split.
+
+    For split pair1-pair2,
+        R = P+_pair1/d2 + P+_1234/d4 - sum_(q in pair2) P+_(pair1 + q)/d3
+    with dk = sym_dim(d, k).  R commutes with P+_pair2 and
+    R P+_pair2 = (d(d-1)/2) E[psi^(x)2 on pair1 (x) phi^(x)2 on pair2]
+    with psi Haar and phi Haar-orthogonal to psi; its support is
+    P+_pair1 (x) P+_pair2.
+    """
+    pair1, pair2 = split_pairs(split)
+    d2, d3, d4 = sym_dim(d, 2), sym_dim(d, 3), sym_dim(d, 4)
+    acc = symmetrizer(pair1, 4, d) / d2 + symmetrizer(range(1, 5), 4, d) / d4
+    for q in pair2:
+        acc = acc - symmetrizer(sorted(pair1 + (q,)), 4, d) / d3
+    return acc
+
+
+def rbar(which: str, d: int) -> Operator:
+    """Two-slot outcome-pair averages over a Haar-random basis.
+
+    "same":     (1/d) sum_j E[A_j (x) A_j]      = P+/d2          (trace 1)
+    "diff":     (1/d) sum_(j!=k) E[A_j (x) A_k] = 1/d - P+/d2    (trace d-1)
+
+    The distinct-pair multiplicity d-1 stays inside the "diff" operator, so
+    completeness reads  d rbar(same) + d rbar(diff) = identity  for every d.
+    """
+    if which not in ("same", "diff"):
+        raise DimensionMismatchError(f'rbar kind must be "same" or "diff", got {which!r}')
+    sym = symmetrizer((1, 2), 2, d) / sym_dim(d, 2)
+    return sym if which == "same" else identity(d, 2) / d - sym
+
+
 def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     """Run the full analytic battery; returns one CheckResult per identity."""
     bat = _Battery()
@@ -117,17 +196,17 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     bat.maxdiff("S34 = S24 S23 S24", s34.mat, s24.mat @ s23.mat @ s24.mat, tol)
 
     # ---- moment operators
-    bat.maxdiff("pure_moment(1,2) = 1/2", pure_moment(1, 2).op.mat, np.eye(2) / 2, tol)
+    bat.maxdiff("pure_moment(1,2) = 1/2", pure_moment(1, 2).mat, np.eye(2) / 2, tol)
     bat.maxdiff("pure_moment(2,2) = P+/3",
-                pure_moment(2, 2).op.mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
-    bat.maxdiff("pure_moment(4,2) = P1234+/5", pure_moment(4, 2).op.mat, p1234.mat / 5, tol)
+                pure_moment(2, 2).mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
+    bat.maxdiff("pure_moment(4,2) = P1234+/5", pure_moment(4, 2).mat, p1234.mat / 5, tol)
     for k in (1, 2, 3, 4):
-        bat.close(f"trace pure_moment({k},2) = 1", pure_moment(k, 2).op.trace().real, 1.0, tol)
-    perp22 = perp_moment_operator(2, 2)(basis_ket((0,), 2))
+        bat.close(f"trace pure_moment({k},2) = 1", pure_moment(k, 2).trace().real, 1.0, tol)
+    perp22 = perp_moment(basis_ket((0,), 2), 2)
     e11 = np.zeros((4, 4))
     e11[3, 3] = 1.0
     bat.maxdiff("perp moment d=2: psi=|0> -> (|1><1|)^(x)2", perp22.mat, e11, tol)
-    perp32 = perp_moment_operator(2, 3)(basis_ket((0,), 3))
+    perp32 = perp_moment(basis_ket((0,), 3), 2)
     bat.close("perp moment d=3,k=2 has trace 1", perp32.trace().real, 1.0, tol)
     probe = np.zeros(9)
     probe[0] = 1.0  # |0 0> component: must be annihilated (support _|_ psi)
@@ -138,24 +217,24 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     r12 = r_operator("12-34", 2)
     r13 = r_operator("13-24", 2)
     r14 = r_operator("14-23", 2)
-    bat.maxdiff("R13-24 = S23 R12-34 S23", r13.op.mat, s23.mat @ r12.op.mat @ s23.mat, tol)
-    bat.maxdiff("R14-23 = S34 R13-24 S34", r14.op.mat, s34.mat @ r13.op.mat @ s34.mat, tol)
-    bat.maxdiff("[R12-34, P34+] = 0", r12.op.mat @ p34.mat, p34.mat @ r12.op.mat, tol)
-    rp = Operator(r12.op.mat @ p34.mat, 2, 4)
+    bat.maxdiff("R13-24 = S23 R12-34 S23", r13.mat, s23.mat @ r12.mat @ s23.mat, tol)
+    bat.maxdiff("R14-23 = S34 R13-24 S34", r14.mat, s34.mat @ r13.mat @ s34.mat, tol)
+    bat.maxdiff("[R12-34, P34+] = 0", r12.mat @ p34.mat, p34.mat @ r12.mat, tol)
+    rp = Operator(r12.mat @ p34.mat, 2, 4)
     bat.below("R12-34 P34+ is PSD", max(0.0, -float(np.min(np.linalg.eigvalsh(rp.mat)))), 1e-12)
     bat.maxdiff("support(R12-34 P34+) = P12+ (x) P34+", support_projector(rp).mat, p12x34.mat, tol_eig)
 
     # ---- rbar
-    rb_s = rbar("same", 2).op
-    rb_d = rbar("diff", 2).op
+    rb_s = rbar("same", 2)
+    rb_d = rbar("diff", 2)
     bat.maxdiff("rbar(same,2) = P+/3", rb_s.mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
     bat.maxdiff("rbar(diff,2) = 1/2 - P+/3",
                 rb_d.mat, np.eye(4) / 2 - symmetrizer((1, 2), 2, 2).mat / 3, tol)
     bat.maxdiff("2 rbar(same,2) + 2 rbar(diff,2) = 1", 2 * rb_s.mat + 2 * rb_d.mat, np.eye(4), tol)
     for d in (2, 3, 4):
-        comb = d * rbar("same", d).op.mat + d * rbar("diff", d).op.mat
+        comb = d * rbar("same", d).mat + d * rbar("diff", d).mat
         bat.maxdiff(f"d rbar(same) + d rbar(diff) = 1 (d={d})", comb, np.eye(d * d), tol)
-        bat.close(f"trace rbar(diff,{d}) = d-1", rbar("diff", d).op.trace().real, d - 1, tol)
+        bat.close(f"trace rbar(diff,{d}) = d-1", rbar("diff", d).trace().real, d - 1, tol)
 
     # ---- hypothesis operator families
     ops = unlabeled_operators(2)
@@ -175,15 +254,15 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
     p23, p24 = symmetrizer((2, 3), 4, 2).mat, symmetrizer((2, 4), 4, 2).mat
     p4 = p1234.mat
     for c, label, closed in (
-        ("same_same", "(2/5) P1234+ + 2 R12-34 P34+", 0.4 * p4 + 2 * r12.op.mat @ p34.mat),
+        ("same_same", "(2/5) P1234+ + 2 R12-34 P34+", 0.4 * p4 + 2 * r12.mat @ p34.mat),
         ("same_diff", "(P123+ + P124+)/2 - (4/5) P1234+", (p123.mat + p124.mat) / 2 - 0.8 * p4),
         ("diff_same", "(P134+ + P234+)/2 - (4/5) P1234+", (p134.mat + p234.mat) / 2 - 0.8 * p4),
-        ("diff_diff", "2 (R13-24 P24+ + R14-23 P23+)", 2 * (r13.op.mat @ p24 + r14.op.mat @ p23)),
+        ("diff_diff", "2 (R13-24 P24+ + R14-23 P23+)", 2 * (r13.mat @ p24 + r14.mat @ p23)),
     ):
         first, second = c.split("_")
         bat.maxdiff(f"O_{c} equal = {label}", ops[c].equal.mat, closed, tol)
         bat.maxdiff(f"O_{c} different = 4 rbar({first}) (x) rbar({second})", ops[c].different.mat,
-                    4 * kron(rbar(first, 2).op, rbar(second, 2).op).mat, tol)
+                    4 * kron(rbar(first, 2), rbar(second, 2)).mat, tol)
 
     # ---- no-error bases vs the named families
     phi = phi_q if phi_q is not None else singlet_pairing_state()
@@ -271,7 +350,7 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
         bat.maxdiff(f"labeled O_same, O_diff = d rbar (equal), 1/d, (d-1)/d (different) (d={d})",
                     [lab["same"].equal.mat, lab["diff"].equal.mat,
                      lab["same"].different.mat, lab["diff"].different.mat],
-                    [d * rbar("same", d).op.mat, d * rbar("diff", d).op.mat,
+                    [d * rbar("same", d).mat, d * rbar("diff", d).mat,
                      eye / d, eye * (d - 1) / d], tol)
     zx = labeled_fixed_pair_success(
         Observable.computational(2),

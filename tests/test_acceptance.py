@@ -20,17 +20,12 @@ from qmeter import (
     fixed_pair_class_probability,
     kappa_state,
     mc_agrees,
-    mc_pair_split_moment,
     mc_perp_moment,
-    mc_pure_moment,
-    mc_rbar,
+    mc_twirl,
     optimal_test_state,
+    outcome_class_index,
     pairwise_success_angle,
-    perp_moment_operator,
-    pure_moment,
-    r_operator,
     rank,
-    rbar,
     run_campaign,
     singlet_pairing_state,
     sweep_theta,
@@ -38,6 +33,7 @@ from qmeter import (
     unlabeled_operators,
 )
 from qmeter.tensors import Vector
+from qmeter.verify import perp_moment, pure_moment, r_operator, rbar
 
 MC_TRIALS = 1_000_000
 SWEEP_SHOTS = 100_000
@@ -204,25 +200,27 @@ def test_criterion_6_moment_oracles(capsys):
         if not ok:
             failures.append(f"{label} ({sigmas:.1f} SE)")
 
+    # 12 of the 14 are Haar twirls of diagonals: mc_twirl estimates them
     for d, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)]:
-        check(f"pure_moment(k={k},d={d})",
-              mc_pure_moment(k, d, MOMENT_SAMPLES, seed=6000 + 10 * d + k),
-              pure_moment(k, d).op.mat)
+        mean, se = mc_twirl(np.eye(1, d ** k), (k,), d, MOMENT_SAMPLES, seed=6000 + 10 * d + k)
+        check(f"pure_moment(k={k},d={d})", (mean[0], se[0]), pure_moment(k, d).mat)
     for d in (2, 3):
         psi = Vector(np.eye(d)[0], d, 1)
         check(f"perp_moment(k=2,d={d})",
               mc_perp_moment(psi, 2, MOMENT_SAMPLES, seed=6100 + d),
-              perp_moment_operator(2, d)(psi).mat)
+              perp_moment(psi, 2).mat)
     for split in ("12-34", "13-24", "14-23"):
+        # digit 0 on pair1, 1 on pair2: columns 0 and 1 of U are (psi, phi)
         pair2 = {"12-34": (3, 4), "13-24": (2, 4), "14-23": (2, 3)}[split]
-        target = (r_operator(split, 2).op @ symmetrizer(pair2, 4, 2)).mat
-        check(f"r_operator({split})",
-              mc_pair_split_moment(split, 2, MOMENT_SAMPLES, seed=6200), target)
+        ket = np.eye(1, 16, sum(2 ** (4 - q) for q in pair2))
+        mean, se = mc_twirl(ket, (4,), 2, MOMENT_SAMPLES, seed=6200)
+        check(f"r_operator({split})", (mean[0], se[0]),
+              (r_operator(split, 2) @ symmetrizer(pair2, 4, 2)).mat)
     for d in (2, 3):
-        for which in ("same", "diff"):
-            check(f"rbar({which},d={d})",
-                  mc_rbar(which, d, MOMENT_SAMPLES, seed=6300 + d),
-                  rbar(which, d).op.mat)
+        indicators = (outcome_class_index(2, d) == np.arange(2)[:, None]) / d
+        mean, se = mc_twirl(indicators, (2,), d, MOMENT_SAMPLES, seed=6300 + d)
+        for i, which in enumerate(("same", "diff")):
+            check(f"rbar({which},d={d})", (mean[i], se[i]), rbar(which, d).mat)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120.0
     detail = (f"14 operators x {MOMENT_SAMPLES} samples, worst dev {worst:.2f} SE "

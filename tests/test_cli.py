@@ -86,14 +86,19 @@ def test_simulate_rejects_unlabeled_qutrits(capsys):
     assert "qubits" in err
 
 
-def test_simulate_rejects_bad_state_file(capsys, tmp_path):
-    bad = tmp_path / "nope.npy"
+@pytest.mark.parametrize("kind", ["missing", "archive", "strings"])
+def test_simulate_rejects_bad_state_file(capsys, tmp_path, kind):
+    bad = tmp_path / ("nope.npz" if kind == "archive" else "nope.npy")
+    if kind == "archive":
+        np.savez(bad, state=np.eye(4)[0])
+    elif kind == "strings":
+        np.save(bad, np.array(["1", "0", "0", "0"]))
     code, _, err = run_cli([
         "simulate", "--scenario", "labeled", "--trials", "10",
-        "--seed", "1", "--test-state", str(bad),
+        "--seed", "1", "--workers", "1", "--test-state", str(bad),
     ], capsys)
     assert code == 2
-    assert "test state" in err or "nope.npy" in err
+    assert "test state" in err or "nope.np" in err
 
 
 def test_simulate_rejects_non_finite_state_file(capsys, tmp_path):

@@ -6,27 +6,25 @@ from numpy.testing import assert_allclose
 
 from qmeter import (
     TOL_RANK,
+    ConfigError,
+    DimensionMismatchError,
+    Vector,
     basis_ket,
-    haar_state,
-    haar_states,
     haar_unitaries,
     haar_unitary,
+    labeled_class_operators,
     mc_agrees,
-    mc_pair_split_moment,
     mc_perp_moment,
-    mc_pure_moment,
-    mc_rbar,
+    mc_twirl,
     outcome_class_index,
     perm_operator,
-    pure_moment,
-    perp_moment_operator,
-    r_operator,
-    rbar,
     swap,
     symmetrizer,
     twirl,
+    unlabeled_operators,
 )
 from qmeter.haar import _MatrixMean
+from qmeter.verify import perp_moment, pure_moment, r_operator, rbar
 
 SEED = 20240817
 
@@ -39,7 +37,7 @@ def test_twirl_of_corner_is_pure_moment(k, d):
     # U^(x)k |0...0> is (U|0>)^(x)k with U|0> Haar: the k-th pure moment,
     # also for d < k where the slot permutations are linearly dependent
     corner = np.eye(1, d ** k)
-    assert_allclose(twirl(corner, (k,), d)[0], pure_moment(k, d).op.mat, atol=1e-12)
+    assert_allclose(twirl(corner, (k,), d)[0], pure_moment(k, d).mat, atol=1e-12)
 
 
 def test_twirl_over_independent_blocks_factorizes():
@@ -47,7 +45,7 @@ def test_twirl_over_independent_blocks_factorizes():
     # the product of the blockwise twirls
     corner = np.eye(1, 16)
     assert_allclose(twirl(corner, (2, 2), 2)[0],
-                    np.kron(pure_moment(2, 2).op.mat, pure_moment(2, 2).op.mat), atol=1e-12)
+                    np.kron(pure_moment(2, 2).mat, pure_moment(2, 2).mat), atol=1e-12)
 
 
 def _dense_stack_twirl(diagonals, blocks, d):
@@ -80,7 +78,7 @@ def test_twirl_matches_dense_permutation_stack(n, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_first_moment_is_maximally_mixed(d):
-    assert_allclose(pure_moment(1, d).op.mat, np.eye(d) / d, atol=1e-12)
+    assert_allclose(pure_moment(1, d).mat, np.eye(d) / d, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -88,22 +86,21 @@ def test_pure_moment_is_normalized_symmetrizer(d, k):
     m = pure_moment(k, d)
     sym = symmetrizer(tuple(range(1, k + 1)), k, d)
     dim = round(sym.trace().real)
-    assert_allclose(m.op.mat, sym.mat / dim, atol=1e-12)
-    assert m.op.trace().real == pytest.approx(1.0)
+    assert_allclose(m.mat, sym.mat / dim, atol=1e-12)
+    assert m.trace().real == pytest.approx(1.0)
 
 
 def test_perp_moment_qubit_collapses_to_orthogonal_state():
     # for qubits the complement of psi is a single state
-    m = perp_moment_operator(3, 2)(basis_ket((0,), 2))
+    m = perp_moment(basis_ket((0,), 2), 3)
     expected = np.zeros((8, 8))
     expected[7, 7] = 1.0
     assert_allclose(m.mat, expected, atol=1e-12)
 
 
 def test_perp_moment_support_avoids_psi():
-    from qmeter import Vector
-    psi = Vector(haar_state(3, np.random.default_rng(1)), 3, 1)
-    m = perp_moment_operator(2, 3)(psi)
+    psi = Vector(haar_unitary(3, np.random.default_rng(1))[:, 0], 3, 1)
+    m = perp_moment(psi, 2)
     # acting on anything containing |psi> in either slot gives zero
     probe = np.kron(psi.vec.reshape(3, 1), np.eye(3))  # columns |psi> (x) |e_j>
     assert np.max(np.abs(m.mat @ probe)) < 1e-12
@@ -112,20 +109,20 @@ def test_perp_moment_support_avoids_psi():
 
 def test_r_operator_split_conjugation():
     s23 = swap(2, 3, 4, 2).mat
-    r12 = r_operator("12-34", 2).op.mat
-    r13 = r_operator("13-24", 2).op.mat
+    r12 = r_operator("12-34", 2).mat
+    r13 = r_operator("13-24", 2).mat
     assert_allclose(r13, s23 @ r12 @ s23, atol=1e-12)
 
 
 def test_rbar_closed_forms_qubit():
     p = symmetrizer((1, 2), 2, 2).mat
-    assert_allclose(rbar("same", 2).op.mat, p / 3, atol=1e-12)
-    assert_allclose(rbar("diff", 2).op.mat, np.eye(4) / 2 - p / 3, atol=1e-12)
+    assert_allclose(rbar("same", 2).mat, p / 3, atol=1e-12)
+    assert_allclose(rbar("diff", 2).mat, np.eye(4) / 2 - p / 3, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_rbar_completeness(d):
-    total = d * rbar("same", d).op.mat + d * rbar("diff", d).op.mat
+    total = d * rbar("same", d).mat + d * rbar("diff", d).mat
     assert_allclose(total, np.eye(d * d), atol=1e-12)
 
 
@@ -181,8 +178,8 @@ def test_haar_unitaries_follow_the_haar_law(d):
     gen = np.random.default_rng(SEED + d)
     diag = gen.normal(size=d * d)
     target = twirl(diag[None], (2,), d)[0]
-    first, square, det, second = (_MatrixMean(d), _MatrixMean(d), _MatrixMean(1),
-                                  _MatrixMean(d * d))
+    first, square, det, second = (_MatrixMean((d, d)), _MatrixMean((d, d)), _MatrixMean((1, 1)),
+                                  _MatrixMean((d * d, d * d)))
     for _ in range(10):
         us = haar_unitaries(d, 2000, gen)
         first.add(us)
@@ -230,20 +227,7 @@ def test_haar_unitaries_survive_a_zero_leading_entry(d):
     assert np.all(np.isfinite(us)) and np.max(np.abs(err)) <= 1e-13
 
 
-def test_haar_states_normalized():
-    vs = haar_states(4, 50, np.random.default_rng(3))
-    assert vs.shape == (50, 4)
-    assert_allclose(np.sum(np.abs(vs) ** 2, axis=1), np.ones(50), atol=1e-12)
-
-
-def test_haar_state_first_moment():
-    rng = np.random.default_rng(SEED)
-    vs = haar_states(2, 40000, rng)
-    est = np.einsum("bi,bj->ij", vs, vs.conj()) / len(vs)
-    assert_allclose(est, np.eye(2) / 2, atol=0.02)
-
-
-# --- Monte Carlo estimators vs closed forms ---------------------------------
+# --- Monte Carlo twirl vs closed forms and twirl ----------------------------
 
 def _assert_moment_agrees(mean, se, target):
     ok, worst = mc_agrees(mean, se, target, nsig=5.0)
@@ -252,44 +236,80 @@ def _assert_moment_agrees(mean, se, target):
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 4), (3, 2)])
 def test_mc_pure_moment(d, k):
-    mean, se = mc_pure_moment(k, d, samples=20000, seed=SEED)
-    _assert_moment_agrees(mean, se, pure_moment(k, d).op.mat)
+    # the corner ket |0...0> under U^(x)k is (U|0>)^(x)k with U|0> Haar
+    mean, se = mc_twirl(np.eye(1, d ** k), (k,), d, samples=20000, seed=SEED)
+    _assert_moment_agrees(mean, se, pure_moment(k, d).mat)
 
 
 def test_mc_perp_moment():
-    from qmeter import Vector
-    psi = Vector(haar_state(2, np.random.default_rng(8)), 2, 1)
+    psi = Vector(haar_unitary(2, np.random.default_rng(8))[:, 0], 2, 1)
     mean, se = mc_perp_moment(psi, 2, samples=20000, seed=SEED)
-    _assert_moment_agrees(mean, se, perp_moment_operator(2, 2)(psi).mat)
+    _assert_moment_agrees(mean, se, perp_moment(psi, 2).mat)
 
 
 def test_mc_perp_moment_rejects_a_nan_state():
     # NaN passes the comparison "|norm - 1| > tol"; the guard must still fail
-    from qmeter import InvalidStateError, Vector
+    from qmeter import InvalidStateError
     with pytest.raises(InvalidStateError):
         mc_perp_moment(Vector(np.array([np.nan, 0.0]), 2, 1), 2, samples=10, seed=SEED)
 
 
 def test_mc_pair_split_moment():
-    mean, se = mc_pair_split_moment("12-34", 2, samples=20000, seed=SEED)
-    target = r_operator("12-34", 2).op.mat @ symmetrizer((3, 4), 4, 2).mat * (2 / (2 * 1))
+    # columns 0 and 1 of a Haar U have the joint law of (psi, phi), phi
+    # Haar-orthogonal to psi: |0011> under U^(x)4 is psi psi on 12, phi phi on 34
+    mean, se = mc_twirl(basis_ket((0, 0, 1, 1), 2).vec.real[None], (4,), 2,
+                        samples=20000, seed=SEED)
+    target = r_operator("12-34", 2).mat @ symmetrizer((3, 4), 4, 2).mat * (2 / (2 * 1))
     _assert_moment_agrees(mean, se, target)
 
 
 @pytest.mark.parametrize("which", ["same", "diff"])
 def test_mc_rbar(which):
-    mean, se = mc_rbar(which, 2, samples=20000, seed=SEED)
-    _assert_moment_agrees(mean, se, rbar(which, 2).op.mat)
+    indicator = outcome_class_index(2, 2) == ("same", "diff").index(which)
+    mean, se = mc_twirl(indicator[None] / 2, (2,), 2, samples=20000, seed=SEED)
+    _assert_moment_agrees(mean, se, rbar(which, 2).mat)
 
 
-def test_mc_estimators_are_reproducible():
-    a = mc_pure_moment(2, 2, samples=5000, seed=123)
-    b = mc_pure_moment(2, 2, samples=5000, seed=123)
-    assert_allclose(a[0], b[0])
-    assert_allclose(a[1], b[1])
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2)])
+def test_mc_twirl_matches_class_operators(n, d):
+    # every class operator, equal (one basis) and different (two bases)
+    ops = labeled_class_operators(d) if n == 2 else unlabeled_operators(d)
+    classes = outcome_class_index(n, d)
+    indicators = (classes == np.arange(len(ops))[:, None]).astype(float)
+    for blocks, hyp in (((n,), "equal"), ((n // 2, n // 2), "different")):
+        mean, se = mc_twirl(indicators, blocks, d, samples=20000, seed=SEED + 10 * n + d)
+        _assert_moment_agrees(mean, se, np.array([getattr(c, hyp).mat for c in ops.values()]))
+
+
+@pytest.mark.parametrize("k,d", [(2, 3), (4, 2)])
+def test_mc_twirl_matches_twirl_on_random_diagonals(k, d):
+    diagonals = np.random.default_rng(k * 10 + d).normal(size=(3, d ** k))
+    diagonals[1, ::2] = 0.0  # the rows have different supports
+    diagonals[2] = 0.0
+    for blocks in ((k,), (k // 2, k // 2)):
+        mean, se = mc_twirl(diagonals, blocks, d, samples=20000, seed=SEED + k)
+        _assert_moment_agrees(mean, se, twirl(diagonals, blocks, d))
+
+
+def test_mc_twirl_is_reproducible():
+    diagonals = np.random.default_rng(3).normal(size=(2, 16))
+    a = mc_twirl(diagonals, (2, 2), 2, samples=5000, seed=123)
+    b = mc_twirl(diagonals, (2, 2), 2, samples=5000, seed=123)
+    assert_allclose(a[0], b[0], rtol=0, atol=0)
+    assert_allclose(a[1], b[1], rtol=0, atol=0)
+
+
+def test_mc_twirl_rejects_bad_input():
+    with pytest.raises(DimensionMismatchError):
+        mc_twirl(np.ones((1, 8)), (2,), 2, samples=10, seed=SEED)
+    for samples in (0, -5, 2.5):  # zero samples gave a NaN mean and no error
+        with pytest.raises(ConfigError):
+            mc_twirl(np.ones((1, 4)), (2,), 2, samples=samples, seed=SEED)
+        with pytest.raises(ConfigError):
+            mc_perp_moment(Vector(np.array([1.0, 0.0]), 2, 1), 2, samples=samples, seed=SEED)
 
 
 def test_mc_agrees_rejects_bad_target():
-    mean, se = mc_pure_moment(2, 2, samples=5000, seed=5)
+    mean, se = mc_twirl(np.eye(1, 4), (2,), 2, samples=5000, seed=5)
     ok, _ = mc_agrees(mean, se, np.eye(4) / 4, nsig=5.0)
     assert not ok

@@ -75,7 +75,7 @@ def test_config_rejects_bad_values():
         CampaignConfig(scen, trials=10, seed=1, workers=0)
     # counts and seeds are integers, and a bool is not one
     for bad in ({"trials": 2.5}, {"trials": True}, {"workers": 2.5}, {"workers": True},
-                {"seed": 1.0}, {"trials": "10"}):
+                {"seed": 1.0}, {"trials": "10"}, {"test_state": None}, {"test_state": 3}):
         with pytest.raises(ConfigError):
             CampaignConfig(scen, **{"trials": 10, "seed": 1, **bad})
     cfg = CampaignConfig(scen, trials=np.int64(10), seed=np.uint32(1), workers=np.int8(1))
