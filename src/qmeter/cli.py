@@ -31,7 +31,7 @@ CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_trut
 #: campaign formats `report` reads; they differ in the random stream behind
 #: the counts, not in the document layout
 REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
-                  "qmeter.campaign/4", CAMPAIGN_FORMAT)
+                  "qmeter.campaign/4", "qmeter.campaign/5", CAMPAIGN_FORMAT)
 
 
 def _env_seed() -> Optional[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -153,12 +153,23 @@ class TestState:
     def n(self) -> int:
         return self.rho.n
 
+    @cached_property
+    def _eigen(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The one eigendecomposition (w, v) of rho, eigenvectors as columns,
+        with every eigenvector entry at or below TOL_ABS in magnitude set to
+        zero: the roundoff that eigh leaves in structural zeros.  Both the
+        simulated components (pure_components) and the certificate that
+        bounds them (_leaks) read it."""
+        w, v = np.linalg.eigh(self.rho.mat)
+        v[np.abs(v) <= TOL_ABS] = 0.0
+        return w, v
+
     def pure_components(self) -> Tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition (weights, vectors) keeping weights > TOL_ABS.
 
         vectors has shape (r, dim) with row r the eigenvector of weight r.
         """
-        w, v = np.linalg.eigh(self.rho.mat)
+        w, v = self._eigen
         keep = w > TOL_ABS
         return w[keep], v[:, keep].T
 
@@ -438,8 +449,9 @@ def _leaks(ops: Mapping[str, ClassOperators], state: TestState) -> Mapping[str, 
     operator and cover the positive part of the state with every weight
     above TOL_ABS raised to at least 1: an upper bound on the class's
     equal-device probability in any single trial, both of rho itself and of
-    each pure component that a simulated trial prepares (pure_components)."""
-    w, v = np.linalg.eigh(state.rho.mat)
+    each pure component that a simulated trial prepares (pure_components),
+    from the same decomposition."""
+    w, v = state._eigen
     lift = np.where(w > TOL_ABS, np.maximum(w, 1.0), np.maximum(w, 0.0))
     cover = (v * lift) @ v.conj().T
     return {name: float(np.vdot(cls.support_equal.mat, cover).real)

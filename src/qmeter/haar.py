@@ -17,7 +17,7 @@ U_k for every fixed unitary W.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,32 +86,46 @@ def rng_from(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def haar_vectors(d: int, size: int, rng: RngLike = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stack of `size` uniform unit vectors in C^d, as a (d, size) array with
+    the batch last: column b is vector b.
+
+    One standard_normal call fills the float64 view of the complex buffer
+    (real and imaginary parts interleaved), 2 d size normals, and each
+    column is divided by its norm; a normalized complex Gaussian is
+    uniform on the unit sphere.  Every row of a Haar unitary has this law,
+    and so does every column.  Given `out`, a C-contiguous complex128
+    (d, size) array, the vectors are written into it and it is returned.
+    """
+    x = np.empty((d, size), dtype=np.complex128) if out is None else out
+    rng_from(rng).standard_normal(out=x.view(np.float64))
+    x *= 1.0 / np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=0))
+    return x
+
+
 def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     """Stack of `size` Haar-random d x d unitaries, as a (size, d, d) array.
 
     Built from the bottom-right corner up by the subgroup algorithm (module
-    docstring).  Level k normalizes a complex Gaussian x in C^k per matrix;
-    H = 1 - v v^dag / (1 + a) with a = |x_0|, e^(i phi) = x_0 / a (1 if
-    a = 0) and v = x + e^(i phi) e_1, times diag(-e^(i phi), 1, ..., 1),
-    maps e_1 to x.  So column 0 of U_k is x, and each earlier column u
-    becomes [0; u] - v x[1:]^dag u / (1 + a).  As |v|^2 = 2 (1 + a) >= 2,
-    one pass is stable.
+    docstring).  Level k takes a uniform unit vector x in C^k per matrix
+    (haar_vectors); H = 1 - v v^dag / (1 + a) with a = |x_0|,
+    e^(i phi) = x_0 / a (1 if a = 0) and v = x + e^(i phi) e_1, times
+    diag(-e^(i phi), 1, ..., 1), maps e_1 to x.  So column 0 of U_k is x,
+    and each earlier column u becomes [0; u] - v x[1:]^dag u / (1 + a).  As
+    |v|^2 = 2 (1 + a) >= 2, one pass is stable.
 
-    The stream is one standard_normal call per level k = 1..d into the
-    float64 view of a complex (k, size) buffer (real and imaginary parts
-    interleaved): d (d + 1) size normals.  The result is the transposed
-    view of a (d, d, size) buffer with the batch last, and every update is
-    one vector operation on one column of all matrices.
+    The stream is one haar_vectors call per level k = 1..d: d (d + 1) size
+    normals.  The result is the transposed view of a (d, d, size) buffer
+    with the batch last, and every update is one vector operation on one
+    column of all matrices.  Each level draws x in place, into the column
+    it becomes, so a call allocates no buffer but the result.
     """
     gen = rng_from(rng)
     cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of U_b
-    draw = np.empty((d, size), dtype=np.complex128)
     for k in range(1, d + 1):
         top = d - k  # U_k fills rows and columns top..d-1
-        x = draw[:k]
-        gen.standard_normal(out=x.view(np.float64))
-        x *= 1.0 / np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=0))
-        cols[top, top:] = x
+        x = haar_vectors(k, size, gen, out=cols[top, top:])  # column 0 of U_k, drawn in place
         if k == 1:
             continue
         a = np.abs(x[0])
@@ -215,7 +229,7 @@ def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
     q = np.linalg.qr(psi.vec.reshape(d, 1), mode="complete")[0][:, 1:]
 
     def draw(n: int) -> np.ndarray:
-        phi = haar_unitaries(d - 1, n, gen)[:, :, 0] @ q.T  # (n, d), orthogonal to psi
+        phi = haar_vectors(d - 1, n, gen).T @ q.T  # (n, d), orthogonal to psi
         power = phi
         for _ in range(k - 1):
             power = (power[:, :, None] * phi[:, None, :]).reshape(n, -1)

@@ -28,7 +28,8 @@ up to floating noise.
 Mixed test states
 -----------------
 A mixed test state rho = sum_r w_r |psi_r><psi_r| (``pure_components``:
-the eigenvectors of weight above TOL_ABS) is simulated the way it can be
+the eigenvectors of weight above TOL_ABS, with eigh's roundoff in their
+structural zeros set to exact zeros) is simulated the way it can be
 prepared: each trial prepares one pure component, component r with
 probability w_r / sum(w).  A batch draws how many of its trials go to each
 component with one multinomial, and gives the components contiguous
@@ -49,17 +50,25 @@ crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
 unitary U; ``run_campaign`` reads this property off rho once
 (``_is_invariant``).  For such a state the Born table of the device pair
 (U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
-and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So a
-"different" trial draws one unitary W instead of two: the unlabeled kernel
-then takes device A as the computational basis, and a labeled table is
-p[j, k] = alpha + beta |W_jk|^2 (``_labeled_probs_invariant``), because
-every invariant two-slot state is alpha 1 + beta SWAP; the antisymmetric
-state has alpha = -beta = 1/(d(d-1)).  With equal devices W = I, so every
-trial has the same table, diag(rho): an "equal" shard draws no device and
-samples no single trial, only one multinomial over the classes of the
-clamped diagonal, as the sweep does for its fixed devices.  For the
-antisymmetric state that class law is (0, 1), and every trial is class
-"diff".
+and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So an
+unlabeled "different" trial draws one unitary W instead of two, and the
+kernel takes device A as the computational basis.  A labeled trial needs
+less: every invariant two-slot state is alpha 1 + beta SWAP (the
+antisymmetric state has alpha = -beta = 1/(d(d-1))), so its table is
+p[j, k] = alpha + beta |W_jk|^2.  Each row sums to d alpha + beta = 1/d,
+so device A's outcome j is uniform and independent of W, and B's
+conditional law d (alpha + beta |W_jk|^2) (``_labeled_probs_invariant``)
+reads row j of W alone.  Every row of a Haar W is uniform on the unit
+sphere of C^d (``haar_vectors``), so the class law given j is the same for
+every j: a labeled "different" trial draws one unit vector x as row 0 of W
+and samples its class from d (alpha + beta |x_k|^2), with the classes of
+row 0 of ``outcome_class_index``.  This is exact in law, and costs 2d
+normals per trial in place of a unitary's d (d + 1) and its Householder
+updates.  With equal devices W = I, so every trial has the same table,
+diag(rho): an "equal" shard draws no device and samples no single trial,
+only one multinomial over the classes of the clamped diagonal, as the
+sweep does for its fixed devices.  For the antisymmetric state that class
+law is (0, 1), and every trial is class "diff".
 
 Determinism contract
 --------------------
@@ -69,28 +78,32 @@ count.  Shard s of the ground-truth stream t uses
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
-_SUBCHUNK trials, and each batch draws, in order: the Haar unitaries (one
-per trial for W in the "different" stream of an invariant state; U and then
-V in every other "different" stream; U alone for "equal"), then, for a test
-state of rank above 1 that takes the Born kernel (every mixed state but the
-labeled invariant ones), one multinomial of the batch size over its
-components, then one uniform per trial for its class, component by
-component.  Each ``haar_unitaries`` call for a batch of B
-d x d unitaries draws d (d + 1) B standard normals, a complex Gaussian in
-C^k per unitary for k = 1..d.  The "equal" shard of an invariant state
-draws one multinomial instead, over its classes of nonzero probability.
-The batch size, these draws, the Haar construction, the invariance test,
-the component order and the class order of ``outcome_class_index`` make up
-CAMPAIGN_FORMAT; a change to any of them changes the counts and needs a new
-format version.  Format 5 added the component multinomial: pure and
-invariant states count as in format 4, mixed states that take the Born
-kernel do not.
+_SUBCHUNK trials, and each batch draws, in order: the Haar draws (one unit
+vector per trial, row 0 of W, in the "different" stream of a labeled
+invariant state; one unitary per trial for W in the unlabeled one; U and
+then V in every other "different" stream; U alone for "equal"), then, for
+a test state of rank above 1 that takes the Born kernel (every mixed state
+but the labeled invariant ones), one multinomial of the batch size over
+its components, then one uniform per trial for its class, component by
+component.  A ``haar_vectors`` call for B vectors in C^d draws 2 d B
+standard normals; a ``haar_unitaries`` call for B d x d unitaries makes one
+such call per level k = 1..d, d (d + 1) B normals in all.  The "equal"
+shard of an invariant state draws one multinomial instead, over its
+classes of nonzero probability.  The batch size, these draws, the Haar
+construction, the invariance test, the component order and the class order
+of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
+changes the counts and needs a new format version.  Format 5 added the
+component multinomial: pure and invariant states count as in format 4,
+mixed states that take the Born kernel do not.  Format 6 draws one Haar
+row per labeled invariant "different" trial; every other stream makes the
+draws of format 5.
 
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
-``haar_unitaries`` returns views of a (d, d, size) buffer, ``_born_table``
-and ``_labeled_probs_invariant`` build category-first tables, and
+``haar_vectors`` returns a (d, size) array, ``haar_unitaries`` views of a
+(d, d, size) buffer, ``_born_table`` and ``_labeled_probs_invariant``
+build category-first tables, and
 ``_clamped`` and ``_sample_rows`` work on that layout.  Every step is then
 a vector operation over many trials instead of a loop over tiny matrices,
 and no step calls BLAS, so the pool workers run one thread each.
@@ -120,13 +133,13 @@ from .comparison import (
     unlabeled_outcome_distribution,
 )
 from .errors import ConfigError, ConsistencyError
-from .haar import haar_unitaries, rng_from
+from .haar import haar_unitaries, haar_vectors, rng_from
 from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/5"
+CAMPAIGN_FORMAT = "qmeter.campaign/6"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -245,6 +258,8 @@ def resolve_test_state(spec: str, scenario: Scenario) -> TestState:
     value is read as a .npy file holding either a state vector or a density
     matrix on the protocol's full space (d^2 for labeled, 16 for unlabeled).
     """
+    if not isinstance(spec, str):
+        raise ConfigError(f"test state spec must be a string, got {spec!r}")
     if spec == "optimal":
         return optimal_test_state(scenario)
     if spec == "kappa" or spec.startswith("kappa:"):
@@ -408,14 +423,14 @@ def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
     return p.reshape(dim * dim, size).T
 
 
-def _labeled_probs_invariant(ws: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Labeled Born table of the invariant state alpha 1 + beta SWAP on the
-    device pair (I, W_b): p[b, j d + k] = alpha + beta |W_b[j, k]|^2, laid
-    out like _born_table.  It equals the table of every pair (U, V) with
-    U^dag V = W_b."""
-    w = ws.transpose(1, 2, 0)
-    d = w.shape[0]
-    return (alpha + beta * (w.real ** 2 + w.imag ** 2)).reshape(d * d, -1).T
+def _labeled_probs_invariant(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Device B's outcome law d (alpha + beta |x_b[k]|^2) given device A's
+    outcome j, for the invariant labeled state alpha 1 + beta SWAP, where
+    column b of the batch-last (d, size) array x is row j of
+    W_b = U_b^dag V_b (module docstring).  The result is the (size, d)
+    transposed view of a category-first table."""
+    d = x.shape[0]
+    return (d * alpha + d * beta * (x.real ** 2 + x.imag ** 2)).T
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
@@ -510,10 +525,12 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
         if invariant and kind == "labeled":
-            # alpha = <01|rho|01> and alpha + beta = <00|rho|00>
-            p = _labeled_probs_invariant(haar_unitaries(d, step, gen),
+            # alpha = <01|rho|01> and alpha + beta = <00|rho|00>; row j of a
+            # Haar W is uniform on the sphere for every j, and so is the class
+            # law given j, so A's outcome is taken as j = 0 and not drawn
+            p = _labeled_probs_invariant(haar_vectors(d, step, gen),
                                          diag[1], diag[0] - diag[1])
-            counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
+            counts += np.bincount(_sample_rows(p, gen, cls_of[:d]), minlength=len(counts))
             continue
         if invariant:
             us, vs = None, haar_unitaries(d, step, gen)

@@ -8,7 +8,7 @@ whole story.  Slot 1 is the most significant tensor factor.
 Tolerance policy.  Every numerical zero in the package reads one of two
 constants.  TOL_ABS is absolute: inputs must pass identity checks
 (Hermiticity, unit trace or norm, orthonormality) to within it, and a
-probability or mixture weight at or below it is zero.  TOL_RANK is relative:
+probability, mixture weight or eigenvector entry at or below it is zero.  TOL_RANK is relative:
 an eigenvalue at or below TOL_RANK times the largest magnitude is zero, in
 support_projector, rank and the twirl's pseudo-inverse, and a Born row must
 sum to 1 within it.  The certificate follows from them.  The support S_c of

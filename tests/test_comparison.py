@@ -19,6 +19,7 @@ from qmeter import (
     UnsupportedDimensionError,
     Vector,
     analytic_success,
+    basis_family,
     conclusive_classes,
     fixed_pair_class_probability,
     kappa_state,
@@ -118,6 +119,24 @@ def test_test_state_validation():
     assert w.shape == (4,)
     assert v.shape == (4, 4)
     assert_allclose(w, 0.25)
+
+
+def test_pure_components_keep_the_structural_zeros():
+    # eigh leaves roundoff where the eigenvectors of these states are zero;
+    # the components a trial prepares hold exact zeros there, so the Born
+    # kernel skips them (kappa vectors: 4, 2 and 4 nonzero entries of 16;
+    # phi_Q: 6)
+    fam = basis_family("kappa")
+    mix = TestState.from_matrix(
+        sum(w * v.projector().mat for w, v in zip((0.5, 0.3, 0.2), fam)), 2, 4)
+    w, v = mix.pure_components()
+    assert_allclose(w, (0.2, 0.3, 0.5), rtol=0, atol=1e-12)
+    for vec, exact in zip(v, fam[::-1]):
+        assert np.array_equal(vec != 0, exact.vec != 0)
+        assert abs(abs(np.vdot(exact.vec, vec)) - 1) < 1e-12
+    phi_q = optimal_test_state(Scenario("unlabeled", 2)).pure_components()[1]
+    assert np.array_equal(phi_q[0] != 0, singlet_pairing_state().vec != 0)
+    assert np.count_nonzero(phi_q[0]) == 6
 
 
 def test_antisymmetric_state_dimensions():

@@ -23,7 +23,7 @@ from qmeter import (
     twirl,
     unlabeled_operators,
 )
-from qmeter.haar import _MatrixMean
+from qmeter.haar import _MatrixMean, haar_vectors
 from qmeter.verify import perp_moment, pure_moment, r_operator, rbar
 
 SEED = 20240817
@@ -206,6 +206,21 @@ def test_haar_unitaries_draw_d_times_d_plus_1_normals(d, size):
     haar_unitaries(d, size, gen)
     twin.standard_normal(d * (d + 1) * size)
     assert gen.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_haar_vectors_are_the_levels_of_haar_unitaries(d):
+    # haar_unitaries draws one haar_vectors stack per level k = 1..d, and the
+    # last one is column 0 of every matrix; a vector in C^k costs 2k normals
+    size = 500
+    us = haar_unitaries(d, size, np.random.default_rng(SEED))
+    gen = np.random.default_rng(SEED)
+    levels = [haar_vectors(k, size, gen) for k in range(1, d + 1)]
+    assert np.array_equal(levels[-1], us[:, :, 0].T)
+    twin = np.random.default_rng(SEED)
+    twin.standard_normal(d * (d + 1) * size)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert_allclose(np.linalg.norm(levels[-1], axis=0), 1.0, rtol=0, atol=1e-14)
 
 
 class _ZeroLeadingEntry(np.random.Generator):

@@ -38,7 +38,7 @@ from qmeter import (
 )
 from qmeter import simulate
 from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
-from qmeter.haar import haar_unitaries
+from qmeter.haar import haar_unitaries, haar_vectors
 from qmeter.comparison import _outcome_table
 from qmeter.simulate import (
     SHARD_SIZE,
@@ -98,6 +98,9 @@ def test_resolve_test_state_specs(tmp_path):
         resolve_test_state("kappa:9", scen_u)
     with pytest.raises(ConfigError):
         resolve_test_state("kappa", Scenario("labeled", 2))
+    for spec in (None, 3, ["optimal"]):
+        with pytest.raises(ConfigError):
+            resolve_test_state(spec, Scenario("labeled", 2))
     with pytest.raises(ConfigError):
         resolve_test_state(str(tmp_path / "missing.npy"), scen_u)
     # vector file round-trip
@@ -303,12 +306,22 @@ def test_campaign_kappa_state():
     assert abs(rate - 1 / 9) < 5 * res.results["different"].different_rate_stderr
 
 
+def _unitaries_with_row_0(x: np.ndarray, rng) -> np.ndarray:
+    """A (size, d, d) stack of unitaries W_b whose row 0 is column b of the
+    batch-last (d, size) array x, up to a phase: the Q factor of
+    [x_b, Gaussian columns], transposed."""
+    d, size = x.shape
+    m = np.concatenate([x.T[:, :, None], rng.normal(size=(size, d, d - 1))], axis=2)
+    return np.linalg.qr(m)[0].transpose(0, 2, 1)
+
+
 def test_fast_antisymmetric_path_equals_generic():
-    # the closed-form antisymmetric table depends only on W = U^dag V, and a
-    # "different" shard draws W as one Haar unitary per trial.  The generic
-    # Born kernel on the device pair (I, W) has the same table, so replaying
-    # that shard's stream through it must give the same counts.  With equal
-    # devices both paths put every trial in class "diff".
+    # a "different" shard of an invariant labeled state draws one Haar row x
+    # per trial: row j = 0 of W = U^dag V.  Device B's law given A's outcome
+    # 0 is d times row 0 of the Born table of the pair (I, W), for any W with
+    # that row, so replaying the shard's stream through the generic Born
+    # kernel must give the same counts.  With equal devices both paths put
+    # every trial in class "diff".
     d, trials = 3, 4000
     state = TestState.antisymmetric(d)
     w, v = state.pure_components()
@@ -317,9 +330,10 @@ def test_fast_antisymmetric_path_equals_generic():
         assert equal == {"same": 0, "diff": trials}
     fast = _shard_counts(("labeled", d, "different", True, w, v, 99, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
-    ws = haar_unitaries(d, trials, gen)  # one batch: trials < _SUBCHUNK
-    table = _mixture_table(np.broadcast_to(np.eye(d), ws.shape), ws, state, 2)
-    drawn = _sample_rows(table, gen, outcome_class_index(2, d))
+    x = haar_vectors(d, trials, gen)  # one batch: trials < _SUBCHUNK
+    ws = _unitaries_with_row_0(x, np.random.default_rng(1))
+    table = _mixture_table(None, ws, state, 2)
+    drawn = _sample_rows(d * table[:, :d], gen, outcome_class_index(2, d)[:d])
     assert fast == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
 
 
@@ -389,12 +403,13 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 and /5; any change to the random
-    # streams, the Born kernels, the sampler or the outcome-to-class map
-    # shows up here
+    # same in formats qmeter.campaign/4 to /6 except the labeled invariant
+    # "different" blocks, which format 6 draws as one Haar row per trial;
+    # any change to the random streams, the Born kernels, the sampler or the
+    # outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22802, "diff": 45734},
+        ("labeled", 3, "optimal"): {"different": {"same": 22629, "diff": 45907},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
         ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
@@ -407,10 +422,10 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
                                                     "diff_same": 15263, "diff_diff": 7603},
                                       "equal": {"same_same": 22656, "same_diff": 23043,
                                                 "diff_same": 22837, "diff_diff": 0}},
-        # d = 2 and 5 are the fewest and most reflection levels in haar_unitaries
-        ("labeled", 2, "optimal"): {"different": {"same": 34264, "diff": 34272},
+        # d = 2 and 5 are the shortest and longest Haar rows of the labeled pins
+        ("labeled", 2, "optimal"): {"different": {"same": 34176, "diff": 34360},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13599, "diff": 54937},
+        ("labeled", 5, "optimal"): {"different": {"same": 13618, "diff": 54918},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -421,7 +436,8 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
 
 def test_mixed_state_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of mixed, non-invariant states in
-    # format qmeter.campaign/5, where each trial prepares one pure component
+    # formats qmeter.campaign/5 and /6, where each trial prepares one pure
+    # component
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
             "different": {"same_same": 30398, "same_diff": 15320, "diff_same": 15242,
@@ -504,39 +520,71 @@ def test_invariance_is_read_off_rho(tmp_path):
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 5),
                                     ("unlabeled", 2)])
 def test_invariant_born_table_depends_on_w_alone(kind, d):
-    # for an invariant state the table of (U, V) is the table of (I, U^dag V):
-    # the unlabeled kernel with device A the computational basis, and the
-    # labeled alpha + beta |W|^2 form
+    # for an invariant state the table of (U, V) is the table of (I, U^dag V),
+    # with device A the computational basis
     rng = np.random.default_rng(40 + d)
     us, vs = haar_unitaries(d, 50, rng), haar_unitaries(d, 50, rng)
     ws = np.conj(us.transpose(0, 2, 1)) @ vs
-    if kind == "labeled":
-        w_sym = 0.3
-        state = _invariant_mixture(d, w_sym)
-        alpha = w_sym / (d * (d + 1)) + (1 - w_sym) / (d * (d - 1))
-        beta = w_sym / (d * (d + 1)) - (1 - w_sym) / (d * (d - 1))
-        shortcut = _labeled_probs_invariant(ws, alpha, beta)
-    else:
-        state = optimal_test_state(Scenario(kind, d))
-        shortcut = _born_table(None, ws, state.pure_components()[1][0], 4)
+    state = _invariant_mixture(d, 0.3) if kind == "labeled" else optimal_test_state(
+        Scenario(kind, d))
     n = 2 if kind == "labeled" else 4
-    assert_allclose(shortcut, _mixture_table(us, vs, state, n), rtol=0, atol=1e-12)
+    assert_allclose(_mixture_table(None, ws, state, n), _mixture_table(us, vs, state, n),
+                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_labeled_row_kernel_is_d_times_a_row_of_the_table(d):
+    # for alpha 1 + beta SWAP on the pair (I, W), device A's outcome j has
+    # probability 1/d, and B's law given j is d times row j of the table:
+    # the row kernel on row j of W, for every j, both for the antisymmetric
+    # state (beta = -alpha) and for an invariant mixture (beta != -alpha)
+    ws = haar_unitaries(d, 50, np.random.default_rng(60 + d))
+    w_sym = 0.3
+    mix = (w_sym / (d * (d + 1)) + (1 - w_sym) / (d * (d - 1)),
+           w_sym / (d * (d + 1)) - (1 - w_sym) / (d * (d - 1)))
+    anti = (1 / (d * (d - 1)), -1 / (d * (d - 1)))
+    for state, (alpha, beta) in ((TestState.antisymmetric(d), anti),
+                                 (_invariant_mixture(d, w_sym), mix)):
+        table = _mixture_table(None, ws, state, 2).reshape(-1, d, d)
+        assert_allclose(table.sum(axis=2), 1 / d, rtol=0, atol=1e-12)
+        for j in range(d):
+            rows = _labeled_probs_invariant(ws[:, j, :].T, alpha, beta)
+            assert_allclose(rows, d * table[:, j], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,spec", [(2, "optimal"), (3, "optimal"), (4, "optimal"),
+                                    (5, "optimal"), (3, "invariant_mix")])
+def test_labeled_invariant_law_at_high_statistics(tmp_path, d, spec):
+    # the one-row draw of a labeled invariant "different" stream must give
+    # P(same) = tr(rho O_same) over enough trials to resolve a bias of a
+    # thousandth (SE about 6e-4 at 2^19 trials)
+    path = _invariant_mixture_file(tmp_path) if spec == "invariant_mix" else spec
+    scen, trials = Scenario("labeled", d), 1 << 19
+    res = run_campaign(CampaignConfig(scen, trials=trials, seed=606, test_state=path,
+                                      ground_truth="different"))
+    rho = resolve_test_state(path, scen).rho.mat
+    ops = labeled_class_operators(d)
+    for name, count in res.results["different"].class_counts.items():
+        p = float(np.trace(rho @ ops[name].different.mat).real)
+        se = np.sqrt(p * (1 - p) / trials)
+        assert abs(count / trials - p) <= 5 * se, (name, count, p)
 
 
 def test_invariant_equal_shard_draws_no_device(monkeypatch):
     # with equal devices an invariant state's table is diag(rho) for every
     # device, so the shard samples its class law without a Haar draw
     def no_haar(*args, **kwargs):
-        raise AssertionError("haar_unitaries called")
+        raise AssertionError("Haar draw")
 
     monkeypatch.setattr(simulate, "haar_unitaries", no_haar)
+    monkeypatch.setattr(simulate, "haar_vectors", no_haar)
     for kind, d in (("labeled", 3), ("unlabeled", 2)):
         scen = Scenario(kind, d)
         w, v = optimal_test_state(scen).pure_components()
         counts = _shard_counts((kind, d, "equal", True, w, v, 5, 0, 3000))
         assert sum(counts.values()) == 3000
         assert not any(counts[c] for c in conclusive_classes(scen, optimal_test_state(scen)))
-    with pytest.raises(AssertionError, match="haar_unitaries called"):
+    with pytest.raises(AssertionError, match="Haar draw"):
         _shard_counts(("unlabeled", 2, "different", True, w, v, 5, 0, 10))
 
 
@@ -561,13 +609,17 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
         for row, (a, _) in zip(_mixture_table(us, us, state, n), pairs):
             assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
         if kind == "labeled":
-            # the closed form takes W = A^dag B alone; the antisymmetric state
-            # is alpha 1 + beta SWAP with alpha = -beta = 1/(d(d-1))
+            # the row kernel takes row j of W = A^dag B alone and gives B's
+            # law given A's outcome j, d times row j of the table; the
+            # antisymmetric state is alpha 1 + beta SWAP with
+            # alpha = -beta = 1/(d(d-1))
             anti = TestState.antisymmetric(d)
             ws = np.conj(us.transpose(0, 2, 1)) @ vs
             alpha = 1 / (d * (d - 1))
-            for row, (a, b) in zip(_labeled_probs_invariant(ws, alpha, -alpha), pairs):
-                assert_allclose(row, oracle(a, b, anti).reshape(-1), rtol=0, atol=1e-12)
+            for j in range(d):
+                rows = _labeled_probs_invariant(ws[:, j, :].T, alpha, -alpha)
+                for row, (a, b) in zip(rows, pairs):
+                    assert_allclose(row, d * oracle(a, b, anti)[j], rtol=0, atol=1e-12)
 
 
 def _kernel_states():
