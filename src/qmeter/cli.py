@@ -31,7 +31,8 @@ CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_trut
 #: campaign formats `report` reads; they differ in the random stream behind
 #: the counts, not in the document layout
 REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
-                  "qmeter.campaign/4", "qmeter.campaign/5", CAMPAIGN_FORMAT)
+                  "qmeter.campaign/4", "qmeter.campaign/5", "qmeter.campaign/6",
+                  CAMPAIGN_FORMAT)
 
 
 def _env_seed() -> Optional[int]:
@@ -219,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--test-state", default="optimal",
                        help="'optimal', 'kappa' / 'kappa:J' (unlabeled), or a .npy file")
     p_sim.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (results are identical for any count)")
+                       help="worker processes, at most the usable CPUs "
+                            "(results are identical for any count)")
     p_sim.add_argument("--out", help="write campaign JSON here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -43,6 +43,22 @@ weight above TOL_ABS by at least 1, so each psi_r has equal-device
 probability at most TOL_ABS/2 in a conclusive class, in every trial,
 however small w_r is.
 
+Labeled "different" trials
+--------------------------
+With different devices the labeled class law needs no Born table, for any
+test state.  A trial prepares one pure component psi.  Device A's outcome
+j leaves device B's slot in chi_j, the normalized (<u_j| (x) 1) psi, which
+depends on U and j alone, and B's outcome k then has probability
+|<v_k|chi_j>|^2 = |x_k|^2 with x = V^dag chi_j.  V is Haar and independent
+of U, so x is uniform on the unit sphere of C^d (``haar_vectors``) for
+every psi, U and j, and the class law given j is the same for every j.
+So a labeled "different" trial draws one unit vector x and samples its
+class from |x_k|^2 (``_labeled_probs_row``), with the classes of row 0 of
+``outcome_class_index``: no device, no component and no Born pass.  This
+is exact in law, and the "same" class has probability E|x_0|^2 = 1/d, the
+paper's O_same^diff = I/d for every state.  It costs 2d normals per trial
+in place of two unitaries' 2 d (d + 1) and their Householder updates.
+
 Invariant test states
 ---------------------
 The optimal test states, the antisymmetric projector (labeled) and the
@@ -52,23 +68,12 @@ unitary U; ``run_campaign`` reads this property off rho once
 (U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
 and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So an
 unlabeled "different" trial draws one unitary W instead of two, and the
-kernel takes device A as the computational basis.  A labeled trial needs
-less: every invariant two-slot state is alpha 1 + beta SWAP (the
-antisymmetric state has alpha = -beta = 1/(d(d-1))), so its table is
-p[j, k] = alpha + beta |W_jk|^2.  Each row sums to d alpha + beta = 1/d,
-so device A's outcome j is uniform and independent of W, and B's
-conditional law d (alpha + beta |W_jk|^2) (``_labeled_probs_invariant``)
-reads row j of W alone.  Every row of a Haar W is uniform on the unit
-sphere of C^d (``haar_vectors``), so the class law given j is the same for
-every j: a labeled "different" trial draws one unit vector x as row 0 of W
-and samples its class from d (alpha + beta |x_k|^2), with the classes of
-row 0 of ``outcome_class_index``.  This is exact in law, and costs 2d
-normals per trial in place of a unitary's d (d + 1) and its Householder
-updates.  With equal devices W = I, so every trial has the same table,
-diag(rho): an "equal" shard draws no device and samples no single trial,
-only one multinomial over the classes of the clamped diagonal, as the
-sweep does for its fixed devices.  For the antisymmetric state that class
-law is (0, 1), and every trial is class "diff".
+kernel takes device A as the computational basis.  With equal devices
+W = I, so every trial has the same table, diag(rho): an "equal" shard
+draws no device and samples no single trial, only one multinomial over
+the classes of the clamped diagonal, as the sweep does for its fixed
+devices.  For the labeled antisymmetric state that class law is (0, 1),
+and every trial is class "diff".
 
 Determinism contract
 --------------------
@@ -79,39 +84,41 @@ are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch draws, in order: the Haar draws (one unit
-vector per trial, row 0 of W, in the "different" stream of a labeled
-invariant state; one unitary per trial for W in the unlabeled one; U and
-then V in every other "different" stream; U alone for "equal"), then, for
-a test state of rank above 1 that takes the Born kernel (every mixed state
-but the labeled invariant ones), one multinomial of the batch size over
-its components, then one uniform per trial for its class, component by
-component.  A ``haar_vectors`` call for B vectors in C^d draws 2 d B
-standard normals; a ``haar_unitaries`` call for B d x d unitaries makes one
-such call per level k = 1..d, d (d + 1) B normals in all.  The "equal"
-shard of an invariant state draws one multinomial instead, over its
-classes of nonzero probability.  The batch size, these draws, the Haar
-construction, the invariance test, the component order and the class order
-of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
+vector per trial, x, in every labeled "different" stream; one unitary per
+trial for W in the unlabeled "different" stream of an invariant state; U
+and then V in every other unlabeled "different" stream; U alone for
+"equal"), then, for a test state of rank above 1 that takes the Born
+kernel, one multinomial of the batch size over its components, then one
+uniform per trial for its class, component by component.  A
+``haar_vectors`` call for B vectors in C^d draws 2 d B standard normals; a
+``haar_unitaries`` call for B d x d unitaries makes one such call per level
+k = 1..d, d (d + 1) B normals in all.  The "equal" shard of an invariant
+state draws one multinomial instead, over its classes of nonzero
+probability.  The batch size, these draws, the Haar construction, the
+invariance test, the component order and the class order of
+``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
 changes the counts and needs a new format version.  Format 5 added the
 component multinomial: pure and invariant states count as in format 4,
-mixed states that take the Born kernel do not.  Format 6 draws one Haar
-row per labeled invariant "different" trial; every other stream makes the
-draws of format 5.
+mixed states that take the Born kernel do not.  Format 6 drew one Haar
+row per labeled invariant "different" trial.  Format 7 draws one unit
+vector per labeled "different" trial for every test state; every "equal"
+stream and every unlabeled stream makes the draws of format 6.
 
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
 ``haar_vectors`` returns a (d, size) array, ``haar_unitaries`` views of a
-(d, d, size) buffer, ``_born_table`` and ``_labeled_probs_invariant``
-build category-first tables, and
-``_clamped`` and ``_sample_rows`` work on that layout.  Every step is then
-a vector operation over many trials instead of a loop over tiny matrices,
-and no step calls BLAS, so the pool workers run one thread each.
+(d, d, size) buffer, ``_born_table`` and ``_labeled_probs_row`` build
+category-first tables, and ``_clamped`` and ``_sample_rows`` work on that
+layout.  Every step is then a vector operation over many trials instead of
+a loop over tiny matrices, and no step calls BLAS, so the pool workers run
+one thread each.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -139,7 +146,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/6"
+CAMPAIGN_FORMAT = "qmeter.campaign/7"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -423,20 +430,18 @@ def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
     return p.reshape(dim * dim, size).T
 
 
-def _labeled_probs_invariant(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Device B's outcome law d (alpha + beta |x_b[k]|^2) given device A's
-    outcome j, for the invariant labeled state alpha 1 + beta SWAP, where
-    column b of the batch-last (d, size) array x is row j of
-    W_b = U_b^dag V_b (module docstring).  The result is the (size, d)
-    transposed view of a category-first table."""
-    d = x.shape[0]
-    return (d * alpha + d * beta * (x.real ** 2 + x.imag ** 2)).T
+def _labeled_probs_row(x: np.ndarray) -> np.ndarray:
+    """Device B's outcome law |x_b[k]|^2 given device A's outcome, where
+    column b of the batch-last (d, size) array x is V_b^dag chi_b, the
+    normalized state A's outcome leaves in B's slot (module docstring).
+    The result is the (size, d) transposed view of a category-first table."""
+    return (x.real ** 2 + x.imag ** 2).T
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
 # these names of the two kernels.
 _labeled_probs_generic = _unlabeled_probs = _born_table
-_labeled_probs_antisym = _labeled_probs_invariant
+_labeled_probs_antisym = _labeled_probs_row
 
 
 def _digit(axis: int, j: int) -> tuple:
@@ -512,24 +517,22 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-    if invariant:
+    if invariant and truth == "equal":
+        # Only classes of nonzero probability enter the multinomial, so none
+        # of probability 0 can receive its remainder; rounding can put a
+        # lone class an ulp above 1.
         diag = weights @ (vecs.real ** 2 + vecs.imag ** 2)  # the table of (I, I)
-        if truth == "equal":
-            # Only classes of nonzero probability enter the multinomial, so
-            # none of probability 0 can receive its remainder; rounding can
-            # put a lone class an ulp above 1.
-            law = np.bincount(cls_of, _clamped(diag[None])[0], len(counts))
-            live = np.flatnonzero(law)
-            counts[live] = gen.multinomial(count, np.minimum(law[live], 1.0))
-            return dict(zip(scen.classes, counts.tolist()))
+        law = np.bincount(cls_of, _clamped(diag[None])[0], len(counts))
+        live = np.flatnonzero(law)
+        counts[live] = gen.multinomial(count, np.minimum(law[live], 1.0))
+        return dict(zip(scen.classes, counts.tolist()))
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
-        if invariant and kind == "labeled":
-            # alpha = <01|rho|01> and alpha + beta = <00|rho|00>; row j of a
-            # Haar W is uniform on the sphere for every j, and so is the class
-            # law given j, so A's outcome is taken as j = 0 and not drawn
-            p = _labeled_probs_invariant(haar_vectors(d, step, gen),
-                                         diag[1], diag[0] - diag[1])
+        if kind == "labeled" and truth == "different":
+            # x = V^dag chi_j is uniform on the sphere for every test state,
+            # U and j, and so is the class law given j, so A's outcome is
+            # taken as j = 0 and not drawn
+            p = _labeled_probs_row(haar_vectors(d, step, gen))
             counts += np.bincount(_sample_rows(p, gen, cls_of[:d]), minlength=len(counts))
             continue
         if invariant:
@@ -564,13 +567,23 @@ def _shards_for(trials: int) -> Sequence[Tuple[int, int]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run the configured campaign and aggregate integer outcome counts.
 
     Ground truth "different" samples two independent Haar devices per trial;
     "equal" samples one device used twice; "both" runs the two sub-campaigns
-    on independent seed streams.  A test state that commutes with every
-    U^(x)n takes the shortcuts of the module docstring.
+    on independent seed streams.  Labeled "different" trials and test states
+    that commute with every U^(x)n take the shortcuts of the module
+    docstring.  The counts do not depend on the worker count, which is
+    capped at the CPUs this process may use.
     """
     scen = config.scenario
     state = resolve_test_state(config.test_state, scen)
@@ -588,9 +601,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     # under a millisecond, less than shipping it to a worker, so it runs
     # here.  One pool takes every other shard of every truth; a fork-based
     # pool starts all of its workers up front, so it gets no more than there
-    # are such shards, and none for a single one.
+    # are such shards or CPUs to run them, and none for a single one.
     inline = [invariant and truth == "equal" for truth in truths for _ in shards]
-    workers = min(config.workers, inline.count(False))
+    workers = min(config.workers, _usable_cpus(), inline.count(False))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(_shard_counts, [t for t, here in zip(tasks, inline) if not here])

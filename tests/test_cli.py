@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/6"
+    assert doc["format"] == "qmeter.campaign/7"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -198,11 +198,12 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 to 6 changed the random stream behind the counts, not the
+    # formats 2 to 7 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
     assert REPORT_FORMATS == ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
-                              "qmeter.campaign/4", "qmeter.campaign/5", CAMPAIGN_FORMAT)
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/6"
+                              "qmeter.campaign/4", "qmeter.campaign/5", "qmeter.campaign/6",
+                              CAMPAIGN_FORMAT)
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/7"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt[-1]}.json"
@@ -212,6 +213,17 @@ def test_report_reads_format_1(capsys, tmp_path):
         reports.append(out)
     assert "false positives" in reports[0]
     assert reports == [reports[0]] * len(REPORT_FORMATS)
+
+
+def test_report_reads_every_format_up_to_the_current_one(capsys, tmp_path):
+    # a new format must not make the files of the older ones unreadable
+    prefix, current = CAMPAIGN_FORMAT.rsplit("/", 1)
+    for number in range(1, int(current) + 1):
+        path = tmp_path / f"{number}.json"
+        path.write_text(_campaign_doc(format=f"{prefix}/{number}"))
+        code, out, err = run_cli(["report", str(path)], capsys)
+        assert (code, err) == (0, ""), number
+        assert "false positives" in out
 
 
 def test_report_rejects_an_unknown_format(capsys, tmp_path):

@@ -44,7 +44,7 @@ from qmeter.simulate import (
     SHARD_SIZE,
     _born_table,
     _is_invariant,
-    _labeled_probs_invariant,
+    _labeled_probs_row,
     _sample_rows,
     _shard_counts,
     _shards_for,
@@ -238,7 +238,9 @@ def test_campaign_seed_determinism_and_worker_independence():
 def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
     # both truths share one pool, and a fork pool starts every worker up
     # front, so it must not get more workers than there are shards to send;
-    # the "equal" shards of an invariant state draw no device and never go
+    # the "equal" shards of an invariant state draw no device and never go.
+    # The host's CPUs are taken as plenty, so only the task count caps.
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
     pools = []
 
     class RecordingPool(simulate.ProcessPoolExecutor):
@@ -263,6 +265,42 @@ def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
     pooled = run_campaign(replace(optimal, trials=SHARD_SIZE + 1)).to_json()
     assert pools[1] == [2, [("different", 0), ("different", 1)]]
     assert pooled == run_campaign(replace(optimal, trials=SHARD_SIZE + 1, workers=1)).to_json()
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    # a worker count far above the CPUs would fork that many processes for
+    # output that is the same at any count; the stand-in pool starts none
+    sizes = []
+
+    class StandInPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, list(tasks))
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", StandInPool)
+    cfg = CampaignConfig(Scenario("labeled", 2), trials=4 * SHARD_SIZE + 1, seed=3,
+                         ground_truth="different", workers=4000)  # five shards
+    serial = run_campaign(replace(cfg, workers=1)).to_json()
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    assert run_campaign(cfg).to_json() == serial
+    # without an affinity mask the machine's CPU count caps, and with no
+    # known count the campaign runs in this process
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    assert run_campaign(cfg).to_json() == serial
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert run_campaign(cfg).to_json() == serial
+    assert sizes == [3, 4]
 
 
 def test_campaign_single_truth_blocks():
@@ -306,41 +344,39 @@ def test_campaign_kappa_state():
     assert abs(rate - 1 / 9) < 5 * res.results["different"].different_rate_stderr
 
 
-def _unitaries_with_row_0(x: np.ndarray, rng) -> np.ndarray:
-    """A (size, d, d) stack of unitaries W_b whose row 0 is column b of the
-    batch-last (d, size) array x, up to a phase: the Q factor of
-    [x_b, Gaussian columns], transposed."""
-    d, size = x.shape
-    m = np.concatenate([x.T[:, :, None], rng.normal(size=(size, d, d - 1))], axis=2)
-    return np.linalg.qr(m)[0].transpose(0, 2, 1)
-
-
-def test_fast_antisymmetric_path_equals_generic():
-    # a "different" shard of an invariant labeled state draws one Haar row x
-    # per trial: row j = 0 of W = U^dag V.  Device B's law given A's outcome
-    # 0 is d times row 0 of the Born table of the pair (I, W), for any W with
-    # that row, so replaying the shard's stream through the generic Born
-    # kernel must give the same counts.  With equal devices both paths put
-    # every trial in class "diff".
+def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
+    # a labeled "different" batch draws one unit vector x per trial and one
+    # uniform per trial for its class, sampled from |x_k|^2 with the classes
+    # of row 0: no unitary, no component multinomial and no Born pass, even
+    # for a mixed state that is not invariant.  With equal devices the
+    # antisymmetric state puts every trial in class "diff" on both paths.
     d, trials = 3, 4000
-    state = TestState.antisymmetric(d)
-    w, v = state.pure_components()
+    anti = TestState.antisymmetric(d)
+    w, v = anti.pure_components()
     for invariant in (False, True):
         equal = _shard_counts(("labeled", d, "equal", invariant, w, v, 99, 0, trials))
         assert equal == {"same": 0, "diff": trials}
-    fast = _shard_counts(("labeled", d, "different", True, w, v, 99, 0, trials))
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("unitary or Born pass")
+
+    monkeypatch.setattr(simulate, "haar_unitaries", no_call)
+    monkeypatch.setattr(simulate, "_born_table", no_call)
+    mixture = _antisymmetric_mixture(d, (0.7, 0.3), 8)
+    assert not _is_invariant(mixture.rho)
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
     x = haar_vectors(d, trials, gen)  # one batch: trials < _SUBCHUNK
-    ws = _unitaries_with_row_0(x, np.random.default_rng(1))
-    table = _mixture_table(None, ws, state, 2)
-    drawn = _sample_rows(d * table[:, :d], gen, outcome_class_index(2, d)[:d])
-    assert fast == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
+    drawn = _sample_rows(np.abs(x.T) ** 2, gen, outcome_class_index(2, d)[:d])
+    expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
+    for state, invariant in ((anti, True), (mixture, False)):
+        w, v = state.pure_components()
+        assert _shard_counts(("labeled", d, "different", invariant, w, v, 99, 0, trials)) == expected
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
     # a pure antisymmetric d=3 vector: one vector of a three-dimensional
-    # subspace is not invariant, so it takes the generic Born path and both
-    # truths draw Haar devices
+    # subspace is not invariant, so its "equal" stream draws Haar devices
+    # and takes the generic Born path
     m = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
     path = tmp_path / "anti3.npy"
     np.save(path, m.reshape(-1) / np.linalg.norm(m))
@@ -349,7 +385,7 @@ def _antisymmetric_qutrit_file(tmp_path) -> str:
 
 def _antisymmetric_projector_file(tmp_path) -> str:
     # the labeled d=3 optimal state as a custom density matrix: invariant, so
-    # it takes the one-unitary path although its kind is "custom"
+    # its "equal" stream draws no device although its kind is "custom"
     path = tmp_path / "anti_proj3.npy"
     np.save(path, TestState.antisymmetric(3).rho.mat)
     return str(path)
@@ -395,6 +431,12 @@ def _antisymmetric_mixture_file(tmp_path) -> str:
     return str(path)
 
 
+def _dense_labeled_mixture_file(tmp_path) -> str:
+    path = tmp_path / "dense_mix2.npy"
+    np.save(path, _random_mixed_state(2, 2, 3, np.random.default_rng(606)).rho.mat)
+    return str(path)
+
+
 def _dense_mixture_file(tmp_path) -> str:
     path = tmp_path / "dense_mix.npy"
     np.save(path, _random_mixed_state(2, 4, 3, np.random.default_rng(505)).rho.mat)
@@ -403,29 +445,30 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 to /6 except the labeled invariant
-    # "different" blocks, which format 6 draws as one Haar row per trial;
-    # any change to the random streams, the Born kernels, the sampler or the
-    # outcome-to-class map shows up here
+    # same in formats qmeter.campaign/4 to /7 except the labeled "different"
+    # blocks, which format 7 draws as one Haar row per trial for every state
+    # (so the d = 3 optimal and anti3 blocks agree); any change to the random
+    # streams, the Born kernels, the sampler or the outcome-to-class map shows
+    # up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22629, "diff": 45907},
+        ("labeled", 3, "optimal"): {"different": {"same": 22902, "diff": 45634},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
         ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
                                                     "diff_same": 15327, "diff_diff": 7662},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
-        ("labeled", 3, anti3): {"different": {"same": 22783, "diff": 45753},
+        ("labeled", 3, anti3): {"different": {"same": 22902, "diff": 45634},
                                 "equal": {"same": 0, "diff": 68536}},
         ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
                                                     "diff_same": 15263, "diff_diff": 7603},
                                       "equal": {"same_same": 22656, "same_diff": 23043,
                                                 "diff_same": 22837, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest Haar rows of the labeled pins
-        ("labeled", 2, "optimal"): {"different": {"same": 34176, "diff": 34360},
+        ("labeled", 2, "optimal"): {"different": {"same": 34180, "diff": 34356},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13618, "diff": 54918},
+        ("labeled", 5, "optimal"): {"different": {"same": 13646, "diff": 54890},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -436,8 +479,9 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
 
 def test_mixed_state_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of mixed, non-invariant states in
-    # formats qmeter.campaign/5 and /6, where each trial prepares one pure
-    # component
+    # formats qmeter.campaign/5 to /7, where each trial that takes the Born
+    # kernel prepares one pure component; the labeled "different" block is
+    # the format-7 one-row draw
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
             "different": {"same_same": 30398, "same_diff": 15320, "diff_same": 15242,
@@ -445,7 +489,7 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
             "equal": {"same_same": 22676, "same_diff": 23113, "diff_same": 22747,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
-            "different": {"same": 17264, "diff": 51272},
+            "different": {"same": 17108, "diff": 51428},
             "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -458,22 +502,24 @@ def test_a_mixed_shard_prepares_one_component_per_trial():
     # after its Haar unitaries a batch draws one multinomial over the
     # components, gives them contiguous sub-batches in pure_components order
     # and samples each from its own pure table; replaying that stream by
-    # hand gives the shard's counts
-    state = _antisymmetric_mixture(3, (0.7, 0.3), 8)
+    # hand gives the shard's counts.  The labeled "equal" stream of a
+    # generic mixture takes this path and puts trials in both classes.
+    state = _random_mixed_state(3, 2, 2, np.random.default_rng(8))
     w, v = state.pure_components()
-    assert len(w) == 2
+    assert len(w) == 2 and not _is_invariant(state.rho)
     trials, cls_of = 3000, outcome_class_index(2, 3)
-    counts = _shard_counts(("labeled", 3, "different", False, w, v, 12, 0, trials))
-    gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(0, 0)))
-    us, vs = haar_unitaries(3, trials, gen), haar_unitaries(3, trials, gen)
+    counts = _shard_counts(("labeled", 3, "equal", False, w, v, 12, 0, trials))
+    gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
+    us = haar_unitaries(3, trials, gen)
     parts = gen.multinomial(trials, w / w.sum())
     drawn, lo = [], 0
     for vec, k in zip(v, parts):
-        table = _born_table(us[lo:lo + k], vs[lo:lo + k], vec, 2)
+        table = _born_table(us[lo:lo + k], us[lo:lo + k], vec, 2)
         drawn.append(_sample_rows(table, gen, cls_of))
         lo += k
     assert counts == dict(zip(("same", "diff"),
                               np.bincount(np.concatenate(drawn), minlength=2).tolist()))
+    assert min(counts.values()) > 0
 
 
 def test_a_certified_mixed_state_never_reports_equal_devices_different():
@@ -533,32 +579,57 @@ def test_invariant_born_table_depends_on_w_alone(kind, d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_labeled_row_kernel_is_d_times_a_row_of_the_table(d):
-    # for alpha 1 + beta SWAP on the pair (I, W), device A's outcome j has
-    # probability 1/d, and B's law given j is d times row j of the table:
-    # the row kernel on row j of W, for every j, both for the antisymmetric
-    # state (beta = -alpha) and for an invariant mixture (beta != -alpha)
-    ws = haar_unitaries(d, 50, np.random.default_rng(60 + d))
-    w_sym = 0.3
-    mix = (w_sym / (d * (d + 1)) + (1 - w_sym) / (d * (d - 1)),
-           w_sym / (d * (d + 1)) - (1 - w_sym) / (d * (d - 1)))
-    anti = (1 / (d * (d - 1)), -1 / (d * (d - 1)))
-    for state, (alpha, beta) in ((TestState.antisymmetric(d), anti),
-                                 (_invariant_mixture(d, w_sym), mix)):
-        table = _mixture_table(None, ws, state, 2).reshape(-1, d, d)
-        assert_allclose(table.sum(axis=2), 1 / d, rtol=0, atol=1e-12)
+def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
+    # device A's outcome j leaves B's slot in chi_j, the normalized
+    # (<u_j| (x) 1) psi, and B's law given j is |V^dag chi_j|^2: row j of
+    # the Born table of (U, V), divided by its sum, for any pure state, and
+    # the row kernel reads it off x = V^dag chi_j
+    rng = np.random.default_rng(70 + d)
+    us, vs = haar_unitaries(d, 20, rng), haar_unitaries(d, 20, rng)
+    for _ in range(3):
+        psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        psi /= np.linalg.norm(psi)
+        table = _born_table(us, vs, psi, 2).reshape(-1, d, d)
+        # chi[b, j, n] = sum_m conj(U_b[m, j]) psi[m, n]; x = chi_j V^*
+        chi = np.conj(us.transpose(0, 2, 1)) @ psi.reshape(d, d)
+        chi /= np.linalg.norm(chi, axis=2, keepdims=True)
+        x = chi @ np.conj(vs)
+        assert_allclose(np.linalg.norm(x, axis=2), 1.0, rtol=0, atol=1e-12)
         for j in range(d):
-            rows = _labeled_probs_invariant(ws[:, j, :].T, alpha, beta)
-            assert_allclose(rows, d * table[:, j], rtol=0, atol=1e-12)
+            row = table[:, j] / table[:, j].sum(axis=1, keepdims=True)
+            assert_allclose(_labeled_probs_row(x[:, j].T), row, rtol=0, atol=1e-12)
+
+
+def test_labeled_different_counts_do_not_depend_on_the_test_state(tmp_path):
+    # B's law given A's outcome is |x_k|^2 for x uniform on the sphere,
+    # whatever the state, so at one seed every labeled "different" block is
+    # the same: the paper's O_same^diff = I/d for every test state
+    scen = Scenario("labeled", 3)
+    product = tmp_path / "product3.npy"
+    np.save(product, np.kron([1, 0, 0], [0.6, 0.8j, 0]))
+    anti_mix = tmp_path / "anti_mix3.npy"
+    np.save(anti_mix, _antisymmetric_mixture(3, (0.5, 0.3, 0.2), 17).rho.mat)
+    blocks = [
+        dict(run_campaign(CampaignConfig(scen, trials=SHARD_SIZE + 3000, seed=41,
+                                         ground_truth="different", test_state=spec))
+             .results["different"].class_counts)
+        for spec in ("optimal", _antisymmetric_qutrit_file(tmp_path), str(anti_mix),
+                     _invariant_mixture_file(tmp_path), str(product))
+    ]
+    assert blocks == [blocks[0]] * len(blocks)
 
 
 @pytest.mark.parametrize("d,spec", [(2, "optimal"), (3, "optimal"), (4, "optimal"),
-                                    (5, "optimal"), (3, "invariant_mix")])
+                                    (5, "optimal"), (3, "invariant_mix"), (3, "anti3"),
+                                    (4, "anti_mix4"), (2, "dense")])
 def test_labeled_invariant_law_at_high_statistics(tmp_path, d, spec):
-    # the one-row draw of a labeled invariant "different" stream must give
-    # P(same) = tr(rho O_same) over enough trials to resolve a bias of a
-    # thousandth (SE about 6e-4 at 2^19 trials)
-    path = _invariant_mixture_file(tmp_path) if spec == "invariant_mix" else spec
+    # the one-row draw of a labeled "different" stream must give
+    # P(same) = tr(rho O_same) = 1/d, the same law for every state, invariant
+    # or not, over enough trials to resolve a bias of a thousandth (SE about
+    # 6e-4 at 2^19 trials)
+    files = {"invariant_mix": _invariant_mixture_file, "anti3": _antisymmetric_qutrit_file,
+             "anti_mix4": _antisymmetric_mixture_file, "dense": _dense_labeled_mixture_file}
+    path = files[spec](tmp_path) if spec in files else spec
     scen, trials = Scenario("labeled", d), 1 << 19
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=606, test_state=path,
                                       ground_truth="different"))
@@ -608,18 +679,6 @@ def test_born_table_matches_fixed_device_distributions(kind, d):
         # equal devices: the kernel reuses one device half for both
         for row, (a, _) in zip(_mixture_table(us, us, state, n), pairs):
             assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
-        if kind == "labeled":
-            # the row kernel takes row j of W = A^dag B alone and gives B's
-            # law given A's outcome j, d times row j of the table; the
-            # antisymmetric state is alpha 1 + beta SWAP with
-            # alpha = -beta = 1/(d(d-1))
-            anti = TestState.antisymmetric(d)
-            ws = np.conj(us.transpose(0, 2, 1)) @ vs
-            alpha = 1 / (d * (d - 1))
-            for j in range(d):
-                rows = _labeled_probs_invariant(ws[:, j, :].T, alpha, -alpha)
-                for row, (a, b) in zip(rows, pairs):
-                    assert_allclose(row, d * oracle(a, b, anti)[j], rtol=0, atol=1e-12)
 
 
 def _kernel_states():
@@ -671,8 +730,8 @@ def test_sampling_in_row_blocks_keeps_the_stream():
 @pytest.mark.parametrize("kind,dim,spec", [
     ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"), ("unlabeled", 2, "dense_mix"),
     ("labeled", 4, "anti_mix4"),
-    # invariant states: one Haar W per "different" trial and one multinomial
-    # per "equal" shard, for custom states too
+    # invariant states: one multinomial per "equal" shard, for custom states
+    # too (and one Haar W per unlabeled "different" trial)
     ("labeled", 3, "anti_proj3"), ("labeled", 3, "invariant_mix"),
     ("labeled", 2, "optimal"), ("labeled", 3, "optimal"), ("labeled", 4, "optimal"),
     ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"),
