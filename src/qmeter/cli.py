@@ -32,7 +32,7 @@ CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_trut
 #: the counts, not in the document layout
 REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
                   "qmeter.campaign/4", "qmeter.campaign/5", "qmeter.campaign/6",
-                  CAMPAIGN_FORMAT)
+                  "qmeter.campaign/7", CAMPAIGN_FORMAT)
 
 
 def _env_seed() -> Optional[int]:

@@ -66,14 +66,31 @@ crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
 unitary U; ``run_campaign`` reads this property off rho once
 (``_is_invariant``).  For such a state the Born table of the device pair
 (U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
-and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So an
-unlabeled "different" trial draws one unitary W instead of two, and the
-kernel takes device A as the computational basis.  With equal devices
-W = I, so every trial has the same table, diag(rho): an "equal" shard
-draws no device and samples no single trial, only one multinomial over
-the classes of the clamped diagonal, as the sweep does for its fixed
-devices.  For the labeled antisymmetric state that class law is (0, 1),
-and every trial is class "diff".
+and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  Device A
+then measures in the computational basis: component r gives A's record J
+with probability ||psi_r[J, :]||^2 whatever W is, and leaves B's slots in
+chi_rJ, the normalized psi_r[J, :].  Because W^(x)(n/2) is unitary, row J
+of the (I, W) table is ||psi_r[J, :]||^2 times B's table of chi_rJ.  So an
+unlabeled "different" trial draws one unitary W instead of two and
+prepares one piece (r, J) with probability w_r ||psi_r[J, :]||^2
+(``_pieces``, which drops a piece of weight at or below TOL_ABS as
+``pure_components`` drops a component).  It samples its class from B's
+table of chi_rJ with the classes of row J of ``outcome_class_index``:
+d^(n/2) Born entries per trial instead of d^n, exact in law.  With equal
+devices W = I, so every trial has the same table, diag(rho).
+
+Fixed "equal" laws
+------------------
+An "equal" stream draws nothing when its class law is the same in every
+trial (``_equal_law``).  If exactly one class is not conclusive, every
+equal-device trial falls into it, because each Born entry of a conclusive
+class is clamped to zero (see above) and the sampler never draws a class
+of probability 0: a certified labeled state is "diff" in every trial.
+Otherwise, for an invariant state, the law is that of the clamped
+diag(rho).  Such a shard runs in the calling process and takes one
+multinomial over its classes of nonzero probability, or no draw at all
+for a point mass.  Its counts are those the per-trial draws give: for a
+point mass they are the same numbers, for diag(rho) the same law.
 
 Determinism contract
 --------------------
@@ -87,22 +104,23 @@ _SUBCHUNK trials, and each batch draws, in order: the Haar draws (one unit
 vector per trial, x, in every labeled "different" stream; one unitary per
 trial for W in the unlabeled "different" stream of an invariant state; U
 and then V in every other unlabeled "different" stream; U alone for
-"equal"), then, for a test state of rank above 1 that takes the Born
-kernel, one multinomial of the batch size over its components, then one
-uniform per trial for its class, component by component.  A
+"equal"), then, where a trial prepares one of several components or
+pieces, one multinomial of the batch size over them, then one uniform per
+trial for its class, component by component or piece by piece.  A
 ``haar_vectors`` call for B vectors in C^d draws 2 d B standard normals; a
 ``haar_unitaries`` call for B d x d unitaries makes one such call per level
-k = 1..d, d (d + 1) B normals in all.  The "equal" shard of an invariant
-state draws one multinomial instead, over its classes of nonzero
-probability.  The batch size, these draws, the Haar construction, the
-invariance test, the component order and the class order of
-``outcome_class_index`` make up CAMPAIGN_FORMAT; a change to any of them
-changes the counts and needs a new format version.  Format 5 added the
-component multinomial: pure and invariant states count as in format 4,
-mixed states that take the Born kernel do not.  Format 6 drew one Haar
-row per labeled invariant "different" trial.  Format 7 draws one unit
-vector per labeled "different" trial for every test state; every "equal"
-stream and every unlabeled stream makes the draws of format 6.
+k = 1..d, d (d + 1) B normals in all.  An "equal" shard of a fixed law
+draws one multinomial instead, or nothing.  The batch size, these draws,
+the Haar construction, the invariance test, the component and piece order
+and the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
+change to any of them changes the counts and needs a new format version.
+Format 5 added the component multinomial: pure and invariant states count
+as in format 4, mixed states that take the Born kernel do not.  Format 6
+drew one Haar row per labeled invariant "different" trial.  Format 7 draws
+one unit vector per labeled "different" trial for every test state.
+Format 8 samples the unlabeled "different" trials of an invariant state
+piece by piece; every other stream counts as in format 7, including the
+"equal" streams that now draw nothing.
 
 Batch layout
 ------------
@@ -146,7 +164,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/7"
+CAMPAIGN_FORMAT = "qmeter.campaign/8"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -406,16 +424,18 @@ def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
 
     ``us`` None stands for device A measuring in the computational basis:
     its Kronecker power is the identity, so the first contraction is row J
-    of psi itself.
+    of psi itself.  psi may then hold any number of rows of length D, and
+    the table has D records per row: for a single row it is device B's
+    (size, D) table of the state that row leaves in B's slots.
     """
     kb = _device_kron(vs, n // 2)
     ka = None if us is None else kb if us is vs else _device_kron(us, n // 2)
     dim, size = kb.shape[0], kb.shape[2]
-    psi = psi.reshape(dim, dim)
+    psi = psi.reshape(-1, dim)
     rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
     sub = psi[np.ix_(rows, cols)][:, :, None]
-    p = np.zeros((dim, dim, size))
-    for j in range(dim):
+    p = np.zeros((len(psi), dim, size))
+    for j in range(len(psi)):
         if ka is None:
             live = np.flatnonzero(psi[j])
             halves = psi[j, live, None, None]
@@ -427,7 +447,7 @@ def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
             # amp[K, b] = sum_N half[N, b] kb[N, K, b]
             amp = _contract(halves, [kb[c] for c in live])
             p[j] = amp.real ** 2 + amp.imag ** 2
-    return p.reshape(dim * dim, size).T
+    return p.reshape(-1, size).T
 
 
 def _labeled_probs_row(x: np.ndarray) -> np.ndarray:
@@ -503,29 +523,87 @@ def _sample_rows(p: np.ndarray, gen: np.random.Generator,
     return (u >= cum).sum(axis=0)
 
 
-def _shard_counts(task: tuple) -> Dict[str, int]:
-    """Simulate one shard and return its outcome-class counts.
+def _pieces(weights: np.ndarray, vecs: np.ndarray, dim: int) -> tuple:
+    """What a different-device trial of an invariant state leaves in device
+    B's slots, with device A in the computational basis.
 
-    `task` = (kind, d, truth, invariant, weights, vecs, seed, shard, count),
-    where (weights, vecs) are the test state's pure components and
-    `invariant` says that it commutes with every U^(x)n (see the module
-    docstring).  Deterministic in (seed, truth, shard) alone.
+    Component r gives A's record J with probability ||psi_r[J, :]||^2
+    whatever the devices, and leaves B's slots in psi_r[J, :] normalized.
+    Returns (weights, states, records): the weights w_r ||psi_r[J, :]||^2
+    of the pairs (r, J) above TOL_ABS, in ``pure_components`` and then J
+    order, their normalized states and their records J.
     """
-    kind, d, truth, invariant, weights, vecs, seed, shard, count = task
-    seq = np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard))
-    gen = np.random.default_rng(seq)
+    out_w, states, records = [], [], []
+    for weight, vec in zip(weights, vecs):
+        for j, row in enumerate(vec.reshape(-1, dim)):
+            mass = float(np.vdot(row, row).real)
+            if weight * mass > TOL_ABS:
+                out_w.append(weight * mass)
+                states.append(row / np.sqrt(mass))
+                records.append(j)
+    return np.array(out_w), np.array(states), tuple(records)
+
+
+def _equal_law(scen: Scenario, conclusive: Tuple[str, ...], invariant: bool,
+               weights: np.ndarray, vecs: np.ndarray) -> Optional[np.ndarray]:
+    """The class law of an equal-device trial where it is the same for every
+    device, else None.
+
+    Every Born entry of a conclusive class is clamped to zero in every
+    equal-device trial (module docstring), so when one class is left open
+    every trial falls into it.  Otherwise an invariant state's equal-device
+    table is diag(rho) for every device, summed into classes after the
+    clamp.
+    """
+    open_classes = [i for i, name in enumerate(scen.classes) if name not in conclusive]
+    if len(open_classes) == 1:
+        return np.eye(len(scen.classes))[open_classes[0]]
+    if invariant:
+        diag = weights @ (vecs.real ** 2 + vecs.imag ** 2)  # the table of (I, I)
+        return np.bincount(outcome_class_index(scen.slots, scen.dim),
+                           _clamped(diag[None])[0], len(scen.classes))
+    return None
+
+
+def _shard_rng(seed: int, truth: str, shard: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard)))
+
+
+def _fixed_law_counts(names: Sequence[str], law: np.ndarray, seed: int, shard: int,
+                      count: int) -> Dict[str, int]:
+    """Counts of an "equal" shard whose class law is the same in every trial:
+    one multinomial over its classes of nonzero probability, so that none of
+    probability 0 can receive its remainder, and no draw for a point mass."""
+    counts = np.zeros(len(law), dtype=np.int64)
+    live = np.flatnonzero(law)
+    if len(live) == 1:
+        counts[live] = count
+    else:
+        counts[live] = _shard_rng(seed, "equal", shard).multinomial(count, law[live])
+    return dict(zip(names, counts.tolist()))
+
+
+def _shard_counts(task: tuple) -> Dict[str, int]:
+    """Simulate one shard that draws devices and return its class counts.
+
+    `task` = (kind, d, truth, records, weights, vecs, seed, shard, count).
+    (weights, vecs) are what a trial prepares: the test state's pure
+    components when `records` is None, and for an invariant state's
+    different-device trials the pieces of ``_pieces``, where the piece i
+    follows device A's record records[i].  Deterministic in (seed, truth,
+    shard) alone.
+    """
+    kind, d, truth, records, weights, vecs, seed, shard, count = task
+    gen = _shard_rng(seed, truth, shard)
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-    if invariant and truth == "equal":
-        # Only classes of nonzero probability enter the multinomial, so none
-        # of probability 0 can receive its remainder; rounding can put a
-        # lone class an ulp above 1.
-        diag = weights @ (vecs.real ** 2 + vecs.imag ** 2)  # the table of (I, I)
-        law = np.bincount(cls_of, _clamped(diag[None])[0], len(counts))
-        live = np.flatnonzero(law)
-        counts[live] = gen.multinomial(count, np.minimum(law[live], 1.0))
-        return dict(zip(scen.classes, counts.tolist()))
+    if records is None:
+        classes = [cls_of] * len(vecs)
+    else:
+        # a piece's table is row J of the full one
+        dim = d ** (scen.slots // 2)
+        classes = [cls_of[j * dim:(j + 1) * dim] for j in records]
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
         if kind == "labeled" and truth == "different":
@@ -535,20 +613,20 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
             p = _labeled_probs_row(haar_vectors(d, step, gen))
             counts += np.bincount(_sample_rows(p, gen, cls_of[:d]), minlength=len(counts))
             continue
-        if invariant:
+        if records is not None:
             us, vs = None, haar_unitaries(d, step, gen)
         else:
             us = haar_unitaries(d, step, gen)
             vs = haar_unitaries(d, step, gen) if truth == "different" else us
-        # each trial prepares one pure component (module docstring)
+        # each trial prepares one component or piece (module docstring)
         parts = gen.multinomial(step, weights / weights.sum()) if len(vecs) > 1 else (step,)
         lo = 0
-        for vec, k in zip(vecs, parts):
+        for vec, cls, k in zip(vecs, classes, parts):
             if k:
                 a = None if us is None else us[lo:lo + k]
                 b = a if vs is us else vs[lo:lo + k]
                 p = _born_table(a, b, vec, scen.slots)
-                counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
+                counts += np.bincount(_sample_rows(p, gen, cls), minlength=len(counts))
                 lo += k
                 # the views would keep this batch's unitaries alive through
                 # the next batch's Haar draws, which then take fresh pages
@@ -580,36 +658,46 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     Ground truth "different" samples two independent Haar devices per trial;
     "equal" samples one device used twice; "both" runs the two sub-campaigns
-    on independent seed streams.  Labeled "different" trials and test states
-    that commute with every U^(x)n take the shortcuts of the module
-    docstring.  The counts do not depend on the worker count, which is
-    capped at the CPUs this process may use.
+    on independent seed streams.  Labeled "different" trials, "equal"
+    streams whose class law is fixed and test states that commute with
+    every U^(x)n take the shortcuts of the module docstring.  The counts do
+    not depend on the worker count, which is capped at the CPUs this
+    process may use.
     """
     scen = config.scenario
     state = resolve_test_state(config.test_state, scen)
     conclusive = conclusive_classes(scen, state)
     weights, vecs = state.pure_components()
     invariant = _is_invariant(state.rho)
+    equal_law = _equal_law(scen, conclusive, invariant, weights, vecs)
+    records = None
+    if invariant:
+        weights, vecs, records = _pieces(weights, vecs, scen.dim ** (scen.slots // 2))
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
     shards = _shards_for(config.trials)
+    seed = int(config.seed)
     tasks = [
-        (scen.kind, scen.dim, truth, invariant, weights, vecs, int(config.seed), shard, count)
+        (scen.kind, scen.dim, truth, records, weights, vecs, seed, shard, count)
         for truth in truths for shard, count in shards
     ]
-    # An "equal" shard of an invariant state draws no device and takes well
+    # An "equal" shard of a fixed class law draws no device and takes well
     # under a millisecond, less than shipping it to a worker, so it runs
     # here.  One pool takes every other shard of every truth; a fork-based
     # pool starts all of its workers up front, so it gets no more than there
     # are such shards or CPUs to run them, and none for a single one.
-    inline = [invariant and truth == "equal" for truth in truths for _ in shards]
+    inline = [truth == "equal" and equal_law is not None for truth in truths for _ in shards]
+
+    def fixed(task: tuple) -> Dict[str, int]:
+        return _fixed_law_counts(scen.classes, equal_law, seed, task[-2], task[-1])
+
     workers = min(config.workers, _usable_cpus(), inline.count(False))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = pool.map(_shard_counts, [t for t, here in zip(tasks, inline) if not here])
-            partials = [_shard_counts(t) if here else next(done) for t, here in zip(tasks, inline)]
+            partials = [fixed(t) if here else next(done) for t, here in zip(tasks, inline)]
     else:
-        partials = [_shard_counts(t) for t in tasks]
+        partials = [fixed(t) if here else _shard_counts(t) for t, here in zip(tasks, inline)]
 
     results = {}
     for i, truth in enumerate(truths):

@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/7"
+    assert doc["format"] == "qmeter.campaign/8"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -198,12 +198,12 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 to 7 changed the random stream behind the counts, not the
+    # formats 2 to 8 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
     assert REPORT_FORMATS == ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
                               "qmeter.campaign/4", "qmeter.campaign/5", "qmeter.campaign/6",
-                              CAMPAIGN_FORMAT)
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/7"
+                              "qmeter.campaign/7", CAMPAIGN_FORMAT)
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/8"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt[-1]}.json"

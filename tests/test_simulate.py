@@ -45,6 +45,7 @@ from qmeter.simulate import (
     _born_table,
     _is_invariant,
     _labeled_probs_row,
+    _pieces,
     _sample_rows,
     _shard_counts,
     _shards_for,
@@ -349,13 +350,12 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     # uniform per trial for its class, sampled from |x_k|^2 with the classes
     # of row 0: no unitary, no component multinomial and no Born pass, even
     # for a mixed state that is not invariant.  With equal devices the
-    # antisymmetric state puts every trial in class "diff" on both paths.
+    # antisymmetric state puts every trial of the Born path in class "diff".
     d, trials = 3, 4000
     anti = TestState.antisymmetric(d)
     w, v = anti.pure_components()
-    for invariant in (False, True):
-        equal = _shard_counts(("labeled", d, "equal", invariant, w, v, 99, 0, trials))
-        assert equal == {"same": 0, "diff": trials}
+    equal = _shard_counts(("labeled", d, "equal", None, w, v, 99, 0, trials))
+    assert equal == {"same": 0, "diff": trials}
 
     def no_call(*args, **kwargs):
         raise AssertionError("unitary or Born pass")
@@ -368,15 +368,15 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     x = haar_vectors(d, trials, gen)  # one batch: trials < _SUBCHUNK
     drawn = _sample_rows(np.abs(x.T) ** 2, gen, outcome_class_index(2, d)[:d])
     expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
-    for state, invariant in ((anti, True), (mixture, False)):
+    for state in (anti, mixture):
         w, v = state.pure_components()
-        assert _shard_counts(("labeled", d, "different", invariant, w, v, 99, 0, trials)) == expected
+        assert _shard_counts(("labeled", d, "different", None, w, v, 99, 0, trials)) == expected
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
     # a pure antisymmetric d=3 vector: one vector of a three-dimensional
-    # subspace is not invariant, so its "equal" stream draws Haar devices
-    # and takes the generic Born path
+    # subspace is not invariant, but it is certified for "same", so its
+    # "equal" stream is all "diff" and draws nothing
     m = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
     path = tmp_path / "anti3.npy"
     np.save(path, m.reshape(-1) / np.linalg.norm(m))
@@ -431,6 +431,24 @@ def _antisymmetric_mixture_file(tmp_path) -> str:
     return str(path)
 
 
+def _spin0_mixture() -> TestState:
+    # the normalized projector onto the 4-qubit spin-0 span of the two
+    # crossed singlet pairings (slots 1-3 with 2-4, and 1-4 with 2-3): rank 2
+    # and invariant, certified for same_diff and diff_same, with the
+    # different-device law (2/9, 1/9, 1/9, 5/9)
+    s = np.array([[0, 1], [-1, 0]]) / np.sqrt(2)
+    pairings = np.stack([np.einsum("ac,bd->abcd", s, s).reshape(-1),
+                         np.einsum("ad,bc->abcd", s, s).reshape(-1)], axis=1)
+    q, _ = np.linalg.qr(pairings)
+    return TestState.from_matrix(q @ q.conj().T / 2, 2, 4)
+
+
+def _spin0_mixture_file(tmp_path) -> str:
+    path = tmp_path / "spin0_mix.npy"
+    np.save(path, _spin0_mixture().rho.mat)
+    return str(path)
+
+
 def _dense_labeled_mixture_file(tmp_path) -> str:
     path = tmp_path / "dense_mix2.npy"
     np.save(path, _random_mixed_state(2, 2, 3, np.random.default_rng(606)).rho.mat)
@@ -445,18 +463,19 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 to /7 except the labeled "different"
+    # same in formats qmeter.campaign/4 to /8 except the labeled "different"
     # blocks, which format 7 draws as one Haar row per trial for every state
-    # (so the d = 3 optimal and anti3 blocks agree); any change to the random
-    # streams, the Born kernels, the sampler or the outcome-to-class map shows
-    # up here
+    # (so the d = 3 optimal and anti3 blocks agree), and the unlabeled
+    # optimal "different" block, which format 8 samples from device B's table
+    # given A's record; any change to the random streams, the Born kernels,
+    # the sampler or the outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22902, "diff": 45634},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
-                                                    "diff_same": 15327, "diff_diff": 7662},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30372, "same_diff": 15306,
+                                                    "diff_same": 15247, "diff_diff": 7611},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22902, "diff": 45634},
@@ -498,17 +517,19 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
         assert {t: dict(r.class_counts) for t, r in res.results.items()} == counts
 
 
-def test_a_mixed_shard_prepares_one_component_per_trial():
+def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     # after its Haar unitaries a batch draws one multinomial over the
     # components, gives them contiguous sub-batches in pure_components order
     # and samples each from its own pure table; replaying that stream by
     # hand gives the shard's counts.  The labeled "equal" stream of a
-    # generic mixture takes this path and puts trials in both classes.
+    # generic mixture certifies nothing, so its class law is not fixed: the
+    # campaign takes this path and puts trials in both classes.
     state = _random_mixed_state(3, 2, 2, np.random.default_rng(8))
     w, v = state.pure_components()
     assert len(w) == 2 and not _is_invariant(state.rho)
+    assert conclusive_classes(Scenario("labeled", 3), state) == ()
     trials, cls_of = 3000, outcome_class_index(2, 3)
-    counts = _shard_counts(("labeled", 3, "equal", False, w, v, 12, 0, trials))
+    counts = _shard_counts(("labeled", 3, "equal", None, w, v, 12, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     us = haar_unitaries(3, trials, gen)
     parts = gen.multinomial(trials, w / w.sum())
@@ -520,20 +541,31 @@ def test_a_mixed_shard_prepares_one_component_per_trial():
     assert counts == dict(zip(("same", "diff"),
                               np.bincount(np.concatenate(drawn), minlength=2).tolist()))
     assert min(counts.values()) > 0
+    path = tmp_path / "rank2_mix3.npy"
+    np.save(path, state.rho.mat)
+    res = run_campaign(CampaignConfig(Scenario("labeled", 3), trials=trials, seed=12,
+                                      ground_truth="equal", test_state=str(path)))
+    assert dict(res.results["equal"].class_counts) == counts
 
 
-def test_a_certified_mixed_state_never_reports_equal_devices_different():
+def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypatch):
     # each trial prepares one pure component, and every component of a
-    # certified state keeps its own equal-device leak below TOL_ABS/2
+    # certified state keeps its own equal-device leak below TOL_ABS/2.  A
+    # campaign does not draw this stream (its class law is fixed), so its
+    # shards are run on the Born path by hand.
     state = _antisymmetric_mixture(3, (0.6, 0.4), 31)
     assert not _is_invariant(state.rho)
     scen = Scenario("labeled", 3)
     assert conclusive_classes(scen, state) == ("same",)
     w, v = state.pure_components()
     assert len(w) == 2
+    passes = []
+    born = simulate._born_table
+    monkeypatch.setattr(simulate, "_born_table", lambda *a: passes.append(1) or born(*a))
     trials = 2 * SHARD_SIZE
-    counts = [_shard_counts(("labeled", 3, "equal", False, w, v, 77, shard, SHARD_SIZE))
+    counts = [_shard_counts(("labeled", 3, "equal", None, w, v, 77, shard, SHARD_SIZE))
               for shard in range(trials // SHARD_SIZE)]
+    assert len(passes) >= 2 * SHARD_SIZE // simulate._SUBCHUNK
     assert sum(c["diff"] for c in counts) == trials
     assert sum(c["same"] for c in counts) == 0
 
@@ -641,22 +673,87 @@ def test_labeled_invariant_law_at_high_statistics(tmp_path, d, spec):
         assert abs(count / trials - p) <= 5 * se, (name, count, p)
 
 
-def test_invariant_equal_shard_draws_no_device(monkeypatch):
+def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
     # with equal devices an invariant state's table is diag(rho) for every
-    # device, so the shard samples its class law without a Haar draw
-    def no_haar(*args, **kwargs):
-        raise AssertionError("Haar draw")
+    # device, and a state that leaves one class open puts every trial in it
+    # (each Born entry of a conclusive class is clamped), so the "equal"
+    # campaigns of both draw no device and take no Born pass
+    states = [("labeled", 3, "optimal"), ("unlabeled", 2, "optimal"),
+              ("unlabeled", 2, _spin0_mixture_file(tmp_path)),
+              ("labeled", 3, _antisymmetric_qutrit_file(tmp_path)),
+              ("labeled", 4, _antisymmetric_mixture_file(tmp_path))]
 
-    monkeypatch.setattr(simulate, "haar_unitaries", no_haar)
-    monkeypatch.setattr(simulate, "haar_vectors", no_haar)
-    for kind, d in (("labeled", 3), ("unlabeled", 2)):
+    def no_call(*args, **kwargs):
+        raise AssertionError("device draw or Born pass")
+
+    for name in ("haar_unitaries", "haar_vectors", "_born_table"):
+        monkeypatch.setattr(simulate, name, no_call)
+    trials = SHARD_SIZE + 3000
+    for kind, d, spec in states:
         scen = Scenario(kind, d)
-        w, v = optimal_test_state(scen).pure_components()
-        counts = _shard_counts((kind, d, "equal", True, w, v, 5, 0, 3000))
-        assert sum(counts.values()) == 3000
-        assert not any(counts[c] for c in conclusive_classes(scen, optimal_test_state(scen)))
-    with pytest.raises(AssertionError, match="Haar draw"):
-        _shard_counts(("unlabeled", 2, "different", True, w, v, 5, 0, 10))
+        res = run_campaign(CampaignConfig(scen, trials=trials, seed=5, ground_truth="equal",
+                                          test_state=spec))
+        counts = res.results["equal"].class_counts
+        assert sum(counts.values()) == trials
+        assert not any(counts[c] for c in res.conclusive)
+        if kind == "labeled":
+            assert counts == {"same": 0, "diff": trials}
+    with pytest.raises(AssertionError, match="device draw"):
+        run_campaign(CampaignConfig(Scenario("unlabeled", 2), trials=10, seed=5,
+                                    ground_truth="different"))
+
+
+@pytest.mark.parametrize("name", ["phi_q", "spin0"])
+def test_an_invariant_piece_is_a_row_of_the_born_table(name):
+    # with device A in the computational basis, component r gives A's record
+    # J with probability ||psi_r[J]||^2 and leaves B's slots in psi_r[J]
+    # normalized; W^(x)2 is unitary, so that weight times B's table of the
+    # piece is row J of the table of (I, W)
+    state = optimal_test_state(Scenario("unlabeled", 2)) if name == "phi_q" else _spin0_mixture()
+    assert _is_invariant(state.rho)
+    weights, vecs = state.pure_components()
+    piece_w, piece_v, records = _pieces(weights, vecs, 4)
+    assert piece_w.sum() == pytest.approx(1.0, abs=1e-12)
+    ws = haar_unitaries(2, 40, np.random.default_rng(90))
+    i = 0
+    for w, psi in zip(weights, vecs):
+        full = _born_table(None, ws, psi, 4)
+        for j, row in enumerate(psi.reshape(4, 4)):
+            mass = np.vdot(row, row).real
+            if w * mass <= TOL_ABS:
+                continue
+            chi = row / np.sqrt(mass)
+            assert records[i] == j and piece_w[i] == pytest.approx(w * mass, abs=1e-15)
+            assert_allclose(piece_v[i], chi, rtol=0, atol=1e-15)
+            assert_allclose(mass * _born_table(None, ws, chi, 4), full[:, 4 * j:4 * j + 4],
+                            rtol=0, atol=1e-12)
+            i += 1
+    assert i == len(records)
+
+
+def test_an_invariant_different_shard_samples_device_b_given_a_record():
+    # a batch draws W, then one multinomial over the pieces, and each
+    # piece's contiguous sub-batch samples device B's table with the classes
+    # of row J; replaying that stream by hand gives the shard's counts, and
+    # the campaign's
+    scen = Scenario("unlabeled", 2)
+    w, v = optimal_test_state(scen).pure_components()
+    piece_w, piece_v, records = _pieces(w, v, 4)
+    assert records == (0, 1, 2, 3)
+    trials, cls_of = 5000, outcome_class_index(4, 2).reshape(4, 4)
+    counts = _shard_counts(("unlabeled", 2, "different", records, piece_w, piece_v, 33, 0, trials))
+    gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
+    ws = haar_unitaries(2, trials, gen)
+    parts = gen.multinomial(trials, piece_w / piece_w.sum())
+    drawn, lo = [], 0
+    for chi, j, k in zip(piece_v, records, parts):
+        drawn.append(_sample_rows(_born_table(None, ws[lo:lo + k], chi, 4), gen, cls_of[j]))
+        lo += k
+    assert counts == dict(zip(scen.classes,
+                              np.bincount(np.concatenate(drawn), minlength=4).tolist()))
+    assert min(counts.values()) > 0
+    res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
+    assert dict(res.results["different"].class_counts) == counts
 
 
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
@@ -731,10 +828,11 @@ def test_sampling_in_row_blocks_keeps_the_stream():
     ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"), ("unlabeled", 2, "dense_mix"),
     ("labeled", 4, "anti_mix4"),
     # invariant states: one multinomial per "equal" shard, for custom states
-    # too (and one Haar W per unlabeled "different" trial)
+    # too (and one Haar W and one device-B pass per unlabeled "different"
+    # trial)
     ("labeled", 3, "anti_proj3"), ("labeled", 3, "invariant_mix"),
     ("labeled", 2, "optimal"), ("labeled", 3, "optimal"), ("labeled", 4, "optimal"),
-    ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"),
+    ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"), ("unlabeled", 2, "spin0"),
 ])
 def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     # trials are i.i.d. Haar, so class c occurs with probability tr(rho O_c)
@@ -743,7 +841,7 @@ def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file,
              "anti_proj3": _antisymmetric_projector_file,
              "invariant_mix": _invariant_mixture_file, "dense_mix": _dense_mixture_file,
-             "anti_mix4": _antisymmetric_mixture_file}
+             "anti_mix4": _antisymmetric_mixture_file, "spin0": _spin0_mixture_file}
     path = files[spec](tmp_path) if spec in files else spec
     scen = Scenario(kind, dim)
     trials = 20000
@@ -789,14 +887,18 @@ def test_sampler_never_draws_a_clamped_category():
 
 
 @pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "optimal"), ("unlabeled", 2, "optimal"),
-                                           ("unlabeled", 2, "kappa:2")])
-def test_class_sampler_never_draws_a_conclusive_class(kind, dim, spec):
+                                           ("unlabeled", 2, "kappa:2"), ("labeled", 3, "anti3"),
+                                           ("labeled", 4, "anti_mix4")])
+def test_class_sampler_never_draws_a_conclusive_class(tmp_path, kind, dim, spec):
     # a conclusive class sums only clamped entries, so it is exactly 0 on
     # equal-device rows; the class CDF's plateau pin keeps a uniform at the
     # top of [0, 1) off it even when it is the last class (kappa:2 certifies
-    # diff_diff alone)
+    # diff_diff alone).  Campaigns of the certified labeled states never
+    # take this path (their "equal" law is fixed), so their per-trial
+    # certificate is checked here, component by component.
+    files = {"anti3": _antisymmetric_qutrit_file, "anti_mix4": _antisymmetric_mixture_file}
     scen = Scenario(kind, dim)
-    state = resolve_test_state(spec, scen)
+    state = resolve_test_state(files[spec](tmp_path) if spec in files else spec, scen)
     us = haar_unitaries(dim, 2000, np.random.default_rng(8))
     for vec in state.pure_components()[1]:  # a trial prepares one component
         table = _born_table(us, us, vec, scen.slots)
