@@ -28,11 +28,11 @@ DEFAULT_THETA_GRID = "0:1.5707963267948966:33"
 #: docs/campaign_result.schema.json)
 CAMPAIGN_KEYS = ("format", "version", "scenario", "seed", "trials", "ground_truth",
                  "test_state", "shard_size", "conclusive_classes", "results")
-#: campaign formats `report` reads; they differ in the random stream behind
-#: the counts, not in the document layout
-REPORT_FORMATS = ("qmeter.campaign/1", "qmeter.campaign/2", "qmeter.campaign/3",
-                  "qmeter.campaign/4", "qmeter.campaign/5", "qmeter.campaign/6",
-                  "qmeter.campaign/7", CAMPAIGN_FORMAT)
+#: campaign formats `report` reads: qmeter.campaign/N for N = 1 up to the
+#: current format, in decimal without a leading zero; they differ in the
+#: random stream behind the counts, not in the document layout
+_FORMAT_PREFIX, _FORMAT_NUMBER = CAMPAIGN_FORMAT.rsplit("/", 1)
+REPORT_FORMATS = tuple(f"{_FORMAT_PREFIX}/{n}" for n in range(1, int(_FORMAT_NUMBER) + 1))
 
 
 def _env_seed() -> Optional[int]:

@@ -13,35 +13,34 @@ measures and whose last n/2 device B measures.  ``_born_table`` builds that
 table of a pure state for a batch of device pairs at any d, summing over the
 state's support only.  ``_sample_rows`` draws one outcome per row of it for
 single trials, whose records carry the outcomes; a campaign reports only
-class counts, so it sums each row into its (at most four) class
-probabilities through ``outcome_class_index`` and ``_sample_rows`` draws the
-class directly.  The sweep draws one multinomial per fixed device pair from
-the same clamped table.  Probabilities at or below TOL_ABS are clamped to
-zero and the row renormalized (``_clamped``) before any summing, and the
-inverse CDF pins its trailing plateau to 1, so a category or class of
-clamped probability 0 is never drawn.  A conclusive class has
-equal-device probability at most TOL_ABS/2 in every trial (the leak bound
-of ``conclusive_classes``), so each of its Born entries is clamped and its
-class sum is exactly 0: unambiguity is exact in sampled campaigns, not just
-up to floating noise.
+class counts, so it draws the class directly: from a table summed into its
+classes through ``outcome_class_index``, or from a class law built without
+a table (the labeled row and unlabeled Bloch laws below).  The sweep draws
+one multinomial per fixed device pair from the same clamped table.
+Probabilities at or below TOL_ABS are clamped to zero and the row
+renormalized (``_clamped``) before any summing, and the inverse CDF pins its
+trailing plateau to 1, so a category or class of clamped probability 0 is
+never drawn.  A conclusive class has equal-device probability at most
+TOL_ABS/2 in every trial (the leak bound of ``conclusive_classes``), so each
+of its Born entries is clamped and its class sum is exactly 0: unambiguity
+is exact in sampled campaigns, not just up to floating noise.
 
 Mixed test states
 -----------------
 A mixed test state rho = sum_r w_r |psi_r><psi_r| (``pure_components``:
 the eigenvectors of weight above TOL_ABS, with eigh's roundoff in their
 structural zeros set to exact zeros) is simulated the way it can be
-prepared: each trial prepares one pure component, component r with
-probability w_r / sum(w).  A batch draws how many of its trials go to each
-component with one multinomial, and gives the components contiguous
-sub-batches in ``pure_components`` order; each sub-batch takes one pure
-Born pass.  This is exact in law: the device pairs of a batch are i.i.d.,
-so which trials get which component does not matter, and a trial's class
-law is sum_r w_r tr(psi_r psi_r^dag O) = tr(rho O).  A rank-r state then
-costs one Born pass per trial instead of r.  Unambiguity holds per
-component: the leak of ``conclusive_classes`` weighs every component of
-weight above TOL_ABS by at least 1, so each psi_r has equal-device
-probability at most TOL_ABS/2 in a conclusive class, in every trial,
-however small w_r is.
+prepared: each trial prepares component r with probability w_r / sum(w),
+so its class law is that of the prepared mixture rho' = sum_r w_r
+psi_r psi_r^dag / sum(w).  The unlabeled Bloch law is built from rho'
+itself.  A labeled "equal" batch that takes the Born kernel draws how many
+of its trials go to each component with one multinomial and gives the
+components contiguous sub-batches in ``pure_components`` order, one pure
+Born pass each; the device pairs of a batch are i.i.d., so this is exact in
+law.  Unambiguity holds per component: the leak of ``conclusive_classes``
+weighs every component of weight above TOL_ABS by at least 1, so each psi_r,
+and so rho', has equal-device probability at most TOL_ABS/2 in a
+conclusive class, in every trial, however small w_r is.
 
 Labeled "different" trials
 --------------------------
@@ -56,8 +55,23 @@ So a labeled "different" trial draws one unit vector x and samples its
 class from |x_k|^2 (``_labeled_probs_row``), with the classes of row 0 of
 ``outcome_class_index``: no device, no component and no Born pass.  This
 is exact in law, and the "same" class has probability E|x_0|^2 = 1/d, the
-paper's O_same^diff = I/d for every state.  It costs 2d normals per trial
-in place of two unitaries' 2 d (d + 1) and their Householder updates.
+paper's O_same^diff = I/d for every state.
+
+Unlabeled qubit trials
+----------------------
+A qubit device whose outcome-0 vector has Bloch vector n gives two equal
+outcomes with the operator (1 + sum_ij n_i n_j sigma_i (x) sigma_j) / 2,
+which is linear in the six terms e_1..e_6 = n_x^2, n_y^2, n_z^2, n_x n_y,
+n_x n_z, n_y n_z.  So a trial's four class probabilities are a fixed
+quadratic form in the terms of A's axis n and B's axis m, the real 7 x 7
+matrix of ``_bloch_form``, built once per campaign, and
+``_bloch_class_law`` evaluates it over a batch: no Born table and no
+component.  A Haar basis has its Bloch vector uniform on the sphere, so a
+trial draws each device's axis as a normalized Gaussian 3-vector
+(``_bloch_terms``); an "equal" trial reuses A's axis.  The law of an
+equal-device trial is a mixture of the components' laws, each at most
+TOL_ABS/2 in a conclusive class; the form rounds at about 1e-15, so the
+clamp sets the class to exactly 0.
 
 Invariant test states
 ---------------------
@@ -66,18 +80,10 @@ crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
 unitary U; ``run_campaign`` reads this property off rho once
 (``_is_invariant``).  For such a state the Born table of the device pair
 (U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
-and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  Device A
-then measures in the computational basis: component r gives A's record J
-with probability ||psi_r[J, :]||^2 whatever W is, and leaves B's slots in
-chi_rJ, the normalized psi_r[J, :].  Because W^(x)(n/2) is unitary, row J
-of the (I, W) table is ||psi_r[J, :]||^2 times B's table of chi_rJ.  So an
-unlabeled "different" trial draws one unitary W instead of two and
-prepares one piece (r, J) with probability w_r ||psi_r[J, :]||^2
-(``_pieces``, which drops a piece of weight at or below TOL_ABS as
-``pure_components`` drops a component).  It samples its class from B's
-table of chi_rJ with the classes of row J of ``outcome_class_index``:
-d^(n/2) Born entries per trial instead of d^n, exact in law.  With equal
-devices W = I, so every trial has the same table, diag(rho).
+and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So in an
+unlabeled "different" trial device A measures along z and only B's axis is
+drawn.  With equal devices W = I, so every trial has the same table,
+diag(rho).
 
 Fixed "equal" laws
 ------------------
@@ -100,33 +106,32 @@ count.  Shard s of the ground-truth stream t uses
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
-_SUBCHUNK trials, and each batch draws, in order: the Haar draws (one unit
-vector per trial, x, in every labeled "different" stream; one unitary per
-trial for W in the unlabeled "different" stream of an invariant state; U
-and then V in every other unlabeled "different" stream; U alone for
-"equal"), then, where a trial prepares one of several components or
-pieces, one multinomial of the batch size over them, then one uniform per
-trial for its class, component by component or piece by piece.  A
-``haar_vectors`` call for B vectors in C^d draws 2 d B standard normals; a
-``haar_unitaries`` call for B d x d unitaries makes one such call per level
-k = 1..d, d (d + 1) B normals in all.  An "equal" shard of a fixed law
-draws one multinomial instead, or nothing.  The batch size, these draws,
-the Haar construction, the invariance test, the component and piece order
-and the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
+_SUBCHUNK trials, and each batch of B trials draws, in order:
+- labeled "different": one ``haar_vectors`` call, 2 d B standard normals;
+- labeled "equal": one ``haar_unitaries`` call for U (one ``haar_vectors``
+  call per level k = 1..d, d (d + 1) B normals in all), then, for a state of
+  several components, one multinomial of B over them;
+- unlabeled: 3 B standard normals for A's axis unless A is along z (an
+  invariant state's "different" stream), then 3 B for B's axis in a
+  "different" stream;
+then one uniform per trial for its class, component by component in a
+labeled "equal" batch.  An "equal" shard of a fixed law draws one
+multinomial instead, or nothing.  The batch size, these draws, the Haar
+construction, the invariance test, the component order, the Bloch form and
+the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
 change to any of them changes the counts and needs a new format version.
-Format 5 added the component multinomial: pure and invariant states count
-as in format 4, mixed states that take the Born kernel do not.  Format 6
-drew one Haar row per labeled invariant "different" trial.  Format 7 draws
-one unit vector per labeled "different" trial for every test state.
-Format 8 samples the unlabeled "different" trials of an invariant state
-piece by piece; every other stream counts as in format 7, including the
-"equal" streams that now draw nothing.
+Format 5 added the component multinomial.  Format 6 drew one Haar row per
+labeled invariant "different" trial, and format 7 does so for every test
+state.  Format 8 let fixed "equal" laws draw nothing.  Format 9 samples
+every unlabeled trial that draws devices from the Bloch class law; the
+labeled streams count as in format 8.
 
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
 ``haar_vectors`` returns a (d, size) array, ``haar_unitaries`` views of a
-(d, d, size) buffer, ``_born_table`` and ``_labeled_probs_row`` build
+(d, d, size) buffer, ``_bloch_terms`` one array per term, and
+``_born_table``, ``_labeled_probs_row`` and ``_bloch_class_law`` build
 category-first tables, and ``_clamped`` and ``_sample_rows`` work on that
 layout.  Every step is then a vector operation over many trials instead of
 a loop over tiny matrices, and no step calls BLAS, so the pool workers run
@@ -164,7 +169,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/8"
+CAMPAIGN_FORMAT = "qmeter.campaign/9"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -403,8 +408,7 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
-                n: int) -> np.ndarray:
+def _born_table(us: np.ndarray, vs: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
     """Born table p[b, idx] = |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi>|^2
     of one pure test state psi over flat n-slot outcome records.
 
@@ -412,41 +416,28 @@ def _born_table(us: Optional[np.ndarray], vs: np.ndarray, psi: np.ndarray,
     psi, reshaped to D x D with D = d^(n/2), contracts with the two halves
     in turn, one outcome J of device A at a time.  Only the support of psi
     enters: the sums run over the rows M and columns N of psi that hold a
-    nonzero entry, and with device A in the computational basis over the
-    nonzero entries of row J.  The terms left out are exact zeros and the
-    sums keep the M-then-N order of the dense contraction, so every entry is
-    bitwise the dense one; the paper's test states are sparse (kappa_2 has
-    2 nonzero entries of 16, in 2 rows and 2 columns).  The batch is the
-    innermost axis throughout, so every step is a vector operation over
-    device pairs, with no BLAS call, and every intermediate is at most
-    (D, size), which keeps the working set in cache.  The result is the
-    (size, d^n) transposed view of a category-first array.
-
-    ``us`` None stands for device A measuring in the computational basis:
-    its Kronecker power is the identity, so the first contraction is row J
-    of psi itself.  psi may then hold any number of rows of length D, and
-    the table has D records per row: for a single row it is device B's
-    (size, D) table of the state that row leaves in B's slots.
+    nonzero entry.  The terms left out are exact zeros and the sums keep the
+    M-then-N order of the dense contraction, so every entry is bitwise the
+    dense one; the paper's test states are sparse (kappa_2 has 2 nonzero
+    entries of 16, in 2 rows and 2 columns).  The batch is the innermost
+    axis throughout, so every step is a vector operation over device pairs,
+    with no BLAS call, and every intermediate is at most (D, size), which
+    keeps the working set in cache.  The result is the (size, d^n)
+    transposed view of a category-first array.
     """
     kb = _device_kron(vs, n // 2)
-    ka = None if us is None else kb if us is vs else _device_kron(us, n // 2)
+    ka = kb if us is vs else _device_kron(us, n // 2)
     dim, size = kb.shape[0], kb.shape[2]
-    psi = psi.reshape(-1, dim)
+    psi = psi.reshape(dim, dim)
     rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
     sub = psi[np.ix_(rows, cols)][:, :, None]
-    p = np.zeros((len(psi), dim, size))
-    for j in range(len(psi)):
-        if ka is None:
-            live = np.flatnonzero(psi[j])
-            halves = psi[j, live, None, None]
-        else:
-            # half[N, b] = sum_M psi[M, N] ka[M, j, b]
-            live = cols
-            halves = _contract(sub, [ka[m, j] for m in rows])
-        if live.size:
-            # amp[K, b] = sum_N half[N, b] kb[N, K, b]
-            amp = _contract(halves, [kb[c] for c in live])
-            p[j] = amp.real ** 2 + amp.imag ** 2
+    p = np.zeros((dim, dim, size))
+    for j in range(dim):
+        # half[N, b] = sum_M psi[M, N] ka[M, j, b]
+        halves = _contract(sub, [ka[m, j] for m in rows])
+        # amp[K, b] = sum_N half[N, b] kb[N, K, b]
+        amp = _contract(halves, [kb[c] for c in cols])
+        p[j] = amp.real ** 2 + amp.imag ** 2
     return p.reshape(-1, size).T
 
 
@@ -458,9 +449,67 @@ def _labeled_probs_row(x: np.ndarray) -> np.ndarray:
     return (x.real ** 2 + x.imag ** 2).T
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: the axis pairs (i, j) of the Bloch terms e_1..e_6 = n_i n_j, in order
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+#: the Bloch terms of the z axis
+_Z_TERMS = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def _bloch_form(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The real 7 x 7 matrix G[a, b] = tr(rho X_a (x) X_b) of the prepared
+    mixture rho = sum_r w_r psi_r psi_r^dag / sum(w), where on one device's
+    two slots X_0 = 1 and X_k = sigma_i (x) sigma_j + sigma_j (x) sigma_i
+    for the k-th axis pair (i, j) of _PAIRS, halved when i = j."""
+    rho = (vecs.T * (weights / weights.sum())) @ vecs.conj()
+    xs = [np.eye(4)] + [(np.kron(_PAULI[i], _PAULI[j]) + np.kron(_PAULI[j], _PAULI[i]))
+                        / (1 + (i == j)) for i, j in _PAIRS]
+    return np.einsum("abcd,xca,ydb->xy", rho.reshape(4, 4, 4, 4), xs, xs).real
+
+
+def _bloch_terms(size: int, gen: np.random.Generator) -> tuple:
+    """The Bloch terms e_k(n) = n_i n_j (_PAIRS) of `size` axes n uniform on
+    the sphere, one array over the batch per term.  One standard_normal call
+    draws a (3, size) block g, and n = g / |g|: a normalized Gaussian vector
+    is uniform on the sphere."""
+    x, y, z = gen.standard_normal((3, size))
+    r = 1.0 / (x * x + y * y + z * z)
+    xr, yr = x * r, y * r
+    return x * xr, y * yr, z * z * r, x * yr, z * xr, z * yr
+
+
+def _weigh(coefs, terms):
+    """sum_k coefs[k] * terms[k], leaving out every coefficient that is the
+    number zero; an array coefficient is always kept."""
+    total = 0.0
+    for c, t in zip(coefs, terms):
+        if np.ndim(c) or c:
+            total = total + c * t
+    return total
+
+
+def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
+    """Unlabeled class law of device A with Bloch axis n and device B with
+    axis m, from the Bloch form G (module docstring): with e_0 = 1,
+    p(A same) = sum_a G[a, 0] e_a(n) / 2, p(B same) = sum_b G[0, b] e_b(m) / 2
+    and p(same_same) = e(n)^T G e(m) / 4, the other classes by
+    inclusion-exclusion.  en and em hold e_1..e_6, each an array over the
+    batch or a number (a fixed axis).  The result is the (size, 4)
+    transposed view of a class-first table."""
+    en, em = (1.0, *en), (1.0, *em)
+    # h_b = sum_a G[a, b] e_a(n), the number 0 for a zero column of G
+    h = [_weigh(col, en) for col in form.T]
+    both = 0.25 * _weigh(h, em)
+    a_same = 0.5 * h[0]
+    b_same = 0.5 * _weigh(form[0], em)
+    return np.stack(np.broadcast_arrays(
+        both, a_same - both, b_same - both, 1.0 - a_same - b_same + both)).T
+
+
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
-# these names of the two kernels.
-_labeled_probs_generic = _unlabeled_probs = _born_table
+# these names of the kernels.
+_labeled_probs_generic = _born_table
+_unlabeled_probs = _bloch_class_law
 _labeled_probs_antisym = _labeled_probs_row
 
 
@@ -514,34 +563,17 @@ def _sample_rows(p: np.ndarray, gen: np.random.Generator,
     q = _clamped(p).T
     if classes is not None:
         q = np.stack([q[classes == c].sum(axis=0) for c in range(classes.max() + 1)])
-    cum = np.cumsum(q, axis=0)
+    # the running sum row by row: np.cumsum's order, at a tenth of its time
+    # over the strided axis
+    cum = q.copy()
+    for k in range(1, len(cum)):
+        cum[k] += cum[k - 1]
     # The rows sum to 1 only up to rounding.  Pinning the whole trailing
     # plateau (the last nonzero category and the zeros after it) to 1 sends
     # a draw in the rounding gap to that last nonzero category.
     cum[cum >= cum[-1]] = 1.0
     u = gen.random(p.shape[0])
     return (u >= cum).sum(axis=0)
-
-
-def _pieces(weights: np.ndarray, vecs: np.ndarray, dim: int) -> tuple:
-    """What a different-device trial of an invariant state leaves in device
-    B's slots, with device A in the computational basis.
-
-    Component r gives A's record J with probability ||psi_r[J, :]||^2
-    whatever the devices, and leaves B's slots in psi_r[J, :] normalized.
-    Returns (weights, states, records): the weights w_r ||psi_r[J, :]||^2
-    of the pairs (r, J) above TOL_ABS, in ``pure_components`` and then J
-    order, their normalized states and their records J.
-    """
-    out_w, states, records = [], [], []
-    for weight, vec in zip(weights, vecs):
-        for j, row in enumerate(vec.reshape(-1, dim)):
-            mass = float(np.vdot(row, row).real)
-            if weight * mass > TOL_ABS:
-                out_w.append(weight * mass)
-                states.append(row / np.sqrt(mass))
-                records.append(j)
-    return np.array(out_w), np.array(states), tuple(records)
 
 
 def _equal_law(scen: Scenario, conclusive: Tuple[str, ...], invariant: bool,
@@ -586,51 +618,46 @@ def _fixed_law_counts(names: Sequence[str], law: np.ndarray, seed: int, shard: i
 def _shard_counts(task: tuple) -> Dict[str, int]:
     """Simulate one shard that draws devices and return its class counts.
 
-    `task` = (kind, d, truth, records, weights, vecs, seed, shard, count).
-    (weights, vecs) are what a trial prepares: the test state's pure
-    components when `records` is None, and for an invariant state's
-    different-device trials the pieces of ``_pieces``, where the piece i
-    follows device A's record records[i].  Deterministic in (seed, truth,
-    shard) alone.
+    `task` = (kind, d, truth, invariant, form, weights, vecs, seed, shard,
+    count): (weights, vecs) are the test state's pure components and `form`
+    its Bloch form (_bloch_form), None for a labeled campaign.
+    Deterministic in (seed, truth, shard) alone.
     """
-    kind, d, truth, records, weights, vecs, seed, shard, count = task
+    kind, d, truth, invariant, form, weights, vecs, seed, shard, count = task
     gen = _shard_rng(seed, truth, shard)
     scen = Scenario(kind, d)
     cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
-    if records is None:
-        classes = [cls_of] * len(vecs)
-    else:
-        # a piece's table is row J of the full one
-        dim = d ** (scen.slots // 2)
-        classes = [cls_of[j * dim:(j + 1) * dim] for j in records]
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
-        if kind == "labeled" and truth == "different":
+        if kind == "unlabeled":
+            # the table of (U, V) is that of (I, U^dag V) for an invariant
+            # state, so device A measures along z and only B's axis is drawn
+            en = _Z_TERMS if invariant and truth == "different" else _bloch_terms(step, gen)
+            em = en if truth == "equal" else _bloch_terms(step, gen)
+            p = _bloch_class_law(form, en, em)
+            counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
+            continue
+        if truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
             # taken as j = 0 and not drawn
             p = _labeled_probs_row(haar_vectors(d, step, gen))
             counts += np.bincount(_sample_rows(p, gen, cls_of[:d]), minlength=len(counts))
             continue
-        if records is not None:
-            us, vs = None, haar_unitaries(d, step, gen)
-        else:
-            us = haar_unitaries(d, step, gen)
-            vs = haar_unitaries(d, step, gen) if truth == "different" else us
-        # each trial prepares one component or piece (module docstring)
+        us = haar_unitaries(d, step, gen)
+        # each trial prepares one component (module docstring)
         parts = gen.multinomial(step, weights / weights.sum()) if len(vecs) > 1 else (step,)
         lo = 0
-        for vec, cls, k in zip(vecs, classes, parts):
+        for vec, k in zip(vecs, parts):
             if k:
-                a = None if us is None else us[lo:lo + k]
-                b = a if vs is us else vs[lo:lo + k]
-                p = _born_table(a, b, vec, scen.slots)
-                counts += np.bincount(_sample_rows(p, gen, cls), minlength=len(counts))
+                a = us[lo:lo + k]
+                p = _born_table(a, a, vec, scen.slots)
+                counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
                 lo += k
-                # the views would keep this batch's unitaries alive through
+                # the view would keep this batch's unitaries alive through
                 # the next batch's Haar draws, which then take fresh pages
-                del a, b
+                del a
     return dict(zip(scen.classes, counts.tolist()))
 
 
@@ -670,15 +697,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     weights, vecs = state.pure_components()
     invariant = _is_invariant(state.rho)
     equal_law = _equal_law(scen, conclusive, invariant, weights, vecs)
-    records = None
-    if invariant:
-        weights, vecs, records = _pieces(weights, vecs, scen.dim ** (scen.slots // 2))
+    form = _bloch_form(weights, vecs) if scen.kind == "unlabeled" else None
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
     shards = _shards_for(config.trials)
     seed = int(config.seed)
     tasks = [
-        (scen.kind, scen.dim, truth, records, weights, vecs, seed, shard, count)
+        (scen.kind, scen.dim, truth, invariant, form, weights, vecs, seed, shard, count)
         for truth in truths for shard, count in shards
     ]
     # An "equal" shard of a fixed class law draws no device and takes well

@@ -25,7 +25,7 @@ from qmeter import (
     singlet_pairing_state,
 )
 from qmeter.comparison import _leaks, _operators_for
-from qmeter.simulate import _born_table, _clamped
+from qmeter.simulate import _bloch_class_law, _bloch_form, _bloch_terms, _born_table, _clamped
 
 UNLABELED = Scenario("unlabeled", 2)
 PHI_Q = singlet_pairing_state()
@@ -102,6 +102,12 @@ def test_clamped_equal_device_tables_never_weigh_on_a_certified_class(case, seed
     for vec in state.pure_components()[1]:  # a trial prepares one component
         p = _clamped(_born_table(us, us, vec, scen.slots))
         assert not np.any(p[:, in_class])
+    if scen.kind == "unlabeled":
+        # a campaign samples the Bloch class law of the prepared mixture, with
+        # device B's axis m equal to A's n in an equal-device trial
+        terms = _bloch_terms(256, np.random.default_rng(seed))
+        law = _clamped(_bloch_class_law(_bloch_form(*state.pure_components()), terms, terms))
+        assert not np.any(law[:, scen.classes.index(cls)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,6 +142,12 @@ def test_the_leak_bounds_every_equal_device_trial(scen, rank, seed):
         p = _born_table(us, us, vec, scen.slots)
         for i, name in enumerate(scen.classes):
             assert p[:, cls_of == i].sum(axis=1).max() <= leaks[name] + 1e-12, name
+    if scen.kind == "unlabeled":
+        # the prepared mixture's class law at m = n, before the clamp
+        terms = _bloch_terms(256, rng)
+        law = _bloch_class_law(_bloch_form(*state.pure_components()), terms, terms)
+        for i, name in enumerate(scen.classes):
+            assert law[:, i].max() <= leaks[name] + 1e-12, name
 
 
 def test_a_rare_leaky_component_is_not_certified():

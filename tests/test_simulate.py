@@ -42,10 +42,13 @@ from qmeter.haar import haar_unitaries, haar_vectors
 from qmeter.comparison import _outcome_table
 from qmeter.simulate import (
     SHARD_SIZE,
+    _Z_TERMS,
+    _bloch_class_law,
+    _bloch_form,
+    _bloch_terms,
     _born_table,
     _is_invariant,
     _labeled_probs_row,
-    _pieces,
     _sample_rows,
     _shard_counts,
     _shards_for,
@@ -250,7 +253,7 @@ def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
         def map(self, fn, tasks, **kwargs):
-            pools[-1].append(sorted((t[2], t[7]) for t in tasks))
+            pools[-1].append(sorted((t[2], t[-2]) for t in tasks))
             return super().map(fn, tasks, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
@@ -345,6 +348,19 @@ def test_campaign_kappa_state():
     assert abs(rate - 1 / 9) < 5 * res.results["different"].different_rate_stderr
 
 
+@pytest.mark.parametrize("spec", ["kappa:2", "kappa_mix"])
+def test_kappa_equal_streams_give_no_false_positive_in_a_million_trials(tmp_path, spec):
+    # the Bloch class law of the prepared state puts at most TOL_ABS/2 plus
+    # rounding on diff_diff in every equal-device trial, and the clamp makes
+    # it exactly 0, for the pure state and for the mixture alike
+    path = _kappa_mixture_file(tmp_path) if spec == "kappa_mix" else spec
+    res = run_campaign(CampaignConfig(Scenario("unlabeled", 2), trials=1 << 20, seed=20,
+                                      ground_truth="equal", test_state=path))
+    assert res.conclusive == ("diff_diff",)
+    assert res.results["equal"].different_verdicts == 0
+    assert sum(res.results["equal"].class_counts.values()) == 1 << 20
+
+
 def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     # a labeled "different" batch draws one unit vector x per trial and one
     # uniform per trial for its class, sampled from |x_k|^2 with the classes
@@ -354,7 +370,7 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     d, trials = 3, 4000
     anti = TestState.antisymmetric(d)
     w, v = anti.pure_components()
-    equal = _shard_counts(("labeled", d, "equal", None, w, v, 99, 0, trials))
+    equal = _shard_counts(("labeled", d, "equal", False, None, w, v, 99, 0, trials))
     assert equal == {"same": 0, "diff": trials}
 
     def no_call(*args, **kwargs):
@@ -370,7 +386,7 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     for state in (anti, mixture):
         w, v = state.pure_components()
-        assert _shard_counts(("labeled", d, "different", None, w, v, 99, 0, trials)) == expected
+        assert _shard_counts(("labeled", d, "different", False, None, w, v, 99, 0, trials)) == expected
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
@@ -463,27 +479,27 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 to /8 except the labeled "different"
+    # same in formats qmeter.campaign/4 to /9 except the labeled "different"
     # blocks, which format 7 draws as one Haar row per trial for every state
     # (so the d = 3 optimal and anti3 blocks agree), and the unlabeled
-    # optimal "different" block, which format 8 samples from device B's table
-    # given A's record; any change to the random streams, the Born kernels,
-    # the sampler or the outcome-to-class map shows up here
+    # blocks that draw devices, which format 9 samples from the Bloch class
+    # law; any change to the random streams, the kernels, the sampler or the
+    # outcome-to-class map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22902, "diff": 45634},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30372, "same_diff": 15306,
-                                                    "diff_same": 15247, "diff_diff": 7611},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30410, "same_diff": 15269,
+                                                    "diff_same": 15202, "diff_diff": 7655},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22902, "diff": 45634},
                                 "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
-                                                    "diff_same": 15263, "diff_diff": 7603},
-                                      "equal": {"same_same": 22656, "same_diff": 23043,
-                                                "diff_same": 22837, "diff_diff": 0}},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30368, "same_diff": 15159,
+                                                    "diff_same": 15365, "diff_diff": 7644},
+                                      "equal": {"same_same": 22732, "same_diff": 22952,
+                                                "diff_same": 22852, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest Haar rows of the labeled pins
         ("labeled", 2, "optimal"): {"different": {"same": 34180, "diff": 34356},
                                     "equal": {"same": 0, "diff": 68536}},
@@ -497,15 +513,16 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
 
 
 def test_mixed_state_class_counts_are_pinned(tmp_path):
-    # exact counts of two-shard campaigns of mixed, non-invariant states in
-    # formats qmeter.campaign/5 to /7, where each trial that takes the Born
-    # kernel prepares one pure component; the labeled "different" block is
-    # the format-7 one-row draw
+    # exact counts of two-shard campaigns of mixed, non-invariant states: the
+    # unlabeled blocks sample the Bloch class law of the prepared mixture
+    # (format qmeter.campaign/9), the labeled "equal" block prepares one pure
+    # component per trial (formats 5 to 9) and the labeled "different" block
+    # is the one-row draw of formats 7 to 9
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
-            "different": {"same_same": 30398, "same_diff": 15320, "diff_same": 15242,
-                          "diff_diff": 7576},
-            "equal": {"same_same": 22676, "same_diff": 23113, "diff_same": 22747,
+            "different": {"same_same": 30297, "same_diff": 15242, "diff_same": 15315,
+                          "diff_diff": 7682},
+            "equal": {"same_same": 22674, "same_diff": 23034, "diff_same": 22828,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
             "different": {"same": 17108, "diff": 51428},
@@ -529,7 +546,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     assert len(w) == 2 and not _is_invariant(state.rho)
     assert conclusive_classes(Scenario("labeled", 3), state) == ()
     trials, cls_of = 3000, outcome_class_index(2, 3)
-    counts = _shard_counts(("labeled", 3, "equal", None, w, v, 12, 0, trials))
+    counts = _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     us = haar_unitaries(3, trials, gen)
     parts = gen.multinomial(trials, w / w.sum())
@@ -563,7 +580,7 @@ def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypat
     born = simulate._born_table
     monkeypatch.setattr(simulate, "_born_table", lambda *a: passes.append(1) or born(*a))
     trials = 2 * SHARD_SIZE
-    counts = [_shard_counts(("labeled", 3, "equal", None, w, v, 77, shard, SHARD_SIZE))
+    counts = [_shard_counts(("labeled", 3, "equal", False, None, w, v, 77, shard, SHARD_SIZE))
               for shard in range(trials // SHARD_SIZE)]
     assert len(passes) >= 2 * SHARD_SIZE // simulate._SUBCHUNK
     assert sum(c["diff"] for c in counts) == trials
@@ -606,7 +623,8 @@ def test_invariant_born_table_depends_on_w_alone(kind, d):
     state = _invariant_mixture(d, 0.3) if kind == "labeled" else optimal_test_state(
         Scenario(kind, d))
     n = 2 if kind == "labeled" else 4
-    assert_allclose(_mixture_table(None, ws, state, n), _mixture_table(us, vs, state, n),
+    eye = np.broadcast_to(np.eye(d), ws.shape)
+    assert_allclose(_mixture_table(eye, ws, state, n), _mixture_table(us, vs, state, n),
                     rtol=0, atol=1e-12)
 
 
@@ -686,7 +704,7 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
     def no_call(*args, **kwargs):
         raise AssertionError("device draw or Born pass")
 
-    for name in ("haar_unitaries", "haar_vectors", "_born_table"):
+    for name in ("haar_unitaries", "haar_vectors", "_bloch_terms", "_born_table"):
         monkeypatch.setattr(simulate, name, no_call)
     trials = SHARD_SIZE + 3000
     for kind, d, spec in states:
@@ -703,57 +721,105 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
                                     ground_truth="different"))
 
 
+def _bloch_terms_of(device: Observable) -> tuple:
+    """e_1..e_6 = n_i n_j of the Bloch vector n of a qubit device's outcome 0."""
+    a, b = device.basis[:, 0]
+    n = (2 * (a.conjugate() * b).real, 2 * (a.conjugate() * b).imag, abs(a) ** 2 - abs(b) ** 2)
+    return tuple(n[i] * n[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+
+
+def _class_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
+    """The Born table of fixed devices summed into the four unlabeled classes."""
+    return np.bincount(outcome_class_index(4, 2),
+                       unlabeled_outcome_distribution(a, b, state).reshape(-1), 4)
+
+
+def _unlabeled_states() -> list:
+    rng = np.random.default_rng(66)
+    return ([kappa_state(j) for j in (1, 2, 3)] + [optimal_test_state(Scenario("unlabeled", 2))]
+            + [_random_mixed_state(2, 4, 2, rng)])
+
+
+@pytest.mark.parametrize("state", _unlabeled_states(),
+                         ids=["kappa:1", "kappa:2", "kappa:3", "phi_q", "rank2"])
+def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
+    # p(same_same) = e(n)^T G e(m) / 4 and the marginals of G's first row and
+    # column: for fixed devices the class law is the Born table summed by
+    # outcome_class_index, for random, rotated and equal device pairs
+    rng = np.random.default_rng(67)
+    form = _bloch_form(*state.pure_components())
+    pairs = [(Observable.random(2, rng), Observable.random(2, rng)) for _ in range(10)]
+    pairs += [(Observable.qubit_angle(s), Observable.qubit_angle(t))
+              for s, t in rng.uniform(0, np.pi, size=(10, 2))]
+    pairs += [(a, a) for a, _ in pairs]
+    for a, b in pairs:
+        law = _bloch_class_law(form, _bloch_terms_of(a), _bloch_terms_of(b))
+        assert_allclose(law, _class_table(a, b, state), rtol=0, atol=1e-12)
+    # and over a batch, one column per pair
+    terms = [np.array([_bloch_terms_of(x) for x in side]).T for side in zip(*pairs)]
+    expected = [_class_table(a, b, state) for a, b in pairs]
+    assert_allclose(_bloch_class_law(form, *terms), expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", ["phi_q", "spin0"])
-def test_an_invariant_piece_is_a_row_of_the_born_table(name):
-    # with device A in the computational basis, component r gives A's record
-    # J with probability ||psi_r[J]||^2 and leaves B's slots in psi_r[J]
-    # normalized; W^(x)2 is unitary, so that weight times B's table of the
-    # piece is row J of the table of (I, W)
+def test_an_invariant_state_measures_device_a_along_z(name):
+    # the table of (U, V) is the table of (I, W) with W = U^dag V, and device
+    # A in the computational basis has Bloch axis z: the law with A's terms
+    # fixed at _Z_TERMS is the class law of (I, W) and of (U, V)
     state = optimal_test_state(Scenario("unlabeled", 2)) if name == "phi_q" else _spin0_mixture()
     assert _is_invariant(state.rho)
-    weights, vecs = state.pure_components()
-    piece_w, piece_v, records = _pieces(weights, vecs, 4)
-    assert piece_w.sum() == pytest.approx(1.0, abs=1e-12)
-    ws = haar_unitaries(2, 40, np.random.default_rng(90))
-    i = 0
-    for w, psi in zip(weights, vecs):
-        full = _born_table(None, ws, psi, 4)
-        for j, row in enumerate(psi.reshape(4, 4)):
-            mass = np.vdot(row, row).real
-            if w * mass <= TOL_ABS:
-                continue
-            chi = row / np.sqrt(mass)
-            assert records[i] == j and piece_w[i] == pytest.approx(w * mass, abs=1e-15)
-            assert_allclose(piece_v[i], chi, rtol=0, atol=1e-15)
-            assert_allclose(mass * _born_table(None, ws, chi, 4), full[:, 4 * j:4 * j + 4],
-                            rtol=0, atol=1e-12)
-            i += 1
-    assert i == len(records)
+    form = _bloch_form(*state.pure_components())
+    rng = np.random.default_rng(90)
+    eye = Observable.computational(2)
+    for _ in range(20):
+        u, v = haar_unitaries(2, 2, rng)
+        a, b, w = Observable(u), Observable(v), Observable(u.conj().T @ v)
+        law = _bloch_class_law(form, _Z_TERMS, _bloch_terms_of(w))
+        assert_allclose(law, _class_table(eye, w, state), rtol=0, atol=1e-12)
+        assert_allclose(law, _class_table(a, b, state), rtol=0, atol=1e-12)
 
 
-def test_an_invariant_different_shard_samples_device_b_given_a_record():
-    # a batch draws W, then one multinomial over the pieces, and each
-    # piece's contiguous sub-batch samples device B's table with the classes
-    # of row J; replaying that stream by hand gives the shard's counts, and
+def test_an_invariant_different_shard_draws_device_b_alone():
+    # a batch draws B's axis and one uniform per trial for its class, with A
+    # along z; replaying that stream by hand gives the shard's counts, and
     # the campaign's
     scen = Scenario("unlabeled", 2)
-    w, v = optimal_test_state(scen).pure_components()
-    piece_w, piece_v, records = _pieces(w, v, 4)
-    assert records == (0, 1, 2, 3)
-    trials, cls_of = 5000, outcome_class_index(4, 2).reshape(4, 4)
-    counts = _shard_counts(("unlabeled", 2, "different", records, piece_w, piece_v, 33, 0, trials))
+    state = optimal_test_state(scen)
+    w, v = state.pure_components()
+    form = _bloch_form(w, v)
+    trials = 5000
+    task = ("unlabeled", 2, "different", True, form, w, v, 33, 0, trials)
+    counts = _shard_counts(task)
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
-    ws = haar_unitaries(2, trials, gen)
-    parts = gen.multinomial(trials, piece_w / piece_w.sum())
-    drawn, lo = [], 0
-    for chi, j, k in zip(piece_v, records, parts):
-        drawn.append(_sample_rows(_born_table(None, ws[lo:lo + k], chi, 4), gen, cls_of[j]))
-        lo += k
-    assert counts == dict(zip(scen.classes,
-                              np.bincount(np.concatenate(drawn), minlength=4).tolist()))
+    drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, _bloch_terms(trials, gen)), gen)
+    assert counts == dict(zip(scen.classes, np.bincount(drawn, minlength=4).tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
     assert dict(res.results["different"].class_counts) == counts
+
+
+@pytest.mark.parametrize("spec,truth,axes", [("kappa:2", "different", 2), ("kappa:2", "equal", 1),
+                                             ("optimal", "different", 1)])
+def test_an_unlabeled_batch_draws_its_axes_then_one_uniform_per_trial(monkeypatch, spec, truth,
+                                                                      axes):
+    # each batch draws 3 step normals per device axis it draws (A then B for
+    # a non-invariant "different" stream, A alone for "equal", B alone for an
+    # invariant state), then step uniforms, and nothing else: a twin
+    # generator that draws just that ends in the same state
+    scen = Scenario("unlabeled", 2)
+    state = resolve_test_state(spec, scen)
+    w, v = state.pure_components()
+    trials = simulate._SUBCHUNK + 1000  # a full batch and a short one
+    gen = np.random.default_rng(5)
+    monkeypatch.setattr(simulate, "_shard_rng", lambda *args: gen)
+    _shard_counts(("unlabeled", 2, truth, _is_invariant(state.rho), _bloch_form(w, v), w, v,
+                   5, 0, trials))
+    twin = np.random.default_rng(5)
+    for step in (simulate._SUBCHUNK, 1000):
+        for _ in range(axes):
+            twin.standard_normal(3 * step)
+        twin.random(step)
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
@@ -797,16 +863,16 @@ def _kernel_states():
 def test_born_table_matches_the_oracle_on_sparse_and_dense_states(name, d, n, psi):
     # the kernel sums over the support of psi only; every entry must match
     # the dense kron oracle, with device A Haar, the same device twice, and
-    # device A the computational basis (us=None)
+    # device A the computational basis
     rng = np.random.default_rng(len(name) + d)
     us, vs = haar_unitaries(d, 8, rng), haar_unitaries(d, 8, rng)
     state = TestState.pure(Vector(psi, d, n))
-    eye = Observable.computational(d)
-    for a_side, b_side in ((us, vs), (us, us), (None, vs)):
+    eye = np.broadcast_to(np.eye(d), us.shape)
+    for a_side, b_side in ((us, vs), (us, us), (eye, vs)):
         table = _born_table(a_side, b_side, psi, n)
         for i, row in enumerate(table):
-            a = eye if a_side is None else Observable(a_side[i])
-            expected = _outcome_table(a, Observable(b_side[i]), state, n).reshape(-1)
+            expected = _outcome_table(Observable(a_side[i]), Observable(b_side[i]), state,
+                                      n).reshape(-1)
             assert_allclose(row, expected, rtol=0, atol=1e-12)
 
 
@@ -822,6 +888,16 @@ def test_sampling_in_row_blocks_keeps_the_stream():
         blocks = np.random.default_rng(7)
         pieces = [_sample_rows(table[lo:lo + 300], blocks, classes) for lo in range(0, 1000, 300)]
         assert np.array_equal(np.concatenate(pieces), whole)
+
+
+def test_sampler_matches_an_inverse_cdf_built_by_cumsum():
+    # the sampler sums the clamped table row by row, which is np.cumsum's
+    # order, so its draws equal the reference built with np.cumsum
+    p = np.random.default_rng(12).dirichlet(np.full(16, 0.3), size=5000)
+    cum = np.cumsum(simulate._clamped(p).T, axis=0)
+    cum[cum >= cum[-1]] = 1.0
+    reference = (np.random.default_rng(3).random(len(p)) >= cum).sum(axis=0)
+    assert np.array_equal(_sample_rows(p, np.random.default_rng(3)), reference)
 
 
 @pytest.mark.parametrize("kind,dim,spec", [
