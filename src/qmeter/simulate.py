@@ -66,10 +66,12 @@ n_x n_z, n_y n_z.  So a trial's four class probabilities are a fixed
 quadratic form in the terms of A's axis n and B's axis m, the real 7 x 7
 matrix of ``_bloch_form``, built once per campaign, and
 ``_bloch_class_law`` evaluates it over a batch: no Born table and no
-component.  A Haar basis has its Bloch vector uniform on the sphere, so a
-trial draws each device's axis as a normalized Gaussian 3-vector
-(``_bloch_terms``); an "equal" trial reuses A's axis.  The law of an
-equal-device trial is a mixture of the components' laws, each at most
+component.  A trial draws each device as a Haar unitary
+(``haar_unitaries``), as every stream with a device does, and reads its
+axis off column 0 (``_bloch_terms``); an "equal" trial reuses A's.  So a
+trial of a non-invariant pure state draws the devices and the uniform of
+format 8 and samples the class law of format 8's Born table.  The law of
+an equal-device trial is a mixture of the components' laws, each at most
 TOL_ABS/2 in a conclusive class; the form rounds at about 1e-15, so the
 clamp sets the class to exactly 0.
 
@@ -81,7 +83,7 @@ unitary U; ``run_campaign`` reads this property off rho once
 (``_is_invariant``).  For such a state the Born table of the device pair
 (U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
 and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So in an
-unlabeled "different" trial device A measures along z and only B's axis is
+unlabeled "different" trial device A measures along z and only B = W is
 drawn.  With equal devices W = I, so every trial has the same table,
 diag(rho).
 
@@ -111,9 +113,9 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
 - labeled "equal": one ``haar_unitaries`` call for U (one ``haar_vectors``
   call per level k = 1..d, d (d + 1) B normals in all), then, for a state of
   several components, one multinomial of B over them;
-- unlabeled: 3 B standard normals for A's axis unless A is along z (an
-  invariant state's "different" stream), then 3 B for B's axis in a
-  "different" stream;
+- unlabeled: one ``haar_unitaries`` call for A (6 B normals at d = 2)
+  unless A is along z (an invariant state's "different" stream), then one
+  for B in a "different" stream;
 then one uniform per trial for its class, component by component in a
 labeled "equal" batch.  An "equal" shard of a fixed law draws one
 multinomial instead, or nothing.  The batch size, these draws, the Haar
@@ -123,8 +125,9 @@ change to any of them changes the counts and needs a new format version.
 Format 5 added the component multinomial.  Format 6 drew one Haar row per
 labeled invariant "different" trial, and format 7 does so for every test
 state.  Format 8 let fixed "equal" laws draw nothing.  Format 9 samples
-every unlabeled trial that draws devices from the Bloch class law; the
-labeled streams count as in format 8.
+every unlabeled trial that draws devices from the Bloch class law, with no
+component multinomial, and an invariant state's "different" trial draws B
+alone; the labeled streams count as in format 8.
 
 Batch layout
 ------------
@@ -467,24 +470,27 @@ def _bloch_form(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("abcd,xca,ydb->xy", rho.reshape(4, 4, 4, 4), xs, xs).real
 
 
-def _bloch_terms(size: int, gen: np.random.Generator) -> tuple:
-    """The Bloch terms e_k(n) = n_i n_j (_PAIRS) of `size` axes n uniform on
-    the sphere, one array over the batch per term.  One standard_normal call
-    draws a (3, size) block g, and n = g / |g|: a normalized Gaussian vector
-    is uniform on the sphere."""
-    x, y, z = gen.standard_normal((3, size))
-    r = 1.0 / (x * x + y * y + z * z)
-    xr, yr = x * r, y * r
-    return x * xr, y * yr, z * z * r, x * yr, z * xr, z * yr
+def _bloch_terms(us: np.ndarray) -> tuple:
+    """The Bloch terms e_k(n) = n_i n_j (_PAIRS) of a stack of qubit devices,
+    one array over the batch per term, where n is the Bloch vector of
+    outcome 0, column 0 of U_b = (a, b) in the (size, 2, 2) stack `us`:
+    n = (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2)."""
+    a, b = us[:, 0, 0], us[:, 1, 0]
+    c = a.conj() * b
+    x, y = 2.0 * c.real, 2.0 * c.imag
+    z = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+    return x * x, y * y, z * z, x * y, x * z, y * z
 
 
 def _weigh(coefs, terms):
     """sum_k coefs[k] * terms[k], leaving out every coefficient that is the
-    number zero; an array coefficient is always kept."""
+    number zero; an array coefficient is always kept.  The kappa states'
+    forms have 30 to 40 zeros in 49 entries, and at kappa:2 the skip takes
+    the class law of a batch from about 0.7 ms to 0.25 ms."""
     total = 0.0
     for c, t in zip(coefs, terms):
         if np.ndim(c) or c:
-            total = total + c * t
+            total += c * t  # in place once total is an array
     return total
 
 
@@ -632,9 +638,12 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
         step = min(_SUBCHUNK, count - done)
         if kind == "unlabeled":
             # the table of (U, V) is that of (I, U^dag V) for an invariant
-            # state, so device A measures along z and only B's axis is drawn
-            en = _Z_TERMS if invariant and truth == "different" else _bloch_terms(step, gen)
-            em = en if truth == "equal" else _bloch_terms(step, gen)
+            # state, so device A measures along z and only B is drawn
+            if invariant and truth == "different":
+                en = _Z_TERMS
+            else:
+                en = _bloch_terms(haar_unitaries(2, step, gen))
+            em = en if truth == "equal" else _bloch_terms(haar_unitaries(2, step, gen))
             p = _bloch_class_law(form, en, em)
             counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
             continue

@@ -105,7 +105,7 @@ def test_clamped_equal_device_tables_never_weigh_on_a_certified_class(case, seed
     if scen.kind == "unlabeled":
         # a campaign samples the Bloch class law of the prepared mixture, with
         # device B's axis m equal to A's n in an equal-device trial
-        terms = _bloch_terms(256, np.random.default_rng(seed))
+        terms = _bloch_terms(us)
         law = _clamped(_bloch_class_law(_bloch_form(*state.pure_components()), terms, terms))
         assert not np.any(law[:, scen.classes.index(cls)])
 
@@ -144,7 +144,7 @@ def test_the_leak_bounds_every_equal_device_trial(scen, rank, seed):
             assert p[:, cls_of == i].sum(axis=1).max() <= leaks[name] + 1e-12, name
     if scen.kind == "unlabeled":
         # the prepared mixture's class law at m = n, before the clamp
-        terms = _bloch_terms(256, rng)
+        terms = _bloch_terms(us)
         law = _bloch_class_law(_bloch_form(*state.pure_components()), terms, terms)
         for i, name in enumerate(scen.classes):
             assert law[:, i].max() <= leaks[name] + 1e-12, name

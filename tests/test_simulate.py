@@ -482,24 +482,26 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
     # same in formats qmeter.campaign/4 to /9 except the labeled "different"
     # blocks, which format 7 draws as one Haar row per trial for every state
     # (so the d = 3 optimal and anti3 blocks agree), and the unlabeled
-    # blocks that draw devices, which format 9 samples from the Bloch class
-    # law; any change to the random streams, the kernels, the sampler or the
-    # outcome-to-class map shows up here
+    # optimal "different" block, which format 9 draws as device B alone (the
+    # kappa:2 blocks draw the same Haar devices and uniforms as before, and
+    # the Bloch class law is their Born table's class law); any change to
+    # the random streams, the kernels, the sampler or the outcome-to-class
+    # map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22902, "diff": 45634},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30410, "same_diff": 15269,
-                                                    "diff_same": 15202, "diff_diff": 7655},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
+                                                    "diff_same": 15327, "diff_diff": 7662},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22902, "diff": 45634},
                                 "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30368, "same_diff": 15159,
-                                                    "diff_same": 15365, "diff_diff": 7644},
-                                      "equal": {"same_same": 22732, "same_diff": 22952,
-                                                "diff_same": 22852, "diff_diff": 0}},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
+                                                    "diff_same": 15263, "diff_diff": 7603},
+                                      "equal": {"same_same": 22656, "same_diff": 23043,
+                                                "diff_same": 22837, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest Haar rows of the labeled pins
         ("labeled", 2, "optimal"): {"different": {"same": 34180, "diff": 34356},
                                     "equal": {"same": 0, "diff": 68536}},
@@ -520,9 +522,9 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
     # is the one-row draw of formats 7 to 9
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
-            "different": {"same_same": 30297, "same_diff": 15242, "diff_same": 15315,
-                          "diff_diff": 7682},
-            "equal": {"same_same": 22674, "same_diff": 23034, "diff_same": 22828,
+            "different": {"same_same": 30325, "same_diff": 15340, "diff_same": 15374,
+                          "diff_diff": 7497},
+            "equal": {"same_same": 22673, "same_diff": 22928, "diff_same": 22935,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
             "different": {"same": 17108, "diff": 51428},
@@ -704,7 +706,7 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
     def no_call(*args, **kwargs):
         raise AssertionError("device draw or Born pass")
 
-    for name in ("haar_unitaries", "haar_vectors", "_bloch_terms", "_born_table"):
+    for name in ("haar_unitaries", "haar_vectors", "_bloch_class_law", "_born_table"):
         monkeypatch.setattr(simulate, name, no_call)
     trials = SHARD_SIZE + 3000
     for kind, d, spec in states:
@@ -722,10 +724,9 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
 
 
 def _bloch_terms_of(device: Observable) -> tuple:
-    """e_1..e_6 = n_i n_j of the Bloch vector n of a qubit device's outcome 0."""
-    a, b = device.basis[:, 0]
-    n = (2 * (a.conjugate() * b).real, 2 * (a.conjugate() * b).imag, abs(a) ** 2 - abs(b) ** 2)
-    return tuple(n[i] * n[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+    """The Bloch terms e_1..e_6 of one fixed qubit device, as a campaign
+    reads them off its unitary (_bloch_terms)."""
+    return tuple(t[0] for t in _bloch_terms(device.basis[None]))
 
 
 def _class_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
@@ -780,9 +781,9 @@ def test_an_invariant_state_measures_device_a_along_z(name):
 
 
 def test_an_invariant_different_shard_draws_device_b_alone():
-    # a batch draws B's axis and one uniform per trial for its class, with A
-    # along z; replaying that stream by hand gives the shard's counts, and
-    # the campaign's
+    # a batch draws device B's Haar unitary and one uniform per trial for its
+    # class, with A along z; replaying that stream by hand gives the shard's
+    # counts, and the campaign's
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     w, v = state.pure_components()
@@ -791,21 +792,23 @@ def test_an_invariant_different_shard_draws_device_b_alone():
     task = ("unlabeled", 2, "different", True, form, w, v, 33, 0, trials)
     counts = _shard_counts(task)
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
-    drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, _bloch_terms(trials, gen)), gen)
+    em = _bloch_terms(haar_unitaries(2, trials, gen))
+    drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, em), gen)
     assert counts == dict(zip(scen.classes, np.bincount(drawn, minlength=4).tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
     assert dict(res.results["different"].class_counts) == counts
 
 
-@pytest.mark.parametrize("spec,truth,axes", [("kappa:2", "different", 2), ("kappa:2", "equal", 1),
-                                             ("optimal", "different", 1)])
-def test_an_unlabeled_batch_draws_its_axes_then_one_uniform_per_trial(monkeypatch, spec, truth,
-                                                                      axes):
-    # each batch draws 3 step normals per device axis it draws (A then B for
-    # a non-invariant "different" stream, A alone for "equal", B alone for an
-    # invariant state), then step uniforms, and nothing else: a twin
-    # generator that draws just that ends in the same state
+@pytest.mark.parametrize("spec,truth,devices", [("kappa:2", "different", 2),
+                                                ("kappa:2", "equal", 1),
+                                                ("optimal", "different", 1)])
+def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeypatch, spec, truth,
+                                                                         devices):
+    # each batch draws d (d + 1) = 6 step normals per Haar device it draws
+    # (A then B for a non-invariant "different" stream, A alone for "equal",
+    # B alone for an invariant state), then step uniforms, and nothing else:
+    # a twin generator that draws just that ends in the same state
     scen = Scenario("unlabeled", 2)
     state = resolve_test_state(spec, scen)
     w, v = state.pure_components()
@@ -816,8 +819,8 @@ def test_an_unlabeled_batch_draws_its_axes_then_one_uniform_per_trial(monkeypatc
                    5, 0, trials))
     twin = np.random.default_rng(5)
     for step in (simulate._SUBCHUNK, 1000):
-        for _ in range(axes):
-            twin.standard_normal(3 * step)
+        for _ in range(devices):
+            twin.standard_normal(6 * step)
         twin.random(step)
     assert gen.bit_generator.state == twin.bit_generator.state
 
