@@ -5,25 +5,24 @@ trial from the exact Born probabilities, and issue a verdict: "different"
 iff the class is conclusive for the campaign's test state, else
 "inconclusive".  Single trials sample and return a full outcome record.
 
-One kernel, one sampler
------------------------
+One sampler, closed-form class laws
+-----------------------------------
 A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
-measures and whose last n/2 device B measures.  ``_born_table`` builds that
-table of a pure state for a batch of device pairs at any d, summing over the
-state's support only.  ``_sample_rows`` draws one outcome per row of it for
-single trials, whose records carry the outcomes; a campaign reports only
-class counts, so it draws the class directly: from a table summed into its
-classes through ``outcome_class_index``, or from a class law built without
-a table (the labeled row and unlabeled Bloch laws below).  The sweep draws
-one multinomial per fixed device pair from the same clamped table.
-Probabilities at or below TOL_ABS are clamped to zero and the row
-renormalized (``_clamped``) before any summing, and the inverse CDF pins its
-trailing plateau to 1, so a category or class of clamped probability 0 is
-never drawn.  A conclusive class has equal-device probability at most
-TOL_ABS/2 in every trial (the leak bound of ``conclusive_classes``), so each
-of its Born entries is clamped and its class sum is exactly 0: unambiguity
-is exact in sampled campaigns, not just up to floating noise.
+measures and whose last n/2 device B measures.  A single trial, whose
+record carries the outcomes, draws one entry of its fixed devices' table
+(``comparison._outcome_table``) with ``_sample_rows``, and the sweep draws
+one multinomial per fixed device pair from the same clamped table.  A
+campaign reports only class counts, so it builds no table: each stream
+that draws devices evaluates its class law in closed form over a batch
+(the labeled row and "equal" laws and the unlabeled Bloch law below), and
+``_sample_rows`` draws one class per trial from it.  Probabilities at or
+below TOL_ABS are clamped to zero and the row renormalized (``_clamped``),
+and the inverse CDF pins its trailing plateau to 1, so a category or class
+of clamped probability 0 is never drawn.  A conclusive class has
+equal-device probability at most TOL_ABS/2 in every trial (the leak bound
+of ``conclusive_classes``), so it is clamped to exactly 0: unambiguity is
+exact in sampled campaigns, not just up to floating noise.
 
 Mixed test states
 -----------------
@@ -32,15 +31,15 @@ the eigenvectors of weight above TOL_ABS, with eigh's roundoff in their
 structural zeros set to exact zeros) is simulated the way it can be
 prepared: each trial prepares component r with probability w_r / sum(w),
 so its class law is that of the prepared mixture rho' = sum_r w_r
-psi_r psi_r^dag / sum(w).  The unlabeled Bloch law is built from rho'
-itself.  A labeled "equal" batch that takes the Born kernel draws how many
-of its trials go to each component with one multinomial and gives the
-components contiguous sub-batches in ``pure_components`` order, one pure
-Born pass each; the device pairs of a batch are i.i.d., so this is exact in
-law.  Unambiguity holds per component: the leak of ``conclusive_classes``
-weighs every component of weight above TOL_ABS by at least 1, so each psi_r,
-and so rho', has equal-device probability at most TOL_ABS/2 in a
-conclusive class, in every trial, however small w_r is.
+psi_r psi_r^dag / sum(w), and a campaign samples that law directly, with
+no draw of the component.  With one device U used twice, the labeled
+"same" class has probability sum_r w_r sum_j |<u_j u_j|psi_r>|^2 / sum(w),
+u_j column j of U (``_labeled_equal_law``), about d^3 products per trial
+and component; the unlabeled Bloch law is built from rho' itself.
+Unambiguity holds per component: the leak of ``conclusive_classes`` weighs
+every component of weight above TOL_ABS by at least 1, so each psi_r, and
+so rho', has equal-device probability at most TOL_ABS/2 in a conclusive
+class, in every trial, however small w_r is.
 
 Labeled "different" trials
 --------------------------
@@ -52,9 +51,9 @@ depends on U and j alone, and B's outcome k then has probability
 of U, so x is uniform on the unit sphere of C^d (``haar_vectors``) for
 every psi, U and j, and the class law given j is the same for every j.
 So a labeled "different" trial draws one unit vector x and samples its
-class from |x_k|^2 (``_labeled_probs_row``), with the classes of row 0 of
-``outcome_class_index``: no device, no component and no Born pass.  This
-is exact in law, and the "same" class has probability E|x_0|^2 = 1/d, the
+class from (|x_0|^2, sum_k>=1 |x_k|^2) (``_labeled_probs_row``), with A's
+outcome taken as 0: no device, no component and no Born table.  This is
+exact in law, and the "same" class has probability E|x_0|^2 = 1/d, the
 paper's O_same^diff = I/d for every state.
 
 Unlabeled qubit trials
@@ -91,9 +90,9 @@ Fixed "equal" laws
 ------------------
 An "equal" stream draws nothing when its class law is the same in every
 trial (``_equal_law``).  If exactly one class is not conclusive, every
-equal-device trial falls into it, because each Born entry of a conclusive
-class is clamped to zero (see above) and the sampler never draws a class
-of probability 0: a certified labeled state is "diff" in every trial.
+equal-device trial falls into it, because a conclusive class is clamped
+to zero (see above) and the sampler never draws a class of probability 0:
+a certified labeled state is "diff" in every trial.
 Otherwise, for an invariant state, the law is that of the clamped
 diag(rho).  Such a shard runs in the calling process and takes one
 multinomial over its classes of nonzero probability, or no draw at all
@@ -111,32 +110,33 @@ no timestamps and sorted keys) are byte-identical across runs and across
 _SUBCHUNK trials, and each batch of B trials draws, in order:
 - labeled "different": one ``haar_vectors`` call, 2 d B standard normals;
 - labeled "equal": one ``haar_unitaries`` call for U (one ``haar_vectors``
-  call per level k = 1..d, d (d + 1) B normals in all), then, for a state of
-  several components, one multinomial of B over them;
+  call per level k = 1..d, d (d + 1) B normals in all);
 - unlabeled: one ``haar_unitaries`` call for A (6 B normals at d = 2)
   unless A is along z (an invariant state's "different" stream), then one
   for B in a "different" stream;
-then one uniform per trial for its class, component by component in a
-labeled "equal" batch.  An "equal" shard of a fixed law draws one
-multinomial instead, or nothing.  The batch size, these draws, the Haar
-construction, the invariance test, the component order, the Bloch form and
-the class order of ``outcome_class_index`` make up CAMPAIGN_FORMAT; a
-change to any of them changes the counts and needs a new format version.
-Format 5 added the component multinomial.  Format 6 drew one Haar row per
-labeled invariant "different" trial, and format 7 does so for every test
-state.  Format 8 let fixed "equal" laws draw nothing.  Format 9 samples
-every unlabeled trial that draws devices from the Bloch class law, with no
-component multinomial, and an invariant state's "different" trial draws B
-alone; the labeled streams count as in format 8.
+then one uniform per trial for its class.  An "equal" shard of a fixed law
+draws one multinomial instead, or nothing.  The batch size, these draws,
+the Haar construction, the invariance test, the component order, the class
+laws and the class order of ``Scenario.classes`` make up CAMPAIGN_FORMAT;
+a change to any of them changes the counts and needs a new format version.
+Format 5 added a multinomial over the components.  Format 6 drew one Haar
+row per labeled invariant "different" trial, and format 7 does so for every
+test state.  Format 8 let fixed "equal" laws draw nothing.  Format 9
+samples every unlabeled trial that draws devices from the Bloch class law,
+with no component multinomial, and an invariant state's "different" trial
+draws B alone.  Format 10 samples the labeled "equal" stream from the
+mixture law, with no component multinomial, so only the "equal" counts of
+labeled mixed states that are neither certified nor invariant change; a
+pure state's "equal" stream draws as in format 9.
 
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
 ``haar_vectors`` returns a (d, size) array, ``haar_unitaries`` views of a
 (d, d, size) buffer, ``_bloch_terms`` one array per term, and
-``_born_table``, ``_labeled_probs_row`` and ``_bloch_class_law`` build
-category-first tables, and ``_clamped`` and ``_sample_rows`` work on that
-layout.  Every step is then a vector operation over many trials instead of
+``_labeled_probs_row``, ``_labeled_equal_law`` and ``_bloch_class_law``
+build class-first tables, and ``_clamped`` and ``_sample_rows`` work on
+that layout.  Every step is then a vector operation over many trials instead of
 a loop over tiny matrices, and no step calls BLAS, so the pool workers run
 one thread each.
 """
@@ -172,7 +172,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/9"
+CAMPAIGN_FORMAT = "qmeter.campaign/10"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
@@ -390,18 +390,6 @@ def run_unlabeled_trial(
 
 # ------------------------------------------------------------ batched paths
 
-def _device_kron(us: np.ndarray, k: int) -> np.ndarray:
-    """conj(U_b)^(x)k for a (size, d, d) stack, as a (d^k, d^k, size) array
-    with the batch innermost: [M, J, b] = prod_i conj(U_b[m_i, j_i])."""
-    # C order, so that the products below reshape without a copy
-    u = np.conjugate(us.transpose(1, 2, 0), order="C")
-    out = u
-    for _ in range(k - 1):
-        out = (out[:, None, :, None] * u[None, :, None, :]).reshape(
-            out.shape[0] * u.shape[0], out.shape[1] * u.shape[1], -1)
-    return out
-
-
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_i a[i] * b[i], broadcast, accumulated in place: a contraction over
     a leading axis of a few entries, one vector operation per entry."""
@@ -411,45 +399,34 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _born_table(us: np.ndarray, vs: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
-    """Born table p[b, idx] = |<idx| (U_b^(x n/2) (x) V_b^(x n/2))^dag |psi>|^2
-    of one pure test state psi over flat n-slot outcome records.
-
-    Each device's n/2 slots become one Kronecker power (_device_kron), and
-    psi, reshaped to D x D with D = d^(n/2), contracts with the two halves
-    in turn, one outcome J of device A at a time.  Only the support of psi
-    enters: the sums run over the rows M and columns N of psi that hold a
-    nonzero entry.  The terms left out are exact zeros and the sums keep the
-    M-then-N order of the dense contraction, so every entry is bitwise the
-    dense one; the paper's test states are sparse (kappa_2 has 2 nonzero
-    entries of 16, in 2 rows and 2 columns).  The batch is the innermost
-    axis throughout, so every step is a vector operation over device pairs,
-    with no BLAS call, and every intermediate is at most (D, size), which
-    keeps the working set in cache.  The result is the (size, d^n)
-    transposed view of a category-first array.
-    """
-    kb = _device_kron(vs, n // 2)
-    ka = kb if us is vs else _device_kron(us, n // 2)
-    dim, size = kb.shape[0], kb.shape[2]
-    psi = psi.reshape(dim, dim)
-    rows, cols = np.flatnonzero(psi.any(axis=1)), np.flatnonzero(psi.any(axis=0))
-    sub = psi[np.ix_(rows, cols)][:, :, None]
-    p = np.zeros((dim, dim, size))
-    for j in range(dim):
-        # half[N, b] = sum_M psi[M, N] ka[M, j, b]
-        halves = _contract(sub, [ka[m, j] for m in rows])
-        # amp[K, b] = sum_N half[N, b] kb[N, K, b]
-        amp = _contract(halves, [kb[c] for c in cols])
-        p[j] = amp.real ** 2 + amp.imag ** 2
-    return p.reshape(-1, size).T
-
-
 def _labeled_probs_row(x: np.ndarray) -> np.ndarray:
-    """Device B's outcome law |x_b[k]|^2 given device A's outcome, where
-    column b of the batch-last (d, size) array x is V_b^dag chi_b, the
-    normalized state A's outcome leaves in B's slot (module docstring).
-    The result is the (size, d) transposed view of a category-first table."""
-    return (x.real ** 2 + x.imag ** 2).T
+    """Labeled class law given device A's outcome 0, where column b of the
+    batch-last (d, size) array x is V_b^dag chi_b, the normalized state A's
+    outcome leaves in B's slot (module docstring): B's outcome k has
+    probability |x_b[k]|^2, so (same, diff) = (|x_0|^2, sum_k>=1 |x_k|^2).
+    The result is the (size, 2) transposed view of a class-first table."""
+    q = x.real ** 2 + x.imag ** 2
+    return np.stack((q[0], q[1:].sum(axis=0))).T
+
+
+def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Labeled class law of one device U_b used twice, for the prepared
+    mixture of the pure components (weights, vecs):
+    p(same) = sum_r w_r sum_j |<u_j u_j|psi_r>|^2 / sum(w), u_j column j of
+    U_b, and p(diff) = 1 - p(same).  With the batch last each amplitude is
+    two contractions of d terms, so a trial costs about d^3 products per
+    component.  The result is the (size, 2) transposed view of a
+    class-first table."""
+    d = us.shape[1]
+    cols = us.transpose(2, 1, 0).conj()  # cols[j, m, b] = conj(U_b[m, j])
+    same = 0.0
+    for w, vec in zip(weights / weights.sum(), vecs):
+        psi = vec.reshape(d, d, 1)
+        for col in cols:
+            # <u_j u_j|psi> = sum_n (sum_m psi[m, n] conj(u_j[m])) conj(u_j[n])
+            amp = _contract(_contract(psi, col), col)
+            same = same + w * (amp.real ** 2 + amp.imag ** 2)
+    return np.stack((same, 1.0 - same)).T
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -514,7 +491,7 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
 # these names of the kernels.
-_labeled_probs_generic = _born_table
+_labeled_probs_generic = _labeled_equal_law
 _unlabeled_probs = _bloch_class_law
 _labeled_probs_antisym = _labeled_probs_row
 
@@ -560,15 +537,9 @@ def _clamped(p: np.ndarray) -> np.ndarray:
     return q.T
 
 
-def _sample_rows(p: np.ndarray, gen: np.random.Generator,
-                 classes: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw one category per row of p by inverse CDF, one uniform per row.
-
-    Given ``classes``, the class index of each category, the clamped rows
-    are summed into class probabilities and a class is drawn instead."""
+def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Draw one category per row of p by inverse CDF, one uniform per row."""
     q = _clamped(p).T
-    if classes is not None:
-        q = np.stack([q[classes == c].sum(axis=0) for c in range(classes.max() + 1)])
     # the running sum row by row: np.cumsum's order, at a tenth of its time
     # over the strided axis
     cum = q.copy()
@@ -632,7 +603,6 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
     kind, d, truth, invariant, form, weights, vecs, seed, shard, count = task
     gen = _shard_rng(seed, truth, shard)
     scen = Scenario(kind, d)
-    cls_of = outcome_class_index(scen.slots, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
@@ -645,28 +615,14 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
                 en = _bloch_terms(haar_unitaries(2, step, gen))
             em = en if truth == "equal" else _bloch_terms(haar_unitaries(2, step, gen))
             p = _bloch_class_law(form, en, em)
-            counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
-            continue
-        if truth == "different":
+        elif truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
             # taken as j = 0 and not drawn
             p = _labeled_probs_row(haar_vectors(d, step, gen))
-            counts += np.bincount(_sample_rows(p, gen, cls_of[:d]), minlength=len(counts))
-            continue
-        us = haar_unitaries(d, step, gen)
-        # each trial prepares one component (module docstring)
-        parts = gen.multinomial(step, weights / weights.sum()) if len(vecs) > 1 else (step,)
-        lo = 0
-        for vec, k in zip(vecs, parts):
-            if k:
-                a = us[lo:lo + k]
-                p = _born_table(a, a, vec, scen.slots)
-                counts += np.bincount(_sample_rows(p, gen, cls_of), minlength=len(counts))
-                lo += k
-                # the view would keep this batch's unitaries alive through
-                # the next batch's Haar draws, which then take fresh pages
-                del a
+        else:
+            p = _labeled_equal_law(haar_unitaries(d, step, gen), weights, vecs)
+        counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
     return dict(zip(scen.classes, counts.tolist()))
 
 

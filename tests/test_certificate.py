@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qmeter import (
     TOL_ABS,
+    Observable,
     Scenario,
     TestState,
     UnambiguityError,
@@ -24,8 +25,14 @@ from qmeter import (
     outcome_class_index,
     singlet_pairing_state,
 )
-from qmeter.comparison import _leaks, _operators_for
-from qmeter.simulate import _bloch_class_law, _bloch_form, _bloch_terms, _born_table, _clamped
+from qmeter.comparison import _leaks, _operators_for, _outcome_table
+from qmeter.simulate import (
+    _bloch_class_law,
+    _bloch_form,
+    _bloch_terms,
+    _clamped,
+    _labeled_equal_law,
+)
 
 UNLABELED = Scenario("unlabeled", 2)
 PHI_Q = singlet_pairing_state()
@@ -83,6 +90,25 @@ def _state(scen: Scenario, weights, vecs) -> TestState:
     return TestState.from_matrix(rho, scen.dim, scen.slots)
 
 
+def _equal_device_tables(scen: Scenario, us, vecs) -> np.ndarray:
+    """The Born tables of each pure component with each device of `us` used
+    twice, from the dense oracle: [component, device, flat record]."""
+    psis = [TestState.pure(Vector(vec, scen.dim, scen.slots)) for vec in vecs]
+    devices = [Observable(u) for u in us]
+    return np.array([[_outcome_table(a, a, psi, scen.slots).reshape(-1) for a in devices]
+                     for psi in psis])
+
+
+def _equal_device_law(scen: Scenario, state: TestState, us) -> np.ndarray:
+    """The class law a campaign samples in an equal-device trial, before the
+    clamp: the labeled mixture law, or the Bloch law with B's axis m = n."""
+    weights, vecs = state.pure_components()
+    if scen.kind == "labeled":
+        return _labeled_equal_law(us, weights, vecs)
+    terms = _bloch_terms(us)
+    return _bloch_class_law(_bloch_form(weights, vecs), terms, terms)
+
+
 @settings(max_examples=30, deadline=None)
 @given(NO_ERROR_CASES)
 def test_states_inside_the_no_error_subspace_are_certified(case):
@@ -99,15 +125,11 @@ def test_clamped_equal_device_tables_never_weigh_on_a_certified_class(case, seed
     state = _state(scen, weights, vecs)
     us = haar_unitaries(scen.dim, 256, np.random.default_rng(seed))
     in_class = outcome_class_index(scen.slots, scen.dim) == scen.classes.index(cls)
-    for vec in state.pure_components()[1]:  # a trial prepares one component
-        p = _clamped(_born_table(us, us, vec, scen.slots))
-        assert not np.any(p[:, in_class])
-    if scen.kind == "unlabeled":
-        # a campaign samples the Bloch class law of the prepared mixture, with
-        # device B's axis m equal to A's n in an equal-device trial
-        terms = _bloch_terms(us)
-        law = _clamped(_bloch_class_law(_bloch_form(*state.pure_components()), terms, terms))
-        assert not np.any(law[:, scen.classes.index(cls)])
+    for p in _equal_device_tables(scen, us, state.pure_components()[1]):
+        assert not np.any(_clamped(p)[:, in_class])  # a trial prepares one component
+    # a campaign samples the class law of the prepared mixture
+    law = _clamped(_equal_device_law(scen, state, us))
+    assert not np.any(law[:, scen.classes.index(cls)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,16 +160,13 @@ def test_the_leak_bounds_every_equal_device_trial(scen, rank, seed):
     us = haar_unitaries(scen.dim, 256, rng)
     cls_of = outcome_class_index(scen.slots, scen.dim)
     leaks = _leaks(_operators_for(scen), state)
-    for vec in state.pure_components()[1]:
-        p = _born_table(us, us, vec, scen.slots)
+    for p in _equal_device_tables(scen, us, state.pure_components()[1]):
         for i, name in enumerate(scen.classes):
             assert p[:, cls_of == i].sum(axis=1).max() <= leaks[name] + 1e-12, name
-    if scen.kind == "unlabeled":
-        # the prepared mixture's class law at m = n, before the clamp
-        terms = _bloch_terms(us)
-        law = _bloch_class_law(_bloch_form(*state.pure_components()), terms, terms)
-        for i, name in enumerate(scen.classes):
-            assert law[:, i].max() <= leaks[name] + 1e-12, name
+    # the prepared mixture's class law that a campaign samples, before the clamp
+    law = _equal_device_law(scen, state, us)
+    for i, name in enumerate(scen.classes):
+        assert law[:, i].max() <= leaks[name] + 1e-12, name
 
 
 def test_a_rare_leaky_component_is_not_certified():

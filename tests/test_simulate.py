@@ -12,6 +12,7 @@ from qmeter import (
     ConfigError,
     ConsistencyError,
     Observable,
+    Operator,
     Scenario,
     TOL_ABS,
     TestState,
@@ -21,6 +22,7 @@ from qmeter import (
     conclusive_classes,
     kappa_state,
     labeled_class_operators,
+    labeled_fixed_pair_success,
     labeled_outcome_distribution,
     optimal_test_state,
     outcome_class_index,
@@ -29,7 +31,6 @@ from qmeter import (
     run_campaign,
     run_labeled_trial,
     run_unlabeled_trial,
-    singlet_pairing_state,
     swap,
     sweep_theta,
     sweep_to_csv,
@@ -46,8 +47,8 @@ from qmeter.simulate import (
     _bloch_class_law,
     _bloch_form,
     _bloch_terms,
-    _born_table,
     _is_invariant,
+    _labeled_equal_law,
     _labeled_probs_row,
     _sample_rows,
     _shard_counts,
@@ -55,12 +56,6 @@ from qmeter.simulate import (
 )
 
 SCHEMA_PATH = "docs/campaign_result.schema.json"
-
-
-def _mixture_table(us, vs, state: TestState, n: int) -> np.ndarray:
-    """The Born table of a mixed state: its pure components' tables, weighted."""
-    weights, vecs = state.pure_components()
-    return sum(w * _born_table(us, vs, vec, n) for w, vec in zip(weights, vecs))
 
 
 # --- config validation --------------------------------------------------------
@@ -363,10 +358,10 @@ def test_kappa_equal_streams_give_no_false_positive_in_a_million_trials(tmp_path
 
 def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     # a labeled "different" batch draws one unit vector x per trial and one
-    # uniform per trial for its class, sampled from |x_k|^2 with the classes
-    # of row 0: no unitary, no component multinomial and no Born pass, even
-    # for a mixed state that is not invariant.  With equal devices the
-    # antisymmetric state puts every trial of the Born path in class "diff".
+    # uniform per trial for its class, sampled from the two-class law
+    # (|x_0|^2, sum_k>=1 |x_k|^2): no unitary, no component and no
+    # equal-device law, even for a mixed state that is not invariant.  With
+    # equal devices the antisymmetric state's law puts every trial in "diff".
     d, trials = 3, 4000
     anti = TestState.antisymmetric(d)
     w, v = anti.pure_components()
@@ -374,15 +369,15 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     assert equal == {"same": 0, "diff": trials}
 
     def no_call(*args, **kwargs):
-        raise AssertionError("unitary or Born pass")
+        raise AssertionError("unitary or equal-device law")
 
     monkeypatch.setattr(simulate, "haar_unitaries", no_call)
-    monkeypatch.setattr(simulate, "_born_table", no_call)
+    monkeypatch.setattr(simulate, "_labeled_equal_law", no_call)
     mixture = _antisymmetric_mixture(d, (0.7, 0.3), 8)
     assert not _is_invariant(mixture.rho)
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
-    x = haar_vectors(d, trials, gen)  # one batch: trials < _SUBCHUNK
-    drawn = _sample_rows(np.abs(x.T) ** 2, gen, outcome_class_index(2, d)[:d])
+    q = np.abs(haar_vectors(d, trials, gen)) ** 2  # one batch: trials < _SUBCHUNK
+    drawn = _sample_rows(np.stack((q[0], q[1:].sum(axis=0)), axis=1), gen)
     expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     for state in (anti, mixture):
         w, v = state.pure_components()
@@ -471,6 +466,18 @@ def _dense_labeled_mixture_file(tmp_path) -> str:
     return str(path)
 
 
+def _rank2_qutrit_mixture(seed: int = 8) -> TestState:
+    # a random rank-2 mixture at labeled d = 3: neither certified nor
+    # invariant, so its "equal" stream samples the mixture law per trial
+    return _random_mixed_state(3, 2, 2, np.random.default_rng(seed))
+
+
+def _rank2_qutrit_mixture_file(tmp_path) -> str:
+    path = tmp_path / "rank2_mix3.npy"
+    np.save(path, _rank2_qutrit_mixture().rho.mat)
+    return str(path)
+
+
 def _dense_mixture_file(tmp_path) -> str:
     path = tmp_path / "dense_mix.npy"
     np.save(path, _random_mixed_state(2, 4, 3, np.random.default_rng(505)).rho.mat)
@@ -479,7 +486,7 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 to /9 except the labeled "different"
+    # same in formats qmeter.campaign/4 to /10 except the labeled "different"
     # blocks, which format 7 draws as one Haar row per trial for every state
     # (so the d = 3 optimal and anti3 blocks agree), and the unlabeled
     # optimal "different" block, which format 9 draws as device B alone (the
@@ -517,9 +524,10 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
 def test_mixed_state_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of mixed, non-invariant states: the
     # unlabeled blocks sample the Bloch class law of the prepared mixture
-    # (format qmeter.campaign/9), the labeled "equal" block prepares one pure
-    # component per trial (formats 5 to 9) and the labeled "different" block
-    # is the one-row draw of formats 7 to 9
+    # (format qmeter.campaign/9), the certified labeled "equal" block draws
+    # nothing (formats 8 to 10), the uncertified one samples the labeled
+    # mixture law (format 10) and the labeled "different" blocks are the
+    # one-row draw of formats 7 to 10
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
             "different": {"same_same": 30325, "same_diff": 15340, "diff_same": 15374,
@@ -529,6 +537,9 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
             "different": {"same": 17108, "diff": 51428},
             "equal": {"same": 0, "diff": 68536}},
+        ("labeled", 3, _rank2_qutrit_mixture_file(tmp_path)): {
+            "different": {"same": 22902, "diff": 45634},
+            "equal": {"same": 23205, "diff": 45331}},
     }
     for (kind, dim, spec), counts in expected.items():
         res = run_campaign(CampaignConfig(Scenario(kind, dim), trials=SHARD_SIZE + 3000,
@@ -537,54 +548,51 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
 
 
 def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
-    # after its Haar unitaries a batch draws one multinomial over the
-    # components, gives them contiguous sub-batches in pure_components order
-    # and samples each from its own pure table; replaying that stream by
-    # hand gives the shard's counts.  The labeled "equal" stream of a
+    # a trial prepares component r with probability w_r / sum(w), so its
+    # class law is that of the prepared mixture: after its Haar unitaries a
+    # batch draws one uniform per trial from that law.  Replaying the stream
+    # by hand, with the law read off the dense Born table of each device
+    # used twice, gives the shard's counts.  The labeled "equal" stream of a
     # generic mixture certifies nothing, so its class law is not fixed: the
     # campaign takes this path and puts trials in both classes.
-    state = _random_mixed_state(3, 2, 2, np.random.default_rng(8))
+    state = _rank2_qutrit_mixture()
     w, v = state.pure_components()
     assert len(w) == 2 and not _is_invariant(state.rho)
     assert conclusive_classes(Scenario("labeled", 3), state) == ()
-    trials, cls_of = 3000, outcome_class_index(2, 3)
+    trials = 3000
     counts = _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0, trials))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
-    us = haar_unitaries(3, trials, gen)
-    parts = gen.multinomial(trials, w / w.sum())
-    drawn, lo = [], 0
-    for vec, k in zip(v, parts):
-        table = _born_table(us[lo:lo + k], us[lo:lo + k], vec, 2)
-        drawn.append(_sample_rows(table, gen, cls_of))
-        lo += k
-    assert counts == dict(zip(("same", "diff"),
-                              np.bincount(np.concatenate(drawn), minlength=2).tolist()))
+    prepared = Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2)
+    devices = [Observable(u) for u in haar_unitaries(3, trials, gen)]
+    same = [np.trace(_outcome_table(a, a, prepared, 2)) for a in devices]
+    drawn = _sample_rows(np.stack((same, np.subtract(1.0, same)), axis=1), gen)
+    assert counts == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     assert min(counts.values()) > 0
-    path = tmp_path / "rank2_mix3.npy"
-    np.save(path, state.rho.mat)
     res = run_campaign(CampaignConfig(Scenario("labeled", 3), trials=trials, seed=12,
-                                      ground_truth="equal", test_state=str(path)))
+                                      ground_truth="equal",
+                                      test_state=_rank2_qutrit_mixture_file(tmp_path)))
     assert dict(res.results["equal"].class_counts) == counts
 
 
 def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypatch):
-    # each trial prepares one pure component, and every component of a
-    # certified state keeps its own equal-device leak below TOL_ABS/2.  A
-    # campaign does not draw this stream (its class law is fixed), so its
-    # shards are run on the Born path by hand.
+    # every component of a certified state keeps its own equal-device leak
+    # below TOL_ABS/2, so the prepared mixture's p(same) is at most that in
+    # every trial, and the clamp makes it 0.  A campaign does not draw this
+    # stream (its class law is fixed), so its shards are run by hand, one
+    # law per batch.
     state = _antisymmetric_mixture(3, (0.6, 0.4), 31)
     assert not _is_invariant(state.rho)
     scen = Scenario("labeled", 3)
     assert conclusive_classes(scen, state) == ("same",)
     w, v = state.pure_components()
     assert len(w) == 2
-    passes = []
-    born = simulate._born_table
-    monkeypatch.setattr(simulate, "_born_table", lambda *a: passes.append(1) or born(*a))
+    laws = []
+    law = simulate._labeled_equal_law
+    monkeypatch.setattr(simulate, "_labeled_equal_law", lambda *a: laws.append(1) or law(*a))
     trials = 2 * SHARD_SIZE
     counts = [_shard_counts(("labeled", 3, "equal", False, None, w, v, 77, shard, SHARD_SIZE))
               for shard in range(trials // SHARD_SIZE)]
-    assert len(passes) >= 2 * SHARD_SIZE // simulate._SUBCHUNK
+    assert len(laws) == trials // simulate._SUBCHUNK
     assert sum(c["diff"] for c in counts) == trials
     assert sum(c["same"] for c in counts) == 0
 
@@ -618,30 +626,35 @@ def test_invariance_is_read_off_rho(tmp_path):
                                     ("unlabeled", 2)])
 def test_invariant_born_table_depends_on_w_alone(kind, d):
     # for an invariant state the table of (U, V) is the table of (I, U^dag V),
-    # with device A the computational basis
+    # with device A the computational basis (dense oracle, pair by pair)
     rng = np.random.default_rng(40 + d)
     us, vs = haar_unitaries(d, 50, rng), haar_unitaries(d, 50, rng)
     ws = np.conj(us.transpose(0, 2, 1)) @ vs
     state = _invariant_mixture(d, 0.3) if kind == "labeled" else optimal_test_state(
         Scenario(kind, d))
     n = 2 if kind == "labeled" else 4
-    eye = np.broadcast_to(np.eye(d), ws.shape)
-    assert_allclose(_mixture_table(eye, ws, state, n), _mixture_table(us, vs, state, n),
-                    rtol=0, atol=1e-12)
+    eye = Observable.computational(d)
+    for u, v, w in zip(us, vs, ws):
+        assert_allclose(_outcome_table(eye, Observable(w), state, n),
+                        _outcome_table(Observable(u), Observable(v), state, n),
+                        rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
     # device A's outcome j leaves B's slot in chi_j, the normalized
     # (<u_j| (x) 1) psi, and B's law given j is |V^dag chi_j|^2: row j of
-    # the Born table of (U, V), divided by its sum, for any pure state, and
-    # the row kernel reads it off x = V^dag chi_j
+    # the Born table of (U, V) (dense oracle), divided by its sum, for any
+    # pure state.  B agrees with j with probability |x_j|^2, which the row
+    # kernel reads off x = V^dag chi_j with entry j moved to the front
     rng = np.random.default_rng(70 + d)
     us, vs = haar_unitaries(d, 20, rng), haar_unitaries(d, 20, rng)
     for _ in range(3):
         psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         psi /= np.linalg.norm(psi)
-        table = _born_table(us, vs, psi, 2).reshape(-1, d, d)
+        state = TestState.pure(Vector(psi, d, 2))
+        table = np.array([_outcome_table(Observable(u), Observable(v), state, 2)
+                          for u, v in zip(us, vs)])
         # chi[b, j, n] = sum_m conj(U_b[m, j]) psi[m, n]; x = chi_j V^*
         chi = np.conj(us.transpose(0, 2, 1)) @ psi.reshape(d, d)
         chi /= np.linalg.norm(chi, axis=2, keepdims=True)
@@ -649,7 +662,10 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
         assert_allclose(np.linalg.norm(x, axis=2), 1.0, rtol=0, atol=1e-12)
         for j in range(d):
             row = table[:, j] / table[:, j].sum(axis=1, keepdims=True)
-            assert_allclose(_labeled_probs_row(x[:, j].T), row, rtol=0, atol=1e-12)
+            assert_allclose(np.abs(x[:, j]) ** 2, row, rtol=0, atol=1e-12)
+            law = np.stack((row[:, j], 1.0 - row[:, j]), axis=1)
+            assert_allclose(_labeled_probs_row(np.roll(x[:, j], -j, axis=1).T), law,
+                            rtol=0, atol=1e-12)
 
 
 def test_labeled_different_counts_do_not_depend_on_the_test_state(tmp_path):
@@ -697,16 +713,16 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
     # with equal devices an invariant state's table is diag(rho) for every
     # device, and a state that leaves one class open puts every trial in it
     # (each Born entry of a conclusive class is clamped), so the "equal"
-    # campaigns of both draw no device and take no Born pass
+    # campaigns of both draw no device and evaluate no class law
     states = [("labeled", 3, "optimal"), ("unlabeled", 2, "optimal"),
               ("unlabeled", 2, _spin0_mixture_file(tmp_path)),
               ("labeled", 3, _antisymmetric_qutrit_file(tmp_path)),
               ("labeled", 4, _antisymmetric_mixture_file(tmp_path))]
 
     def no_call(*args, **kwargs):
-        raise AssertionError("device draw or Born pass")
+        raise AssertionError("device draw or class law")
 
-    for name in ("haar_unitaries", "haar_vectors", "_bloch_class_law", "_born_table"):
+    for name in ("haar_unitaries", "haar_vectors", "_bloch_class_law", "_labeled_equal_law"):
         monkeypatch.setattr(simulate, name, no_call)
     trials = SHARD_SIZE + 3000
     for kind, d, spec in states:
@@ -825,71 +841,51 @@ def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeyp
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
-@pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 4),
-                                    ("unlabeled", 2), ("unlabeled", 3)])
-def test_born_table_matches_fixed_device_distributions(kind, d):
-    # the batched kernels against the dense kron oracle, pair by pair, both on
-    # the batch-last views that haar_unitaries returns and on C-contiguous
-    # (size, d, d) stacks
-    rng = np.random.default_rng(d)
-    n, oracle = (2, labeled_outcome_distribution) if kind == "labeled" else (
-        4, unlabeled_outcome_distribution)
-    state = _random_mixed_state(d, n, 3, rng)
-    batch_last = haar_unitaries(d, 6, rng), haar_unitaries(d, 6, rng)
-    assert not batch_last[0].flags.c_contiguous
-    pairs = [(Observable(u), Observable(v)) for u, v in zip(*batch_last)]
-    for us, vs in (batch_last, tuple(np.ascontiguousarray(x) for x in batch_last)):
-        table = _mixture_table(us, vs, state, n)
-        for row, (a, b) in zip(table, pairs):
-            assert_allclose(row, oracle(a, b, state).reshape(-1), rtol=0, atol=1e-12)
-        # equal devices: the kernel reuses one device half for both
-        for row, (a, _) in zip(_mixture_table(us, us, state, n), pairs):
-            assert_allclose(row, oracle(a, a, state).reshape(-1), rtol=0, atol=1e-12)
-
-
-def _kernel_states():
-    """(id, d, n, psi): the paper's sparse states, a vector with a zero row
-    and a zero column, and dense random vectors."""
+def _labeled_states():
+    """(id, state): a sparse antisymmetric vector, a vector with a zero row
+    and a zero column, dense random vectors and random rank-2 mixtures."""
     rng = np.random.default_rng(55)
     anti3 = np.array([[0, 1, 2j], [-1, 0, 1], [-2j, -1, 0]])
     holes = np.array([[1, 2j, 0], [0, 0, 0], [3, -1j, 0]])  # row 1 and column 2 zero
-    out = [(f"kappa:{j}", 2, 4, kappa_state(j).pure_components()[1][0]) for j in (1, 2, 3)]
-    out += [("phi_q", 2, 4, singlet_pairing_state().vec), ("anti3", 3, 2, anti3.reshape(-1)),
-            ("holes", 3, 2, holes.reshape(-1))]
-    for d, n in ((2, 2), (3, 2), (4, 2), (2, 4)):
-        out.append((f"dense{d}^{n}", d, n,
-                    rng.normal(size=d ** n) + 1j * rng.normal(size=d ** n)))
-    return [(name, d, n, psi / np.linalg.norm(psi)) for name, d, n, psi in out]
+    vecs = [("anti3", 3, anti3.reshape(-1)), ("holes", 3, holes.reshape(-1))]
+    vecs += [(f"dense{d}^2", d, rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+             for d in (2, 3, 4)]
+    out = [(name, TestState.pure(Vector(psi / np.linalg.norm(psi), d, 2)))
+           for name, d, psi in vecs]
+    return out + [(f"rank2-d{d}", _random_mixed_state(d, 2, 2, rng)) for d in (2, 3, 4, 5)]
 
 
-@pytest.mark.parametrize("name,d,n,psi", [pytest.param(*c, id=c[0]) for c in _kernel_states()])
-def test_born_table_matches_the_oracle_on_sparse_and_dense_states(name, d, n, psi):
-    # the kernel sums over the support of psi only; every entry must match
-    # the dense kron oracle, with device A Haar, the same device twice, and
-    # device A the computational basis
-    rng = np.random.default_rng(len(name) + d)
-    us, vs = haar_unitaries(d, 8, rng), haar_unitaries(d, 8, rng)
-    state = TestState.pure(Vector(psi, d, n))
-    eye = np.broadcast_to(np.eye(d), us.shape)
-    for a_side, b_side in ((us, vs), (us, us), (eye, vs)):
-        table = _born_table(a_side, b_side, psi, n)
-        for i, row in enumerate(table):
-            expected = _outcome_table(Observable(a_side[i]), Observable(b_side[i]), state,
-                                      n).reshape(-1)
-            assert_allclose(row, expected, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("state", [s for _, s in _labeled_states()],
+                         ids=[name for name, _ in _labeled_states()])
+def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
+    # p(same) of one device used twice is sum_j |<u_j u_j|psi>|^2, weighed
+    # over the prepared mixture; it must be the dense oracle's fixed-pair
+    # success, on the batch-last views that haar_unitaries returns and on
+    # C-contiguous (size, d, d) stacks
+    d = state.d
+    w, v = state.pure_components()
+    prepared = Operator((v.T * (w / w.sum())) @ v.conj(), d, 2)
+    us = haar_unitaries(d, 16, np.random.default_rng(d))
+    assert not us.flags.c_contiguous
+    expected = [labeled_fixed_pair_success(Observable(u), Observable(u), prepared) for u in us]
+    for stack in (us, np.ascontiguousarray(us)):
+        law = _labeled_equal_law(stack, w, v)
+        assert_allclose(law[:, 0], expected, rtol=0, atol=1e-12)
+        assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sampling_in_row_blocks_keeps_the_stream():
-    # one uniform per row, in row order, for categories and for classes:
-    # consecutive row blocks draw what one call would
+    # one uniform per row, in row order, for outcome records and for the
+    # class laws campaigns sample: consecutive row blocks draw what one call
+    # would
     gen = np.random.default_rng(31)
     us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
-    phi_q = optimal_test_state(Scenario("unlabeled", 2)).pure_components()[1][0]
-    table = _born_table(us, vs, phi_q, 4)
-    for classes in (None, outcome_class_index(4, 2)):
-        whole = _sample_rows(table, np.random.default_rng(7), classes)
+    form = _bloch_form(*optimal_test_state(Scenario("unlabeled", 2)).pure_components())
+    for table in (gen.dirichlet(np.full(16, 0.3), size=1000),
+                  _bloch_class_law(form, _bloch_terms(us), _bloch_terms(vs))):
+        whole = _sample_rows(table, np.random.default_rng(7))
         blocks = np.random.default_rng(7)
-        pieces = [_sample_rows(table[lo:lo + 300], blocks, classes) for lo in range(0, 1000, 300)]
+        pieces = [_sample_rows(table[lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
         assert np.array_equal(np.concatenate(pieces), whole)
 
 
@@ -906,9 +902,11 @@ def test_sampler_matches_an_inverse_cdf_built_by_cumsum():
 @pytest.mark.parametrize("kind,dim,spec", [
     ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"), ("unlabeled", 2, "dense_mix"),
     ("labeled", 4, "anti_mix4"),
+    # uncertified, non-invariant labeled mixtures: the "equal" stream samples
+    # the mixture law p(same | U) per trial
+    ("labeled", 2, "dense"), ("labeled", 3, "rank2_mix3"),
     # invariant states: one multinomial per "equal" shard, for custom states
-    # too (and one Haar W and one device-B pass per unlabeled "different"
-    # trial)
+    # too (and device B alone per unlabeled "different" trial)
     ("labeled", 3, "anti_proj3"), ("labeled", 3, "invariant_mix"),
     ("labeled", 2, "optimal"), ("labeled", 3, "optimal"), ("labeled", 4, "optimal"),
     ("labeled", 5, "optimal"), ("unlabeled", 2, "optimal"), ("unlabeled", 2, "spin0"),
@@ -920,7 +918,8 @@ def test_every_class_count_follows_its_operator(tmp_path, kind, dim, spec):
     files = {"anti3": _antisymmetric_qutrit_file, "kappa_mix": _kappa_mixture_file,
              "anti_proj3": _antisymmetric_projector_file,
              "invariant_mix": _invariant_mixture_file, "dense_mix": _dense_mixture_file,
-             "anti_mix4": _antisymmetric_mixture_file, "spin0": _spin0_mixture_file}
+             "anti_mix4": _antisymmetric_mixture_file, "spin0": _spin0_mixture_file,
+             "dense": _dense_labeled_mixture_file, "rank2_mix3": _rank2_qutrit_mixture_file}
     path = files[spec](tmp_path) if spec in files else spec
     scen = Scenario(kind, dim)
     trials = 20000
@@ -969,20 +968,25 @@ def test_sampler_never_draws_a_clamped_category():
                                            ("unlabeled", 2, "kappa:2"), ("labeled", 3, "anti3"),
                                            ("labeled", 4, "anti_mix4")])
 def test_class_sampler_never_draws_a_conclusive_class(tmp_path, kind, dim, spec):
-    # a conclusive class sums only clamped entries, so it is exactly 0 on
-    # equal-device rows; the class CDF's plateau pin keeps a uniform at the
-    # top of [0, 1) off it even when it is the last class (kappa:2 certifies
+    # a conclusive class has equal-device probability at most TOL_ABS/2 in
+    # every trial, so the clamp makes it exactly 0 in the class laws that
+    # campaigns sample; the CDF's plateau pin keeps a uniform at the top of
+    # [0, 1) off it even when it is the last class (kappa:2 certifies
     # diff_diff alone).  Campaigns of the certified labeled states never
-    # take this path (their "equal" law is fixed), so their per-trial
-    # certificate is checked here, component by component.
+    # sample their law (their "equal" law is fixed), so their per-trial
+    # certificate is checked here.
     files = {"anti3": _antisymmetric_qutrit_file, "anti_mix4": _antisymmetric_mixture_file}
     scen = Scenario(kind, dim)
     state = resolve_test_state(files[spec](tmp_path) if spec in files else spec, scen)
+    w, v = state.pure_components()
     us = haar_unitaries(dim, 2000, np.random.default_rng(8))
-    for vec in state.pure_components()[1]:  # a trial prepares one component
-        table = _born_table(us, us, vec, scen.slots)
-        drawn = _sample_rows(table, _TopOfRangeGenerator(), outcome_class_index(scen.slots, dim))
-        assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
+    if kind == "labeled":
+        law = _labeled_equal_law(us, w, v)
+    else:
+        terms = _bloch_terms(us)  # device B's axis is A's
+        law = _bloch_class_law(_bloch_form(w, v), terms, terms)
+    drawn = _sample_rows(law, _TopOfRangeGenerator())
+    assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
 
 
 # --- sweep ----------------------------------------------------------------------
