@@ -14,28 +14,21 @@ from .comparison import (
     LABELED_CLASSES,
     UNLABELED_CLASSES,
     ClassOperators,
-    LabeledAverages,
     Observable,
     Scenario,
     SuccessReport,
     TestState,
     analytic_success,
+    class_probabilities,
     conclusive_classes,
-    fixed_pair_class_probability,
     kappa_state,
     labeled_class_operators,
-    labeled_fixed_pair_success,
-    labeled_outcome_distribution,
-    labeled_outcome_probabilities,
-    observable_pair_angle,
-    optimal_success_over_subspace,
     optimal_test_state,
     outcome_class_index,
+    outcome_table,
     pairwise_success_angle,
     singlet_pairing_state,
     unlabeled_operators,
-    unlabeled_outcome_distribution,
-    unlabeled_single_use_probability,
 )
 from .errors import (
     ConfigError,
@@ -64,16 +57,12 @@ from .simulate import (
     sweep_to_csv,
 )
 from .symmetry import (
-    SPLITS,
     antisymmetrizer,
     basis_family,
     pair_product,
     perm_operator,
     phi_minus,
-    phi_plus,
-    split_pairs,
     swap,
-    sym_dim,
     symmetrizer,
 )
 from .tensors import (
@@ -86,33 +75,27 @@ from .tensors import (
     kron,
     rank,
     support_projector,
-    vkron,
-    zero,
 )
 from .verify import CheckResult, all_passed, render_report, run_checks
 
 __all__ = [
     "__version__",
     # tensors
-    "Operator", "Vector", "identity", "zero", "kron", "vkron", "basis_ket",
-    "support_projector", "rank", "TOL_ABS", "TOL_RANK",
+    "Operator", "Vector", "identity", "kron", "basis_ket", "support_projector", "rank",
+    "TOL_ABS", "TOL_RANK",
     # symmetry
-    "SPLITS", "sym_dim", "perm_operator", "swap", "symmetrizer",
-    "antisymmetrizer", "split_pairs", "pair_product", "phi_plus", "phi_minus",
-    "basis_family",
+    "perm_operator", "swap", "symmetrizer", "antisymmetrizer", "pair_product",
+    "phi_minus", "basis_family",
     # haar
     "twirl", "mc_twirl", "haar_unitary", "haar_unitaries", "mc_perp_moment",
     "mc_agrees",
     # comparison
-    "Scenario", "Observable", "TestState", "ClassOperators", "LabeledAverages",
-    "SuccessReport", "LABELED_CLASSES", "UNLABELED_CLASSES",
-    "labeled_class_operators", "unlabeled_operators", "outcome_class_index",
-    "labeled_outcome_probabilities", "labeled_outcome_distribution",
-    "labeled_fixed_pair_success", "unlabeled_outcome_distribution",
-    "unlabeled_single_use_probability", "singlet_pairing_state", "kappa_state",
+    "Scenario", "Observable", "TestState", "ClassOperators", "SuccessReport",
+    "LABELED_CLASSES", "UNLABELED_CLASSES", "labeled_class_operators",
+    "unlabeled_operators", "outcome_class_index", "outcome_table",
+    "class_probabilities", "singlet_pairing_state", "kappa_state",
     "optimal_test_state", "conclusive_classes", "analytic_success",
-    "pairwise_success_angle", "observable_pair_angle",
-    "fixed_pair_class_probability", "optimal_success_over_subspace",
+    "pairwise_success_angle",
     # simulate
     "Verdict", "ShotRecord", "CampaignConfig", "TruthResult", "CampaignResult",
     "resolve_test_state", "run_labeled_trial", "run_unlabeled_trial",

@@ -88,8 +88,8 @@ class Observable:
         b = np.array(self.basis, dtype=np.complex128)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise InvalidObservableError(f"basis must be square, got shape {b.shape}")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
+            raise InvalidObservableError(f"basis must be square and nonempty, got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise InvalidObservableError("basis has a non-finite entry")
         gram = b.conj().T @ b
@@ -269,38 +269,7 @@ def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
     return _hypothesis_operators(UNLABELED_CLASSES, 4, d)
 
 
-# ----------------------------------------------------------- labeled protocol
-
-@dataclass(frozen=True)
-class LabeledAverages:
-    """Haar-averaged outcome probabilities of the labeled protocol.
-
-    q_* are per-outcome(-pair) probabilities; p_* the class totals (the d
-    equal pairs (j,j), respectively the d(d-1) unequal pairs (j,k)).
-    """
-
-    d: int
-    q_same_equal: float
-    q_diff_equal: float
-    q_same_different: float
-    q_diff_different: float
-
-    @property
-    def p_same_equal(self) -> float:
-        return self.d * self.q_same_equal
-
-    @property
-    def p_diff_equal(self) -> float:
-        return self.d * (self.d - 1) * self.q_diff_equal
-
-    @property
-    def p_same_different(self) -> float:
-        return self.d * self.q_same_different
-
-    @property
-    def p_diff_different(self) -> float:
-        return self.d * (self.d - 1) * self.q_diff_different
-
+# ------------------------------------------------------------ fixed devices
 
 def _as_state(state: Union[TestState, Operator], n: int, d: Optional[int] = None) -> TestState:
     if isinstance(state, Operator):
@@ -313,39 +282,17 @@ def _as_state(state: Union[TestState, Operator], n: int, d: Optional[int] = None
     return state
 
 
-def labeled_outcome_probabilities(state: Union[TestState, Operator]) -> LabeledAverages:
-    """Averaged outcome probabilities q(j,k) for one shot of each labeled device.
-
-    Under equal devices (one Haar basis) the probability of the pair (j,j) is
-    tr(rho P+)/d2 for every j, and of a fixed pair (j,k), j != k,
-    tr(rho (1/d - P+/d2))/(d-1).  Under independent devices every pair has
-    probability 1/d^2 regardless of the state.
-    """
-    state = _as_state(state, n=2)
-    d = state.d
-    ops = labeled_class_operators(d)  # sums over the d equal / d(d-1) unequal pairs
-    return LabeledAverages(
-        d=d,
-        q_same_equal=_class_probability(ops["same"].equal, state) / d,
-        q_diff_equal=_class_probability(ops["diff"].equal, state) / (d * (d - 1)),
-        q_same_different=1.0 / d ** 2,
-        q_diff_different=1.0 / d ** 2,
-    )
-
-
-def labeled_outcome_distribution(
-    a: Observable, b: Observable, state: Union[TestState, Operator]
-) -> np.ndarray:
-    """Born probabilities p[j, k] for fixed devices a (slot 1) and b (slot 2)."""
-    return _outcome_table(a, b, state, 2)
-
-
-def _outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator],
-                   n: int) -> np.ndarray:
+def outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator]) -> np.ndarray:
     """Born probabilities p[j_1, ..., j_n] when device a measures the first
-    n/2 slots of the test state and device b the last n/2."""
+    n/2 slots of the test state and device b the last n/2: n = 2 is one use
+    of each device (labeled), n = 4 two uses (unlabeled), before any outcome
+    relabeling."""
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
+    n = state.n
+    if n % 2 or not n:
+        raise DimensionMismatchError(f"test state lives on {n} slots; two devices need a "
+                                     "positive even number of slots")
     state = _as_state(state, n=n, d=a.d)
     w = kron_arrays(reduce(kron_arrays, [a.basis] * (n // 2)),
                     reduce(kron_arrays, [b.basis] * (n // 2)))
@@ -353,42 +300,14 @@ def _outcome_table(a: Observable, b: Observable, state: Union[TestState, Operato
     return p.reshape((a.d,) * n)
 
 
-def labeled_fixed_pair_success(
-    a: Observable, b: Observable, state: Union[TestState, Operator]
-) -> float:
-    """Probability of equal outcomes for a fixed device pair: sum_j p[j, j]."""
-    return float(np.trace(labeled_outcome_distribution(a, b, state)))
-
-
-# --------------------------------------------------------- unlabeled protocol
-
-def unlabeled_outcome_distribution(
-    a: Observable, b: Observable, state: Union[TestState, Operator]
-) -> np.ndarray:
-    """Born probabilities p[j, k, m, n] for two shots of each device.
-
-    Device a measures slots 1 and 2 (outcomes j, k), device b slots 3 and 4
-    (outcomes m, n), before any outcome relabeling is applied.
-    """
-    return _outcome_table(a, b, state, 4)
-
-
-def unlabeled_single_use_probability(
-    a: Observable, b: Observable, state: Union[TestState, Operator]
-) -> np.ndarray:
-    """Relabel-averaged outcome probabilities for a single use of each device.
-
-    Averaging over the unknown labelings makes every outcome pair equally
-    likely: the returned (d, d) table is constantly tr(rho)/d^2, carrying no
-    information about the devices.  One use of each device is therefore
-    useless for unlabeled comparison; the two-shot protocol is the smallest
-    useful one.
-    """
-    if a.d != b.d:
-        raise DimensionMismatchError("devices act on different dimensions")
-    d = a.d
-    state = _as_state(state, n=2, d=d)
-    return np.full((d, d), state.rho.trace().real / d ** 2)
+def class_probabilities(a: Observable, b: Observable,
+                        state: Union[TestState, Operator]) -> np.ndarray:
+    """The outcome table of fixed devices a and b summed into outcome
+    classes (outcome_class_index), in the order of Scenario.classes:
+    LABELED_CLASSES for a two-slot state, UNLABELED_CLASSES for four slots."""
+    table = outcome_table(a, b, state)
+    n = table.ndim
+    return np.bincount(outcome_class_index(n, a.d), table.reshape(-1), 2 ** (n // 2))
 
 
 def singlet_pairing_state() -> Vector:
@@ -518,40 +437,3 @@ def pairwise_success_angle(theta: float) -> float:
     """Success of the optimal unlabeled test state for a fixed qubit basis pair
     at angle theta: (2/3) sin^2(2 theta)."""
     return (2.0 / 3.0) * math.sin(2.0 * theta) ** 2
-
-
-def observable_pair_angle(a: Observable, b: Observable) -> float:
-    """Angle between two qubit bases: arccos |<a_0|b_0>|.
-
-    The success law is invariant under relabeling either basis (theta ->
-    pi/2 - theta leaves sin^2(2 theta) unchanged).
-    """
-    if a.d != 2 or b.d != 2:
-        raise UnsupportedDimensionError("pair angle is defined for qubit bases")
-    overlap = abs((a.basis.conj().T @ b.basis)[0, 0])
-    return math.acos(min(max(overlap, 0.0), 1.0))
-
-
-def fixed_pair_class_probability(
-    a: Observable, b: Observable, state: Union[TestState, Operator], outcome_class: str
-) -> float:
-    """Probability of an unlabeled outcome class for fixed devices a, b."""
-    if outcome_class not in UNLABELED_CLASSES:
-        raise DimensionMismatchError(f"unknown outcome class {outcome_class!r}")
-    p = unlabeled_outcome_distribution(a, b, state).reshape(-1)
-    return float(p[outcome_class_index(4, a.d) == UNLABELED_CLASSES.index(outcome_class)].sum())
-
-
-def optimal_success_over_subspace(subspace: Operator, objective: Operator) -> float:
-    """Best tr(rho objective) over states supported inside a projector.
-
-    Verification utility for the optimality claims: the maximum is the top
-    eigenvalue of Q objective Q.  Returns 0 for the zero subspace.
-    """
-    if (subspace.d, subspace.n) != (objective.d, objective.n):
-        raise DimensionMismatchError("subspace and objective on different spaces")
-    q = subspace.mat
-    if np.max(np.abs(q)) <= TOL_ABS:
-        return 0.0
-    w = np.linalg.eigvalsh(q @ objective.mat @ q)
-    return float(w[-1].real)

@@ -11,7 +11,7 @@ A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  A single trial, whose
 record carries the outcomes, draws one entry of its fixed devices' table
-(``comparison._outcome_table``) with ``_sample_rows``, and the sweep draws
+(``comparison.outcome_table``) with ``_sample_rows``, and the sweep draws
 one multinomial per fixed device pair from the same clamped table.  A
 campaign reports only class counts, so it builds no table: each stream
 that draws devices evaluates its class law in closed form over a batch
@@ -67,12 +67,10 @@ matrix of ``_bloch_form``, built once per campaign, and
 ``_bloch_class_law`` evaluates it over a batch: no Born table and no
 component.  A trial draws each device as a Haar unitary
 (``haar_unitaries``), as every stream with a device does, and reads its
-axis off column 0 (``_bloch_terms``); an "equal" trial reuses A's.  So a
-trial of a non-invariant pure state draws the devices and the uniform of
-format 8 and samples the class law of format 8's Born table.  The law of
-an equal-device trial is a mixture of the components' laws, each at most
-TOL_ABS/2 in a conclusive class; the form rounds at about 1e-15, so the
-clamp sets the class to exactly 0.
+axis off column 0 (``_bloch_terms``); an "equal" trial reuses A's.  The
+law of an equal-device trial is a mixture of the components' laws, each at
+most TOL_ABS/2 in a conclusive class; the form rounds at about 1e-15, so
+the clamp sets the class to exactly 0.
 
 Invariant test states
 ---------------------
@@ -119,15 +117,6 @@ draws one multinomial instead, or nothing.  The batch size, these draws,
 the Haar construction, the invariance test, the component order, the class
 laws and the class order of ``Scenario.classes`` make up CAMPAIGN_FORMAT;
 a change to any of them changes the counts and needs a new format version.
-Format 5 added a multinomial over the components.  Format 6 drew one Haar
-row per labeled invariant "different" trial, and format 7 does so for every
-test state.  Format 8 let fixed "equal" laws draw nothing.  Format 9
-samples every unlabeled trial that draws devices from the Bloch class law,
-with no component multinomial, and an invariant state's "different" trial
-draws B alone.  Format 10 samples the labeled "equal" stream from the
-mixture law, with no component multinomial, so only the "equal" counts of
-labeled mixed states that are neither certified nor invariant change; a
-pure state's "equal" stream draws as in format 9.
 
 Batch layout
 ------------
@@ -144,6 +133,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -157,15 +147,14 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
-    _outcome_table,
     conclusive_classes,
     kappa_state,
     optimal_test_state,
     outcome_class_index,
+    outcome_table,
     pairwise_success_angle,
-    unlabeled_outcome_distribution,
 )
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, DimensionMismatchError
 from .haar import haar_unitaries, haar_vectors, rng_from
 from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
 
@@ -175,7 +164,7 @@ SHARD_SIZE = 1 << 16
 CAMPAIGN_FORMAT = "qmeter.campaign/10"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
-_SUBCHUNK = 8192  # trials per Haar draw, Born table and sampling block
+_SUBCHUNK = 8192  # trials per Haar draw, class law and sampling block
 
 
 class Verdict(str, Enum):
@@ -202,6 +191,7 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_scenario(self.scenario)
         _check_int("trials", self.trials, 1)
         _check_int("workers", self.workers, 1)
         _check_int("seed", self.seed, 0)
@@ -209,6 +199,11 @@ class CampaignConfig:
             raise ConfigError(f"unknown ground truth {self.ground_truth!r}")
         if not isinstance(self.test_state, str):
             raise ConfigError(f"test_state must be a string, got {self.test_state!r}")
+
+
+def _check_scenario(scenario) -> None:
+    if not isinstance(scenario, Scenario):
+        raise ConfigError(f"scenario must be a Scenario, got {scenario!r}")
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -291,6 +286,7 @@ def resolve_test_state(spec: str, scenario: Scenario) -> TestState:
     value is read as a .npy file holding either a state vector or a density
     matrix on the protocol's full space (d^2 for labeled, 16 for unlabeled).
     """
+    _check_scenario(scenario)
     if not isinstance(spec, str):
         raise ConfigError(f"test state spec must be a string, got {spec!r}")
     if spec == "optimal":
@@ -347,9 +343,12 @@ def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
     """Draw one outcome record from the Born table of fixed devices a and b."""
     if state is None:
         state = optimal_test_state(scen)
+    if state.n != scen.slots:
+        raise DimensionMismatchError(
+            f"test state lives on {state.n} slots, the {scen.kind} protocol uses {scen.slots}")
     if conclusive is None:
         conclusive = conclusive_classes(scen, state)
-    table = _outcome_table(a, b, state, scen.slots)
+    table = outcome_table(a, b, state)
     idx = int(_sample_rows(table.reshape(1, -1), gen)[0])
     cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
     verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
@@ -726,6 +725,10 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
+    thetas = [float(theta) for theta in thetas]
+    bad = [theta for theta in thetas if not math.isfinite(theta)]
+    if bad:
+        raise ConfigError(f"theta grid has a non-finite angle: {bad[0]!r}")
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     conclusive = conclusive_classes(scen, state)
@@ -733,16 +736,16 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     a = Observable.computational(2)
     points = []
     for i, theta in enumerate(thetas):
-        b = Observable.qubit_angle(float(theta))
-        flat = _clamped(unlabeled_outcome_distribution(a, b, state).reshape(1, -1))[0]
+        b = Observable.qubit_angle(theta)
+        flat = _clamped(outcome_table(a, b, state).reshape(1, -1))[0]
         gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(_STREAM["sweep"], i)))
         counts = gen.multinomial(trials, flat)
         hits = int(counts[conc].sum())
         emp = hits / trials
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
         points.append(SweepPoint(
-            theta=float(theta), trials=trials, empirical=emp,
-            stderr=stderr, analytic=pairwise_success_angle(float(theta)),
+            theta=theta, trials=trials, empirical=emp,
+            stderr=stderr, analytic=pairwise_success_angle(theta),
         ))
     return tuple(points)
 

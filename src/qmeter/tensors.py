@@ -19,8 +19,8 @@ weight above TOL_ABS raised to at least 1; the raise makes leak_c bound
 each pure component that a simulated trial may prepare as well as the
 state itself.  A class is conclusive iff leak_c <= TOL_ABS/2 and its
 different-device probability exceeds TOL_ABS; the half leaves room for
-rounding in the Born kernel, so every Born entry of a conclusive class is
-clamped to an exact zero.
+rounding in the class laws that a simulation samples, so a conclusive
+class is clamped to an exact zero.
 """
 from __future__ import annotations
 
@@ -174,10 +174,6 @@ class Vector:
 
 def identity(d: int, n: int) -> Operator:
     return Operator(np.eye(d ** n), d, n)
-
-
-def zero(d: int, n: int) -> Operator:
-    return Operator(np.zeros((d ** n, d ** n)), d, n)
 
 
 def kron_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,29 +23,25 @@ twirled operators (battery) and for haar.mc_twirl (acceptance gate):
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .comparison import (
-    UNLABELED_CLASSES,
     Observable,
     Scenario,
     TestState,
     analytic_success,
+    class_probabilities,
     kappa_state,
     labeled_class_operators,
-    labeled_fixed_pair_success,
-    labeled_outcome_probabilities,
-    observable_pair_angle,
-    optimal_success_over_subspace,
-    outcome_class_index,
+    outcome_table,
     pairwise_success_angle,
     singlet_pairing_state,
     unlabeled_operators,
-    unlabeled_outcome_distribution,
-    unlabeled_single_use_probability,
 )
 from .errors import DimensionMismatchError, InvalidStateError
 from .symmetry import basis_family, split_pairs, swap, sym_dim, symmetrizer
@@ -156,6 +152,15 @@ def rbar(which: str, d: int) -> Operator:
         raise DimensionMismatchError(f'rbar kind must be "same" or "diff", got {which!r}')
     sym = symmetrizer((1, 2), 2, d) / sym_dim(d, 2)
     return sym if which == "same" else identity(d, 2) / d - sym
+
+
+def _optimal_success_over_subspace(subspace: Operator, objective: Operator) -> float:
+    """Best tr(rho objective) over states supported inside a projector: the
+    top eigenvalue of Q objective Q, and 0 for the zero subspace."""
+    q = subspace.mat
+    if np.max(np.abs(q)) <= TOL_ABS:
+        return 0.0
+    return float(np.linalg.eigvalsh(q @ objective.mat @ q)[-1])
 
 
 def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
@@ -329,20 +334,21 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
         rep = analytic_success(scen_u, kappa_state(j))
         bat.close(f"kappa_{j} success (class diff_diff) = 1/9", rep.total, 1 / 9, tol)
     bat.close("max success over Q_dd states = 1/9",
-              optimal_success_over_subspace(ops["diff_diff"].no_error,
-                                            ops["diff_diff"].different), 1 / 9, tol)
+              _optimal_success_over_subspace(ops["diff_diff"].no_error,
+                                             ops["diff_diff"].different), 1 / 9, tol)
     both = ops["same_diff"].different + ops["diff_same"].different
     bat.close("max success over Q_sd states (sd+ds classes) = 4/9",
-              optimal_success_over_subspace(ops["same_diff"].no_error, both), 4 / 9, tol)
+              _optimal_success_over_subspace(ops["same_diff"].no_error, both), 4 / 9, tol)
 
     # ---- labeled protocol, all dimensions
     for d in (2, 3, 4, 5):
         st = TestState.antisymmetric(d)
-        table = labeled_outcome_probabilities(st)
-        bat.below(f"antisymmetric state: q_same(equal) = 0 (d={d})", abs(table.q_same_equal), tol)
+        lab = labeled_class_operators(d)
+        # q_same = tr(rho O_same^eq)/d: O_same^eq sums the d equal outcome pairs
+        q_same = np.trace(st.rho.mat @ lab["same"].equal.mat).real / d
+        bat.below(f"antisymmetric state: q_same(equal) = 0 (d={d})", abs(q_same), tol)
         rep = analytic_success(Scenario("labeled", d), st)
         bat.close(f"labeled success = 1/d (d={d})", rep.total, 1 / d, tol)
-        lab = labeled_class_operators(d)
         comp = lab["same"].equal.mat + lab["diff"].equal.mat
         bat.maxdiff(f"labeled equal-hypothesis classes sum to 1 (d={d})",
                     comp, np.eye(d * d), tol)
@@ -352,36 +358,34 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
                      lab["same"].different.mat, lab["diff"].different.mat],
                     [d * rbar("same", d).mat, d * rbar("diff", d).mat,
                      eye / d, eye * (d - 1) / d], tol)
-    zx = labeled_fixed_pair_success(
-        Observable.computational(2),
-        Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
-        TestState.antisymmetric(2),
-    )
-    bat.close("fixed pair (Z basis, X basis, singlet): success = 1/2", zx, 0.5, tol)
+    z_obs = Observable.computational(2)
+    x_obs = Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    same, _ = class_probabilities(z_obs, x_obs, TestState.antisymmetric(2))
+    bat.close("fixed pair (Z basis, X basis, singlet): success = 1/2", same, 0.5, tol)
 
     # ---- fixed-pair angle law
     bat.close("angle law at theta=pi/6: (2/3) sin^2(pi/3) = 1/2",
               pairwise_success_angle(np.pi / 6), 0.5, tol)
-    a_obs = Observable.computational(2)
-    conclusive = np.isin(np.array(UNLABELED_CLASSES)[outcome_class_index(4, 2)],
-                         ("same_diff", "diff_same"))
     worst = 0.0
     for theta in np.linspace(0.0, np.pi / 2, 33):
-        b_obs = Observable.qubit_angle(float(theta))
-        table = unlabeled_outcome_distribution(a_obs, b_obs, state_for_phi)
-        direct = float(table.reshape(-1)[conclusive].sum())
-        worst = max(worst, abs(direct - pairwise_success_angle(float(theta))))
+        _, sd, ds, _ = class_probabilities(z_obs, Observable.qubit_angle(float(theta)),
+                                           state_for_phi)
+        worst = max(worst, abs(sd + ds - pairwise_success_angle(float(theta))))
     bat.below("direct Born evaluation matches (2/3) sin^2(2 theta) on 33-point grid",
               worst, 1e-9)
-    bat.close("pair angle of (Z, X) bases = pi/4",
-              observable_pair_angle(a_obs, Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))),
-              np.pi / 4, tol)
+    # arccos |<a_0|b_0>|; relabeling either basis maps theta to pi/2 - theta,
+    # which leaves the law sin^2(2 theta) unchanged
+    overlap = abs(np.vdot(z_obs.basis[:, 0], x_obs.basis[:, 0]))
+    bat.close("pair angle of (Z, X) bases = pi/4", math.acos(min(overlap, 1.0)), np.pi / 4, tol)
 
-    # ---- single-use futility
+    # ---- single-use futility: averaged over the unknown outcome labelings of
+    # each device, every outcome pair of one use each is equally likely
     rho2 = TestState.pure(Vector(np.kron([1, 0], [0, 1]), 2, 2))
-    tbl = unlabeled_single_use_probability(a_obs, Observable.qubit_angle(0.7), rho2)
+    tbl = outcome_table(z_obs, Observable.qubit_angle(0.7), rho2)
+    perms = list(itertools.permutations(range(2)))
+    avg = np.mean([tbl[np.ix_(s, t)] for s in perms for t in perms], axis=0)
     bat.maxdiff("single use of each device: relabel-averaged table = 1/4",
-                tbl, np.full((2, 2), 0.25), tol)
+                avg, np.full((2, 2), 0.25), tol)
 
     return bat.results
 

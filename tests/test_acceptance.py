@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from qmeter import (
+    UNLABELED_CLASSES,
     CampaignConfig,
     Observable,
     Scenario,
     TestState,
     analytic_success,
     basis_family,
-    fixed_pair_class_probability,
+    class_probabilities,
     kappa_state,
     mc_agrees,
     mc_perp_moment,
@@ -124,8 +125,8 @@ def test_criterion_4_angle_law(capsys):
     worst_direct = 0.0
     for theta in thetas:
         b = Observable.qubit_angle(float(theta))
-        direct = sum(fixed_pair_class_probability(z, b, st, c)
-                     for c in ("same_diff", "diff_same"))
+        p = dict(zip(UNLABELED_CLASSES, class_probabilities(z, b, st)))
+        direct = p["same_diff"] + p["diff_same"]
         worst_direct = max(worst_direct, abs(direct - pairwise_success_angle(float(theta))))
     points = sweep_theta(thetas, trials=SWEEP_SHOTS, seed=4001)
     worst_sigma = 0.0

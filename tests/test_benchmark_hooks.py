@@ -1,14 +1,30 @@
-"""The benchmark's tracer wraps qmeter functions by module and name, and
-reports a name it cannot find as a missing layer instead of failing.  So a
-rename or deletion in qmeter would silently drop a layer from the benchmark
-trace; this test fails instead."""
+"""Guards for the names that code outside the package reads.
+
+The benchmark's tracer wraps qmeter functions by module and name, and
+reports a name it cannot find as a missing layer instead of failing; the
+benchmark's workloads call the public API by name, and a name that is gone
+turns a benchmark run into a failed run.  So a rename or deletion in qmeter
+would silently drop a layer or a run from the benchmark; these tests fail
+instead.  The last test pins the public surface, qmeter.__all__."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import qmeter
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+#: the benchmark files that call qmeter
+CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "worker.py")
+#: public names taken out of qmeter.__all__, each with no export left behind
+REMOVED = ("LabeledAverages", "labeled_outcome_probabilities", "labeled_outcome_distribution",
+           "unlabeled_outcome_distribution", "labeled_fixed_pair_success",
+           "fixed_pair_class_probability", "unlabeled_single_use_probability",
+           "observable_pair_angle", "optimal_success_over_subspace", "zero", "vkron",
+           "SPLITS", "split_pairs", "sym_dim", "phi_plus")
 
 
 def _hooks() -> list:
@@ -28,3 +44,55 @@ def _hooks() -> list:
                          ids=lambda x: x if isinstance(x, str) else None)
 def test_every_traced_entry_point_exists(layer, module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), (layer, module, attr)
+
+
+def _dotted(node: ast.AST) -> str:
+    """"qmeter.cli.main" for the attribute chain qmeter.cli.main, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join(["qmeter", *reversed(parts)]) if (
+        isinstance(node, ast.Name) and node.id == "qmeter" and parts) else ""
+
+
+def _qmeter_reads(path: Path) -> set:
+    """Every qmeter.<name> path that a benchmark file reads, from attribute
+    chains and from string annotations such as "qmeter.Scenario"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            found.add(_dotted(node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"^qmeter(?:\.\w+)+$", node.value))
+    return found - {""}
+
+
+def _resolve(path: str):
+    """The object at a dotted qmeter path, importing submodules on the way."""
+    obj = qmeter
+    prefix = "qmeter"
+    for part in path.split(".")[1:]:
+        prefix += "." + part
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(prefix)
+    return obj
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: p.name)
+def test_every_name_the_benchmark_reads_resolves(path):
+    reads = _qmeter_reads(path)
+    assert reads, path  # the parse found the calls
+    missing = []
+    for dotted in sorted(reads):
+        try:
+            _resolve(dotted)
+        except (AttributeError, ImportError):
+            missing.append(dotted)
+    assert not missing, (path.name, missing)
+
+
+def test_the_public_surface_is_pinned():
+    assert len(qmeter.__all__) == len(set(qmeter.__all__)) == 66
+    assert [name for name in qmeter.__all__ if not hasattr(qmeter, name)] == []
+    assert [name for name in REMOVED if hasattr(qmeter, name)] == []
+    assert "outcome_table" in qmeter.__all__ and "class_probabilities" in qmeter.__all__

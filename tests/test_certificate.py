@@ -23,9 +23,10 @@ from qmeter import (
     conclusive_classes,
     haar_unitaries,
     outcome_class_index,
+    outcome_table,
     singlet_pairing_state,
 )
-from qmeter.comparison import _leaks, _operators_for, _outcome_table
+from qmeter.comparison import _leaks, _operators_for
 from qmeter.simulate import (
     _bloch_class_law,
     _bloch_form,
@@ -95,7 +96,7 @@ def _equal_device_tables(scen: Scenario, us, vecs) -> np.ndarray:
     twice, from the dense oracle: [component, device, flat record]."""
     psis = [TestState.pure(Vector(vec, scen.dim, scen.slots)) for vec in vecs]
     devices = [Observable(u) for u in us]
-    return np.array([[_outcome_table(a, a, psi, scen.slots).reshape(-1) for a in devices]
+    return np.array([[outcome_table(a, a, psi).reshape(-1) for a in devices]
                      for psi in psis])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmeter.cli import CAMPAIGN_KEYS, REPORT_FORMATS, main, parse_theta_grid
-from qmeter.simulate import CAMPAIGN_FORMAT
+from qmeter.simulate import CAMPAIGN_FORMAT, sweep_theta
 from qmeter.errors import ConfigError
 
 
@@ -272,9 +272,15 @@ def test_parse_theta_grid():
     grid = parse_theta_grid("0:1:5")
     np.testing.assert_allclose(grid, np.linspace(0, 1, 5))
     np.testing.assert_allclose(parse_theta_grid("0.5, 0.75"), [0.5, 0.75])
-    for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y", "nan,1", "inf", "0:nan:5", "-inf:1:3"):
+    for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y"):
         with pytest.raises(ConfigError):
             parse_theta_grid(bad)
+    # a non-finite angle parses, and sweep_theta, which the CLI calls,
+    # rejects it: the library and the CLI share the one check (an infinite
+    # angle once reached math.sin in the library, "math domain error")
+    for bad in ("nan,1", "inf", "0:nan:5", "-inf:1:3", "0:inf:3"):
+        with pytest.raises(ConfigError, match="non-finite"):
+            sweep_theta(parse_theta_grid(bad), trials=10, seed=1)
 
 
 @pytest.mark.parametrize("grid", ["nan,1", "inf"])

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -11,6 +12,7 @@ from qmeter import (
     InvalidStateError,
     LABELED_CLASSES,
     Observable,
+    Operator,
     QmeterError,
     Scenario,
     TestState,
@@ -20,25 +22,20 @@ from qmeter import (
     Vector,
     analytic_success,
     basis_family,
+    class_probabilities,
     conclusive_classes,
-    fixed_pair_class_probability,
     kappa_state,
     labeled_class_operators,
-    labeled_fixed_pair_success,
-    labeled_outcome_distribution,
-    labeled_outcome_probabilities,
-    observable_pair_angle,
-    optimal_success_over_subspace,
     optimal_test_state,
+    outcome_table,
     pairwise_success_angle,
     rank,
     run_campaign,
     run_labeled_trial,
     singlet_pairing_state,
     unlabeled_operators,
-    unlabeled_outcome_distribution,
-    unlabeled_single_use_probability,
 )
+from qmeter.verify import _optimal_success_over_subspace
 
 HADAMARD = Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -74,6 +71,11 @@ def test_scenario_accepts_a_numpy_integer_dimension():
 def test_observable_requires_unitary_basis():
     with pytest.raises(InvalidObservableError):
         Observable(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # an empty basis once died in numpy's max over a zero-size array
+    with pytest.raises(InvalidObservableError):
+        Observable(np.zeros((0, 0)))
+    with pytest.raises(InvalidObservableError):
+        Observable.random(0)
     obs = Observable.qubit_angle(0.3)
     projs = obs.projectors()
     assert projs.shape == (2, 2, 2)
@@ -160,11 +162,15 @@ def test_labeled_class_operators_complete(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_labeled_different_devices_flat_table(d):
-    # averaged over independent bases, every outcome pair is equally likely
+    # averaged over independent bases, every outcome pair is equally likely:
+    # the d equal pairs (class same) and the d(d-1) unequal pairs (class diff)
+    # each have probability 1/d^2
     st = TestState.antisymmetric(d)
-    table = labeled_outcome_probabilities(st)
-    assert table.q_same_different == pytest.approx(1 / d ** 2, abs=1e-12)
-    assert table.q_diff_different == pytest.approx(1 / d ** 2, abs=1e-12)
+    ops = labeled_class_operators(d)
+    p_same = np.trace(st.rho.mat @ ops["same"].different.mat).real
+    p_diff = np.trace(st.rho.mat @ ops["diff"].different.mat).real
+    assert p_same / d == pytest.approx(1 / d ** 2, abs=1e-12)
+    assert p_diff / (d * (d - 1)) == pytest.approx(1 / d ** 2, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -179,8 +185,7 @@ def test_labeled_product_state_is_not_unambiguous():
     # a product test state sees equal devices land on "same" sometimes
     from qmeter import basis_ket
     st = TestState.pure(basis_ket((0, 1), 3))
-    table = labeled_outcome_probabilities(st)
-    assert table.q_same_equal > 1e-3
+    assert np.trace(st.rho.mat @ labeled_class_operators(3)["same"].equal.mat).real > 1e-3
     assert conclusive_classes(Scenario("labeled", 3), st) == ()
     with pytest.raises(UnambiguityError):
         analytic_success(Scenario("labeled", 3), st, claimed=("same",))
@@ -190,17 +195,17 @@ def test_labeled_fixed_pair_singlet():
     z = Observable.computational(2)
     st = TestState.antisymmetric(2)
     # identical devices never agree on the singlet
-    table = labeled_outcome_distribution(z, z, st)
+    table = outcome_table(z, z, st)
     assert np.trace(table) == pytest.approx(0.0, abs=1e-12)
     # mutually unbiased pair: success 1/2
-    assert labeled_fixed_pair_success(z, HADAMARD, st) == pytest.approx(0.5, abs=1e-12)
+    assert_allclose(class_probabilities(z, HADAMARD, st), [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_labeled_distribution_rows_sum_to_one():
     rng = np.random.default_rng(11)
     a = Observable.random(3, rng)
     b = Observable.random(3, rng)
-    table = labeled_outcome_distribution(a, b, TestState.antisymmetric(3))
+    table = outcome_table(a, b, TestState.antisymmetric(3))
     assert table.shape == (3, 3)
     assert np.sum(table) == pytest.approx(1.0, abs=1e-12)
 
@@ -264,14 +269,14 @@ def test_kappa_state_rejects_bad_index():
 
 def test_optimal_success_over_no_error_subspaces():
     ops = unlabeled_operators(2)
-    best_dd = optimal_success_over_subspace(ops["diff_diff"].no_error,
-                                            ops["diff_diff"].different)
+    best_dd = _optimal_success_over_subspace(ops["diff_diff"].no_error,
+                                             ops["diff_diff"].different)
     assert best_dd == pytest.approx(1 / 9, abs=1e-10)
     both = ops["same_diff"].different + ops["diff_same"].different
-    best_sd = optimal_success_over_subspace(ops["same_diff"].no_error, both)
+    best_sd = _optimal_success_over_subspace(ops["same_diff"].no_error, both)
     assert best_sd == pytest.approx(4 / 9, abs=1e-10)
     # the empty subspace supports nothing
-    assert optimal_success_over_subspace(ops["same_same"].no_error, both) == 0.0
+    assert _optimal_success_over_subspace(ops["same_same"].no_error, both) == 0.0
 
 
 def test_unlabeled_distribution_matches_class_table():
@@ -281,19 +286,26 @@ def test_unlabeled_distribution_matches_class_table():
     a = Observable.random(2, rng)
     b = Observable.random(2, rng)
     st = optimal_test_state(Scenario("unlabeled", 2))
-    table = unlabeled_outcome_distribution(a, b, st)
+    table = outcome_table(a, b, st)
     assert table.shape == (2, 2, 2, 2)
     assert np.sum(table) == pytest.approx(1.0, abs=1e-12)
-    total = 0.0
-    for cls in UNLABELED_CLASSES:
-        p_direct = fixed_pair_class_probability(a, b, st, cls)
-        total += p_direct
-    assert total == pytest.approx(1.0, abs=1e-12)
+    probs = class_probabilities(a, b, st)
+    assert probs.shape == (len(UNLABELED_CLASSES),)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # the same-outcome bit of each device: outcomes (j, k) of a, (m, n) of b
+    same_a = np.einsum("jjmn->", table)
+    same_b = np.einsum("jkmm->", table)
+    both = np.einsum("jjmm->", table)
+    assert_allclose(probs, [both, same_a - both, same_b - both, 1 - same_a - same_b + both],
+                    rtol=0, atol=1e-12)
     # equal devices: conclusive classes carry zero weight
-    for cls in ("same_diff", "diff_same"):
-        assert fixed_pair_class_probability(a, a, st, cls) == pytest.approx(0.0, abs=1e-10)
+    assert_allclose(class_probabilities(a, a, st)[1:3], 0.0, rtol=0, atol=1e-10)
+    # two devices split the slots evenly
+    odd = Operator(np.eye(8) / 8, 2, 3)
     with pytest.raises(DimensionMismatchError):
-        fixed_pair_class_probability(a, b, st, "bogus")
+        outcome_table(a, b, odd)
+    with pytest.raises(DimensionMismatchError):
+        class_probabilities(a, b, odd)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (4, 2)])
@@ -305,12 +317,11 @@ def test_outcome_tables_equal_the_np_kron_construction(n, d):
     vecs = rng.normal(size=(3, d ** n)) + 1j * rng.normal(size=(3, d ** n))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     rho = (vecs.T * weights / weights.sum()) @ vecs.conj()
-    table = labeled_outcome_distribution if n == 2 else unlabeled_outcome_distribution
     for _ in range(4):
         a, b = Observable.random(d, rng), Observable.random(d, rng)
         w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
         expected = np.real(np.diagonal(w.conj().T @ rho @ w)).reshape((d,) * n)
-        assert np.array_equal(table(a, b, TestState.from_matrix(rho, d, n)), expected)
+        assert np.array_equal(outcome_table(a, b, TestState.from_matrix(rho, d, n)), expected)
 
 
 def test_unlabeled_angle_law_on_grid():
@@ -318,23 +329,25 @@ def test_unlabeled_angle_law_on_grid():
     st = optimal_test_state(Scenario("unlabeled", 2))
     for theta in np.linspace(0, np.pi / 2, 9):
         b = Observable.qubit_angle(float(theta))
-        p = sum(fixed_pair_class_probability(z, b, st, c)
-                for c in ("same_diff", "diff_same"))
-        assert p == pytest.approx(pairwise_success_angle(float(theta)), abs=1e-10)
-        assert observable_pair_angle(z, b) == pytest.approx(float(theta), abs=1e-9)
+        p = dict(zip(UNLABELED_CLASSES, class_probabilities(z, b, st)))
+        assert p["same_diff"] + p["diff_same"] == pytest.approx(
+            pairwise_success_angle(float(theta)), abs=1e-10)
 
 
 def test_single_use_is_useless():
     # one shot of each device, arbitrary entangled state: after averaging over
-    # the hidden labelings every outcome pair has probability 1/d^2
+    # the hidden labelings of each device's outcomes every outcome pair has
+    # probability 1/d^2, whatever the devices
     rng = np.random.default_rng(7)
-    a = Observable.random(2, rng)
-    b = Observable.random(2, rng)
-    from qmeter import Vector
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    st = TestState.pure(Vector(vec, 2, 2).normalized())
-    table = unlabeled_single_use_probability(a, b, st)
-    assert_allclose(table, np.full((2, 2), 0.25), atol=1e-12)
+    for d in (2, 3):
+        a = Observable.random(d, rng)
+        b = Observable.random(d, rng)
+        vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        table = outcome_table(a, b, TestState.pure(Vector(vec, d, 2).normalized()))
+        perms = list(itertools.permutations(range(d)))
+        relabeled = [table[np.ix_(s, t)] for s in perms for t in perms]
+        assert_allclose(np.mean(relabeled, axis=0), np.full((d, d), 1 / d ** 2), atol=1e-12)
+        assert not np.allclose(table, 1 / d ** 2, atol=1e-3)  # no table is flat by itself
 
 
 def test_analytic_success_validates_claims():

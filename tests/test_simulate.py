@@ -11,6 +11,7 @@ from qmeter import (
     CampaignConfig,
     ConfigError,
     ConsistencyError,
+    DimensionMismatchError,
     Observable,
     Operator,
     Scenario,
@@ -21,11 +22,10 @@ from qmeter import (
     basis_family,
     conclusive_classes,
     kappa_state,
+    class_probabilities,
     labeled_class_operators,
-    labeled_fixed_pair_success,
-    labeled_outcome_distribution,
     optimal_test_state,
-    outcome_class_index,
+    outcome_table,
     pairwise_success_angle,
     resolve_test_state,
     run_campaign,
@@ -35,12 +35,10 @@ from qmeter import (
     sweep_theta,
     sweep_to_csv,
     unlabeled_operators,
-    unlabeled_outcome_distribution,
 )
 from qmeter import simulate
 from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
 from qmeter.haar import haar_unitaries, haar_vectors
-from qmeter.comparison import _outcome_table
 from qmeter.simulate import (
     SHARD_SIZE,
     _Z_TERMS,
@@ -77,6 +75,11 @@ def test_config_rejects_bad_values():
                 {"seed": 1.0}, {"trials": "10"}, {"test_state": None}, {"test_state": 3}):
         with pytest.raises(ConfigError):
             CampaignConfig(scen, **{"trials": 10, "seed": 1, **bad})
+    # a scenario name in place of a Scenario once died in an AttributeError
+    with pytest.raises(ConfigError):
+        CampaignConfig("labeled", trials=10, seed=1)
+    with pytest.raises(ConfigError):
+        resolve_test_state("optimal", "labeled")
     cfg = CampaignConfig(scen, trials=np.int64(10), seed=np.uint32(1), workers=np.int8(1))
     assert json.loads(run_campaign(cfg).to_json())["trials"] == 10
 
@@ -126,6 +129,19 @@ def test_labeled_trial_record():
     assert rec.outcome_class in ("same", "diff")
     assert rec.verdict in (Verdict.DIFFERENT, Verdict.INCONCLUSIVE)
     assert (rec.verdict is Verdict.DIFFERENT) == (rec.outcome_class == "same")
+
+
+def test_single_trials_reject_a_state_of_the_other_protocol():
+    # the outcome table reads its slot count off the state, so the trial
+    # checks it against its protocol, also when the conclusive classes are given
+    z = Observable.computational(2)
+    with pytest.raises(DimensionMismatchError):
+        run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1)
+    with pytest.raises(DimensionMismatchError):
+        run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1,
+                          conclusive=("same",))
+    with pytest.raises(DimensionMismatchError):
+        run_unlabeled_trial(z, z, TestState.antisymmetric(2), rng=1, conclusive=())
 
 
 def test_labeled_trial_equal_devices_never_agree():
@@ -564,7 +580,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     prepared = Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2)
     devices = [Observable(u) for u in haar_unitaries(3, trials, gen)]
-    same = [np.trace(_outcome_table(a, a, prepared, 2)) for a in devices]
+    same = [np.trace(outcome_table(a, a, prepared)) for a in devices]
     drawn = _sample_rows(np.stack((same, np.subtract(1.0, same)), axis=1), gen)
     assert counts == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     assert min(counts.values()) > 0
@@ -632,11 +648,10 @@ def test_invariant_born_table_depends_on_w_alone(kind, d):
     ws = np.conj(us.transpose(0, 2, 1)) @ vs
     state = _invariant_mixture(d, 0.3) if kind == "labeled" else optimal_test_state(
         Scenario(kind, d))
-    n = 2 if kind == "labeled" else 4
     eye = Observable.computational(d)
     for u, v, w in zip(us, vs, ws):
-        assert_allclose(_outcome_table(eye, Observable(w), state, n),
-                        _outcome_table(Observable(u), Observable(v), state, n),
+        assert_allclose(outcome_table(eye, Observable(w), state),
+                        outcome_table(Observable(u), Observable(v), state),
                         rtol=0, atol=1e-12)
 
 
@@ -653,7 +668,7 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
         psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         psi /= np.linalg.norm(psi)
         state = TestState.pure(Vector(psi, d, 2))
-        table = np.array([_outcome_table(Observable(u), Observable(v), state, 2)
+        table = np.array([outcome_table(Observable(u), Observable(v), state)
                           for u, v in zip(us, vs)])
         # chi[b, j, n] = sum_m conj(U_b[m, j]) psi[m, n]; x = chi_j V^*
         chi = np.conj(us.transpose(0, 2, 1)) @ psi.reshape(d, d)
@@ -745,12 +760,6 @@ def _bloch_terms_of(device: Observable) -> tuple:
     return tuple(t[0] for t in _bloch_terms(device.basis[None]))
 
 
-def _class_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
-    """The Born table of fixed devices summed into the four unlabeled classes."""
-    return np.bincount(outcome_class_index(4, 2),
-                       unlabeled_outcome_distribution(a, b, state).reshape(-1), 4)
-
-
 def _unlabeled_states() -> list:
     rng = np.random.default_rng(66)
     return ([kappa_state(j) for j in (1, 2, 3)] + [optimal_test_state(Scenario("unlabeled", 2))]
@@ -761,8 +770,8 @@ def _unlabeled_states() -> list:
                          ids=["kappa:1", "kappa:2", "kappa:3", "phi_q", "rank2"])
 def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
     # p(same_same) = e(n)^T G e(m) / 4 and the marginals of G's first row and
-    # column: for fixed devices the class law is the Born table summed by
-    # outcome_class_index, for random, rotated and equal device pairs
+    # column: for fixed devices the class law is the Born table summed into
+    # classes (class_probabilities), for random, rotated and equal device pairs
     rng = np.random.default_rng(67)
     form = _bloch_form(*state.pure_components())
     pairs = [(Observable.random(2, rng), Observable.random(2, rng)) for _ in range(10)]
@@ -771,10 +780,10 @@ def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
     pairs += [(a, a) for a, _ in pairs]
     for a, b in pairs:
         law = _bloch_class_law(form, _bloch_terms_of(a), _bloch_terms_of(b))
-        assert_allclose(law, _class_table(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
     # and over a batch, one column per pair
     terms = [np.array([_bloch_terms_of(x) for x in side]).T for side in zip(*pairs)]
-    expected = [_class_table(a, b, state) for a, b in pairs]
+    expected = [class_probabilities(a, b, state) for a, b in pairs]
     assert_allclose(_bloch_class_law(form, *terms), expected, rtol=0, atol=1e-12)
 
 
@@ -792,8 +801,8 @@ def test_an_invariant_state_measures_device_a_along_z(name):
         u, v = haar_unitaries(2, 2, rng)
         a, b, w = Observable(u), Observable(v), Observable(u.conj().T @ v)
         law = _bloch_class_law(form, _Z_TERMS, _bloch_terms_of(w))
-        assert_allclose(law, _class_table(eye, w, state), rtol=0, atol=1e-12)
-        assert_allclose(law, _class_table(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(law, class_probabilities(eye, w, state), rtol=0, atol=1e-12)
+        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
 
 
 def test_an_invariant_different_shard_draws_device_b_alone():
@@ -867,7 +876,7 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
     prepared = Operator((v.T * (w / w.sum())) @ v.conj(), d, 2)
     us = haar_unitaries(d, 16, np.random.default_rng(d))
     assert not us.flags.c_contiguous
-    expected = [labeled_fixed_pair_success(Observable(u), Observable(u), prepared) for u in us]
+    expected = [class_probabilities(Observable(u), Observable(u), prepared)[0] for u in us]
     for stack in (us, np.ascontiguousarray(us)):
         law = _labeled_equal_law(stack, w, v)
         assert_allclose(law[:, 0], expected, rtol=0, atol=1e-12)
@@ -957,7 +966,7 @@ def test_sampler_never_draws_a_clamped_category():
     assert np.cumsum(uniform_pairs)[-2] < 1.0
     rng = np.random.default_rng(5)
     st = TestState.antisymmetric(3)
-    equal_devices = [labeled_outcome_distribution(a, a, st).reshape(-1)
+    equal_devices = [outcome_table(a, a, st).reshape(-1)
                      for a in (Observable.random(3, rng) for _ in range(500))]
     tables = np.vstack([uniform_pairs] + equal_devices)
     idx = _sample_rows(tables, _TopOfRangeGenerator())

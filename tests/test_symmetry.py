@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qmeter import (
-    SPLITS,
     DimensionMismatchError,
     UnsupportedDimensionError,
     antisymmetrizer,
@@ -15,13 +14,11 @@ from qmeter import (
     pair_product,
     perm_operator,
     phi_minus,
-    phi_plus,
     rank,
-    split_pairs,
     swap,
-    sym_dim,
     symmetrizer,
 )
+from qmeter.symmetry import SPLITS, phi_plus, split_pairs, sym_dim
 
 
 @pytest.mark.parametrize("d,k,expected", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmeter.tensors import kron_arrays
+from qmeter.tensors import kron_arrays, vkron
 from qmeter import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
@@ -13,8 +13,6 @@ from qmeter import (
     kron,
     rank,
     support_projector,
-    vkron,
-    zero,
 )
 
 
@@ -93,7 +91,7 @@ def test_support_projector_recovers_support():
 
 
 def test_support_projector_of_zero_is_zero():
-    z = zero(2, 2)
+    z = Operator(np.zeros((4, 4)), 2, 2)
     assert_allclose(support_projector(z).mat, np.zeros((4, 4)))
     assert rank(z) == 0
 
