@@ -36,7 +36,7 @@ from .errors import (
 )
 from .haar import twirl
 from .symmetry import antisymmetrizer, basis_family, pair_product, phi_minus
-from .tensors import TOL_ABS, Operator, Vector, kron_arrays, support_projector
+from .tensors import TOL_ABS, Operator, Vector, _check_int, kron_arrays, support_projector
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -85,7 +85,10 @@ class Observable:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=np.complex128)
+        try:
+            b = np.array(self.basis, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise InvalidObservableError(f"basis is not a complex matrix: {exc}") from exc
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
@@ -100,14 +103,6 @@ class Observable:
     def d(self) -> int:
         return self.basis.shape[0]
 
-    def effect(self, j: int) -> Operator:
-        col = self.basis[:, j]
-        return Operator(np.outer(col, col.conj()), self.d, 1)
-
-    def projectors(self) -> np.ndarray:
-        """Stack of outcome projectors, shape (d, d, d) indexed by outcome."""
-        return np.einsum("mj,nj->jmn", self.basis, self.basis.conj())
-
     @classmethod
     def computational(cls, d: int) -> "Observable":
         return cls(np.eye(d))
@@ -120,6 +115,8 @@ class Observable:
 
     @classmethod
     def random(cls, d: int, rng=None) -> "Observable":
+        if isinstance(d, (int, np.integer)) and d < 1:
+            raise InvalidObservableError(f"basis dimension must be >= 1, got {d}")
         return cls(_haar.haar_unitary(d, rng))
 
 
@@ -130,15 +127,16 @@ class TestState:
     __test__ = False  # not a pytest class, despite the name
 
     rho: Operator
-    kind: str = "custom"
 
     def __post_init__(self):
+        if not isinstance(self.rho, Operator):
+            raise InvalidStateError(f"rho must be an Operator, got {type(self.rho).__name__}")
         m = self.rho.mat
         if not np.all(np.isfinite(m)):
             raise InvalidStateError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > TOL_ABS:
             raise InvalidStateError("density matrix is not Hermitian")
-        w = np.linalg.eigvalsh(m)
+        w = self._eigen[0]
         if float(w[0]) < -TOL_ABS:
             raise InvalidStateError(f"density matrix has negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
@@ -157,9 +155,10 @@ class TestState:
     def _eigen(self) -> Tuple[np.ndarray, np.ndarray]:
         """The one eigendecomposition (w, v) of rho, eigenvectors as columns,
         with every eigenvector entry at or below TOL_ABS in magnitude set to
-        zero: the roundoff that eigh leaves in structural zeros.  Both the
-        simulated components (pure_components) and the certificate that
-        bounds them (_leaks) read it."""
+        zero: the roundoff that eigh leaves in structural zeros.  The
+        positivity check of __post_init__, the simulated components
+        (pure_components) and the certificate that bounds them (_leaks) all
+        read it."""
         w, v = np.linalg.eigh(self.rho.mat)
         v[np.abs(v) <= TOL_ABS] = 0.0
         return w, v
@@ -184,17 +183,17 @@ class TestState:
             raise UnsupportedDimensionError(f"antisymmetric state needs d >= 2, got {d}")
         proj = antisymmetrizer((1, 2), 2, d)
         dminus = d * (d - 1) // 2
-        return cls(proj / dminus, kind="antisymmetric")
+        return cls(proj / dminus)
 
     @classmethod
-    def pure(cls, vec: Vector, kind: str = "pure") -> "TestState":
+    def pure(cls, vec: Vector) -> "TestState":
         if abs(vec.norm() - 1.0) > TOL_ABS:
             raise InvalidStateError(f"pure test state is not normalized: {vec.norm()!r}")
-        return cls(vec.projector(), kind=kind)
+        return cls(vec.projector())
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray, d: int, n: int, kind: str = "custom") -> "TestState":
-        return cls(Operator(mat, d, n), kind=kind)
+    def from_matrix(cls, mat: np.ndarray, d: int, n: int) -> "TestState":
+        return cls(Operator(mat, d, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,13 +270,13 @@ def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
 
 # ------------------------------------------------------------ fixed devices
 
-def _as_state(state: Union[TestState, Operator], n: int, d: Optional[int] = None) -> TestState:
+def _as_state(state: Union[TestState, Operator], n: int, d: int) -> TestState:
     if isinstance(state, Operator):
         state = TestState(state)
-    if state.n != n or (d is not None and state.d != d):
+    if (state.n, state.d) != (n, d):
         raise DimensionMismatchError(
             f"test state lives on {state.n} slots of dimension {state.d}, "
-            f"expected {n} slots" + ("" if d is None else f" of dimension {d}")
+            f"expected {n} slots of dimension {d}"
         )
     return state
 
@@ -324,10 +323,11 @@ def singlet_pairing_state() -> Vector:
 
 def kappa_state(j: int) -> TestState:
     """Pure test state on the j-th vector (1-based) of the kappa family."""
+    _check_int("kappa index", j, 1)
     fam = basis_family("kappa")
-    if not 1 <= j <= len(fam):
+    if j > len(fam):
         raise ConfigError(f"kappa index must be 1..{len(fam)}, got {j}")
-    return TestState.pure(fam[j - 1], kind=f"kappa_{j}")
+    return TestState.pure(fam[j - 1])
 
 
 def optimal_test_state(scenario: Scenario) -> TestState:
@@ -338,7 +338,7 @@ def optimal_test_state(scenario: Scenario) -> TestState:
     """
     if scenario.kind == "labeled":
         return TestState.antisymmetric(scenario.dim)
-    return TestState.pure(singlet_pairing_state(), kind="singlet_pairing")
+    return TestState.pure(singlet_pairing_state())
 
 
 # ------------------------------------------------------- success accounting

@@ -21,15 +21,19 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidStateError
+from .errors import DimensionMismatchError, InvalidStateError
 from .symmetry import _slot_targets
-from .tensors import TOL_ABS, TOL_RANK, Vector
+from .tensors import TOL_ABS, TOL_RANK, Vector, _check_int
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
 # complex entries in one Monte Carlo batch (16 MB); the batch size follows
 # from the size of one sample
 _MC_BATCH_ENTRIES = 1 << 20
+#: standard errors within which mc_agrees accepts a Monte Carlo mean
+MC_NSIG = 5.0
+#: absolute slack of mc_agrees for entries of structurally zero variance
+MC_FLOOR = 1e-12
 
 
 def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.ndarray]:
@@ -98,6 +102,8 @@ def haar_vectors(d: int, size: int, rng: RngLike = None,
     and so does every column.  Given `out`, a C-contiguous complex128
     (d, size) array, the vectors are written into it and it is returned.
     """
+    _check_int("d", d, 1)
+    _check_int("size", size, 0)
     x = np.empty((d, size), dtype=np.complex128) if out is None else out
     rng_from(rng).standard_normal(out=x.view(np.float64))
     x *= 1.0 / np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=0))
@@ -121,6 +127,8 @@ def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     column of all matrices.  Each level draws x in place, into the column
     it becomes, so a call allocates no buffer but the result.
     """
+    _check_int("d", d, 1)
+    _check_int("size", size, 0)
     gen = rng_from(rng)
     cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of U_b
     for k in range(1, d + 1):
@@ -176,8 +184,7 @@ class _MatrixMean:
 def _mc_mean(draw: Callable[[int], np.ndarray], shape: Tuple[int, ...], samples: int):
     """(mean, stderr) over `samples` draws of one sample of `shape`; draw(n)
     returns n samples stacked on axis 0."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ConfigError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_int("samples", samples, 1)
     step = max(1, _MC_BATCH_ENTRIES // int(np.prod(shape)))
     acc = _MatrixMean(shape)
     for done in range(0, samples, step):
@@ -238,16 +245,15 @@ def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
     return _mc_mean(draw, (d ** k, d ** k), samples)
 
 
-def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray,
-              nsig: float = 5.0, floor: float = 1e-12) -> tuple:
-    """Elementwise |mean - target| <= nsig * se + floor.
+def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray) -> tuple:
+    """Elementwise |mean - target| <= MC_NSIG * se + MC_FLOOR.
 
     The floor absorbs roundoff in entries whose sample variance is
     structurally zero.  Returns (agrees, worst) where worst is the largest
     deviation measured in standard errors.
     """
     dev = np.abs(mean - target)
-    ok = bool(np.all(dev <= nsig * se + floor))
+    ok = bool(np.all(dev <= MC_NSIG * se + MC_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigmas = np.where(dev <= floor, 0.0, dev / np.maximum(se, floor))
+        sigmas = np.where(dev <= MC_FLOOR, 0.0, dev / np.maximum(se, MC_FLOOR))
     return ok, float(np.max(sigmas))

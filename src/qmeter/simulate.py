@@ -154,9 +154,9 @@ from .comparison import (
     outcome_table,
     pairwise_success_angle,
 )
-from .errors import ConfigError, ConsistencyError, DimensionMismatchError
+from .errors import ConfigError, ConsistencyError
 from .haar import haar_unitaries, haar_vectors, rng_from
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
@@ -206,14 +206,6 @@ def _check_scenario(scenario) -> None:
         raise ConfigError(f"scenario must be a Scenario, got {scenario!r}")
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise ConfigError unless value is an integer (not a bool) >= minimum."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class TruthResult:
     """Counts from the sub-campaign run under one ground truth."""
@@ -242,12 +234,11 @@ class CampaignResult:
     config: CampaignConfig
     conclusive: Tuple[str, ...]
     results: Mapping[str, TruthResult]
-    version: str = __version__
 
     def to_json_dict(self) -> dict:
         out = {
             "format": CAMPAIGN_FORMAT,
-            "version": self.version,
+            "version": __version__,
             "scenario": {"kind": self.config.scenario.kind, "dim": self.config.scenario.dim},
             "seed": int(self.config.seed),
             "trials": int(self.config.trials),
@@ -294,10 +285,7 @@ def resolve_test_state(spec: str, scenario: Scenario) -> TestState:
     if spec == "kappa" or spec.startswith("kappa:"):
         if scenario.kind != "unlabeled":
             raise ConfigError("kappa test states belong to the unlabeled scenario")
-        j = 1 if spec == "kappa" else _parse_kappa_index(spec)
-        if not 1 <= j <= 3:
-            raise ConfigError(f"bad kappa spec {spec!r}; expected kappa:1..3")
-        return kappa_state(j)
+        return kappa_state(1 if spec == "kappa" else _parse_kappa_index(spec))
     return _load_state_file(spec, scenario)
 
 
@@ -325,29 +313,26 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
             raise ConfigError(
                 f"state vector in {path!r} has shape {arr.shape}, expected ({dim},)"
             )
-        return TestState.pure(Vector(arr, d, n), kind="custom")
+        return TestState.pure(Vector(arr, d, n))
     if arr.ndim == 2:
         if arr.shape != (dim, dim):
             raise ConfigError(
                 f"density matrix in {path!r} has shape {arr.shape}, expected ({dim}, {dim})"
             )
-        return TestState.from_matrix(arr, d, n, kind="custom")
+        return TestState.from_matrix(arr, d, n)
     raise ConfigError(f"test state file {path!r} must hold a vector or a matrix")
 
 
 # ---------------------------------------------------------- single trials
 
 def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
-                        state: Union[TestState, Operator, None], gen: np.random.Generator,
-                        conclusive: Optional[Tuple[str, ...]]) -> ShotRecord:
-    """Draw one outcome record from the Born table of fixed devices a and b."""
+                        state: Union[TestState, Operator, None],
+                        gen: np.random.Generator) -> ShotRecord:
+    """Draw one outcome record from the Born table of fixed devices a and b and
+    judge it by the state's conclusive_classes, which also check its slots."""
     if state is None:
         state = optimal_test_state(scen)
-    if state.n != scen.slots:
-        raise DimensionMismatchError(
-            f"test state lives on {state.n} slots, the {scen.kind} protocol uses {scen.slots}")
-    if conclusive is None:
-        conclusive = conclusive_classes(scen, state)
+    conclusive = conclusive_classes(scen, state)
     table = outcome_table(a, b, state)
     idx = int(_sample_rows(table.reshape(1, -1), gen)[0])
     cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
@@ -361,10 +346,9 @@ def run_labeled_trial(
     b: Observable,
     state: Union[TestState, Operator],
     rng=None,
-    conclusive: Optional[Tuple[str, ...]] = None,
 ) -> ShotRecord:
     """One shot of the labeled protocol with fixed devices a and b."""
-    return _fixed_device_trial(Scenario("labeled", a.d), a, b, state, rng_from(rng), conclusive)
+    return _fixed_device_trial(Scenario("labeled", a.d), a, b, state, rng_from(rng))
 
 
 def run_unlabeled_trial(
@@ -372,7 +356,6 @@ def run_unlabeled_trial(
     b: Observable,
     state: Union[TestState, Operator, None] = None,
     rng=None,
-    conclusive: Optional[Tuple[str, ...]] = None,
 ) -> ShotRecord:
     """One trial of the unlabeled protocol: two shots of each device.
 
@@ -381,7 +364,7 @@ def run_unlabeled_trial(
     of the same device, so they are unaffected.
     """
     gen = rng_from(rng)
-    rec = _fixed_device_trial(Scenario("unlabeled", a.d), a, b, state, gen, conclusive)
+    rec = _fixed_device_trial(Scenario("unlabeled", a.d), a, b, state, gen)
     ra, rb = int(gen.integers(0, 2)), int(gen.integers(0, 2))
     j, k, m, n = rec.outcomes
     return replace(rec, outcomes=(j ^ ra, k ^ ra, m ^ rb, n ^ rb))
@@ -725,7 +708,10 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
-    thetas = [float(theta) for theta in thetas]
+    try:
+        thetas = [float(theta) for theta in thetas]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"theta grid has an angle that is not a number: {exc}") from exc
     bad = [theta for theta in thetas if not math.isfinite(theta)]
     if bad:
         raise ConfigError(f"theta grid has a non-finite angle: {bad[0]!r}")

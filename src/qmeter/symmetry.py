@@ -157,31 +157,9 @@ def phi_minus(j: int, k: int) -> Vector:
 
 
 @lru_cache(maxsize=None)
-def _split_transform(split: str) -> np.ndarray:
-    """Relabeling unitary mapping split "12-34" constructions to `split`.
-
-    Conjugation by S23 maps P12+ (x) P34+ to P13+ (x) P24+, and a further S34
-    maps that to P14+ (x) P23+.
-    """
-    if split == "12-34":
-        return np.eye(16)
-    s23 = swap(2, 3, 4, 2).mat.real
-    if split == "13-24":
-        return s23
-    s34 = swap(3, 4, 4, 2).mat.real
-    return s34 @ s23  # "14-23"
-
-
-def _apply_split(vectors: Tuple[Vector, ...], split: str) -> Tuple[Vector, ...]:
-    w = _split_transform(split)
-    return tuple(Vector(w @ v.vec, 2, 4) for v in vectors)
-
-
-def basis_family(family: str, split: str = "12-34") -> Tuple[Vector, ...]:
-    """Named four-qubit basis families attached to a pair split.
-
-    Families (given here for split "12-34"; other splits are obtained by the
-    relabeling that maps pair (1,2) and (3,4) onto the requested pairs):
+def basis_family(family: str) -> Tuple[Vector, ...]:
+    """Named four-qubit basis families of the pair split "12-34" (slots 1, 2
+    and slots 3, 4).
 
     - "eta": five orthonormal vectors spanning the totally symmetric subspace.
     - "kappa": three orthonormal vectors spanning the subspace of
@@ -199,13 +177,6 @@ def basis_family(family: str, split: str = "12-34") -> Tuple[Vector, ...]:
     eta and kappa families are normalized; omega families are returned
     unnormalized exactly as defined.
     """
-    split_pairs(split)  # validate the label
-    fam = _base_family(family)
-    return _apply_split(fam, split)
-
-
-@lru_cache(maxsize=None)
-def _base_family(family: str) -> Tuple[Vector, ...]:
     p00, p01, p11 = phi_plus(0, 0), phi_plus(0, 1), phi_plus(1, 1)
     m01 = phi_minus(0, 1)
 

@@ -29,13 +29,21 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
+from .errors import ConfigError, DimensionMismatchError, NotPositiveSemidefiniteError
 
 #: absolute tolerance for identity-type checks (Hermiticity, projector tests,
 #: probability-zero decisions)
 TOL_ABS = 1e-10
 #: relative eigenvalue cutoff for rank / support decisions
 TOL_RANK = 1e-8
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer (not a bool) >= minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _as_complex(a) -> np.ndarray:
@@ -64,9 +72,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.d ** self.n
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.d, self.n)
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))

@@ -196,7 +196,7 @@ def test_criterion_6_moment_oracles(capsys):
 
     def check(label, mc_result, target):
         nonlocal worst
-        ok, sigmas = mc_agrees(*mc_result, target, nsig=5.0)
+        ok, sigmas = mc_agrees(*mc_result, target)
         worst = max(worst, sigmas)
         if not ok:
             failures.append(f"{label} ({sigmas:.1f} SE)")

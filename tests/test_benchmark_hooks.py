@@ -2,12 +2,14 @@
 
 The benchmark's tracer wraps qmeter functions by module and name, and
 reports a name it cannot find as a missing layer instead of failing; the
-benchmark's workloads call the public API by name, and a name that is gone
-turns a benchmark run into a failed run.  So a rename or deletion in qmeter
-would silently drop a layer or a run from the benchmark; these tests fail
-instead.  The last test pins the public surface, qmeter.__all__."""
+benchmark's workloads call the public API by name, and a name or a keyword
+parameter that is gone turns a benchmark run into a failed run.  So a rename
+or deletion in qmeter would silently drop a layer or a run from the
+benchmark; these tests fail instead.  The last test pins the public surface,
+qmeter.__all__."""
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -89,6 +91,32 @@ def test_every_name_the_benchmark_reads_resolves(path):
         except (AttributeError, ImportError):
             missing.append(dotted)
     assert not missing, (path.name, missing)
+
+
+def _qmeter_calls(path: Path) -> list:
+    """(dotted qmeter path, positional count, keyword names) of every call in
+    a benchmark file to a qmeter.<name> callable; the count is None where a
+    *args makes it unknown, and a **kwargs adds no name."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and _dotted(node.func):
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            calls.append((_dotted(node.func), None if starred else len(node.args),
+                          [kw.arg for kw in node.keywords if kw.arg is not None]))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds():
+    calls = [call for path in CALLERS for call in _qmeter_calls(path)]
+    assert any(keywords for _, _, keywords in calls)  # the parse found keywords
+    unbound = []
+    for dotted, nargs, keywords in calls:
+        try:
+            inspect.signature(_resolve(dotted)).bind_partial(
+                *[None] * (nargs or 0), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append((dotted, str(exc)))
+    assert not unbound
 
 
 def test_the_public_surface_is_pinned():

@@ -281,6 +281,8 @@ def test_parse_theta_grid():
     for bad in ("nan,1", "inf", "0:nan:5", "-inf:1:3", "0:inf:3"):
         with pytest.raises(ConfigError, match="non-finite"):
             sweep_theta(parse_theta_grid(bad), trials=10, seed=1)
+    with pytest.raises(ConfigError):  # once float()'s ValueError
+        sweep_theta(["a"], trials=10, seed=1)
 
 
 @pytest.mark.parametrize("grid", ["nan,1", "inf"])

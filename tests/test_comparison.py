@@ -76,10 +76,8 @@ def test_observable_requires_unitary_basis():
         Observable(np.zeros((0, 0)))
     with pytest.raises(InvalidObservableError):
         Observable.random(0)
-    obs = Observable.qubit_angle(0.3)
-    projs = obs.projectors()
-    assert projs.shape == (2, 2, 2)
-    assert_allclose(projs.sum(axis=0), np.eye(2), atol=1e-12)
+    with pytest.raises(InvalidObservableError):  # once numpy's ValueError from complex()
+        Observable("abc")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -116,6 +114,8 @@ def test_test_state_validation():
             TestState.from_matrix(np.diag([0.25, 0.25, 0.25, bad]), 2, 2)
         with pytest.raises(InvalidStateError):
             TestState.pure(Vector(np.full(4, bad), 2, 2))
+    with pytest.raises(InvalidStateError):  # once an AttributeError on .mat
+        TestState(np.eye(4) / 4)
     ok = TestState.from_matrix(np.diag([0.25] * 4), 2, 2)
     w, v = ok.pure_components()
     assert w.shape == (4,)
@@ -247,7 +247,7 @@ def test_singlet_pairing_state_success():
     assert rep.per_class["same_diff"] == pytest.approx(2 / 9, abs=1e-10)
     assert rep.per_class["diff_same"] == pytest.approx(2 / 9, abs=1e-10)
     st = optimal_test_state(Scenario("unlabeled", 2))
-    assert st.kind == "singlet_pairing"
+    assert_allclose(st.rho.mat, singlet_pairing_state().projector().mat, rtol=0, atol=0)
     assert conclusive_classes(Scenario("unlabeled", 2), st) == ("same_diff", "diff_same")
 
 
@@ -261,7 +261,8 @@ def test_kappa_states_success(j):
 
 
 def test_kappa_state_rejects_bad_index():
-    for j in (0, 4, 7):
+    # "2" once raised a TypeError, and True gave kappa_1
+    for j in (0, 4, 7, "2", True, 1.5):
         with pytest.raises(ValueError) as exc:
             kappa_state(j)
         assert isinstance(exc.value, QmeterError)

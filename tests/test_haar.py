@@ -245,7 +245,7 @@ def test_haar_unitaries_survive_a_zero_leading_entry(d):
 # --- Monte Carlo twirl vs closed forms and twirl ----------------------------
 
 def _assert_moment_agrees(mean, se, target):
-    ok, worst = mc_agrees(mean, se, target, nsig=5.0)
+    ok, worst = mc_agrees(mean, se, target)
     assert ok, f"worst deviation {worst:.2f} standard errors"
 
 
@@ -317,14 +317,22 @@ def test_mc_twirl_is_reproducible():
 def test_mc_twirl_rejects_bad_input():
     with pytest.raises(DimensionMismatchError):
         mc_twirl(np.ones((1, 8)), (2,), 2, samples=10, seed=SEED)
-    for samples in (0, -5, 2.5):  # zero samples gave a NaN mean and no error
+    # zero samples gave a NaN mean and no error, True one sample
+    for samples in (0, -5, 2.5, True):
         with pytest.raises(ConfigError):
             mc_twirl(np.ones((1, 4)), (2,), 2, samples=samples, seed=SEED)
         with pytest.raises(ConfigError):
             mc_perp_moment(Vector(np.array([1.0, 0.0]), 2, 1), 2, samples=samples, seed=SEED)
+    # the draws behind them: numpy's ValueError for a negative size or
+    # dimension, and an empty stack for d = 0
+    for draw in (lambda: haar_unitaries(2, -1), lambda: haar_unitary(-2),
+                 lambda: haar_unitaries(0, 3), lambda: haar_unitaries(2.0, 3),
+                 lambda: haar_vectors(0, 3), lambda: haar_vectors(2, -1)):
+        with pytest.raises(ConfigError):
+            draw()
 
 
 def test_mc_agrees_rejects_bad_target():
     mean, se = mc_twirl(np.eye(1, 4), (2,), 2, samples=5000, seed=5)
-    ok, _ = mc_agrees(mean, se, np.eye(4) / 4, nsig=5.0)
+    ok, _ = mc_agrees(mean, se, np.eye(4) / 4)
     assert not ok

@@ -93,9 +93,9 @@ def test_sweep_rejects_bad_trials_and_seeds(trials, seed):
 
 def test_resolve_test_state_specs(tmp_path):
     scen_u = Scenario("unlabeled", 2)
-    assert resolve_test_state("optimal", scen_u).kind == "singlet_pairing"
-    assert resolve_test_state("kappa", scen_u).kind == "kappa_1"
-    assert resolve_test_state("kappa:3", scen_u).kind == "kappa_3"
+    for spec, state in (("optimal", optimal_test_state(scen_u)), ("kappa", kappa_state(1)),
+                        ("kappa:3", kappa_state(3))):
+        assert_allclose(resolve_test_state(spec, scen_u).rho.mat, state.rho.mat, rtol=0, atol=0)
     with pytest.raises(ConfigError):
         resolve_test_state("kappa:9", scen_u)
     with pytest.raises(ConfigError):
@@ -133,25 +133,28 @@ def test_labeled_trial_record():
 
 def test_single_trials_reject_a_state_of_the_other_protocol():
     # the outcome table reads its slot count off the state, so the trial
-    # checks it against its protocol, also when the conclusive classes are given
+    # checks it against its protocol
     z = Observable.computational(2)
     with pytest.raises(DimensionMismatchError):
         run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1)
     with pytest.raises(DimensionMismatchError):
-        run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1,
-                          conclusive=("same",))
-    with pytest.raises(DimensionMismatchError):
-        run_unlabeled_trial(z, z, TestState.antisymmetric(2), rng=1, conclusive=())
+        run_unlabeled_trial(z, z, TestState.antisymmetric(2), rng=1)
 
 
 def test_labeled_trial_equal_devices_never_agree():
+    # a trial takes no list of conclusive classes: with one it called every
+    # equal-device trial of the antisymmetric state "different"
+    z = Observable.computational(2)
+    with pytest.raises(TypeError):
+        run_labeled_trial(z, z, TestState.antisymmetric(2), rng=1, conclusive=("diff",))
     rng = np.random.default_rng(42)
-    st = TestState.antisymmetric(2)
-    for _ in range(200):
-        a = Observable.random(2, rng)
-        rec = run_labeled_trial(a, a, st, rng=rng)
-        assert rec.outcome_class == "diff"
-        assert rec.verdict is Verdict.INCONCLUSIVE
+    for d in (2, 3):
+        st = TestState.antisymmetric(d)
+        for _ in range(200):
+            a = Observable.random(d, rng)
+            rec = run_labeled_trial(a, a, st, rng=rng)
+            assert rec.outcome_class == "diff"
+            assert rec.verdict is Verdict.INCONCLUSIVE
 
 
 def test_unlabeled_trial_record():
@@ -167,10 +170,14 @@ def test_unlabeled_trial_relabeling_hides_labels():
     # with equal devices and the optimal state, the conclusive classes never
     # fire no matter how outcomes are relabeled
     rng = np.random.default_rng(3)
-    for _ in range(300):
+    for i in range(300):
         a = Observable.random(2, rng)
         rec = run_unlabeled_trial(a, a, rng=rng)
         assert rec.outcome_class in ("same_same", "diff_diff")
+        assert rec.verdict is Verdict.INCONCLUSIVE
+        # a kappa state certifies diff_diff, which equal devices never give
+        rec = run_unlabeled_trial(a, a, kappa_state(1 + i % 3), rng=rng)
+        assert rec.outcome_class != "diff_diff"
         assert rec.verdict is Verdict.INCONCLUSIVE
 
 

@@ -187,13 +187,6 @@ def test_omega_spans_are_triple_complements():
                     q124.mat, atol=1e-9)
 
 
-def test_basis_family_split_relabeling():
-    # the kappa family for split 13-24 is the S23 conjugate of the 12-34 family
-    s23 = swap(2, 3, 4, 2).mat
-    for base, moved in zip(basis_family("kappa", "12-34"), basis_family("kappa", "13-24")):
-        assert_allclose(moved.vec, s23 @ base.vec, atol=1e-12)
-
-
 def test_basis_family_rejects_unknown():
     with pytest.raises(DimensionMismatchError):
         basis_family("nope")
