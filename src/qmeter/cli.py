@@ -185,8 +185,9 @@ def _cmd_report(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             rendered = _render_report(fh.read())
-    except (KeyError, TypeError, ValueError) as exc:
-        # ConfigError, UnicodeDecodeError and JSONDecodeError are ValueErrors too
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ConfigError, UnicodeDecodeError and JSONDecodeError are ValueErrors
+        # too; json.loads raises RecursionError on a deeply nested document
         raise ConfigError(f"{args.file}: {type(exc).__name__}: {exc}") from exc
     sys.stdout.write(rendered)
     return 0

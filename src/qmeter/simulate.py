@@ -14,7 +14,7 @@ record carries the outcomes, draws one entry of its fixed devices' table
 (``comparison.outcome_table``) with ``_sample_rows``, and the sweep draws
 one multinomial per fixed device pair from the same clamped table.  A
 campaign reports only class counts, so it builds no table: each stream
-that draws devices evaluates its class law in closed form over a batch
+that draws per trial evaluates its class law in closed form over a batch
 (the labeled row and "equal" laws and the unlabeled Bloch law below), and
 ``_sample_rows`` draws one class per trial from it.  Probabilities at or
 below TOL_ABS are clamped to zero and the row renormalized (``_clamped``),
@@ -48,13 +48,17 @@ test state.  A trial prepares one pure component psi.  Device A's outcome
 j leaves device B's slot in chi_j, the normalized (<u_j| (x) 1) psi, which
 depends on U and j alone, and B's outcome k then has probability
 |<v_k|chi_j>|^2 = |x_k|^2 with x = V^dag chi_j.  V is Haar and independent
-of U, so x is uniform on the unit sphere of C^d (``haar_vectors``) for
-every psi, U and j, and the class law given j is the same for every j.
-So a labeled "different" trial draws one unit vector x and samples its
-class from (|x_0|^2, sum_k>=1 |x_k|^2) (``_labeled_probs_row``), with A's
-outcome taken as 0: no device, no component and no Born table.  This is
-exact in law, and the "same" class has probability E|x_0|^2 = 1/d, the
-paper's O_same^diff = I/d for every state.
+of U, so x is uniform on the unit sphere of C^d for every psi, U and j,
+and the class law given j is the same for every j.  The trial reads only
+(|x_0|^2, sum_k>=1 |x_k|^2), and the moduli |x_k|^2 of a uniform unit
+vector follow the flat Dirichlet law, (E_0, ..., E_d-1) / sum(E) for E_k
+i.i.d. Exp(1): x = g / |g| for a standard complex Gaussian vector g, and
+the |g_k|^2 are i.i.d. exponential.  So a labeled "different" trial draws
+d exponentials and samples its class from (E_0, sum_k>=1 E_k) / sum(E)
+(``_labeled_probs_row``), with A's outcome taken as 0: no unit vector, no
+device, no component and no Born table.  This is exact in law, and the
+"same" class has probability E|x_0|^2 = 1/d, the paper's O_same^diff = I/d
+for every state.
 
 Unlabeled qubit trials
 ----------------------
@@ -106,7 +110,8 @@ are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch of B trials draws, in order:
-- labeled "different": one ``haar_vectors`` call, 2 d B standard normals;
+- labeled "different": one ``standard_exponential`` call of d B draws,
+  a (d, B) array filled row by row;
 - labeled "equal": one ``haar_unitaries`` call for U (one ``haar_vectors``
   call per level k = 1..d, d (d + 1) B normals in all);
 - unlabeled: one ``haar_unitaries`` call for A (6 B normals at d = 2)
@@ -121,8 +126,9 @@ a change to any of them changes the counts and needs a new format version.
 Batch layout
 ------------
 The shard path keeps the batch of trials as the last, contiguous axis:
-``haar_vectors`` returns a (d, size) array, ``haar_unitaries`` views of a
-(d, d, size) buffer, ``_bloch_terms`` one array per term, and
+the labeled "different" exponentials are a (d, size) array,
+``haar_unitaries`` returns views of a (d, d, size) buffer,
+``_bloch_terms`` one array per term, and
 ``_labeled_probs_row``, ``_labeled_equal_law`` and ``_bloch_class_law``
 build class-first tables, and ``_clamped`` and ``_sample_rows`` work on
 that layout.  Every step is then a vector operation over many trials instead of
@@ -155,16 +161,16 @@ from .comparison import (
     pairwise_success_angle,
 )
 from .errors import ConfigError, ConsistencyError
-from .haar import haar_unitaries, haar_vectors, rng_from
+from .haar import haar_unitaries, rng_from
 from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/10"
+CAMPAIGN_FORMAT = "qmeter.campaign/11"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
-_SUBCHUNK = 8192  # trials per Haar draw, class law and sampling block
+_SUBCHUNK = 8192  # trials per draw, class law and sampling block
 
 
 class Verdict(str, Enum):
@@ -332,6 +338,8 @@ def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
     judge it by the state's conclusive_classes, which also check its slots."""
     if state is None:
         state = optimal_test_state(scen)
+    elif isinstance(state, Operator):
+        state = TestState(state)  # one eigendecomposition for the whole trial
     conclusive = conclusive_classes(scen, state)
     table = outcome_table(a, b, state)
     idx = int(_sample_rows(table.reshape(1, -1), gen)[0])
@@ -381,14 +389,16 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _labeled_probs_row(x: np.ndarray) -> np.ndarray:
+def _labeled_probs_row(q: np.ndarray) -> np.ndarray:
     """Labeled class law given device A's outcome 0, where column b of the
-    batch-last (d, size) array x is V_b^dag chi_b, the normalized state A's
-    outcome leaves in B's slot (module docstring): B's outcome k has
-    probability |x_b[k]|^2, so (same, diff) = (|x_0|^2, sum_k>=1 |x_k|^2).
-    The result is the (size, 2) transposed view of a class-first table."""
-    q = x.real ** 2 + x.imag ** 2
-    return np.stack((q[0], q[1:].sum(axis=0))).T
+    batch-last (d, size) array q holds nonnegative weights proportional to
+    B's outcome law |x_k|^2, x = V_b^dag chi_b (module docstring): the
+    moduli themselves, or d exponentials.  So (same, diff) =
+    (q_0, sum_k>=1 q_k) / sum_k q_k.  The result is the (size, 2)
+    transposed view of a class-first table."""
+    rest = q[1:].sum(axis=0)
+    total = q[0] + rest
+    return np.stack((q[0] / total, rest / total)).T
 
 
 def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -600,8 +610,9 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
         elif truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
-            # taken as j = 0 and not drawn
-            p = _labeled_probs_row(haar_vectors(d, step, gen))
+            # taken as j = 0 and not drawn; the moduli |x_k|^2 are flat
+            # Dirichlet, d exponentials over their sum
+            p = _labeled_probs_row(gen.standard_exponential((d, step)))
         else:
             p = _labeled_equal_law(haar_unitaries(d, step, gen), weights, vecs)
         counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
@@ -707,6 +718,8 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     from the exact Born table, which is sampled directly.
     """
     _check_int("trials", trials, 1)
+    if trials > np.iinfo(np.int64).max:  # numpy's multinomial counts in int64
+        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials}")
     _check_int("seed", seed, 0)
     try:
         thetas = [float(theta) for theta in thetas]

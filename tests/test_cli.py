@@ -35,7 +35,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/10"
+    assert doc["format"] == "qmeter.campaign/11"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -172,6 +172,8 @@ del _NO_ESTIMATE["different"]["success_estimate"]
                  id="sweep-non-numeric"),
     pytest.param("theta,trials,empirical,stderr,analytic\n", id="sweep-no-rows"),
     pytest.param(b'{"format": "\xff"}', id="not-utf8"),
+    # json.loads gives up on deep nesting with a RecursionError
+    pytest.param('{"a": ' * 200_000 + "1" + "}" * 200_000, id="nested-200000-deep"),
     pytest.param(None, id="directory"),
 ])
 def test_report_rejects_broken_campaign_json(capsys, tmp_path, content):
@@ -198,10 +200,10 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 to 10 changed the random stream behind the counts, not the
+    # formats 2 to 11 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
-    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 11))
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/10"
+    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 12))
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/11"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt.rsplit('/', 1)[1]}.json"
@@ -233,13 +235,13 @@ def test_report_rejects_an_unknown_format(capsys, tmp_path):
     assert "qmeter.campaign/99" in err
 
 
-@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/11", "qmeter.campaign/09",
+@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/12", "qmeter.campaign/09",
                                  "qmeter.campaign/+9", "qmeter.campaign/ 9", "qmeter.campaign/9.0",
                                  "qmeter.campaign/\u0669", "qmeter.verify/1", "qmeter.campaign/"])
 def test_report_reads_only_decimal_formats_up_to_the_current_one(capsys, tmp_path, fmt):
     # the rule: qmeter.campaign/N for 1 <= N <= the current N, written in
     # decimal without a leading zero (U+0669 is an Arabic-Indic nine)
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/10"
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/11"
     path = tmp_path / "campaign.json"
     path.write_text(_campaign_doc(format=fmt))
     code, out, err = run_cli(["report", str(path)], capsys)
@@ -292,6 +294,21 @@ def test_sweep_rejects_a_non_finite_angle(capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "non-finite" in err
+
+
+def test_sweep_rejects_more_trials_than_a_multinomial_takes(capsys):
+    # numpy's multinomial counts in int64, so 2**63 trials once ended in its
+    # OverflowError
+    top = 2 ** 63 - 1
+    for trials in (top + 1, 10 ** 19):
+        with pytest.raises(ConfigError, match="trials must be <="):
+            sweep_theta([0.3], trials, 1)
+    assert sweep_theta([0.3], top, 1)[0].trials == top
+    code, out, err = run_cli(["sweep", "--theta-grid", "0.3,0.7", "--trials", str(10 ** 19),
+                              "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "trials" in err
 
 
 @pytest.mark.parametrize("argv,env_seed", [

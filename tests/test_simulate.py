@@ -38,7 +38,7 @@ from qmeter import (
 )
 from qmeter import simulate
 from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
-from qmeter.haar import haar_unitaries, haar_vectors
+from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
     SHARD_SIZE,
     _Z_TERMS,
@@ -139,6 +139,25 @@ def test_single_trials_reject_a_state_of_the_other_protocol():
         run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1)
     with pytest.raises(DimensionMismatchError):
         run_unlabeled_trial(z, z, TestState.antisymmetric(2), rng=1)
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["TestState", "Operator"])
+def test_a_trial_decomposes_its_state_once(monkeypatch, wrap):
+    # an Operator state is made a TestState once per trial, and that takes
+    # the trial's one eigh; a TestState brings its own
+    z, x = Observable.computational(2), Observable.qubit_angle(0.4)
+    states = [TestState.antisymmetric(2), optimal_test_state(Scenario("unlabeled", 2))]
+    trials = [run_labeled_trial, run_unlabeled_trial]
+    for trial, state in zip(trials, states):
+        trial(z, x, state, rng=1)  # warm the analytic caches
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    for trial, state in zip(trials, states):
+        for seed in range(3):
+            del calls[:]
+            trial(z, x, state.rho if wrap else state, rng=seed)
+            assert len(calls) == (1 if wrap else 0)
 
 
 def test_labeled_trial_equal_devices_never_agree():
@@ -379,12 +398,13 @@ def test_kappa_equal_streams_give_no_false_positive_in_a_million_trials(tmp_path
     assert sum(res.results["equal"].class_counts.values()) == 1 << 20
 
 
-def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
-    # a labeled "different" batch draws one unit vector x per trial and one
-    # uniform per trial for its class, sampled from the two-class law
-    # (|x_0|^2, sum_k>=1 |x_k|^2): no unitary, no component and no
-    # equal-device law, even for a mixed state that is not invariant.  With
-    # equal devices the antisymmetric state's law puts every trial in "diff".
+def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch):
+    # a labeled "different" batch draws d exponentials per trial, one
+    # (d, B) array, and one uniform per trial for its class, sampled from
+    # the two-class law (E_0, sum_k>=1 E_k) / sum(E): no unitary, no
+    # component and no equal-device law, even for a mixed state that is not
+    # invariant.  With equal devices the antisymmetric state's law puts
+    # every trial in "diff".
     d, trials = 3, 4000
     anti = TestState.antisymmetric(d)
     w, v = anti.pure_components()
@@ -399,12 +419,35 @@ def test_labeled_different_shard_draws_one_haar_row_per_trial(monkeypatch):
     mixture = _antisymmetric_mixture(d, (0.7, 0.3), 8)
     assert not _is_invariant(mixture.rho)
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
-    q = np.abs(haar_vectors(d, trials, gen)) ** 2  # one batch: trials < _SUBCHUNK
-    drawn = _sample_rows(np.stack((q[0], q[1:].sum(axis=0)), axis=1), gen)
+    e = gen.standard_exponential((d, trials))  # one batch: trials < _SUBCHUNK
+    rest = e[1:].sum(axis=0)
+    drawn = _sample_rows(np.stack((e[0], rest), axis=1) / (e[0] + rest)[:, None], gen)
     expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     for state in (anti, mixture):
         w, v = state.pure_components()
         assert _shard_counts(("labeled", d, "different", False, None, w, v, 99, 0, trials)) == expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
+    # the "same" probability p a labeled "different" trial samples from must
+    # be |x_0|^2 for x uniform on the unit sphere of C^d: mean 1/d and
+    # second moment E|x_0|^4 = 2 / (d (d + 1)).  A constant law p = 1/d
+    # gives every class count its right mean, so only the spread of p tells
+    # the two apart
+    laws = []
+    sample = simulate._sample_rows
+    monkeypatch.setattr(simulate, "_sample_rows",
+                        lambda p, gen: laws.append(p[:, 0].copy()) or sample(p, gen))
+    w, v = TestState.antisymmetric(d).pure_components()
+    trials = 2 * SHARD_SIZE
+    _shard_counts(("labeled", d, "different", True, None, w, v, 300 + d, 0, trials))
+    p = np.concatenate(laws)
+    assert len(p) == trials
+    for power, moment in ((1, 1 / d), (2, 2 / (d * (d + 1)))):
+        x = p ** power
+        se = x.std() / np.sqrt(trials)
+        assert abs(x.mean() - moment) <= 5 * se, (power, x.mean(), moment, se)
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
@@ -509,33 +552,34 @@ def _dense_mixture_file(tmp_path) -> str:
 
 def test_two_shard_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of pure and invariant states, the
-    # same in formats qmeter.campaign/4 to /10 except the labeled "different"
+    # same in formats qmeter.campaign/4 to /11 except the labeled "different"
     # blocks, which format 7 draws as one Haar row per trial for every state
-    # (so the d = 3 optimal and anti3 blocks agree), and the unlabeled
-    # optimal "different" block, which format 9 draws as device B alone (the
-    # kappa:2 blocks draw the same Haar devices and uniforms as before, and
-    # the Bloch class law is their Born table's class law); any change to
+    # (so the d = 3 optimal and anti3 blocks agree) and format 11 as d
+    # exponentials per trial, and the unlabeled optimal "different" block,
+    # which format 9 draws as device B alone (the kappa:2 blocks draw the
+    # same Haar devices and uniforms as before, and the Bloch class law is
+    # their Born table's class law); any change to
     # the random streams, the kernels, the sampler or the outcome-to-class
     # map shows up here
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22902, "diff": 45634},
+        ("labeled", 3, "optimal"): {"different": {"same": 22696, "diff": 45840},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
         ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
                                                     "diff_same": 15327, "diff_diff": 7662},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
-        ("labeled", 3, anti3): {"different": {"same": 22902, "diff": 45634},
+        ("labeled", 3, anti3): {"different": {"same": 22696, "diff": 45840},
                                 "equal": {"same": 0, "diff": 68536}},
         ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
                                                     "diff_same": 15263, "diff_diff": 7603},
                                       "equal": {"same_same": 22656, "same_diff": 23043,
                                                 "diff_same": 22837, "diff_diff": 0}},
-        # d = 2 and 5 are the shortest and longest Haar rows of the labeled pins
-        ("labeled", 2, "optimal"): {"different": {"same": 34180, "diff": 34356},
+        # d = 2 and 5 are the shortest and longest rows of the labeled pins
+        ("labeled", 2, "optimal"): {"different": {"same": 34307, "diff": 34229},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13646, "diff": 54890},
+        ("labeled", 5, "optimal"): {"different": {"same": 13666, "diff": 54870},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -548,9 +592,9 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
     # exact counts of two-shard campaigns of mixed, non-invariant states: the
     # unlabeled blocks sample the Bloch class law of the prepared mixture
     # (format qmeter.campaign/9), the certified labeled "equal" block draws
-    # nothing (formats 8 to 10), the uncertified one samples the labeled
+    # nothing (formats 8 to 11), the uncertified one samples the labeled
     # mixture law (format 10) and the labeled "different" blocks are the
-    # one-row draw of formats 7 to 10
+    # d exponentials per trial of format 11
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
             "different": {"same_same": 30325, "same_diff": 15340, "diff_same": 15374,
@@ -558,10 +602,10 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
             "equal": {"same_same": 22673, "same_diff": 22928, "diff_same": 22935,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
-            "different": {"same": 17108, "diff": 51428},
+            "different": {"same": 17065, "diff": 51471},
             "equal": {"same": 0, "diff": 68536}},
         ("labeled", 3, _rank2_qutrit_mixture_file(tmp_path)): {
-            "different": {"same": 22902, "diff": 45634},
+            "different": {"same": 22696, "diff": 45840},
             "equal": {"same": 23205, "diff": 45331}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -668,7 +712,8 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
     # (<u_j| (x) 1) psi, and B's law given j is |V^dag chi_j|^2: row j of
     # the Born table of (U, V) (dense oracle), divided by its sum, for any
     # pure state.  B agrees with j with probability |x_j|^2, which the row
-    # kernel reads off x = V^dag chi_j with entry j moved to the front
+    # kernel reads off the moduli of x = V^dag chi_j with entry j moved to
+    # the front
     rng = np.random.default_rng(70 + d)
     us, vs = haar_unitaries(d, 20, rng), haar_unitaries(d, 20, rng)
     for _ in range(3):
@@ -684,10 +729,14 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
         assert_allclose(np.linalg.norm(x, axis=2), 1.0, rtol=0, atol=1e-12)
         for j in range(d):
             row = table[:, j] / table[:, j].sum(axis=1, keepdims=True)
-            assert_allclose(np.abs(x[:, j]) ** 2, row, rtol=0, atol=1e-12)
+            moduli = np.abs(x[:, j]) ** 2
+            assert_allclose(moduli, row, rtol=0, atol=1e-12)
             law = np.stack((row[:, j], 1.0 - row[:, j]), axis=1)
-            assert_allclose(_labeled_probs_row(np.roll(x[:, j], -j, axis=1).T), law,
-                            rtol=0, atol=1e-12)
+            # the kernel normalizes its weights, so a multiple of the
+            # moduli (as d exponentials are of a Dirichlet row) gives the law
+            for scale in (1.0, 3.5):
+                assert_allclose(_labeled_probs_row(scale * np.roll(moduli, -j, axis=1).T), law,
+                                rtol=0, atol=1e-12)
 
 
 def test_labeled_different_counts_do_not_depend_on_the_test_state(tmp_path):
@@ -744,7 +793,8 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
     def no_call(*args, **kwargs):
         raise AssertionError("device draw or class law")
 
-    for name in ("haar_unitaries", "haar_vectors", "_bloch_class_law", "_labeled_equal_law"):
+    for name in ("haar_unitaries", "_labeled_probs_row", "_bloch_class_law",
+                 "_labeled_equal_law"):
         monkeypatch.setattr(simulate, name, no_call)
     trials = SHARD_SIZE + 3000
     for kind, d, spec in states:
