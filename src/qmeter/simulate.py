@@ -11,18 +11,19 @@ A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  A single trial, whose
 record carries the outcomes, draws one entry of its fixed devices' table
-(``comparison.outcome_table``) with ``_sample_rows``, and the sweep draws
-one multinomial per fixed device pair from the same clamped table.  A
-campaign reports only class counts, so it builds no table: each stream
-that draws per trial evaluates its class law in closed form over a batch
-(the labeled row and "equal" laws and the unlabeled Bloch law below), and
-``_sample_rows`` draws one class per trial from it.  Probabilities at or
-below TOL_ABS are clamped to zero and the row renormalized (``_clamped``),
-and the inverse CDF pins its trailing plateau to 1, so a category or class
-of clamped probability 0 is never drawn.  A conclusive class has
-equal-device probability at most TOL_ABS/2 in every trial (the leak bound
-of ``conclusive_classes``), so it is clamped to exactly 0: unambiguity is
-exact in sampled campaigns, not just up to floating noise.
+(``comparison.outcome_table``) with ``_sample_rows``.  A campaign reports
+only class counts, so it builds no table: each stream that draws per
+trial evaluates its class law in closed form over a batch (the labeled
+row and "equal" laws and the unlabeled Bloch law below), and
+``_sample_rows`` draws one class per trial from it.  Trials that share
+one law, a fixed "equal" law or a sweep point's ``class_probabilities``,
+take one multinomial instead (``_fixed_law_counts``).  Probabilities at
+or below TOL_ABS are clamped to zero and the law renormalized
+(``_clamped``), and the inverse CDF pins its trailing plateau to 1, so a
+category or class of clamped probability 0 is never drawn.  A conclusive
+class has equal-device probability at most TOL_ABS/2 in every trial (the
+leak bound of ``conclusive_classes``), so it is clamped to exactly 0:
+unambiguity is exact in sampled campaigns, not just up to floating noise.
 
 Mixed test states
 -----------------
@@ -96,9 +97,9 @@ equal-device trial falls into it, because a conclusive class is clamped
 to zero (see above) and the sampler never draws a class of probability 0:
 a certified labeled state is "diff" in every trial.
 Otherwise, for an invariant state, the law is that of the clamped
-diag(rho).  Such a shard runs in the calling process and takes one
-multinomial over its classes of nonzero probability, or no draw at all
-for a point mass.  Its counts are those the per-trial draws give: for a
+diag(rho).  Such a stream runs in the calling process, one multinomial
+per shard over its classes of nonzero probability, or no draw at all for
+a point mass.  Its counts are those the per-trial draws give: for a
 point mass they are the same numbers, for diag(rho) the same law.
 
 Determinism contract
@@ -122,18 +123,19 @@ draws one multinomial instead, or nothing.  The batch size, these draws,
 the Haar construction, the invariance test, the component order, the class
 laws and the class order of ``Scenario.classes`` make up CAMPAIGN_FORMAT;
 a change to any of them changes the counts and needs a new format version.
+Sweep point i draws one multinomial over its four classes on stream (2, i).
 
 Batch layout
 ------------
-The shard path keeps the batch of trials as the last, contiguous axis:
-the labeled "different" exponentials are a (d, size) array,
-``haar_unitaries`` returns views of a (d, d, size) buffer,
-``_bloch_terms`` one array per term, and
+The batch of trials is the last, contiguous axis throughout: the labeled
+"different" exponentials are a (d, size) array, ``haar_unitaries``
+returns views of a (d, d, size) buffer, ``_bloch_terms`` one array per
+term, and every class law is a class-first (k, size) table, from
 ``_labeled_probs_row``, ``_labeled_equal_law`` and ``_bloch_class_law``
-build class-first tables, and ``_clamped`` and ``_sample_rows`` work on
-that layout.  Every step is then a vector operation over many trials instead of
-a loop over tiny matrices, and no step calls BLAS, so the pool workers run
-one thread each.
+through ``_clamped`` and ``_sample_rows``; the law of fixed devices is a
+(k, 1) column.  Every step is then a vector operation over many trials
+instead of a loop over tiny matrices, and no step calls BLAS, so the pool
+workers run one thread each.
 """
 from __future__ import annotations
 
@@ -144,7 +146,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,6 +155,7 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    class_probabilities,
     conclusive_classes,
     kappa_state,
     optimal_test_state,
@@ -198,13 +201,20 @@ class CampaignConfig:
 
     def __post_init__(self):
         _check_scenario(self.scenario)
-        _check_int("trials", self.trials, 1)
+        _check_trials(self.trials)
         _check_int("workers", self.workers, 1)
         _check_int("seed", self.seed, 0)
         if self.ground_truth not in ("different", "equal", "both"):
             raise ConfigError(f"unknown ground truth {self.ground_truth!r}")
         if not isinstance(self.test_state, str):
             raise ConfigError(f"test_state must be a string, got {self.test_state!r}")
+
+
+def _check_trials(trials) -> None:
+    """Trials are a positive integer that the int64 class counts hold."""
+    _check_int("trials", trials, 1)
+    if trials > np.iinfo(np.int64).max:
+        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials}")
 
 
 def _check_scenario(scenario) -> None:
@@ -342,7 +352,7 @@ def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
         state = TestState(state)  # one eigendecomposition for the whole trial
     conclusive = conclusive_classes(scen, state)
     table = outcome_table(a, b, state)
-    idx = int(_sample_rows(table.reshape(1, -1), gen)[0])
+    idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
     cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
     verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
     outcomes = tuple(int(x) for x in np.unravel_index(idx, table.shape))
@@ -394,11 +404,10 @@ def _labeled_probs_row(q: np.ndarray) -> np.ndarray:
     batch-last (d, size) array q holds nonnegative weights proportional to
     B's outcome law |x_k|^2, x = V_b^dag chi_b (module docstring): the
     moduli themselves, or d exponentials.  So (same, diff) =
-    (q_0, sum_k>=1 q_k) / sum_k q_k.  The result is the (size, 2)
-    transposed view of a class-first table."""
+    (q_0, sum_k>=1 q_k) / sum_k q_k, a class-first (2, size) table."""
     rest = q[1:].sum(axis=0)
     total = q[0] + rest
-    return np.stack((q[0] / total, rest / total)).T
+    return np.stack((q[0] / total, rest / total))
 
 
 def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -407,8 +416,7 @@ def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) ->
     p(same) = sum_r w_r sum_j |<u_j u_j|psi_r>|^2 / sum(w), u_j column j of
     U_b, and p(diff) = 1 - p(same).  With the batch last each amplitude is
     two contractions of d terms, so a trial costs about d^3 products per
-    component.  The result is the (size, 2) transposed view of a
-    class-first table."""
+    component.  The result is a class-first (2, size) table."""
     d = us.shape[1]
     cols = us.transpose(2, 1, 0).conj()  # cols[j, m, b] = conj(U_b[m, j])
     same = 0.0
@@ -418,7 +426,7 @@ def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) ->
             # <u_j u_j|psi> = sum_n (sum_m psi[m, n] conj(u_j[m])) conj(u_j[n])
             amp = _contract(_contract(psi, col), col)
             same = same + w * (amp.real ** 2 + amp.imag ** 2)
-    return np.stack((same, 1.0 - same)).T
+    return np.stack((same, 1.0 - same))
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -469,8 +477,8 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
     p(A same) = sum_a G[a, 0] e_a(n) / 2, p(B same) = sum_b G[0, b] e_b(m) / 2
     and p(same_same) = e(n)^T G e(m) / 4, the other classes by
     inclusion-exclusion.  en and em hold e_1..e_6, each an array over the
-    batch or a number (a fixed axis).  The result is the (size, 4)
-    transposed view of a class-first table."""
+    batch or a number (a fixed axis).  The result is a class-first
+    (4, size) table, or the 4 classes alone for two fixed axes."""
     en, em = (1.0, *en), (1.0, *em)
     # h_b = sum_a G[a, b] e_a(n), the number 0 for a zero column of G
     h = [_weigh(col, en) for col in form.T]
@@ -478,7 +486,7 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
     a_same = 0.5 * h[0]
     b_same = 0.5 * _weigh(form[0], em)
     return np.stack(np.broadcast_arrays(
-        both, a_same - both, b_same - both, 1.0 - a_same - b_same + both)).T
+        both, a_same - both, b_same - both, 1.0 - a_same - b_same + both))
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
@@ -516,32 +524,31 @@ def _is_invariant(rho: Operator) -> bool:
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
-    """Rows of p, each checked to sum to 1 within TOL_RANK, with the entries
-    at or below TOL_ABS set to zero and renormalized.  The work is done on
-    the category-first transpose, where each step runs over all rows."""
-    q = p.T
-    totals = q.sum(axis=0)
+    """The category-first table p, each column (one trial's law) checked to
+    sum to 1 within TOL_RANK, with the entries at or below TOL_ABS set to
+    zero and renormalized.  Each step runs over all columns at once."""
+    totals = p.sum(axis=0)
     worst = np.argmax(np.abs(totals - 1.0))
     if not abs(totals[worst] - 1.0) <= TOL_RANK:  # a NaN total fails too
         raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
-    q = np.where(q <= TOL_ABS, 0.0, q)
+    q = np.where(p <= TOL_ABS, 0.0, p)
     q /= q.sum(axis=0)
-    return q.T
+    return q
 
 
 def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draw one category per row of p by inverse CDF, one uniform per row."""
-    q = _clamped(p).T
-    # the running sum row by row: np.cumsum's order, at a tenth of its time
-    # over the strided axis
-    cum = q.copy()
+    """Draw one category per column of the category-first table p by
+    inverse CDF, one uniform per column."""
+    # the running sum category by category: np.cumsum's order, at a tenth
+    # of its time over the strided axis
+    cum = _clamped(p)
     for k in range(1, len(cum)):
         cum[k] += cum[k - 1]
-    # The rows sum to 1 only up to rounding.  Pinning the whole trailing
+    # The columns sum to 1 only up to rounding.  Pinning the whole trailing
     # plateau (the last nonzero category and the zeros after it) to 1 sends
     # a draw in the rounding gap to that last nonzero category.
     cum[cum >= cum[-1]] = 1.0
-    u = gen.random(p.shape[0])
+    u = gen.random(p.shape[1])
     return (u >= cum).sum(axis=0)
 
 
@@ -562,30 +569,32 @@ def _equal_law(scen: Scenario, conclusive: Tuple[str, ...], invariant: bool,
     if invariant:
         diag = weights @ (vecs.real ** 2 + vecs.imag ** 2)  # the table of (I, I)
         return np.bincount(outcome_class_index(scen.slots, scen.dim),
-                           _clamped(diag[None])[0], len(scen.classes))
+                           _clamped(diag[:, None])[:, 0], len(scen.classes))
     return None
 
 
-def _shard_rng(seed: int, truth: str, shard: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM[truth], shard)))
+def _shard_rng(seed: int, stream: str, shard: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM[stream], shard)))
 
 
-def _fixed_law_counts(names: Sequence[str], law: np.ndarray, seed: int, shard: int,
-                      count: int) -> Dict[str, int]:
-    """Counts of an "equal" shard whose class law is the same in every trial:
-    one multinomial over its classes of nonzero probability, so that none of
-    probability 0 can receive its remainder, and no draw for a point mass."""
+def _fixed_law_counts(law: np.ndarray, seed: int, stream: str, shard: int,
+                      count: int) -> np.ndarray:
+    """Class counts of `count` trials that share one clamped class law, on
+    the seed stream (stream, shard): one multinomial over the classes of
+    nonzero probability, so that none of probability 0 can receive its
+    remainder, and no draw for a point mass."""
     counts = np.zeros(len(law), dtype=np.int64)
     live = np.flatnonzero(law)
     if len(live) == 1:
         counts[live] = count
     else:
-        counts[live] = _shard_rng(seed, "equal", shard).multinomial(count, law[live])
-    return dict(zip(names, counts.tolist()))
+        counts[live] = _shard_rng(seed, stream, shard).multinomial(count, law[live])
+    return counts
 
 
-def _shard_counts(task: tuple) -> Dict[str, int]:
-    """Simulate one shard that draws devices and return its class counts.
+def _shard_counts(task: tuple) -> np.ndarray:
+    """Simulate one shard that draws devices and return its class counts,
+    in the order of Scenario.classes.
 
     `task` = (kind, d, truth, invariant, form, weights, vecs, seed, shard,
     count): (weights, vecs) are the test state's pure components and `form`
@@ -616,18 +625,7 @@ def _shard_counts(task: tuple) -> Dict[str, int]:
         else:
             p = _labeled_equal_law(haar_unitaries(d, step, gen), weights, vecs)
         counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
-    return dict(zip(scen.classes, counts.tolist()))
-
-
-def _shards_for(trials: int) -> Sequence[Tuple[int, int]]:
-    out = []
-    start = 0
-    shard = 0
-    while start < trials:
-        out.append((shard, min(SHARD_SIZE, trials - start)))
-        shard += 1
-        start += SHARD_SIZE
-    return out
+    return counts
 
 
 def _usable_cpus() -> int:
@@ -658,43 +656,35 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     form = _bloch_form(weights, vecs) if scen.kind == "unlabeled" else None
 
     truths = ("different", "equal") if config.ground_truth == "both" else (config.ground_truth,)
-    shards = _shards_for(config.trials)
-    seed = int(config.seed)
-    tasks = [
-        (scen.kind, scen.dim, truth, invariant, form, weights, vecs, seed, shard, count)
-        for truth in truths for shard, count in shards
-    ]
-    # An "equal" shard of a fixed class law draws no device and takes well
-    # under a millisecond, less than shipping it to a worker, so it runs
-    # here.  One pool takes every other shard of every truth; a fork-based
-    # pool starts all of its workers up front, so it gets no more than there
-    # are such shards or CPUs to run them, and none for a single one.
-    inline = [truth == "equal" and equal_law is not None for truth in truths for _ in shards]
-
-    def fixed(task: tuple) -> Dict[str, int]:
-        return _fixed_law_counts(scen.classes, equal_law, seed, task[-2], task[-1])
-
-    workers = min(config.workers, _usable_cpus(), inline.count(False))
+    seed, trials = int(config.seed), int(config.trials)
+    shards = [(shard, min(SHARD_SIZE, trials - start))
+              for shard, start in enumerate(range(0, trials, SHARD_SIZE))]
+    # An "equal" stream of a fixed class law draws no device, and its shards
+    # take well under a millisecond each, less than shipping one to a
+    # worker, so they are summed here.  The shards of every other stream are
+    # one map; a fork-based pool starts all of its workers up front, so it
+    # gets no more than there are such shards or CPUs to run them, and none
+    # for a single one.
+    drawn = [truth for truth in truths if truth == "different" or equal_law is None]
+    tasks = [(scen.kind, scen.dim, truth, invariant, form, weights, vecs, seed, shard, count)
+             for truth in drawn for shard, count in shards]
+    workers = min(config.workers, _usable_cpus(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_shard_counts, [t for t, here in zip(tasks, inline) if not here])
-            partials = [fixed(t) if here else next(done) for t, here in zip(tasks, inline)]
+            partials = list(pool.map(_shard_counts, tasks))
     else:
-        partials = [fixed(t) if here else _shard_counts(t) for t, here in zip(tasks, inline)]
+        partials = list(map(_shard_counts, tasks))
 
+    parts = iter(partials)
     results = {}
-    for i, truth in enumerate(truths):
-        totals = {name: 0 for name in scen.classes}
-        for part in partials[i * len(shards):(i + 1) * len(shards)]:
-            for name, c in part.items():
-                totals[name] += c
-        different = sum(totals[name] for name in conclusive)
-        results[truth] = TruthResult(
-            ground_truth=truth,
-            trials=int(config.trials),
-            class_counts=totals,
-            different_verdicts=different,
-        )
+    for truth in truths:
+        if truth in drawn:
+            counts = sum(itertools.islice(parts, len(shards)))
+        else:
+            counts = sum(_fixed_law_counts(equal_law, seed, truth, *shard) for shard in shards)
+        totals = dict(zip(scen.classes, counts.tolist()))
+        results[truth] = TruthResult(ground_truth=truth, trials=trials, class_counts=totals,
+                                     different_verdicts=sum(totals[c] for c in conclusive))
     return CampaignResult(config=config, conclusive=conclusive, results=results)
 
 
@@ -714,12 +704,10 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
 
     Point i measures the pair (computational, rotated by theta_i) with the
     optimal test state, `trials` times, on seed stream (2, i).  Devices are
-    fixed within a point, so the outcome counts follow one multinomial draw
-    from the exact Born table, which is sampled directly.
+    fixed within a point, so its class counts are one multinomial draw from
+    the clamped class law of the pair (class_probabilities).
     """
-    _check_int("trials", trials, 1)
-    if trials > np.iinfo(np.int64).max:  # numpy's multinomial counts in int64
-        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials}")
+    _check_trials(trials)
     _check_int("seed", seed, 0)
     try:
         thetas = [float(theta) for theta in thetas]
@@ -730,17 +718,13 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
         raise ConfigError(f"theta grid has a non-finite angle: {bad[0]!r}")
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
-    conclusive = conclusive_classes(scen, state)
-    conc = np.isin(np.array(scen.classes)[outcome_class_index(scen.slots, scen.dim)], conclusive)
+    conclusive = [scen.classes.index(name) for name in conclusive_classes(scen, state)]
     a = Observable.computational(2)
     points = []
     for i, theta in enumerate(thetas):
-        b = Observable.qubit_angle(theta)
-        flat = _clamped(outcome_table(a, b, state).reshape(1, -1))[0]
-        gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(_STREAM["sweep"], i)))
-        counts = gen.multinomial(trials, flat)
-        hits = int(counts[conc].sum())
-        emp = hits / trials
+        law = class_probabilities(a, Observable.qubit_angle(theta), state)
+        counts = _fixed_law_counts(_clamped(law[:, None])[:, 0], int(seed), "sweep", i, trials)
+        emp = int(counts[conclusive].sum()) / trials
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
         points.append(SweepPoint(
             theta=theta, trials=trials, empirical=emp,

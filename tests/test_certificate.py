@@ -127,10 +127,10 @@ def test_clamped_equal_device_tables_never_weigh_on_a_certified_class(case, seed
     us = haar_unitaries(scen.dim, 256, np.random.default_rng(seed))
     in_class = outcome_class_index(scen.slots, scen.dim) == scen.classes.index(cls)
     for p in _equal_device_tables(scen, us, state.pure_components()[1]):
-        assert not np.any(_clamped(p)[:, in_class])  # a trial prepares one component
+        assert not np.any(_clamped(p.T)[in_class])  # a trial prepares one component
     # a campaign samples the class law of the prepared mixture
     law = _clamped(_equal_device_law(scen, state, us))
-    assert not np.any(law[:, scen.classes.index(cls)])
+    assert not np.any(law[scen.classes.index(cls)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,7 +167,7 @@ def test_the_leak_bounds_every_equal_device_trial(scen, rank, seed):
     # the prepared mixture's class law that a campaign samples, before the clamp
     law = _equal_device_law(scen, state, us)
     for i, name in enumerate(scen.classes):
-        assert law[:, i].max() <= leaks[name] + 1e-12, name
+        assert law[i].max() <= leaks[name] + 1e-12, name
 
 
 def test_a_rare_leaky_component_is_not_certified():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qmeter import cli
 from qmeter.cli import CAMPAIGN_KEYS, REPORT_FORMATS, main, parse_theta_grid
 from qmeter.simulate import CAMPAIGN_FORMAT, sweep_theta
 from qmeter.errors import ConfigError
@@ -305,6 +306,20 @@ def test_sweep_rejects_more_trials_than_a_multinomial_takes(capsys):
             sweep_theta([0.3], trials, 1)
     assert sweep_theta([0.3], top, 1)[0].trials == top
     code, out, err = run_cli(["sweep", "--theta-grid", "0.3,0.7", "--trials", str(10 ** 19),
+                              "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "trials" in err
+
+
+def test_simulate_rejects_more_trials_than_its_counts_hold(capsys, monkeypatch):
+    # class counts are int64, and a campaign of 10**19 trials once passed
+    # its config and began by listing about 1.5e14 shards
+    def no_run(config):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", no_run)
+    code, out, err = run_cli(["simulate", "--scenario", "labeled", "--trials", str(10 ** 19),
                               "--seed", "1"], capsys)
     assert code == 2
     assert out == ""

@@ -50,7 +50,6 @@ from qmeter.simulate import (
     _labeled_probs_row,
     _sample_rows,
     _shard_counts,
-    _shards_for,
 )
 
 SCHEMA_PATH = "docs/campaign_result.schema.json"
@@ -70,9 +69,11 @@ def test_config_rejects_bad_values():
         CampaignConfig(scen, trials=10, seed=True)
     with pytest.raises(ConfigError):
         CampaignConfig(scen, trials=10, seed=1, workers=0)
-    # counts and seeds are integers, and a bool is not one
+    # counts and seeds are integers, and a bool is not one; class counts are
+    # int64, so trials stop at 2**63 - 1, the bound sweep_theta shares
     for bad in ({"trials": 2.5}, {"trials": True}, {"workers": 2.5}, {"workers": True},
-                {"seed": 1.0}, {"trials": "10"}, {"test_state": None}, {"test_state": 3}):
+                {"seed": 1.0}, {"trials": "10"}, {"test_state": None}, {"test_state": 3},
+                {"trials": 2 ** 63}, {"trials": 10 ** 19}):
         with pytest.raises(ConfigError):
             CampaignConfig(scen, **{"trials": 10, "seed": 1, **bad})
     # a scenario name in place of a Scenario once died in an AttributeError
@@ -247,11 +248,20 @@ def test_trial_records_are_pinned():
 
 # --- campaigns ------------------------------------------------------------------
 
-def test_shard_layout():
-    assert _shards_for(1)[-1] == (0, 1)
-    shards = _shards_for(2 * SHARD_SIZE + 5)
-    assert [c for _, c in shards] == [SHARD_SIZE, SHARD_SIZE, 5]
-    assert [s for s, _ in shards] == [0, 1, 2]
+def test_shard_layout(monkeypatch):
+    # each stream that draws devices is cut into full shards and a short
+    # last one, numbered from 0: kappa:2 draws devices in both streams
+    tasks = []
+    shard_counts = simulate._shard_counts
+    monkeypatch.setattr(simulate, "_shard_counts",
+                        lambda task: tasks.append((task[2], *task[-2:])) or shard_counts(task))
+    scen = Scenario("unlabeled", 2)
+    run_campaign(CampaignConfig(scen, trials=1, seed=1, test_state="kappa:2"))
+    assert tasks == [("different", 0, 1), ("equal", 0, 1)]
+    tasks.clear()
+    run_campaign(CampaignConfig(scen, trials=2 * SHARD_SIZE + 5, seed=1, test_state="kappa:2"))
+    assert tasks == [(truth, shard, count) for truth in ("different", "equal")
+                     for shard, count in ((0, SHARD_SIZE), (1, SHARD_SIZE), (2, 5))]
 
 
 def test_campaign_counts_add_up():
@@ -409,7 +419,7 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     anti = TestState.antisymmetric(d)
     w, v = anti.pure_components()
     equal = _shard_counts(("labeled", d, "equal", False, None, w, v, 99, 0, trials))
-    assert equal == {"same": 0, "diff": trials}
+    assert equal.tolist() == [0, trials]
 
     def no_call(*args, **kwargs):
         raise AssertionError("unitary or equal-device law")
@@ -421,11 +431,12 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
     e = gen.standard_exponential((d, trials))  # one batch: trials < _SUBCHUNK
     rest = e[1:].sum(axis=0)
-    drawn = _sample_rows(np.stack((e[0], rest), axis=1) / (e[0] + rest)[:, None], gen)
-    expected = dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
+    drawn = _sample_rows(np.stack((e[0], rest)) / (e[0] + rest), gen)
+    expected = np.bincount(drawn, minlength=2).tolist()
     for state in (anti, mixture):
         w, v = state.pure_components()
-        assert _shard_counts(("labeled", d, "different", False, None, w, v, 99, 0, trials)) == expected
+        counts = _shard_counts(("labeled", d, "different", False, None, w, v, 99, 0, trials))
+        assert counts.tolist() == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -438,7 +449,7 @@ def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
     laws = []
     sample = simulate._sample_rows
     monkeypatch.setattr(simulate, "_sample_rows",
-                        lambda p, gen: laws.append(p[:, 0].copy()) or sample(p, gen))
+                        lambda p, gen: laws.append(p[0].copy()) or sample(p, gen))
     w, v = TestState.antisymmetric(d).pure_components()
     trials = 2 * SHARD_SIZE
     _shard_counts(("labeled", d, "different", True, None, w, v, 300 + d, 0, trials))
@@ -627,12 +638,14 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     assert len(w) == 2 and not _is_invariant(state.rho)
     assert conclusive_classes(Scenario("labeled", 3), state) == ()
     trials = 3000
-    counts = _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0, trials))
+    counts = dict(zip(("same", "diff"),
+                      _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0,
+                                     trials)).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     prepared = Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2)
     devices = [Observable(u) for u in haar_unitaries(3, trials, gen)]
     same = [np.trace(outcome_table(a, a, prepared)) for a in devices]
-    drawn = _sample_rows(np.stack((same, np.subtract(1.0, same)), axis=1), gen)
+    drawn = _sample_rows(np.stack((same, np.subtract(1.0, same))), gen)
     assert counts == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(Scenario("labeled", 3), trials=trials, seed=12,
@@ -660,8 +673,8 @@ def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypat
     counts = [_shard_counts(("labeled", 3, "equal", False, None, w, v, 77, shard, SHARD_SIZE))
               for shard in range(trials // SHARD_SIZE)]
     assert len(laws) == trials // simulate._SUBCHUNK
-    assert sum(c["diff"] for c in counts) == trials
-    assert sum(c["same"] for c in counts) == 0
+    assert sum(c[1] for c in counts) == trials  # (same, diff)
+    assert sum(c[0] for c in counts) == 0
 
 
 def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
@@ -731,7 +744,7 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
             row = table[:, j] / table[:, j].sum(axis=1, keepdims=True)
             moduli = np.abs(x[:, j]) ** 2
             assert_allclose(moduli, row, rtol=0, atol=1e-12)
-            law = np.stack((row[:, j], 1.0 - row[:, j]), axis=1)
+            law = np.stack((row[:, j], 1.0 - row[:, j]))
             # the kernel normalizes its weights, so a multiple of the
             # moduli (as d exponentials are of a Dirichlet row) gives the law
             for scale in (1.0, 3.5):
@@ -840,7 +853,7 @@ def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
         assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
     # and over a batch, one column per pair
     terms = [np.array([_bloch_terms_of(x) for x in side]).T for side in zip(*pairs)]
-    expected = [class_probabilities(a, b, state) for a, b in pairs]
+    expected = np.transpose([class_probabilities(a, b, state) for a, b in pairs])
     assert_allclose(_bloch_class_law(form, *terms), expected, rtol=0, atol=1e-12)
 
 
@@ -872,7 +885,7 @@ def test_an_invariant_different_shard_draws_device_b_alone():
     form = _bloch_form(w, v)
     trials = 5000
     task = ("unlabeled", 2, "different", True, form, w, v, 33, 0, trials)
-    counts = _shard_counts(task)
+    counts = dict(zip(scen.classes, _shard_counts(task).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
     em = _bloch_terms(haar_unitaries(2, trials, gen))
     drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, em), gen)
@@ -936,8 +949,8 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
     expected = [class_probabilities(Observable(u), Observable(u), prepared)[0] for u in us]
     for stack in (us, np.ascontiguousarray(us)):
         law = _labeled_equal_law(stack, w, v)
-        assert_allclose(law[:, 0], expected, rtol=0, atol=1e-12)
-        assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert_allclose(law[0], expected, rtol=0, atol=1e-12)
+        assert_allclose(law.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sampling_in_row_blocks_keeps_the_stream():
@@ -947,21 +960,21 @@ def test_sampling_in_row_blocks_keeps_the_stream():
     gen = np.random.default_rng(31)
     us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
     form = _bloch_form(*optimal_test_state(Scenario("unlabeled", 2)).pure_components())
-    for table in (gen.dirichlet(np.full(16, 0.3), size=1000),
+    for table in (gen.dirichlet(np.full(16, 0.3), size=1000).T,
                   _bloch_class_law(form, _bloch_terms(us), _bloch_terms(vs))):
         whole = _sample_rows(table, np.random.default_rng(7))
         blocks = np.random.default_rng(7)
-        pieces = [_sample_rows(table[lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
+        pieces = [_sample_rows(table[:, lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
         assert np.array_equal(np.concatenate(pieces), whole)
 
 
 def test_sampler_matches_an_inverse_cdf_built_by_cumsum():
     # the sampler sums the clamped table row by row, which is np.cumsum's
     # order, so its draws equal the reference built with np.cumsum
-    p = np.random.default_rng(12).dirichlet(np.full(16, 0.3), size=5000)
-    cum = np.cumsum(simulate._clamped(p).T, axis=0)
+    p = np.random.default_rng(12).dirichlet(np.full(16, 0.3), size=5000).T
+    cum = np.cumsum(simulate._clamped(p), axis=0)
     cum[cum >= cum[-1]] = 1.0
-    reference = (np.random.default_rng(3).random(len(p)) >= cum).sum(axis=0)
+    reference = (np.random.default_rng(3).random(p.shape[1]) >= cum).sum(axis=0)
     assert np.array_equal(_sample_rows(p, np.random.default_rng(3)), reference)
 
 
@@ -1013,7 +1026,7 @@ def test_clamp_rejects_a_non_finite_born_row(bad):
     # instead of sampling category 0
     rows = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, bad, 0.25, 0.25]])
     with pytest.raises(ConsistencyError):
-        _sample_rows(rows, np.random.default_rng(0))
+        _sample_rows(rows.T, np.random.default_rng(0))
 
 
 def test_sampler_never_draws_a_clamped_category():
@@ -1026,7 +1039,7 @@ def test_sampler_never_draws_a_clamped_category():
     equal_devices = [outcome_table(a, a, st).reshape(-1)
                      for a in (Observable.random(3, rng) for _ in range(500))]
     tables = np.vstack([uniform_pairs] + equal_devices)
-    idx = _sample_rows(tables, _TopOfRangeGenerator())
+    idx = _sample_rows(tables.T, _TopOfRangeGenerator())
     assert np.all(tables[np.arange(len(tables)), idx] > TOL_ABS)
 
 
@@ -1075,12 +1088,12 @@ def test_sweep_points_and_csv():
 
 def test_default_sweep_csv_is_pinned():
     # sha256 of `qmeter sweep --seed 5 --trials 20000` on the default grid: one
-    # multinomial per fixed-device Born table, so a change of a table in its
+    # multinomial per fixed-device class law, so a change of a law in its
     # last bit, or of the stream, shows up here
     thetas = parse_theta_grid(DEFAULT_THETA_GRID)
     csv = sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5))
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "431a343eac7e403a06001364ae9b7b62495fba0ffe2179a270b7d981b8f73673")
+        "4e793240fe961082c6b56cb41fca19736abe3047f8b70588a92d03c3a431b5f9")
 
 
 def test_sweep_endpoints_are_exactly_inconclusive():
