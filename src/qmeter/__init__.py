@@ -38,7 +38,6 @@ from .errors import (
     InvalidStateError,
     NotPositiveSemidefiniteError,
     QmeterError,
-    UnambiguityError,
     UnsupportedDimensionError,
 )
 from .haar import haar_unitaries, haar_unitary, mc_agrees, mc_perp_moment, mc_twirl, twirl
@@ -104,6 +103,6 @@ __all__ = [
     "CheckResult", "run_checks", "all_passed", "render_report",
     # errors
     "QmeterError", "DimensionMismatchError", "NotPositiveSemidefiniteError",
-    "InvalidObservableError", "InvalidStateError", "UnambiguityError",
-    "UnsupportedDimensionError", "ConsistencyError", "ConfigError",
+    "InvalidObservableError", "InvalidStateError", "UnsupportedDimensionError",
+    "ConsistencyError", "ConfigError",
 ]

@@ -34,23 +34,10 @@ _FORMAT_PREFIX, _FORMAT_NUMBER = CAMPAIGN_FORMAT.rsplit("/", 1)
 REPORT_FORMATS = tuple(f"{_FORMAT_PREFIX}/{n}" for n in range(1, int(_FORMAT_NUMBER) + 1))
 
 
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("QMETER_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"QMETER_SEED must be an integer, got {raw!r}")
-
-
 def _require_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = _env_seed()
-    if seed is None:
-        raise ConfigError("a seed is required: pass --seed or set QMETER_SEED")
-    return seed
+    if args.seed is None:
+        raise ConfigError("a seed is required: pass --seed")
+    return args.seed
 
 
 def parse_theta_grid(spec: str) -> np.ndarray:
@@ -212,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100_000,
                        help="trials per ground truth (default 100000)")
     p_sim.add_argument("--seed", type=int, default=None,
-                       help="campaign seed (falls back to QMETER_SEED)")
+                       help="campaign seed (required)")
     p_sim.add_argument("--ground-truth", default="both",
                        choices=("different", "equal", "both"))
     p_sim.add_argument("--test-state", default="optimal",
@@ -230,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=100_000,
                          help="shots per grid point (default 100000)")
     p_sweep.add_argument("--seed", type=int, default=None,
-                         help="sweep seed (falls back to QMETER_SEED)")
+                         help="sweep seed (required)")
     p_sweep.add_argument("--out", help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidObservableError,
     InvalidStateError,
-    UnambiguityError,
     UnsupportedDimensionError,
 )
 from .haar import twirl
@@ -134,7 +133,7 @@ class TestState:
         m = self.rho.mat
         if not np.all(np.isfinite(m)):
             raise InvalidStateError("density matrix has a non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > TOL_ABS:
+        if not self.rho.is_hermitian():
             raise InvalidStateError("density matrix is not Hermitian")
         w = self._eigen[0]
         if float(w[0]) < -TOL_ABS:
@@ -200,15 +199,13 @@ class TestState:
 class ClassOperators:
     """Averaged operators of one outcome class under both hypotheses.
 
-    domain = support of `different` (where the class can occur at all),
-    no_error = domain - support(equal): the subspace whose states never
-    yield this class for equal devices.
+    no_error = support(different) - support(equal): the subspace whose
+    states can yield this class, but never for equal devices.
     """
 
     outcome_class: str
     equal: Operator
     different: Operator
-    domain: Operator
     support_equal: Operator
     no_error: Operator
 
@@ -222,7 +219,7 @@ def _class_ops(name: str, equal: Operator, different: Operator) -> ClassOperator
             f"no-error subspace of class {name} is not a projector; "
             "support(equal) is not contained in the class domain"
         )
-    return ClassOperators(name, equal, different, domain, sup_eq, q)
+    return ClassOperators(name, equal, different, sup_eq, q)
 
 
 @lru_cache(maxsize=None)
@@ -377,6 +374,22 @@ def _leaks(ops: Mapping[str, ClassOperators], state: TestState) -> Mapping[str, 
             for name, cls in ops.items()}
 
 
+def _certified(scenario: Scenario, state: Union[TestState, Operator]) -> Mapping[str, float]:
+    """Different-hypothesis probability tr(rho O_c^diff) of each class that
+    certifies "different": its leak (_leaks) is <= TOL_ABS/2 and that
+    probability exceeds TOL_ABS."""
+    state = _as_state(state, n=scenario.slots, d=scenario.dim)
+    ops = _operators_for(scenario)
+    leaks = _leaks(ops, state)
+    certified = {}
+    for name, cls in ops.items():
+        if leaks[name] <= TOL_ABS / 2:
+            success = _class_probability(cls.different, state)
+            if success > TOL_ABS:
+                certified[name] = success
+    return certified
+
+
 def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) -> Tuple[str, ...]:
     """Outcome classes that certify "different" for this test state.
 
@@ -388,46 +401,20 @@ def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) ->
     entries at or below TOL_ABS to zero, so a conclusive class is never drawn
     for equal devices (tensors module docstring).
     """
-    ops = _operators_for(scenario)
-    state = _as_state(state, n=scenario.slots, d=scenario.dim)
-    leaks = _leaks(ops, state)
-    return tuple(name for name, cls in ops.items()
-                 if leaks[name] <= TOL_ABS / 2
-                 and _class_probability(cls.different, state) > TOL_ABS)
+    return tuple(_certified(scenario, state))
 
 
-def analytic_success(
-    scenario: Scenario,
-    state: Union[TestState, Operator, None] = None,
-    claimed: Optional[Sequence[str]] = None,
-) -> SuccessReport:
-    """Exact success probability of the unambiguous comparison protocol.
-
-    Success is the total different-hypothesis probability of the conclusive
-    classes.  If `claimed` names the classes explicitly, each must pass the
-    rule of conclusive_classes; one that does not raises UnambiguityError
-    (reporting "different" on it could be a false positive).
-    """
+def analytic_success(scenario: Scenario,
+                     state: Union[TestState, Operator, None] = None) -> SuccessReport:
+    """Exact success probability of the unambiguous comparison protocol: the
+    total different-hypothesis probability of the conclusive classes
+    (conclusive_classes)."""
     if state is None:
         state = optimal_test_state(scenario)
-    state = _as_state(state, n=scenario.slots, d=scenario.dim)
-    ops = _operators_for(scenario)
-    conclusive = conclusive_classes(scenario, state)
-    classes = conclusive if claimed is None else tuple(claimed)
-    for name in classes:
-        if name not in ops:
-            raise DimensionMismatchError(f"unknown outcome class {name!r}")
-        if name not in conclusive:
-            raise UnambiguityError(
-                f"class {name!r} is not conclusive for this state: leak "
-                f"{_leaks(ops, state)[name]:.6e} (bound {TOL_ABS / 2:g}), different-device "
-                f"probability {_class_probability(ops[name].different, state):.6e} "
-                f"(must exceed {TOL_ABS:g}); reporting it would not be unambiguous"
-            )
-    per_class = {name: _class_probability(ops[name].different, state) for name in classes}
+    per_class = _certified(scenario, state)
     return SuccessReport(
         scenario=scenario,
-        classes=classes,
+        classes=tuple(per_class),
         per_class=MappingProxyType(per_class),
         total=float(sum(per_class.values())),
     )

@@ -21,11 +21,6 @@ class InvalidStateError(QmeterError):
     """State fails validation (norm, Hermiticity, positivity or trace)."""
 
 
-class UnambiguityError(QmeterError):
-    """A claimed conclusive outcome class has nonzero probability when the
-    devices are equal, so reporting it would not be unambiguous."""
-
-
 class UnsupportedDimensionError(QmeterError):
     """Requested construction only exists for a restricted set of dimensions."""
 

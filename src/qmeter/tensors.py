@@ -110,9 +110,6 @@ class Operator:
         self._check_same(other)
         return Operator(self.mat - other.mat, self.d, self.n)
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat, self.d, self.n)
-
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.mat * complex(scalar), self.d, self.n)
 
@@ -201,14 +198,6 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(kron_arrays(a.mat, b.mat), a.d, a.n + b.n)
 
 
-def vkron(a: Vector, b: Vector) -> Vector:
-    if a.d != b.d:
-        raise DimensionMismatchError(
-            f"vkron requires equal local dimensions, got {a.d} and {b.d}"
-        )
-    return Vector(kron_arrays(a.vec, b.vec), a.d, a.n + b.n)
-
-
 def basis_ket(digits: Sequence[int], d: int) -> Vector:
     """Computational basis ket |digits[0] digits[1] ...> (slot 1 first)."""
     n = len(digits)
@@ -225,10 +214,9 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
 def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian operator above the rank
     cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
-    herm = (op.mat + op.mat.conj().T) / 2
-    if not np.max(np.abs(op.mat - herm)) <= TOL_ABS:  # a NaN fails too
+    if not op.is_hermitian():  # a NaN fails too
         raise NotPositiveSemidefiniteError("operator is not Hermitian")
-    w, v = np.linalg.eigh(herm)
+    w, v = np.linalg.eigh((op.mat + op.mat.conj().T) / 2)
     lam = float(np.max(np.abs(w)))
     keep = (np.abs(w) > TOL_RANK * lam) & (lam > TOL_ABS)
     return w[keep], v[:, keep]

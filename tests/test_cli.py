@@ -58,24 +58,10 @@ def test_simulate_stdout_and_report_round_trip(capsys, tmp_path):
     assert "success" in rendered
 
 
-def test_simulate_requires_seed(capsys, monkeypatch):
-    monkeypatch.delenv("QMETER_SEED", raising=False)
+def test_simulate_requires_seed(capsys):
     code, _, err = run_cli(["simulate", "--scenario", "labeled", "--trials", "10"], capsys)
     assert code == 2
     assert "seed" in err
-
-
-def test_simulate_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("QMETER_SEED", "77")
-    code, text, _ = run_cli(
-        ["simulate", "--scenario", "labeled", "--trials", "100"], capsys)
-    assert code == 0
-    assert json.loads(text)["seed"] == 77
-    monkeypatch.setenv("QMETER_SEED", "not-a-number")
-    code, _, err = run_cli(
-        ["simulate", "--scenario", "labeled", "--trials", "100"], capsys)
-    assert code == 2
-    assert "QMETER_SEED" in err
 
 
 def test_simulate_rejects_unlabeled_qutrits(capsys):
@@ -326,19 +312,12 @@ def test_simulate_rejects_more_trials_than_its_counts_hold(capsys, monkeypatch):
     assert err.startswith("error:") and "trials" in err
 
 
-@pytest.mark.parametrize("argv,env_seed", [
-    (["sweep", "--seed", "-1", "--trials", "10"], None),
-    (["sweep", "--trials", "10"], "-1"),
-    (["simulate", "--scenario", "labeled", "--seed", "-1", "--trials", "10"], None),
-    (["simulate", "--scenario", "labeled", "--trials", "10"], "-1"),
-    (["simulate", "--scenario", "labeled", "--seed", "1", "--trials", "10", "--workers", "0"],
-     None),
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "-1", "--trials", "10"],
+    ["simulate", "--scenario", "labeled", "--seed", "-1", "--trials", "10"],
+    ["simulate", "--scenario", "labeled", "--seed", "1", "--trials", "10", "--workers", "0"],
 ])
-def test_negative_seeds_and_counts_exit_2(capsys, monkeypatch, argv, env_seed):
-    if env_seed is None:
-        monkeypatch.delenv("QMETER_SEED", raising=False)
-    else:
-        monkeypatch.setenv("QMETER_SEED", env_seed)
+def test_negative_seeds_and_counts_exit_2(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmeter.tensors import kron_arrays, vkron
+from qmeter.tensors import kron_arrays
 from qmeter import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
@@ -62,9 +62,6 @@ def test_kron_and_vkron_slot_counts():
     a = identity(2, 1)
     ab = kron(a, a)
     assert ab.n == 2 and ab.dim == 4
-    v = vkron(basis_ket((0,), 2), basis_ket((1, 1), 2))
-    assert v.n == 3
-    assert_allclose(v.vec, basis_ket((0, 1, 1), 2).vec)
     with pytest.raises(DimensionMismatchError):
         kron(identity(2, 1), identity(3, 1))
 
@@ -117,6 +114,19 @@ def test_rank_and_support_reject_a_nan_operator():
     # eigh returns NaN eigenvalues without raising, and no NaN passes the
     # rank cutoff; without the guard this had rank 0 and the zero projector
     op = Operator(np.full((2, 2), np.nan), 2, 1)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        rank(op)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        support_projector(op)
+
+
+def test_rank_and_support_read_the_one_hermiticity_rule():
+    # max|A - A^dag| = 1.5e-10 > TOL_ABS, so is_hermitian says no; comparing
+    # A with its Hermitian part instead would see 0.75e-10 and give rank 2
+    mat = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    mat[0, 1] = 1.5e-10
+    op = Operator(mat, 2, 2)
+    assert not op.is_hermitian()
     with pytest.raises(NotPositiveSemidefiniteError):
         rank(op)
     with pytest.raises(NotPositiveSemidefiniteError):
