@@ -27,7 +27,6 @@ from .comparison import (
     outcome_class_index,
     outcome_table,
     pairwise_success_angle,
-    singlet_pairing_state,
     unlabeled_operators,
 )
 from .errors import (
@@ -92,7 +91,7 @@ __all__ = [
     "Scenario", "Observable", "TestState", "ClassOperators", "SuccessReport",
     "LABELED_CLASSES", "UNLABELED_CLASSES", "labeled_class_operators",
     "unlabeled_operators", "outcome_class_index", "outcome_table",
-    "class_probabilities", "singlet_pairing_state", "kappa_state",
+    "class_probabilities", "kappa_state",
     "optimal_test_state", "conclusive_classes", "analytic_success",
     "pairwise_success_angle",
     # simulate

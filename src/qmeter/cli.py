@@ -55,8 +55,11 @@ def parse_theta_grid(spec: str) -> np.ndarray:
             raise ConfigError(f"could not parse theta grid {spec!r}")
         if count < 2:
             raise ConfigError("theta grid needs at least 2 points")
-        with np.errstate(invalid="ignore"):  # an infinite end gives NaN steps
-            return np.linspace(start, stop, count)
+        try:
+            with np.errstate(invalid="ignore"):  # an infinite end gives NaN steps
+                return np.linspace(start, stop, count)
+        except ValueError as exc:  # numpy: "array is too big"
+            raise ConfigError(f"theta grid of {count} points cannot be built: {exc}") from exc
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:

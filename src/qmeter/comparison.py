@@ -12,16 +12,17 @@ class can certify difference: a test state supported inside
 never produces class c for equal devices, so observing c is an unambiguous
 "different" verdict.  Every class operator is the Haar twirl (haar.twirl)
 of a class indicator read off outcome_class_index, the one map from outcome
-record to class.  The Q_c are extracted with a single eigendecomposition-
-based support primitive; nothing about them is hard-coded.
+record to class.  The Q_c and the optimal test states are computed from the
+class operators (support_projector, optimal_test_state), not hard-coded.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .haar import twirl
-from .symmetry import antisymmetrizer, basis_family, pair_product, phi_minus
-from .tensors import TOL_ABS, Operator, Vector, _check_int, kron_arrays, support_projector
+from .symmetry import basis_family
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, kron_arrays, support_projector
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -72,6 +73,11 @@ class Scenario:
     @property
     def classes(self) -> Tuple[str, ...]:
         return LABELED_CLASSES if self.kind == "labeled" else UNLABELED_CLASSES
+
+
+def _check_scenario(scenario) -> None:
+    if not isinstance(scenario, Scenario):
+        raise ConfigError(f"scenario must be a Scenario, got {scenario!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,19 +178,6 @@ class TestState:
         return w[keep], v[:, keep].T
 
     @classmethod
-    def antisymmetric(cls, d: int) -> "TestState":
-        """Normalized projector onto the antisymmetric two-slot subspace.
-
-        The unique-up-to-choice state with zero same-outcome probability for
-        every pair of equal sharp measurements; for d=2 it is the singlet.
-        """
-        if d < 2:
-            raise UnsupportedDimensionError(f"antisymmetric state needs d >= 2, got {d}")
-        proj = antisymmetrizer((1, 2), 2, d)
-        dminus = d * (d - 1) // 2
-        return cls(proj / dminus)
-
-    @classmethod
     def pure(cls, vec: Vector) -> "TestState":
         if abs(vec.norm() - 1.0) > TOL_ABS:
             raise InvalidStateError(f"pure test state is not normalized: {vec.norm()!r}")
@@ -267,9 +260,14 @@ def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
 
 # ------------------------------------------------------------ fixed devices
 
-def _as_state(state: Union[TestState, Operator], n: int, d: int) -> TestState:
+def _as_state(state: Union[TestState, Operator], n: Optional[int], d: int) -> TestState:
+    """The state as a TestState on n slots (any number if None) of dimension d."""
     if isinstance(state, Operator):
         state = TestState(state)
+    elif not isinstance(state, TestState):
+        raise InvalidStateError(
+            f"test state must be a TestState or an Operator, got {type(state).__name__}")
+    n = state.n if n is None else n
     if (state.n, state.d) != (n, d):
         raise DimensionMismatchError(
             f"test state lives on {state.n} slots of dimension {state.d}, "
@@ -285,11 +283,11 @@ def outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator
     relabeling."""
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
+    state = _as_state(state, n=None, d=a.d)
     n = state.n
     if n % 2 or not n:
         raise DimensionMismatchError(f"test state lives on {n} slots; two devices need a "
                                      "positive even number of slots")
-    state = _as_state(state, n=n, d=a.d)
     w = kron_arrays(reduce(kron_arrays, [a.basis] * (n // 2)),
                     reduce(kron_arrays, [b.basis] * (n // 2)))
     p = np.real(np.diagonal(w.conj().T @ state.rho.mat @ w))
@@ -306,18 +304,6 @@ def class_probabilities(a: Observable, b: Observable,
     return np.bincount(outcome_class_index(n, a.d), table.reshape(-1), 2 ** (n // 2))
 
 
-def singlet_pairing_state() -> Vector:
-    """Balanced superposition of the two crossed singlet pairings of four qubits.
-
-    (|psi-_13 psi-_24> + |psi-_14 psi-_23>) / sqrt(3); the optimal test state
-    of the unlabeled two-shot protocol.  It is annihilated by every
-    three-slot symmetrizer and supported in P12+ (x) P34+.
-    """
-    s = phi_minus(0, 1)
-    v = pair_product(s, (1, 3), s, (2, 4)) + pair_product(s, (1, 4), s, (2, 3))
-    return (1 / math.sqrt(3)) * v
-
-
 def kappa_state(j: int) -> TestState:
     """Pure test state on the j-th vector (1-based) of the kappa family."""
     _check_int("kappa index", j, 1)
@@ -327,15 +313,29 @@ def kappa_state(j: int) -> TestState:
     return TestState.pure(fam[j - 1])
 
 
-def optimal_test_state(scenario: Scenario) -> TestState:
-    """The test state maximizing unambiguous success for the scenario.
+@lru_cache(maxsize=None)
+def _optimum(scenario: Scenario, group: Tuple[str, ...]) -> Tuple[float, Operator]:
+    """The best success of the states that certify every class in `group`, and
+    the normalized projector onto the states that reach it: those states span
+    the kernel K of sum_c S_c (S_c = support_equal), and the best is the top
+    eigenspace of K (sum_c O_c^diff) K, within TOL_RANK of its eigenvalue."""
+    ops = _operators_for(scenario)
+    d, n = scenario.dim, scenario.slots
+    leak = Operator(sum(ops[c].support_equal.mat for c in group), d, n)
+    kernel = np.eye(d ** n) - support_projector(leak).mat
+    w, v = np.linalg.eigh(kernel @ sum(ops[c].different.mat for c in group) @ kernel)
+    span = v[:, w >= w[-1] - TOL_RANK * abs(w[-1])]
+    return float(w[-1]), Operator(span @ span.conj().T / span.shape[1], d, n)
 
-    Labeled: the normalized antisymmetric projector (success 1/d).
-    Unlabeled qubits: the crossed-singlet superposition (success 4/9).
-    """
-    if scenario.kind == "labeled":
-        return TestState.antisymmetric(scenario.dim)
-    return TestState.pure(singlet_pairing_state())
+
+def optimal_test_state(scenario: Scenario) -> TestState:
+    """The test state of best unambiguous success: the best _optimum over the
+    nonempty sets of classes, the first in itertools.combinations order on a
+    tie.  A mixture certifies only what all its parts do, so none does better."""
+    _check_scenario(scenario)  # before the cache, which cannot hash a list
+    classes = scenario.classes
+    groups = (g for k in range(1, len(classes) + 1) for g in itertools.combinations(classes, k))
+    return TestState(max((_optimum(scenario, g) for g in groups), key=lambda best: best[0])[1])
 
 
 # ------------------------------------------------------- success accounting
@@ -355,6 +355,7 @@ def _class_probability(op: Operator, state: TestState) -> float:
 
 
 def _operators_for(scenario: Scenario) -> Mapping[str, ClassOperators]:
+    _check_scenario(scenario)
     if scenario.kind == "labeled":
         return labeled_class_operators(scenario.dim)
     return unlabeled_operators(scenario.dim)
@@ -378,8 +379,8 @@ def _certified(scenario: Scenario, state: Union[TestState, Operator]) -> Mapping
     """Different-hypothesis probability tr(rho O_c^diff) of each class that
     certifies "different": its leak (_leaks) is <= TOL_ABS/2 and that
     probability exceeds TOL_ABS."""
-    state = _as_state(state, n=scenario.slots, d=scenario.dim)
     ops = _operators_for(scenario)
+    state = _as_state(state, n=scenario.slots, d=scenario.dim)
     leaks = _leaks(ops, state)
     certified = {}
     for name, cls in ops.items():

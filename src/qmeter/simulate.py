@@ -121,8 +121,10 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
 then one uniform per trial for its class.  An "equal" shard of a fixed law
 draws one multinomial instead, or nothing.  The batch size, these draws,
 the Haar construction, the invariance test, the component order, the class
-laws and the class order of ``Scenario.classes`` make up CAMPAIGN_FORMAT;
-a change to any of them changes the counts and needs a new format version.
+laws, the class order of ``Scenario.classes`` and the resolved test
+state's matrix, to the last bit (a multinomial turns roundoff in a fixed
+law into other counts), make up CAMPAIGN_FORMAT; a change to any of them
+changes the counts and needs a new format version.
 Sweep point i draws one multinomial over its four classes on stream (2, i).
 
 Batch layout
@@ -155,6 +157,7 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    _check_scenario,
     class_probabilities,
     conclusive_classes,
     kappa_state,
@@ -170,7 +173,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/11"
+CAMPAIGN_FORMAT = "qmeter.campaign/12"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
@@ -215,11 +218,6 @@ def _check_trials(trials) -> None:
     _check_int("trials", trials, 1)
     if trials > np.iinfo(np.int64).max:
         raise ConfigError(f"trials must be <= 2**63 - 1, got {trials}")
-
-
-def _check_scenario(scenario) -> None:
-    if not isinstance(scenario, Scenario):
-        raise ConfigError(f"scenario must be a Scenario, got {scenario!r}")
 
 
 @dataclass(frozen=True)

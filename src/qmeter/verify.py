@@ -20,6 +20,8 @@ twirled operators (battery) and for haar.mc_twirl (acceptance gate):
 - rbar(which, d):       two-slot averages of same/distinct outcome pairs:
                         sum_j E[A_j (x) A_j] / d        = P+/d2
                         sum_(j!=k) E[A_j (x) A_k] / d   = 1/d - P+/d2
+
+So do the paper's optimal test states, as oracles for optimal_test_state.
 """
 from __future__ import annotations
 
@@ -34,17 +36,19 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    _optimum,
     analytic_success,
     class_probabilities,
     kappa_state,
     labeled_class_operators,
+    optimal_test_state,
     outcome_table,
     pairwise_success_angle,
-    singlet_pairing_state,
     unlabeled_operators,
 )
 from .errors import DimensionMismatchError, InvalidStateError
-from .symmetry import basis_family, split_pairs, swap, sym_dim, symmetrizer
+from .symmetry import (antisymmetrizer, basis_family, pair_product, phi_minus, split_pairs, swap,
+                       sym_dim, symmetrizer)
 from .tensors import (TOL_ABS, Operator, Vector, basis_ket, identity, kron, kron_arrays, rank,
                       support_projector)
 
@@ -154,13 +158,17 @@ def rbar(which: str, d: int) -> Operator:
     return sym if which == "same" else identity(d, 2) / d - sym
 
 
-def _optimal_success_over_subspace(subspace: Operator, objective: Operator) -> float:
-    """Best tr(rho objective) over states supported inside a projector: the
-    top eigenvalue of Q objective Q, and 0 for the zero subspace."""
-    q = subspace.mat
-    if np.max(np.abs(q)) <= TOL_ABS:
-        return 0.0
-    return float(np.linalg.eigvalsh(q @ objective.mat @ q)[-1])
+def antisymmetric_state(d: int) -> TestState:
+    """The normalized antisymmetric projector: the labeled optimum, 1/d."""
+    return TestState(antisymmetrizer((1, 2), 2, d) / (d * (d - 1) // 2))
+
+
+def singlet_pairing_state() -> Vector:
+    """phi_Q = (|psi-_13 psi-_24> + |psi-_14 psi-_23>) / sqrt(3): the
+    unlabeled qubit optimum, 4/9."""
+    s = phi_minus(0, 1)
+    v = pair_product(s, (1, 3), s, (2, 4)) + pair_product(s, (1, 4), s, (2, 3))
+    return (1 / math.sqrt(3)) * v
 
 
 def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
@@ -334,15 +342,15 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
         rep = analytic_success(scen_u, kappa_state(j))
         bat.close(f"kappa_{j} success (class diff_diff) = 1/9", rep.total, 1 / 9, tol)
     bat.close("max success over Q_dd states = 1/9",
-              _optimal_success_over_subspace(ops["diff_diff"].no_error,
-                                             ops["diff_diff"].different), 1 / 9, tol)
-    both = ops["same_diff"].different + ops["diff_same"].different
+              _optimum(scen_u, ("diff_diff",))[0], 1 / 9, tol)
     bat.close("max success over Q_sd states (sd+ds classes) = 4/9",
-              _optimal_success_over_subspace(ops["same_diff"].no_error, both), 4 / 9, tol)
+              _optimum(scen_u, ("same_diff", "diff_same"))[0], 4 / 9, tol)
+    bat.maxdiff("optimal_test_state(unlabeled) = |phi_Q><phi_Q|",
+                optimal_test_state(scen_u).rho.mat, rho_phi, tol)
 
     # ---- labeled protocol, all dimensions
     for d in (2, 3, 4, 5):
-        st = TestState.antisymmetric(d)
+        st = antisymmetric_state(d)
         lab = labeled_class_operators(d)
         # q_same = tr(rho O_same^eq)/d: O_same^eq sums the d equal outcome pairs
         q_same = np.trace(st.rho.mat @ lab["same"].equal.mat).real / d
@@ -358,9 +366,11 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
                      lab["same"].different.mat, lab["diff"].different.mat],
                     [d * rbar("same", d).mat, d * rbar("diff", d).mat,
                      eye / d, eye * (d - 1) / d], tol)
+        bat.maxdiff(f"optimal_test_state(labeled) = antisymmetric state (d={d})",
+                    optimal_test_state(Scenario("labeled", d)).rho.mat, st.rho.mat, tol)
     z_obs = Observable.computational(2)
     x_obs = Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    same, _ = class_probabilities(z_obs, x_obs, TestState.antisymmetric(2))
+    same, _ = class_probabilities(z_obs, x_obs, antisymmetric_state(2))
     bat.close("fixed pair (Z basis, X basis, singlet): success = 1/2", same, 0.5, tol)
 
     # ---- fixed-pair angle law

@@ -28,13 +28,12 @@ from qmeter import (
     pairwise_success_angle,
     rank,
     run_campaign,
-    singlet_pairing_state,
     sweep_theta,
     symmetrizer,
     unlabeled_operators,
 )
 from qmeter.tensors import Vector
-from qmeter.verify import perp_moment, pure_moment, r_operator, rbar
+from qmeter.verify import perp_moment, pure_moment, r_operator, rbar, singlet_pairing_state
 
 MC_TRIALS = 1_000_000
 SWEEP_SHOTS = 100_000

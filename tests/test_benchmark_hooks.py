@@ -26,7 +26,8 @@ REMOVED = ("LabeledAverages", "labeled_outcome_probabilities", "labeled_outcome_
            "unlabeled_outcome_distribution", "labeled_fixed_pair_success",
            "fixed_pair_class_probability", "unlabeled_single_use_probability",
            "observable_pair_angle", "optimal_success_over_subspace", "zero", "vkron",
-           "SPLITS", "split_pairs", "sym_dim", "phi_plus", "UnambiguityError")
+           "SPLITS", "split_pairs", "sym_dim", "phi_plus", "UnambiguityError",
+           "singlet_pairing_state")
 
 
 def _hooks() -> list:
@@ -120,7 +121,7 @@ def test_every_call_the_benchmark_makes_binds():
 
 
 def test_the_public_surface_is_pinned():
-    assert len(qmeter.__all__) == len(set(qmeter.__all__)) == 65
+    assert len(qmeter.__all__) == len(set(qmeter.__all__)) == 64
     assert [name for name in qmeter.__all__ if not hasattr(qmeter, name)] == []
     assert [name for name in REMOVED if hasattr(qmeter, name)] == []
     assert "outcome_table" in qmeter.__all__ and "class_probabilities" in qmeter.__all__

@@ -23,7 +23,6 @@ from qmeter import (
     haar_unitaries,
     outcome_class_index,
     outcome_table,
-    singlet_pairing_state,
 )
 from qmeter.comparison import _leaks, _operators_for
 from qmeter.simulate import (
@@ -33,6 +32,7 @@ from qmeter.simulate import (
     _clamped,
     _labeled_equal_law,
 )
+from qmeter.verify import singlet_pairing_state
 
 UNLABELED = Scenario("unlabeled", 2)
 PHI_Q = singlet_pairing_state()

@@ -36,7 +36,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/11"
+    assert doc["format"] == "qmeter.campaign/12"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -187,10 +187,10 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 to 11 changed the random stream behind the counts, not the
+    # formats 2 to 12 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
-    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 12))
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/11"
+    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 13))
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/12"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt.rsplit('/', 1)[1]}.json"
@@ -222,13 +222,13 @@ def test_report_rejects_an_unknown_format(capsys, tmp_path):
     assert "qmeter.campaign/99" in err
 
 
-@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/12", "qmeter.campaign/09",
+@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/13", "qmeter.campaign/09",
                                  "qmeter.campaign/+9", "qmeter.campaign/ 9", "qmeter.campaign/9.0",
                                  "qmeter.campaign/\u0669", "qmeter.verify/1", "qmeter.campaign/"])
 def test_report_reads_only_decimal_formats_up_to_the_current_one(capsys, tmp_path, fmt):
     # the rule: qmeter.campaign/N for 1 <= N <= the current N, written in
     # decimal without a leading zero (U+0669 is an Arabic-Indic nine)
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/11"
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/12"
     path = tmp_path / "campaign.json"
     path.write_text(_campaign_doc(format=fmt))
     code, out, err = run_cli(["report", str(path)], capsys)
@@ -264,6 +264,10 @@ def test_parse_theta_grid():
     for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y"):
         with pytest.raises(ConfigError):
             parse_theta_grid(bad)
+    # more points than an array can hold: numpy refuses before it allocates,
+    # and its ValueError once ended the CLI in a traceback
+    with pytest.raises(ConfigError, match="cannot be built"):
+        parse_theta_grid(f"0:1:{2 ** 62}")
     # a non-finite angle parses, and sweep_theta, which the CLI calls,
     # rejects it: the library and the CLI share the one check (an infinite
     # angle once reached math.sin in the library, "math domain error")
@@ -316,6 +320,7 @@ def test_simulate_rejects_more_trials_than_its_counts_hold(capsys, monkeypatch):
     ["sweep", "--seed", "-1", "--trials", "10"],
     ["simulate", "--scenario", "labeled", "--seed", "-1", "--trials", "10"],
     ["simulate", "--scenario", "labeled", "--seed", "1", "--trials", "10", "--workers", "0"],
+    ["sweep", "--seed", "1", "--theta-grid", f"0:1:{2 ** 62}"],
 ])
 def test_negative_seeds_and_counts_exit_2(capsys, argv):
     code, out, err = run_cli(argv, capsys)

@@ -15,6 +15,7 @@ from qmeter import (
     Operator,
     QmeterError,
     Scenario,
+    TOL_ABS,
     TestState,
     UNLABELED_CLASSES,
     UnsupportedDimensionError,
@@ -31,10 +32,10 @@ from qmeter import (
     rank,
     run_campaign,
     run_labeled_trial,
-    singlet_pairing_state,
     unlabeled_operators,
 )
-from qmeter.verify import _optimal_success_over_subspace
+from qmeter.comparison import _optimum
+from qmeter.verify import antisymmetric_state, singlet_pairing_state
 
 HADAMARD = Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -93,7 +94,7 @@ def test_non_finite_device_cannot_yield_a_certificate():
     # with a NaN basis accepted, this trial came out "different" on class same
     with pytest.raises(InvalidObservableError):
         run_labeled_trial(Observable(np.full((2, 2), np.nan)), Observable.computational(2),
-                          TestState.antisymmetric(2), rng=1)
+                          optimal_test_state(Scenario("labeled", 2)), rng=1)
 
 
 def test_observable_random_is_seeded():
@@ -142,10 +143,32 @@ def test_pure_components_keep_the_structural_zeros():
 
 def test_antisymmetric_state_dimensions():
     for d in (2, 3, 4, 5):
-        st = TestState.antisymmetric(d)
+        st = optimal_test_state(Scenario("labeled", d))
         assert st.rho.d == d and st.rho.n == 2
         assert st.rho.trace().real == pytest.approx(1.0)
         assert rank(st.rho) == d * (d - 1) // 2
+        # the search finds the paper's state
+        assert_allclose(st.rho.mat, antisymmetric_state(d).rho.mat, rtol=0, atol=1e-10)
+
+
+_ST = antisymmetric_state(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimal_test_state("labeled"),
+    lambda: optimal_test_state(["labeled", 2]),  # unhashable: checked before the cache
+    lambda: analytic_success("labeled"),
+    lambda: conclusive_classes("labeled", _ST),
+    lambda: conclusive_classes(Scenario("labeled", 2), "x"),
+    lambda: analytic_success(Scenario("labeled", 2), 5),
+    lambda: class_probabilities(HADAMARD, HADAMARD, [[1]]),
+], ids=["optimal", "optimal-list", "analytic", "conclusive", "conclusive-state",
+        "analytic-state", "class-probabilities-state"])
+def test_a_bad_scenario_or_state_is_a_qmeter_error(call):
+    # each of these once ended in a raw AttributeError; the list would also
+    # fail the hash of the optimal state's cache with a TypeError
+    with pytest.raises(QmeterError):
+        call()
 
 
 # --- labeled protocol ---------------------------------------------------------
@@ -164,7 +187,7 @@ def test_labeled_different_devices_flat_table(d):
     # averaged over independent bases, every outcome pair is equally likely:
     # the d equal pairs (class same) and the d(d-1) unequal pairs (class diff)
     # each have probability 1/d^2
-    st = TestState.antisymmetric(d)
+    st = optimal_test_state(Scenario("labeled", d))
     ops = labeled_class_operators(d)
     p_same = np.trace(st.rho.mat @ ops["same"].different.mat).real
     p_diff = np.trace(st.rho.mat @ ops["diff"].different.mat).real
@@ -177,7 +200,7 @@ def test_labeled_antisymmetric_success(d):
     rep = analytic_success(Scenario("labeled", d))
     assert rep.total == pytest.approx(1 / d, abs=1e-10)
     assert rep.per_class["same"] == pytest.approx(1 / d, abs=1e-10)
-    assert conclusive_classes(Scenario("labeled", d), TestState.antisymmetric(d)) == ("same",)
+    assert conclusive_classes(Scenario("labeled", d), antisymmetric_state(d)) == ("same",)
 
 
 def test_labeled_product_state_is_not_unambiguous():
@@ -190,7 +213,7 @@ def test_labeled_product_state_is_not_unambiguous():
 
 def test_labeled_fixed_pair_singlet():
     z = Observable.computational(2)
-    st = TestState.antisymmetric(2)
+    st = antisymmetric_state(2)
     # identical devices never agree on the singlet
     table = outcome_table(z, z, st)
     assert np.trace(table) == pytest.approx(0.0, abs=1e-12)
@@ -202,7 +225,7 @@ def test_labeled_distribution_rows_sum_to_one():
     rng = np.random.default_rng(11)
     a = Observable.random(3, rng)
     b = Observable.random(3, rng)
-    table = outcome_table(a, b, TestState.antisymmetric(3))
+    table = outcome_table(a, b, optimal_test_state(Scenario("labeled", 3)))
     assert table.shape == (3, 3)
     assert np.sum(table) == pytest.approx(1.0, abs=1e-12)
 
@@ -244,7 +267,7 @@ def test_singlet_pairing_state_success():
     assert rep.per_class["same_diff"] == pytest.approx(2 / 9, abs=1e-10)
     assert rep.per_class["diff_same"] == pytest.approx(2 / 9, abs=1e-10)
     st = optimal_test_state(Scenario("unlabeled", 2))
-    assert_allclose(st.rho.mat, singlet_pairing_state().projector().mat, rtol=0, atol=0)
+    assert_allclose(st.rho.mat, singlet_pairing_state().projector().mat, rtol=0, atol=TOL_ABS)
     assert conclusive_classes(Scenario("unlabeled", 2), st) == ("same_diff", "diff_same")
 
 
@@ -266,15 +289,11 @@ def test_kappa_state_rejects_bad_index():
 
 
 def test_optimal_success_over_no_error_subspaces():
-    ops = unlabeled_operators(2)
-    best_dd = _optimal_success_over_subspace(ops["diff_diff"].no_error,
-                                             ops["diff_diff"].different)
-    assert best_dd == pytest.approx(1 / 9, abs=1e-10)
-    both = ops["same_diff"].different + ops["diff_same"].different
-    best_sd = _optimal_success_over_subspace(ops["same_diff"].no_error, both)
-    assert best_sd == pytest.approx(4 / 9, abs=1e-10)
-    # the empty subspace supports nothing
-    assert _optimal_success_over_subspace(ops["same_same"].no_error, both) == 0.0
+    scen = Scenario("unlabeled", 2)
+    assert _optimum(scen, ("diff_diff",))[0] == pytest.approx(1 / 9, abs=1e-10)
+    assert _optimum(scen, ("same_diff", "diff_same"))[0] == pytest.approx(4 / 9, abs=1e-10)
+    # the empty no-error subspace supports nothing
+    assert abs(_optimum(scen, ("same_same",))[0]) <= TOL_ABS
 
 
 def test_unlabeled_distribution_matches_class_table():
@@ -330,6 +349,46 @@ def test_unlabeled_angle_law_on_grid():
         p = dict(zip(UNLABELED_CLASSES, class_probabilities(z, b, st)))
         assert p["same_diff"] + p["diff_same"] == pytest.approx(
             pairwise_success_angle(float(theta)), abs=1e-10)
+
+
+# The paper's closing claim: the optimal test detects a difference with
+# nonvanishing probability for any pair of distinct observables.  Checked
+# for the states the search returns, over Haar-random complex device pairs.
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_labeled_optimum_detects_every_pair_of_distinct_observables(d):
+    # success sum_j (1 - |<a_j|b_j>|^2) / (d (d - 1)): zero only if every
+    # outcome vector of b equals a's up to phase
+    st = optimal_test_state(Scenario("labeled", d))
+    rng = np.random.default_rng(40 + d)
+    for _ in range(200):
+        a, b = Observable.random(d, rng), Observable.random(d, rng)
+        overlap = np.abs(np.sum(a.basis.conj() * b.basis, axis=0)) ** 2
+        law = np.sum(1 - overlap) / (d * (d - 1))
+        assert class_probabilities(a, b, st)[0] == pytest.approx(law, abs=1e-12)
+        assert law > 0
+        assert abs(class_probabilities(a, a, st)[0]) <= 1e-12
+        # relabeled outcomes are a different observable: a cyclic shift
+        # leaves no outcome vector in place, so every term counts
+        shifted = Observable(np.roll(a.basis, 1, axis=1))
+        assert class_probabilities(a, shifted, st)[0] == pytest.approx(1 / (d - 1), abs=1e-12)
+
+
+def test_unlabeled_optimum_detects_every_pair_of_distinct_observables():
+    # success (8/3) c^2 (1 - c^2) with c^2 = |<a_0|b_0>|^2, which is
+    # (2/3) sin^2(2 theta): zero for b = a and for a relabeled a, where the
+    # two protocols' observables are the same
+    st = optimal_test_state(Scenario("unlabeled", 2))
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        a, b = Observable.random(2, rng), Observable.random(2, rng)
+        c2 = abs(np.vdot(a.basis[:, 0], b.basis[:, 0])) ** 2
+        _, sd, ds, _ = class_probabilities(a, b, st)
+        assert sd + ds == pytest.approx(8 / 3 * c2 * (1 - c2), abs=1e-12)
+        assert sd + ds > 0
+        for same in (a, Observable(a.basis[:, ::-1])):
+            _, sd, ds, _ = class_probabilities(a, same, st)
+            assert abs(sd + ds) <= 1e-12
 
 
 def test_single_use_is_useless():

@@ -125,7 +125,7 @@ def test_labeled_trial_record():
     rng = np.random.default_rng(0)
     a = Observable.random(3, rng)
     b = Observable.random(3, rng)
-    rec = run_labeled_trial(a, b, TestState.antisymmetric(3), rng=rng)
+    rec = run_labeled_trial(a, b, optimal_test_state(Scenario("labeled", 3)), rng=rng)
     assert rec.outcomes[0] in range(3) and rec.outcomes[1] in range(3)
     assert rec.outcome_class in ("same", "diff")
     assert rec.verdict in (Verdict.DIFFERENT, Verdict.INCONCLUSIVE)
@@ -139,7 +139,7 @@ def test_single_trials_reject_a_state_of_the_other_protocol():
     with pytest.raises(DimensionMismatchError):
         run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1)
     with pytest.raises(DimensionMismatchError):
-        run_unlabeled_trial(z, z, TestState.antisymmetric(2), rng=1)
+        run_unlabeled_trial(z, z, optimal_test_state(Scenario("labeled", 2)), rng=1)
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["TestState", "Operator"])
@@ -147,7 +147,7 @@ def test_a_trial_decomposes_its_state_once(monkeypatch, wrap):
     # an Operator state is made a TestState once per trial, and that takes
     # the trial's one eigh; a TestState brings its own
     z, x = Observable.computational(2), Observable.qubit_angle(0.4)
-    states = [TestState.antisymmetric(2), optimal_test_state(Scenario("unlabeled", 2))]
+    states = [optimal_test_state(Scenario(kind, 2)) for kind in ("labeled", "unlabeled")]
     trials = [run_labeled_trial, run_unlabeled_trial]
     for trial, state in zip(trials, states):
         trial(z, x, state, rng=1)  # warm the analytic caches
@@ -166,10 +166,11 @@ def test_labeled_trial_equal_devices_never_agree():
     # equal-device trial of the antisymmetric state "different"
     z = Observable.computational(2)
     with pytest.raises(TypeError):
-        run_labeled_trial(z, z, TestState.antisymmetric(2), rng=1, conclusive=("diff",))
+        run_labeled_trial(z, z, optimal_test_state(Scenario("labeled", 2)), rng=1,
+                          conclusive=("diff",))
     rng = np.random.default_rng(42)
     for d in (2, 3):
-        st = TestState.antisymmetric(d)
+        st = optimal_test_state(Scenario("labeled", d))
         for _ in range(200):
             a = Observable.random(d, rng)
             rec = run_labeled_trial(a, a, st, rng=rng)
@@ -207,7 +208,7 @@ def test_trial_records_are_pinned():
     rng = np.random.default_rng(2024)
     records = []
     for d in (2, 3, 4):
-        state = TestState.antisymmetric(d)
+        state = optimal_test_state(Scenario("labeled", d))
         for i in range(6):
             a = Observable.random(d, rng)
             b = a if i % 3 == 0 else Observable.random(d, rng)
@@ -416,7 +417,7 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     # invariant.  With equal devices the antisymmetric state's law puts
     # every trial in "diff".
     d, trials = 3, 4000
-    anti = TestState.antisymmetric(d)
+    anti = optimal_test_state(Scenario("labeled", d))
     w, v = anti.pure_components()
     equal = _shard_counts(("labeled", d, "equal", False, None, w, v, 99, 0, trials))
     assert equal.tolist() == [0, trials]
@@ -450,7 +451,7 @@ def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
     sample = simulate._sample_rows
     monkeypatch.setattr(simulate, "_sample_rows",
                         lambda p, gen: laws.append(p[0].copy()) or sample(p, gen))
-    w, v = TestState.antisymmetric(d).pure_components()
+    w, v = optimal_test_state(Scenario("labeled", d)).pure_components()
     trials = 2 * SHARD_SIZE
     _shard_counts(("labeled", d, "different", True, None, w, v, 300 + d, 0, trials))
     p = np.concatenate(laws)
@@ -475,7 +476,7 @@ def _antisymmetric_projector_file(tmp_path) -> str:
     # the labeled d=3 optimal state as a custom density matrix: invariant, so
     # its "equal" stream draws no device although its kind is "custom"
     path = tmp_path / "anti_proj3.npy"
-    np.save(path, TestState.antisymmetric(3).rho.mat)
+    np.save(path, optimal_test_state(Scenario("labeled", 3)).rho.mat)
     return str(path)
 
 
@@ -690,7 +691,7 @@ def test_invariance_is_read_off_rho(tmp_path):
     # mixed states do not
     unlabeled, qutrits = Scenario("unlabeled", 2), Scenario("labeled", 3)
     for d in range(2, 6):
-        assert _is_invariant(TestState.antisymmetric(d).rho)
+        assert _is_invariant(optimal_test_state(Scenario("labeled", d)).rho)
     assert _is_invariant(optimal_test_state(unlabeled).rho)
     assert _is_invariant(resolve_test_state(_antisymmetric_projector_file(tmp_path), qutrits).rho)
     assert _is_invariant(_invariant_mixture(3, 0.3).rho)
@@ -1035,7 +1036,7 @@ def test_sampler_never_draws_a_clamped_category():
     uniform_pairs = ((1.0 - np.eye(3)) / 6).reshape(1, -1)  # cum[-2] < 1
     assert np.cumsum(uniform_pairs)[-2] < 1.0
     rng = np.random.default_rng(5)
-    st = TestState.antisymmetric(3)
+    st = optimal_test_state(Scenario("labeled", 3))
     equal_devices = [outcome_table(a, a, st).reshape(-1)
                      for a in (Observable.random(3, rng) for _ in range(500))]
     tables = np.vstack([uniform_pairs] + equal_devices)
@@ -1093,7 +1094,7 @@ def test_default_sweep_csv_is_pinned():
     thetas = parse_theta_grid(DEFAULT_THETA_GRID)
     csv = sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5))
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "4e793240fe961082c6b56cb41fca19736abe3047f8b70588a92d03c3a431b5f9")
+        "7c66619152c4ed80ee2225b96d71a1e1b910ea9ab92922440f211920b7e91bf7")
 
 
 def test_sweep_endpoints_are_exactly_inconclusive():
