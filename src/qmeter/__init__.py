@@ -49,8 +49,7 @@ from .simulate import (
     Verdict,
     resolve_test_state,
     run_campaign,
-    run_labeled_trial,
-    run_unlabeled_trial,
+    run_trial,
     sweep_theta,
     sweep_to_csv,
 )
@@ -96,8 +95,8 @@ __all__ = [
     "pairwise_success_angle",
     # simulate
     "Verdict", "ShotRecord", "CampaignConfig", "TruthResult", "CampaignResult",
-    "resolve_test_state", "run_labeled_trial", "run_unlabeled_trial",
-    "run_campaign", "SweepPoint", "sweep_theta", "sweep_to_csv",
+    "resolve_test_state", "run_trial", "run_campaign", "SweepPoint",
+    "sweep_theta", "sweep_to_csv",
     # verify
     "CheckResult", "run_checks", "all_passed", "render_report",
     # errors

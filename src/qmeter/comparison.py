@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,19 @@ from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
 UNLABELED_CLASSES = ("same_same", "same_diff", "diff_same", "diff_diff")
+#: the largest space, d ** n, that the dense analytic layer works on: each
+#: operator takes 16 (d ** n) ** 2 bytes, and the twirl several times that
+_MAX_SPACE = 1024
+
+
+def _check_space(d: int, n: int) -> None:
+    """Raise UnsupportedDimensionError unless n slots of dimension d span at
+    most _MAX_SPACE dimensions (labeled d <= 32)."""
+    if d ** n > _MAX_SPACE:
+        raise UnsupportedDimensionError(
+            f"{n} slots of dimension {d} span {d ** n} dimensions; "
+            f"the dense operators stop at {_MAX_SPACE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,7 @@ class Scenario:
                 "the unlabeled two-shot protocol is implemented for qubits (d=2); "
                 f"got d={self.dim}"
             )
+        _check_space(self.dim, self.slots)
 
     @property
     def slots(self) -> int:
@@ -232,6 +246,7 @@ def _hypothesis_operators(names: Tuple[str, ...], n: int, d: int) -> Mapping[str
     """Twirl each class indicator over one Haar basis used by both devices
     (blocks (n,)) and over independent bases for the two devices (blocks
     (n/2, n/2))."""
+    _check_space(d, n)
     indicators = (outcome_class_index(n, d) == np.arange(len(names))[:, None]).astype(float)
     equal = twirl(indicators, (n,), d)
     different = twirl(indicators, (n // 2, n // 2), d)
@@ -260,30 +275,27 @@ def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
 
 # ------------------------------------------------------------ fixed devices
 
-def _as_state(state: Union[TestState, Operator], n: Optional[int], d: int) -> TestState:
-    """The state as a TestState on n slots (any number if None) of dimension d."""
-    if isinstance(state, Operator):
-        state = TestState(state)
-    elif not isinstance(state, TestState):
-        raise InvalidStateError(
-            f"test state must be a TestState or an Operator, got {type(state).__name__}")
+def _check_state(state: TestState, n: Optional[int], d: int) -> None:
+    """Raise unless state is a TestState on n slots (any number if None) of
+    dimension d."""
+    if not isinstance(state, TestState):
+        raise InvalidStateError(f"test state must be a TestState, got {type(state).__name__}")
     n = state.n if n is None else n
     if (state.n, state.d) != (n, d):
         raise DimensionMismatchError(
             f"test state lives on {state.n} slots of dimension {state.d}, "
             f"expected {n} slots of dimension {d}"
         )
-    return state
 
 
-def outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator]) -> np.ndarray:
+def outcome_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     """Born probabilities p[j_1, ..., j_n] when device a measures the first
     n/2 slots of the test state and device b the last n/2: n = 2 is one use
     of each device (labeled), n = 4 two uses (unlabeled), before any outcome
     relabeling."""
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
-    state = _as_state(state, n=None, d=a.d)
+    _check_state(state, n=None, d=a.d)
     n = state.n
     if n % 2 or not n:
         raise DimensionMismatchError(f"test state lives on {n} slots; two devices need a "
@@ -294,8 +306,7 @@ def outcome_table(a: Observable, b: Observable, state: Union[TestState, Operator
     return p.reshape((a.d,) * n)
 
 
-def class_probabilities(a: Observable, b: Observable,
-                        state: Union[TestState, Operator]) -> np.ndarray:
+def class_probabilities(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     """The outcome table of fixed devices a and b summed into outcome
     classes (outcome_class_index), in the order of Scenario.classes:
     LABELED_CLASSES for a two-slot state, UNLABELED_CLASSES for four slots."""
@@ -375,12 +386,12 @@ def _leaks(ops: Mapping[str, ClassOperators], state: TestState) -> Mapping[str, 
             for name, cls in ops.items()}
 
 
-def _certified(scenario: Scenario, state: Union[TestState, Operator]) -> Mapping[str, float]:
+def _certified(scenario: Scenario, state: TestState) -> Mapping[str, float]:
     """Different-hypothesis probability tr(rho O_c^diff) of each class that
     certifies "different": its leak (_leaks) is <= TOL_ABS/2 and that
     probability exceeds TOL_ABS."""
     ops = _operators_for(scenario)
-    state = _as_state(state, n=scenario.slots, d=scenario.dim)
+    _check_state(state, n=scenario.slots, d=scenario.dim)
     leaks = _leaks(ops, state)
     certified = {}
     for name, cls in ops.items():
@@ -391,7 +402,7 @@ def _certified(scenario: Scenario, state: Union[TestState, Operator]) -> Mapping
     return certified
 
 
-def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) -> Tuple[str, ...]:
+def conclusive_classes(scenario: Scenario, state: TestState) -> Tuple[str, ...]:
     """Outcome classes that certify "different" for this test state.
 
     A class qualifies iff its leak (_leaks) is <= TOL_ABS/2 and its
@@ -405,11 +416,10 @@ def conclusive_classes(scenario: Scenario, state: Union[TestState, Operator]) ->
     return tuple(_certified(scenario, state))
 
 
-def analytic_success(scenario: Scenario,
-                     state: Union[TestState, Operator, None] = None) -> SuccessReport:
+def analytic_success(scenario: Scenario, state: Optional[TestState] = None) -> SuccessReport:
     """Exact success probability of the unambiguous comparison protocol: the
     total different-hypothesis probability of the conclusive classes
-    (conclusive_classes)."""
+    (conclusive_classes), for the optimal test state when state is None."""
     if state is None:
         state = optimal_test_state(scenario)
     per_class = _certified(scenario, state)

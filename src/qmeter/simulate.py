@@ -3,7 +3,8 @@
 Campaigns draw fresh Haar devices per trial, sample one outcome class per
 trial from the exact Born probabilities, and issue a verdict: "different"
 iff the class is conclusive for the campaign's test state, else
-"inconclusive".  Single trials sample and return a full outcome record.
+"inconclusive".  A single trial (``run_trial``) samples and returns a full
+outcome record of fixed devices under either protocol.
 
 One sampler, closed-form class laws
 -----------------------------------
@@ -11,7 +12,8 @@ A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  A single trial, whose
 record carries the outcomes, draws one entry of its fixed devices' table
-(``comparison.outcome_table``) with ``_sample_rows``.  A campaign reports
+(``comparison.outcome_table``) with ``_sample_rows``, and in the unlabeled
+protocol then relabels each device's outcomes.  A campaign reports
 only class counts, so it builds no table: each stream that draws per
 trial evaluates its class law in closed form over a batch (the labeled
 row and "equal" laws and the unlabeled Bloch law below), and
@@ -146,9 +148,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -339,51 +341,29 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
 
 # ---------------------------------------------------------- single trials
 
-def _fixed_device_trial(scen: Scenario, a: Observable, b: Observable,
-                        state: Union[TestState, Operator, None],
-                        gen: np.random.Generator) -> ShotRecord:
-    """Draw one outcome record from the Born table of fixed devices a and b and
-    judge it by the state's conclusive_classes, which also check its slots."""
-    if state is None:
-        state = optimal_test_state(scen)
-    elif isinstance(state, Operator):
-        state = TestState(state)  # one eigendecomposition for the whole trial
-    conclusive = conclusive_classes(scen, state)
-    table = outcome_table(a, b, state)
-    idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
-    cls = scen.classes[outcome_class_index(scen.slots, scen.dim)[idx]]
-    verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
-    outcomes = tuple(int(x) for x in np.unravel_index(idx, table.shape))
-    return ShotRecord(outcomes=outcomes, outcome_class=cls, verdict=verdict)
+def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState,
+              rng=None) -> ShotRecord:
+    """One trial of the scenario's protocol with fixed devices a and b: one
+    outcome record drawn from their Born table (outcome_table) and judged by
+    the state's conclusive_classes, which also check its slots.
 
-
-def run_labeled_trial(
-    a: Observable,
-    b: Observable,
-    state: Union[TestState, Operator],
-    rng=None,
-) -> ShotRecord:
-    """One shot of the labeled protocol with fixed devices a and b."""
-    return _fixed_device_trial(Scenario("labeled", a.d), a, b, state, rng_from(rng))
-
-
-def run_unlabeled_trial(
-    a: Observable,
-    b: Observable,
-    state: Union[TestState, Operator, None] = None,
-    rng=None,
-) -> ShotRecord:
-    """One trial of the unlabeled protocol: two shots of each device.
-
-    Each device's outcomes pass through an (unknown) uniformly random
-    relabeling before being recorded; outcome classes compare only outcomes
-    of the same device, so they are unaffected.
+    In the unlabeled protocol each device's outcomes then pass through an
+    unknown, uniformly random relabeling, an XOR with one random bit per
+    device; outcome classes compare only outcomes of the same device, so
+    they are unaffected.
     """
     gen = rng_from(rng)
-    rec = _fixed_device_trial(Scenario("unlabeled", a.d), a, b, state, gen)
-    ra, rb = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-    j, k, m, n = rec.outcomes
-    return replace(rec, outcomes=(j ^ ra, k ^ ra, m ^ rb, n ^ rb))
+    conclusive = conclusive_classes(scenario, state)
+    table = outcome_table(a, b, state)
+    idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
+    cls = scenario.classes[outcome_class_index(scenario.slots, scenario.dim)[idx]]
+    verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
+    outcomes = tuple(int(x) for x in np.unravel_index(idx, table.shape))
+    if scenario.kind == "unlabeled":
+        ra, rb = int(gen.integers(0, 2)), int(gen.integers(0, 2))
+        j, k, m, n = outcomes
+        outcomes = (j ^ ra, k ^ ra, m ^ rb, n ^ rb)
+    return ShotRecord(outcomes=outcomes, outcome_class=cls, verdict=verdict)
 
 
 # ------------------------------------------------------------ batched paths

@@ -84,12 +84,6 @@ class Operator:
             np.max(np.abs(self.mat @ self.mat - self.mat)) <= TOL_ABS
         )
 
-    def is_psd(self) -> bool:
-        if not self.is_hermitian():
-            return False
-        w = np.linalg.eigvalsh(self.mat)
-        return bool(w[0] >= -TOL_ABS * max(1.0, float(w[-1])))
-
     def expval(self, state: "Vector") -> complex:
         """<state| self |state>."""
         self._check_same(state)

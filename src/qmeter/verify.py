@@ -3,9 +3,7 @@
 Each check rebuilds its claim from the package primitives (no Monte Carlo,
 no caching of expected results) and records the computed value, the expected
 value and the tolerance used.  The battery is the backing of the `verify`
-CLI command; `run_checks(phi_q=...)` allows substituting the optimal test
-state, which is used to demonstrate that a corrupted state makes the battery
-fail.
+CLI command.
 
 The hand-derived closed forms of Haar moments live here, as oracles for the
 twirled operators (battery) and for haar.mc_twirl (acceptance gate):
@@ -28,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -171,7 +169,7 @@ def singlet_pairing_state() -> Vector:
     return (1 / math.sqrt(3)) * v
 
 
-def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
+def run_checks() -> List[CheckResult]:
     """Run the full analytic battery; returns one CheckResult per identity."""
     bat = _Battery()
     tol = 1e-10
@@ -278,7 +276,7 @@ def run_checks(phi_q: Optional[Vector] = None) -> List[CheckResult]:
                     4 * kron(rbar(first, 2), rbar(second, 2)).mat, tol)
 
     # ---- no-error bases vs the named families
-    phi = phi_q if phi_q is not None else singlet_pairing_state()
+    phi = singlet_pairing_state()
     bat.close("|phi_Q| = 1", phi.norm(), 1.0, tol)
     kill = max(float(np.max(np.abs(symmetrizer(trip, 4, 2).mat @ phi.vec)))
                for trip in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))

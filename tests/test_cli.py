@@ -316,6 +316,19 @@ def test_simulate_rejects_more_trials_than_its_counts_hold(capsys, monkeypatch):
     assert err.startswith("error:") and "trials" in err
 
 
+def test_simulate_rejects_a_dimension_the_dense_operators_cannot_hold(capsys, monkeypatch):
+    # labeled d = 1000 once died in haar.twirl, unable to allocate 29.1 TiB
+    def no_run(config):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", no_run)
+    code, out, err = run_cli(["simulate", "--scenario", "labeled", "--dim", "1000",
+                              "--trials", "10", "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--seed", "-1", "--trials", "10"],
     ["simulate", "--scenario", "labeled", "--seed", "-1", "--trials", "10"],

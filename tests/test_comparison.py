@@ -31,7 +31,8 @@ from qmeter import (
     pairwise_success_angle,
     rank,
     run_campaign,
-    run_labeled_trial,
+    run_trial,
+    support_projector,
     unlabeled_operators,
 )
 from qmeter.comparison import _optimum
@@ -51,6 +52,19 @@ def test_scenario_validation():
     assert isinstance(exc.value, QmeterError)
     assert Scenario("labeled", 4).slots == 2
     assert Scenario("unlabeled").slots == 4
+
+
+def test_the_dense_operators_stop_at_1024_dimensions():
+    # d ** slots <= 1024: labeled d = 32, unlabeled qubits (16) and the
+    # qutrit class operators (81) fit; each operator takes 16 (d ** slots)^2
+    # bytes, and the twirl several times that
+    assert Scenario("labeled", 32).dim == 32
+    with pytest.raises(UnsupportedDimensionError):
+        Scenario("labeled", 33)
+    with pytest.raises(UnsupportedDimensionError):
+        labeled_class_operators(1000)
+    with pytest.raises(UnsupportedDimensionError):
+        unlabeled_operators(6)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, 3.0, "3", None])
@@ -93,8 +107,8 @@ def test_observable_rejects_a_non_finite_basis(bad):
 def test_non_finite_device_cannot_yield_a_certificate():
     # with a NaN basis accepted, this trial came out "different" on class same
     with pytest.raises(InvalidObservableError):
-        run_labeled_trial(Observable(np.full((2, 2), np.nan)), Observable.computational(2),
-                          optimal_test_state(Scenario("labeled", 2)), rng=1)
+        run_trial(Scenario("labeled", 2), Observable(np.full((2, 2), np.nan)),
+                  Observable.computational(2), optimal_test_state(Scenario("labeled", 2)), rng=1)
 
 
 def test_observable_random_is_seeded():
@@ -171,6 +185,23 @@ def test_a_bad_scenario_or_state_is_a_qmeter_error(call):
         call()
 
 
+_LABELED = Scenario("labeled", 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: outcome_table(HADAMARD, HADAMARD, rho),
+    lambda rho: class_probabilities(HADAMARD, HADAMARD, rho),
+    lambda rho: conclusive_classes(_LABELED, rho),
+    lambda rho: analytic_success(_LABELED, rho),
+    lambda rho: run_trial(_LABELED, HADAMARD, HADAMARD, rho, rng=1),
+], ids=["outcome-table", "class-probabilities", "conclusive", "analytic", "trial"])
+def test_a_state_is_a_test_state_not_an_operator(call):
+    # TestState is the one state type: it validates and decomposes its
+    # density matrix once, and a bare Operator would skip both
+    with pytest.raises(InvalidStateError):
+        call(_ST.rho)
+
+
 # --- labeled protocol ---------------------------------------------------------
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -241,8 +272,9 @@ def test_unlabeled_class_operators_complete(d):
         assert_allclose(total, np.eye(d ** 4), atol=1e-10)
     for c in UNLABELED_CLASSES:
         for hyp in ("equal", "different"):
-            op = getattr(ops[c], hyp)
-            assert op.is_psd(), f"{c}/{hyp} not PSD"
+            # raises NotPositiveSemidefiniteError on a negative eigenvalue
+            # beyond the rank cutoff
+            support_projector(getattr(ops[c], hyp))
 
 
 @pytest.mark.parametrize("cls,expected", [
@@ -318,7 +350,7 @@ def test_unlabeled_distribution_matches_class_table():
     # equal devices: conclusive classes carry zero weight
     assert_allclose(class_probabilities(a, a, st)[1:3], 0.0, rtol=0, atol=1e-10)
     # two devices split the slots evenly
-    odd = Operator(np.eye(8) / 8, 2, 3)
+    odd = TestState(Operator(np.eye(8) / 8, 2, 3))
     with pytest.raises(DimensionMismatchError):
         outcome_table(a, b, odd)
     with pytest.raises(DimensionMismatchError):

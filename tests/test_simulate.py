@@ -29,8 +29,7 @@ from qmeter import (
     pairwise_success_angle,
     resolve_test_state,
     run_campaign,
-    run_labeled_trial,
-    run_unlabeled_trial,
+    run_trial,
     swap,
     sweep_theta,
     sweep_to_csv,
@@ -125,7 +124,8 @@ def test_labeled_trial_record():
     rng = np.random.default_rng(0)
     a = Observable.random(3, rng)
     b = Observable.random(3, rng)
-    rec = run_labeled_trial(a, b, optimal_test_state(Scenario("labeled", 3)), rng=rng)
+    scen = Scenario("labeled", 3)
+    rec = run_trial(scen, a, b, optimal_test_state(scen), rng=rng)
     assert rec.outcomes[0] in range(3) and rec.outcomes[1] in range(3)
     assert rec.outcome_class in ("same", "diff")
     assert rec.verdict in (Verdict.DIFFERENT, Verdict.INCONCLUSIVE)
@@ -136,44 +136,43 @@ def test_single_trials_reject_a_state_of_the_other_protocol():
     # the outcome table reads its slot count off the state, so the trial
     # checks it against its protocol
     z = Observable.computational(2)
+    labeled, unlabeled = Scenario("labeled", 2), Scenario("unlabeled", 2)
     with pytest.raises(DimensionMismatchError):
-        run_labeled_trial(z, z, optimal_test_state(Scenario("unlabeled", 2)), rng=1)
+        run_trial(labeled, z, z, optimal_test_state(unlabeled), rng=1)
     with pytest.raises(DimensionMismatchError):
-        run_unlabeled_trial(z, z, optimal_test_state(Scenario("labeled", 2)), rng=1)
+        run_trial(unlabeled, z, z, optimal_test_state(labeled), rng=1)
 
 
-@pytest.mark.parametrize("wrap", [False, True], ids=["TestState", "Operator"])
-def test_a_trial_decomposes_its_state_once(monkeypatch, wrap):
-    # an Operator state is made a TestState once per trial, and that takes
-    # the trial's one eigh; a TestState brings its own
+def test_a_trial_decomposes_its_state_once(monkeypatch):
+    # a TestState brings its one eigh, so a trial calls none
     z, x = Observable.computational(2), Observable.qubit_angle(0.4)
-    states = [optimal_test_state(Scenario(kind, 2)) for kind in ("labeled", "unlabeled")]
-    trials = [run_labeled_trial, run_unlabeled_trial]
-    for trial, state in zip(trials, states):
-        trial(z, x, state, rng=1)  # warm the analytic caches
+    scenarios = [Scenario(kind, 2) for kind in ("labeled", "unlabeled")]
+    states = [optimal_test_state(scen) for scen in scenarios]
+    for scen, state in zip(scenarios, states):
+        run_trial(scen, z, x, state, rng=1)  # warm the analytic caches
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    for trial, state in zip(trials, states):
+    for scen, state in zip(scenarios, states):
         for seed in range(3):
-            del calls[:]
-            trial(z, x, state.rho if wrap else state, rng=seed)
-            assert len(calls) == (1 if wrap else 0)
+            run_trial(scen, z, x, state, rng=seed)
+    assert calls == []
 
 
 def test_labeled_trial_equal_devices_never_agree():
     # a trial takes no list of conclusive classes: with one it called every
     # equal-device trial of the antisymmetric state "different"
     z = Observable.computational(2)
+    labeled = Scenario("labeled", 2)
     with pytest.raises(TypeError):
-        run_labeled_trial(z, z, optimal_test_state(Scenario("labeled", 2)), rng=1,
-                          conclusive=("diff",))
+        run_trial(labeled, z, z, optimal_test_state(labeled), rng=1, conclusive=("diff",))
     rng = np.random.default_rng(42)
     for d in (2, 3):
-        st = optimal_test_state(Scenario("labeled", d))
+        scen = Scenario("labeled", d)
+        st = optimal_test_state(scen)
         for _ in range(200):
             a = Observable.random(d, rng)
-            rec = run_labeled_trial(a, a, st, rng=rng)
+            rec = run_trial(scen, a, a, st, rng=rng)
             assert rec.outcome_class == "diff"
             assert rec.verdict is Verdict.INCONCLUSIVE
 
@@ -182,7 +181,8 @@ def test_unlabeled_trial_record():
     rng = np.random.default_rng(1)
     a = Observable.random(2, rng)
     b = Observable.random(2, rng)
-    rec = run_unlabeled_trial(a, b, rng=rng)
+    scen = Scenario("unlabeled", 2)
+    rec = run_trial(scen, a, b, optimal_test_state(scen), rng=rng)
     assert len(rec.outcomes) == 4
     assert rec.outcome_class in ("same_same", "same_diff", "diff_same", "diff_diff")
 
@@ -191,13 +191,15 @@ def test_unlabeled_trial_relabeling_hides_labels():
     # with equal devices and the optimal state, the conclusive classes never
     # fire no matter how outcomes are relabeled
     rng = np.random.default_rng(3)
+    scen = Scenario("unlabeled", 2)
+    optimal = optimal_test_state(scen)
     for i in range(300):
         a = Observable.random(2, rng)
-        rec = run_unlabeled_trial(a, a, rng=rng)
+        rec = run_trial(scen, a, a, optimal, rng=rng)
         assert rec.outcome_class in ("same_same", "diff_diff")
         assert rec.verdict is Verdict.INCONCLUSIVE
         # a kappa state certifies diff_diff, which equal devices never give
-        rec = run_unlabeled_trial(a, a, kappa_state(1 + i % 3), rng=rng)
+        rec = run_trial(scen, a, a, kappa_state(1 + i % 3), rng=rng)
         assert rec.outcome_class != "diff_diff"
         assert rec.verdict is Verdict.INCONCLUSIVE
 
@@ -208,15 +210,18 @@ def test_trial_records_are_pinned():
     rng = np.random.default_rng(2024)
     records = []
     for d in (2, 3, 4):
-        state = optimal_test_state(Scenario("labeled", d))
+        scen = Scenario("labeled", d)
+        state = optimal_test_state(scen)
         for i in range(6):
             a = Observable.random(d, rng)
             b = a if i % 3 == 0 else Observable.random(d, rng)
-            records.append(run_labeled_trial(a, b, state, rng=rng))
+            records.append(run_trial(scen, a, b, state, rng=rng))
+    scen = Scenario("unlabeled", 2)
+    optimal = optimal_test_state(scen)
     for i in range(8):
         a = Observable.random(2, rng)
         b = a if i % 4 == 0 else Observable.random(2, rng)
-        records.append(run_unlabeled_trial(a, b, kappa_state(2) if i % 2 else None, rng=rng))
+        records.append(run_trial(scen, a, b, kappa_state(2) if i % 2 else optimal, rng=rng))
     assert [(r.outcomes, r.outcome_class, r.verdict.value) for r in records] == [
         ((0, 1), "diff", "inconclusive"),
         ((0, 0), "same", "different"),
@@ -643,7 +648,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
                       _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0,
                                      trials)).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
-    prepared = Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2)
+    prepared = TestState(Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2))
     devices = [Observable(u) for u in haar_unitaries(3, trials, gen)]
     same = [np.trace(outcome_table(a, a, prepared)) for a in devices]
     drawn = _sample_rows(np.stack((same, np.subtract(1.0, same))), gen)
@@ -944,7 +949,7 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
     # C-contiguous (size, d, d) stacks
     d = state.d
     w, v = state.pure_components()
-    prepared = Operator((v.T * (w / w.sum())) @ v.conj(), d, 2)
+    prepared = TestState(Operator((v.T * (w / w.sum())) @ v.conj(), d, 2))
     us = haar_unitaries(d, 16, np.random.default_rng(d))
     assert not us.flags.c_contiguous
     expected = [class_probabilities(Observable(u), Observable(u), prepared)[0] for u in us]

@@ -133,12 +133,6 @@ def test_rank_and_support_read_the_one_hermiticity_rule():
         support_projector(op)
 
 
-def test_is_psd_flags_negative_eigenvalues():
-    assert identity(2, 1).is_psd()
-    neg = Operator(np.diag([1.0, -0.5]), 2, 1)
-    assert not neg.is_psd()
-
-
 @pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3,), (5,)),
                                              ((2, 3), (4, 1))])
 def test_kron_arrays_equals_np_kron_bitwise(shape_a, shape_b):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from qmeter import Vector, pair_product, phi_minus
+from qmeter import Vector, pair_product, phi_minus, verify
 from qmeter.verify import all_passed, render_report, run_checks
 
 
@@ -21,7 +21,7 @@ def test_report_renders_one_line_per_check():
         assert "computed" in line and "expected" in line and "tol" in line
 
 
-def test_battery_fails_on_corrupted_optimal_state():
+def test_battery_fails_on_corrupted_optimal_state(monkeypatch):
     # flipping the relative sign between the two pairing terms produces a
     # normalized state that must break the success-probability identities
     pm = phi_minus(0, 1)
@@ -29,7 +29,8 @@ def test_battery_fails_on_corrupted_optimal_state():
     t14 = pair_product(pm, (1, 4), pm, (2, 3)).vec
     bad = t13 - t14
     bad = bad / np.linalg.norm(bad)
-    results = run_checks(phi_q=Vector(bad, 2, 4))
+    monkeypatch.setattr(verify, "singlet_pairing_state", lambda: Vector(bad, 2, 4))
+    results = run_checks()
     assert not all_passed(results)
     failed = {r.name for r in results if not r.passed}
     assert any("4/9" in name for name in failed)
