@@ -36,24 +36,12 @@ from .errors import (
 )
 from .haar import twirl
 from .symmetry import basis_family
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, kron_arrays, support_projector
+from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_space, kron_arrays,
+                      support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
 UNLABELED_CLASSES = ("same_same", "same_diff", "diff_same", "diff_diff")
-#: the largest space, d ** n, that the dense analytic layer works on: each
-#: operator takes 16 (d ** n) ** 2 bytes, and the twirl several times that
-_MAX_SPACE = 1024
-
-
-def _check_space(d: int, n: int) -> None:
-    """Raise UnsupportedDimensionError unless n slots of dimension d span at
-    most _MAX_SPACE dimensions (labeled d <= 32)."""
-    if d ** n > _MAX_SPACE:
-        raise UnsupportedDimensionError(
-            f"{n} slots of dimension {d} span {d ** n} dimensions; "
-            f"the dense operators stop at {_MAX_SPACE}"
-        )
 
 
 @dataclass(frozen=True)
@@ -234,6 +222,7 @@ def outcome_class_index(n: int, d: int) -> np.ndarray:
     """Class of every flat n-slot outcome record (slot 1 most significant): one
     bit per consecutive slot pair, set when its two outcomes differ, first pair
     most significant.  Indexes LABELED_CLASSES (n=2) or UNLABELED_CLASSES (n=4)."""
+    _check_space(d, n)
     digits = np.indices((d,) * n).reshape(n, -1)
     cls = np.zeros(d ** n, dtype=np.intp)
     for differ in digits[0::2] != digits[1::2]:
@@ -246,7 +235,6 @@ def _hypothesis_operators(names: Tuple[str, ...], n: int, d: int) -> Mapping[str
     """Twirl each class indicator over one Haar basis used by both devices
     (blocks (n,)) and over independent bases for the two devices (blocks
     (n/2, n/2))."""
-    _check_space(d, n)
     indicators = (outcome_class_index(n, d) == np.arange(len(names))[:, None]).astype(float)
     equal = twirl(indicators, (n,), d)
     different = twirl(indicators, (n // 2, n // 2), d)

@@ -2,6 +2,8 @@
 
 twirl() averages diagonal operators over one Haar unitary per block of
 slots; every class operator of the comparison protocols is built with it.
+Its projection onto the span of the slot permutations also decides whether
+a test state commutes with every U^(x)n (_is_invariant, Schur-Weyl duality).
 mc_twirl() is its seeded Monte Carlo twin, with elementwise standard errors.
 The hand-derived closed forms of Haar moments are oracles of the verify
 battery (verify.pure_moment, perp_moment, r_operator, rbar).
@@ -21,9 +23,9 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError
+from .errors import ConfigError, DimensionMismatchError, InvalidStateError
 from .symmetry import _slot_targets
-from .tensors import TOL_ABS, TOL_RANK, Vector, _check_int
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_space
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -37,12 +39,48 @@ MC_FLOOR = 1e-12
 
 
 def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.ndarray]:
+    """Check the blocks, d and the space they span before anything is
+    allocated, then the shape and finiteness of the diagonals."""
+    if len(blocks) == 0:
+        raise ConfigError("a twirl needs at least one block of slots")
+    for b in blocks:
+        _check_int("block", b, 1)
     k = sum(blocks)
+    _check_space(d, k)
     diagonals = np.asarray(diagonals, dtype=float)
     if diagonals.ndim != 2 or diagonals.shape[1] != d ** k:
         raise DimensionMismatchError(f"twirl needs diagonals of shape (m, {d ** k}), "
                                      f"got {diagonals.shape}")
+    if not np.all(np.isfinite(diagonals)):
+        raise ConfigError("twirl needs finite diagonals")
     return k, diagonals
+
+
+def _block_targets(blocks: Sequence[int], d: int) -> np.ndarray:
+    """Index maps t_s, shape (P, d**k), of the slot permutations that keep each block in place."""
+    starts = np.cumsum((0,) + tuple(blocks))
+    block_perms = (itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, blocks))
+    images = np.array([sum(p, ()) for p in itertools.product(*block_perms)])
+    return _slot_targets(images, sum(blocks), d)
+
+
+def _project(targets: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Projections sum_s c_s P_s, c = pinv(Gram) overlaps, onto the span of the
+    P_s with index maps `targets`, one per column tr(P_s^T X_i) of `overlaps`.
+    The Gram entry tr(P_s^T P_t) counts the kets on which t_s and t_t agree,
+    and sum_s c_s P_s is a weighted scatter-add of c_s at (t_s[j], j)."""
+    dim = targets.shape[1]
+    kets = np.arange(dim)
+    # complex like every other operator here: real LAPACK/BLAS routines would add RSS
+    gram = (targets[:, None, :] == targets[None, :, :]).sum(axis=2).astype(complex)
+    coeffs = np.linalg.pinv(gram, hermitian=True, rtol=TOL_RANK) @ overlaps  # (P, m)
+    # cell (i, t_s[j], j) of the flat result gathers c_s[i], summed in s order
+    cells = (np.arange(overlaps.shape[1])[:, None, None] * dim + targets) * dim + kets
+    weights = np.broadcast_to(coeffs.T[:, :, None], cells.shape).ravel()
+    out = np.empty(overlaps.shape[1] * dim * dim, dtype=complex)
+    out.real = np.bincount(cells.ravel(), weights.real, out.size)
+    out.imag = np.bincount(cells.ravel(), weights.imag, out.size)
+    return out.reshape(-1, dim, dim)
 
 
 def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
@@ -57,28 +95,24 @@ def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
     Gram matrix (Weingarten calculus), so it also holds for d < k.
 
     Each P_s is taken as its index map t_s (symmetry._slot_targets), never as
-    a matrix: the Gram entry tr(P_s^T P_t) counts the kets on which t_s and
-    t_t agree, the overlap tr(P_s^T X_i) sums X_i's diagonal over the fixed
-    points of t_s, and sum_s c_s P_s is a weighted scatter-add of c_s at
-    (t_s[j], j).
+    a matrix, and the overlap tr(P_s^T X_i) sums X_i's diagonal over the
+    fixed points of t_s (``_project`` does the rest).
     """
     k, diagonals = _check_diagonals(diagonals, blocks, d)
-    starts = np.cumsum((0,) + tuple(blocks))
-    block_perms = (itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, blocks))
-    images = np.array([sum(p, ()) for p in itertools.product(*block_perms)])
-    targets = _slot_targets(images, k, d)  # (P, d**k)
-    dim, kets = d ** k, np.arange(d ** k)
-    # complex like every other operator here: real LAPACK/BLAS routines would add RSS
-    gram = (targets[:, None, :] == targets[None, :, :]).sum(axis=2).astype(complex)
-    overlaps = (targets == kets) @ diagonals.T
-    coeffs = np.linalg.pinv(gram, hermitian=True, rtol=TOL_RANK) @ overlaps  # (P, m)
-    # cell (i, t_s[j], j) of the flat result gathers c_s[i], summed in s order
-    cells = (np.arange(len(diagonals))[:, None, None] * dim + targets) * dim + kets
-    weights = np.broadcast_to(coeffs.T[:, :, None], cells.shape).ravel()
-    out = np.empty(len(diagonals) * dim * dim, dtype=complex)
-    out.real = np.bincount(cells.ravel(), weights.real, out.size)
-    out.imag = np.bincount(cells.ravel(), weights.imag, out.size)
-    return out.reshape(-1, dim, dim)
+    targets = _block_targets(blocks, d)  # (P, d**k)
+    return _project(targets, (targets == np.arange(d ** k)) @ diagonals.T)
+
+
+def _is_invariant(rho: Operator) -> bool:
+    """Whether rho commutes with U^(x)n for every unitary U: by Schur-Weyl
+    duality, whether it equals its projection onto the span of the slot
+    permutations P_s, s in S_n, the projection twirl() takes.  The overlaps
+    tr(P_s^T rho) = sum_j rho[t_s(j), j] are one gather over the index maps.
+    This is an identity check on an input, so it holds within TOL_ABS."""
+    targets = _block_targets((rho.n,), rho.d)
+    overlaps = rho.mat[targets, np.arange(rho.dim)].sum(axis=1)
+    drift = _project(targets, overlaps[:, None])[0] - rho.mat
+    return bool(np.max(np.abs(drift)) <= TOL_ABS)  # a NaN fails too
 
 
 # ----------------------------------------------------------------- sampling
@@ -229,6 +263,8 @@ def mc_twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int, samples: int,
 def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
     """Seeded MC estimate of E[(phi phi^dag)^(x)k] for Haar phi orthogonal to psi."""
     d = psi.d
+    _check_int("k", k, 1)
+    _check_space(d, k)
     if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
         raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
     gen = rng_from(seed)

@@ -83,13 +83,15 @@ Invariant test states
 ---------------------
 The optimal test states, the antisymmetric projector (labeled) and the
 crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
-unitary U; ``run_campaign`` reads this property off rho once
-(``_is_invariant``).  For such a state the Born table of the device pair
-(U, V) equals the table of (I, W) with W = U^dag V, and W is Haar when U
-and V are independent Haar (Mezzadri, arXiv:math-ph/0609050).  So in an
-unlabeled "different" trial device A measures along z and only B = W is
-drawn.  With equal devices W = I, so every trial has the same table,
-diag(rho).
+unitary U.  By Schur-Weyl duality these are the states in the span of the
+slot permutations, so ``run_campaign`` reads the property off rho once, as
+rho equal to its projection onto that span within TOL_ABS: the projection
+that ``haar.twirl`` takes (``haar._is_invariant``).  For such a state the
+Born table of the device pair (U, V) equals the table of (I, W) with
+W = U^dag V, and W is Haar when U and V are independent Haar (Mezzadri,
+arXiv:math-ph/0609050).  So in an unlabeled "different" trial device A
+measures along z and only B = W is drawn.  With equal devices W = I, so
+every trial has the same table, diag(rho).
 
 Fixed "equal" laws
 ------------------
@@ -169,8 +171,8 @@ from .comparison import (
     pairwise_success_angle,
 )
 from .errors import ConfigError, ConsistencyError
-from .haar import haar_unitaries, rng_from
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
+from .haar import _is_invariant, haar_unitaries, rng_from
+from .tensors import TOL_ABS, TOL_RANK, Vector, _check_int
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
@@ -472,33 +474,6 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
 _labeled_probs_generic = _labeled_equal_law
 _unlabeled_probs = _bloch_class_law
 _labeled_probs_antisym = _labeled_probs_row
-
-
-def _digit(axis: int, j: int) -> tuple:
-    """Index of the entries whose tensor axis `axis` holds digit j."""
-    return (slice(None),) * axis + (j,)
-
-
-def _is_invariant(rho: Operator) -> bool:
-    """Whether rho commutes with U^(x)n for every unitary U.
-
-    The U^(x)n are generated by dpi(E_ab) = sum over slots of
-    1 (x) ... (x) E_ab (x) ... (x) 1 for the d^2 matrix units E_ab, so rho
-    is invariant iff it commutes with each of them.  On the n row and n
-    column digits of rho, E_ab on the left of a slot moves row digit b to
-    a, and on the right it moves column digit a to b.  This is an identity
-    check on an input, so it holds to within TOL_ABS.
-    """
-    d, n = rho.d, rho.n
-    r = rho.mat.reshape((d,) * (2 * n))
-    for a, b in itertools.product(range(d), repeat=2):
-        comm = np.zeros_like(r)
-        for i in range(n):
-            comm[_digit(i, a)] += r[_digit(i, b)]
-            comm[_digit(n + i, b)] -= r[_digit(n + i, a)]
-        if not np.max(np.abs(comm)) <= TOL_ABS:  # a NaN fails too
-            return False
-    return True
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:

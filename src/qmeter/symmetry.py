@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
-from .tensors import Operator, Vector
+from .tensors import Operator, Vector, _check_space
 
 #: the three ways to split four slots into two ordered pairs
 SPLITS = ("12-34", "13-24", "14-23")
@@ -67,6 +67,7 @@ def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
     images = tuple(images)
     if sorted(images) != list(range(1, n + 1)):
         raise DimensionMismatchError(f"{images} is not a permutation of 1..{n}")
+    _check_space(d, n)
     dim = d ** n
     mat = np.zeros((dim, dim))
     mat[_slot_targets(images, n, d), np.arange(dim)] = 1.0
@@ -89,6 +90,7 @@ def symmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
     slots has rank sym_dim(d, k) * d**(n-k).
     """
     slots = _check_slots(slots, n)
+    _check_space(d, n)
     sigmas = list(itertools.permutations(slots))
     images = np.tile(np.arange(1, n + 1), (len(sigmas), 1))
     images[:, np.subtract(slots, 1)] = sigmas
@@ -107,6 +109,7 @@ def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
             f"antisymmetrizer is provided for slot pairs only, got {len(slots)} slots"
         )
     a, b = slots
+    _check_space(d, n)
     eye = np.eye(d ** n)
     return Operator((eye - swap(a, b, n, d).mat) / 2, d, n)
 

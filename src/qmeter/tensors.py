@@ -29,13 +29,17 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NotPositiveSemidefiniteError
+from .errors import (ConfigError, DimensionMismatchError, NotPositiveSemidefiniteError,
+                     UnsupportedDimensionError)
 
 #: absolute tolerance for identity-type checks (Hermiticity, projector tests,
 #: probability-zero decisions)
 TOL_ABS = 1e-10
 #: relative eigenvalue cutoff for rank / support decisions
 TOL_RANK = 1e-8
+#: the largest space, d ** n, that the dense layer works on: each operator
+#: takes 16 (d ** n) ** 2 bytes, and the twirl several times that
+_MAX_SPACE = 1024
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -44,6 +48,20 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_space(d: int, n: int) -> None:
+    """Raise ConfigError unless d >= 1 and n >= 0 are integers, and
+    UnsupportedDimensionError unless n slots of dimension d span at most
+    _MAX_SPACE dimensions (labeled d <= 32)."""
+    _check_int("d", d, 1)
+    _check_int("slots", n, 0)
+    dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
+    if dim > _MAX_SPACE:
+        raise UnsupportedDimensionError(
+            f"{n} slots of dimension {d} span {dim} dimensions; "
+            f"the dense operators stop at {_MAX_SPACE}"
+        )
 
 
 def _as_complex(a) -> np.ndarray:
@@ -169,6 +187,7 @@ class Vector:
 
 
 def identity(d: int, n: int) -> Operator:
+    _check_space(d, n)
     return Operator(np.eye(d ** n), d, n)
 
 
@@ -189,12 +208,14 @@ def kron(a: Operator, b: Operator) -> Operator:
         raise DimensionMismatchError(
             f"kron requires equal local dimensions, got {a.d} and {b.d}"
         )
+    _check_space(a.d, a.n + b.n)
     return Operator(kron_arrays(a.mat, b.mat), a.d, a.n + b.n)
 
 
 def basis_ket(digits: Sequence[int], d: int) -> Vector:
     """Computational basis ket |digits[0] digits[1] ...> (slot 1 first)."""
     n = len(digits)
+    _check_space(d, n)
     idx = 0
     for dig in digits:
         if not 0 <= dig < d:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from qmeter import (
     CampaignConfig,
+    ConfigError,
     DimensionMismatchError,
     InvalidObservableError,
     InvalidStateError,
@@ -21,18 +22,29 @@ from qmeter import (
     UnsupportedDimensionError,
     Vector,
     analytic_success,
+    antisymmetrizer,
     basis_family,
+    basis_ket,
     class_probabilities,
     conclusive_classes,
+    identity,
     kappa_state,
+    kron,
     labeled_class_operators,
+    mc_perp_moment,
+    mc_twirl,
     optimal_test_state,
+    outcome_class_index,
     outcome_table,
     pairwise_success_angle,
+    perm_operator,
     rank,
     run_campaign,
     run_trial,
     support_projector,
+    swap,
+    symmetrizer,
+    twirl,
     unlabeled_operators,
 )
 from qmeter.comparison import _optimum
@@ -54,17 +66,52 @@ def test_scenario_validation():
     assert Scenario("unlabeled").slots == 4
 
 
-def test_the_dense_operators_stop_at_1024_dimensions():
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: Scenario("labeled", 33), UnsupportedDimensionError, id="labeled-33"),
+    pytest.param(lambda: labeled_class_operators(1000), UnsupportedDimensionError,
+                 id="labeled-operators-1000"),
+    pytest.param(lambda: unlabeled_operators(6), UnsupportedDimensionError,
+                 id="unlabeled-operators-6"),
+    pytest.param(lambda: twirl(np.zeros((1, 1000 ** 2)), (2,), 1000), UnsupportedDimensionError,
+                 id="twirl-1000"),
+    pytest.param(lambda: mc_twirl(np.zeros((1, 1000 ** 2)), (2,), 1000, 10, 1),
+                 UnsupportedDimensionError, id="mc-twirl-1000"),
+    pytest.param(lambda: twirl(np.ones((1, 1)), (), 2), ConfigError, id="twirl-no-blocks"),
+    pytest.param(lambda: twirl(np.ones((1, 1)), (0,), 2), ConfigError, id="twirl-zero-block"),
+    pytest.param(lambda: twirl(np.ones((1, 1)), (2, -2), 2), ConfigError,
+                 id="twirl-negative-block"),
+    pytest.param(lambda: mc_twirl(np.ones((1, 1)), (0,), 2, 10, 1), ConfigError,
+                 id="mc-twirl-zero-block"),
+    pytest.param(lambda: twirl(np.full((1, 4), np.nan), (2,), 2), ConfigError, id="twirl-nan"),
+    pytest.param(lambda: mc_perp_moment(Vector(np.array([1.0, 0.0]), 2, 1), 0, 10, 1),
+                 ConfigError, id="perp-moment-k0"),
+    pytest.param(lambda: identity(2000, 2), UnsupportedDimensionError, id="identity"),
+    pytest.param(lambda: identity(np.int64(2), 64), UnsupportedDimensionError,
+                 id="identity-int64-wraps"),
+    pytest.param(lambda: identity(2.5, 2), ConfigError, id="identity-float"),
+    pytest.param(lambda: basis_ket((0, 0), 2000), UnsupportedDimensionError, id="basis-ket"),
+    pytest.param(lambda: kron(identity(32, 2), identity(32, 2)), UnsupportedDimensionError,
+                 id="kron"),
+    pytest.param(lambda: perm_operator((2, 1), 2, 2000), UnsupportedDimensionError,
+                 id="perm-operator"),
+    pytest.param(lambda: swap(1, 2, 2, 2000), UnsupportedDimensionError, id="swap"),
+    pytest.param(lambda: symmetrizer((1, 2), 2, 2000), UnsupportedDimensionError,
+                 id="symmetrizer"),
+    pytest.param(lambda: antisymmetrizer((1, 2), 2, 2000), UnsupportedDimensionError,
+                 id="antisymmetrizer"),
+    pytest.param(lambda: outcome_class_index(40, 2), UnsupportedDimensionError,
+                 id="outcome-class-index"),
+])
+def test_the_dense_operators_stop_at_1024_dimensions(call, error):
     # d ** slots <= 1024: labeled d = 32, unlabeled qubits (16) and the
     # qutrit class operators (81) fit; each operator takes 16 (d ** slots)^2
-    # bytes, and the twirl several times that
+    # bytes, and the twirl several times that.  Every dense builder checks
+    # its integers and the bound, and the Haar layer its other arguments,
+    # before it allocates (each case after the first three once ended in a
+    # MemoryError, a raw ValueError or TypeError, or a NaN or empty operator)
     assert Scenario("labeled", 32).dim == 32
-    with pytest.raises(UnsupportedDimensionError):
-        Scenario("labeled", 33)
-    with pytest.raises(UnsupportedDimensionError):
-        labeled_class_operators(1000)
-    with pytest.raises(UnsupportedDimensionError):
-        unlabeled_operators(6)
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("bad", [2.5, True, 3.0, "3", None])

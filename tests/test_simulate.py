@@ -706,6 +706,23 @@ def test_invariance_is_read_off_rho(tmp_path):
     rng = np.random.default_rng(12)
     for d, n in ((2, 2), (3, 2), (5, 2), (2, 4)):
         assert not _is_invariant(_random_mixed_state(d, n, 3, rng).rho)
+    # larger labeled spaces: a Werner-type mixture of 1 and SWAP is invariant,
+    # a rank-2 mixture of antisymmetric vectors is not
+    for d in (8, 16):
+        assert _is_invariant(_invariant_mixture(d, 0.3).rho)
+        assert not _is_invariant(_antisymmetric_mixture(d, (0.6, 0.4), d).rho)
+
+
+def test_invariance_holds_within_tol_abs():
+    # a full-rank invariant state moved by eps H, with H traceless, Hermitian
+    # and outside the span of 1 and SWAP: a move far below TOL_ABS keeps the
+    # state invariant, a visible one does not
+    rho = _invariant_mixture(3, 0.3).rho.mat
+    h = np.zeros((9, 9), dtype=complex)
+    h[1, 1], h[3, 3] = 1.0, -1.0  # |01><01| - |10><10|
+    h[1, 5], h[5, 1] = 1j, -1j  # i |01><12| + h.c.
+    assert _is_invariant(Operator(rho + 1e-13 * h, 3, 2))
+    assert not _is_invariant(Operator(rho + 1e-6 * h, 3, 2))
 
 
 @pytest.mark.parametrize("kind,d", [("labeled", 2), ("labeled", 3), ("labeled", 5),
