@@ -53,15 +53,7 @@ from .simulate import (
     sweep_theta,
     sweep_to_csv,
 )
-from .symmetry import (
-    antisymmetrizer,
-    basis_family,
-    pair_product,
-    perm_operator,
-    phi_minus,
-    swap,
-    symmetrizer,
-)
+from .symmetry import antisymmetrizer, basis_family
 from .tensors import (
     TOL_ABS,
     TOL_RANK,
@@ -80,9 +72,8 @@ __all__ = [
     # tensors
     "Operator", "Vector", "identity", "kron", "basis_ket", "support_projector", "rank",
     "TOL_ABS", "TOL_RANK",
-    # symmetry
-    "perm_operator", "swap", "symmetrizer", "antisymmetrizer", "pair_product",
-    "phi_minus", "basis_family",
+    # symmetry (verify's oracles; the benchmark's workloads read these two)
+    "antisymmetrizer", "basis_family",
     # haar
     "twirl", "mc_twirl", "haar_unitary", "haar_unitaries", "mc_perp_moment",
     "mc_agrees",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
@@ -35,13 +36,21 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .haar import twirl
-from .symmetry import basis_family
-from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_space, kron_arrays,
-                      support_projector)
+from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
+                      kron_arrays, support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
 UNLABELED_CLASSES = ("same_same", "same_diff", "diff_same", "diff_diff")
+
+
+def _check_angle(theta) -> float:
+    """theta as a float; ConfigError unless it is a real number (not a bool) and finite."""
+    if not isinstance(theta, numbers.Real) or isinstance(theta, bool):
+        raise ConfigError(f"an angle must be a real number, got {theta!r}")
+    if not math.isfinite(theta):
+        raise ConfigError(f"non-finite angle {theta!r}")
+    return float(theta)
 
 
 @dataclass(frozen=True)
@@ -92,11 +101,7 @@ class Observable:
     basis: np.ndarray
 
     def __post_init__(self):
-        try:
-            b = np.array(self.basis, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise InvalidObservableError(f"basis is not a complex matrix: {exc}") from exc
-        b.setflags(write=False)
+        b = _as_complex(self.basis, InvalidObservableError)
         object.__setattr__(self, "basis", b)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
             raise InvalidObservableError(f"basis must be square and nonempty, got shape {b.shape}")
@@ -117,6 +122,7 @@ class Observable:
     @classmethod
     def qubit_angle(cls, theta: float) -> "Observable":
         """Qubit basis rotated by theta from the computational one."""
+        theta = _check_angle(theta)
         c, s = math.cos(theta), math.sin(theta)
         return cls(np.array([[c, -s], [s, c]]))
 
@@ -303,13 +309,23 @@ def class_probabilities(a: Observable, b: Observable, state: TestState) -> np.nd
     return np.bincount(outcome_class_index(n, a.d), table.reshape(-1), 2 ** (n // 2))
 
 
+_S = 1 / math.sqrt(2)
+#: The kappa family (phi_a (x) phi_b - phi_b (x) phi_a) / sqrt2, ket 4 i + j =
+#: |i>|j> on the slot pairs (1, 2), (3, 4), for (a, b) = (00, 01), (00, 11),
+#: (11, 01) with phi_01 = (|01> + |10>) / sqrt2: a basis of Q_dd (verify).
+_KAPPA = tuple(Vector(np.bincount(list(v), list(v.values()), 16), 2, 4) for v in (
+    {1: _S * _S, 2: _S * _S, 4: -_S * _S, 8: -_S * _S},
+    {3: _S, 12: -_S},
+    {13: _S * _S, 14: _S * _S, 7: -_S * _S, 11: -_S * _S},
+))
+
+
 def kappa_state(j: int) -> TestState:
     """Pure test state on the j-th vector (1-based) of the kappa family."""
     _check_int("kappa index", j, 1)
-    fam = basis_family("kappa")
-    if j > len(fam):
-        raise ConfigError(f"kappa index must be 1..{len(fam)}, got {j}")
-    return TestState.pure(fam[j - 1])
+    if j > len(_KAPPA):
+        raise ConfigError(f"kappa index must be 1..{len(_KAPPA)}, got {j}")
+    return TestState.pure(_KAPPA[j - 1])
 
 
 @lru_cache(maxsize=None)
@@ -422,4 +438,4 @@ def analytic_success(scenario: Scenario, state: Optional[TestState] = None) -> S
 def pairwise_success_angle(theta: float) -> float:
     """Success of the optimal unlabeled test state for a fixed qubit basis pair
     at angle theta: (2/3) sin^2(2 theta)."""
-    return (2.0 / 3.0) * math.sin(2.0 * theta) ** 2
+    return (2.0 / 3.0) * math.sin(2.0 * _check_angle(theta)) ** 2

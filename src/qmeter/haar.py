@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidStateError
-from .symmetry import _slot_targets
 from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_space
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -54,6 +53,19 @@ def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.
     if not np.all(np.isfinite(diagonals)):
         raise ConfigError("twirl needs finite diagonals")
     return k, diagonals
+
+
+def _slot_targets(images, n: int, d: int) -> np.ndarray:
+    """Index map of slot permutations on (C^d)^(x)n.
+
+    `images` is one permutation, shape (n,), or a stack of them, shape
+    (P, n): images[a-1] is the slot that receives the content of slot a.
+    Returns the basis index that each ket |i> goes to, shape (d**n,) or
+    (P, d**n): the ket whose slot images[a-1] carries the digit i_a, so slot
+    a's digit moves to the place value d**(n - images[a-1]).
+    """
+    digits = np.indices((d,) * n).reshape(n, -1)  # (n, d**n), slot 1 first
+    return d ** (n - np.asarray(images)) @ digits
 
 
 def _block_targets(blocks: Sequence[int], d: int) -> np.ndarray:
@@ -94,7 +106,7 @@ def twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int) -> np.ndarray:
     block in place.  The projection goes through the pseudo-inverse of their
     Gram matrix (Weingarten calculus), so it also holds for d < k.
 
-    Each P_s is taken as its index map t_s (symmetry._slot_targets), never as
+    Each P_s is taken as its index map t_s (_slot_targets), never as
     a matrix, and the overlap tr(P_s^T X_i) sums X_i's diagonal over the
     fixed points of t_s (``_project`` does the rest).
     """
@@ -118,9 +130,12 @@ def _is_invariant(rho: Operator) -> bool:
 # ----------------------------------------------------------------- sampling
 
 def rng_from(seed: RngLike) -> np.random.Generator:
-    """Coerce None / int / SeedSequence / Generator into a Generator."""
+    """Coerce None / int >= 0 / SeedSequence / Generator into a Generator: the
+    one seed rule of every seeded call.  Anything else, a bool too, is a ConfigError."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if not (seed is None or isinstance(seed, np.random.SeedSequence)):
+        _check_int("seed", seed, 0)
     return np.random.default_rng(seed)
 
 

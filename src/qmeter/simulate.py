@@ -147,7 +147,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -161,6 +160,7 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    _check_angle,
     _check_scenario,
     class_probabilities,
     conclusive_classes,
@@ -662,13 +662,7 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     """
     _check_trials(trials)
     _check_int("seed", seed, 0)
-    try:
-        thetas = [float(theta) for theta in thetas]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta grid has an angle that is not a number: {exc}") from exc
-    bad = [theta for theta in thetas if not math.isfinite(theta)]
-    if bad:
-        raise ConfigError(f"theta grid has a non-finite angle: {bad[0]!r}")
+    thetas = [_check_angle(theta) for theta in thetas]
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     conclusive = [scen.classes.index(name) for name in conclusive_classes(scen, state)]
@@ -695,6 +689,8 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theta", "trials", "empirical", "stderr", "analytic"])
     for p in points:
+        if not isinstance(p, SweepPoint):
+            raise ConfigError(f"sweep_to_csv needs SweepPoints, got {p!r}")
         writer.writerow([repr(p.theta), p.trials, repr(p.empirical),
                          repr(p.stderr), repr(p.analytic)])
     return buf.getvalue()

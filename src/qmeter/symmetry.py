@@ -1,16 +1,16 @@
-"""Permutation symmetry on n-fold tensor products and named four-qubit bases.
+"""Permutation symmetry on n-fold tensor products and named four-qubit bases,
+the closed forms that the verify battery checks the class operators against.
 
-A slot permutation maps every computational basis ket to another basis ket,
-so it is fully described by an index map: the target index of each of the
-d**n kets (``_slot_targets``, for one permutation or a stack of them).
-Every permutation operator here is built from such maps by scattering ones,
-or weights, at (target[i], i): ``perm_operator`` is one scatter, and a
-symmetrizer, the average over the |S|! permutations of a slot subset S
-(leaving the other slots alone), is one ``bincount`` over all |S|! maps.  No
-dense matrix is built per permutation.  ``haar.twirl`` works on the same
-maps.  The four-qubit basis families (eta, kappa, omega and their
-primed/complementary variants) are the exact vectors used to analyse the
-no-error subspaces of two-shot measurement comparison.
+A slot permutation is fully described by its index map, the target of each
+of the d**n basis kets (``haar._slot_targets``).  Every permutation operator
+here is one weighted ``bincount`` at the cells (target[i], i) of one or more
+maps (``_scatter``): one map for ``perm_operator``, the identity and the swap
+for ``antisymmetrizer``, and all |S|! maps of a slot subset S for its
+symmetrizer.  The scatter is kept apart from ``haar._project`` so that these
+oracles share no code with ``haar.twirl``.  The four-qubit basis families
+(eta, kappa, omega and their primed variants) are the exact vectors used to
+analyse the no-error subspaces; kappa is ``comparison._KAPPA``, the vectors
+that campaigns use.
 """
 from __future__ import annotations
 
@@ -21,7 +21,9 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .comparison import _KAPPA
 from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .haar import _slot_targets
 from .tensors import Operator, Vector, _check_space
 
 #: the three ways to split four slots into two ordered pairs
@@ -44,17 +46,15 @@ def _check_slots(slots: Sequence[int], n: int) -> Tuple[int, ...]:
     return slots
 
 
-def _slot_targets(images, n: int, d: int) -> np.ndarray:
-    """Index map of slot permutations on (C^d)^(x)n.
-
-    `images` is one permutation, shape (n,), or a stack of them, shape
-    (P, n), in the convention of perm_operator.  Returns the basis index that
-    each ket |i> goes to, shape (d**n,) or (P, d**n): the ket whose slot
-    images[a-1] carries the digit i_a, so slot a's digit moves to the place
-    value d**(n - images[a-1]).
-    """
-    digits = np.indices((d,) * n).reshape(n, -1)  # (n, d**n), slot 1 first
-    return d ** (n - np.asarray(images)) @ digits
+def _scatter(images, n: int, d: int, weights=None) -> np.ndarray:
+    """Dense sum_s w_s P_s of the slot permutations in the stack `images`
+    (P, n): one bincount of w_s at the cells (t_s[i], i) of their index maps.
+    Without weights every w_s is 1 and the entries are integer counts."""
+    dim = d ** n
+    cells = _slot_targets(images, n, d) * dim + np.arange(dim)
+    if weights is not None:
+        weights = np.repeat(weights, dim)
+    return np.bincount(cells.ravel(), weights, dim * dim).reshape(dim, dim)
 
 
 def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
@@ -68,10 +68,7 @@ def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
     if sorted(images) != list(range(1, n + 1)):
         raise DimensionMismatchError(f"{images} is not a permutation of 1..{n}")
     _check_space(d, n)
-    dim = d ** n
-    mat = np.zeros((dim, dim))
-    mat[_slot_targets(images, n, d), np.arange(dim)] = 1.0
-    return Operator(mat, d, n)
+    return Operator(_scatter([images], n, d), d, n)
 
 
 def swap(a: int, b: int, n: int, d: int) -> Operator:
@@ -94,11 +91,8 @@ def symmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
     sigmas = list(itertools.permutations(slots))
     images = np.tile(np.arange(1, n + 1), (len(sigmas), 1))
     images[:, np.subtract(slots, 1)] = sigmas
-    dim = d ** n
     # entry (a, b) counts the permutations that send ket b to ket a
-    cells = _slot_targets(images, n, d) * dim + np.arange(dim)
-    counts = np.bincount(cells.ravel(), minlength=dim * dim).reshape(dim, dim)
-    return Operator(counts / len(sigmas), d, n)
+    return Operator(_scatter(images, n, d) / len(sigmas), d, n)
 
 
 def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
@@ -108,10 +102,10 @@ def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
         raise UnsupportedDimensionError(
             f"antisymmetrizer is provided for slot pairs only, got {len(slots)} slots"
         )
-    a, b = slots
     _check_space(d, n)
-    eye = np.eye(d ** n)
-    return Operator((eye - swap(a, b, n, d).mat) / 2, d, n)
+    images = np.tile(np.arange(1, n + 1), (2, 1))
+    images[1, np.subtract(slots, 1)] = slots[::-1]  # the identity, then the swap
+    return Operator(_scatter(images, n, d, (0.5, -0.5)), d, n)
 
 
 def split_pairs(split: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -183,11 +177,8 @@ def basis_family(family: str) -> Tuple[Vector, ...]:
     p00, p01, p11 = phi_plus(0, 0), phi_plus(0, 1), phi_plus(1, 1)
     m01 = phi_minus(0, 1)
 
-    def on(x, pa, y, pb):
-        return pair_product(x, pa, y, pb)
-
     def pp(x, y):  # both pairs in standard position
-        return on(x, (1, 2), y, (3, 4))
+        return pair_product(x, (1, 2), y, (3, 4))
 
     if family == "eta":
         s2, s6 = math.sqrt(2), math.sqrt(6)
@@ -199,12 +190,7 @@ def basis_family(family: str) -> Tuple[Vector, ...]:
             pp(p11, p11),
         )
     if family == "kappa":
-        s2 = math.sqrt(2)
-        return (
-            (1 / s2) * (pp(p00, p01) - pp(p01, p00)),
-            (1 / s2) * (pp(p00, p11) - pp(p11, p00)),
-            (1 / s2) * (pp(p11, p01) - pp(p01, p11)),
-        )
+        return _KAPPA
     if family == "kappa_prime":
         s3 = math.sqrt(3)
         return ((1 / s3) * (pp(p01, p01) - pp(p00, p11) - pp(p11, p00)),)
@@ -223,7 +209,7 @@ def basis_family(family: str) -> Tuple[Vector, ...]:
         def corner(plus_vec):
             acc = np.zeros(16, dtype=complex)
             for s, (pa, pb) in zip(signs, placements):
-                acc = acc + s * on(plus_vec, pa, m01, pb).vec
+                acc = acc + s * pair_product(plus_vec, pa, m01, pb).vec
             return Vector(acc, 2, 4)
 
         middle = pp(p00, p11) - pp(p11, p00) + (2 * mid_sign) * pp(p01, m01)

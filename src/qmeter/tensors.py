@@ -64,8 +64,12 @@ def _check_space(d: int, n: int) -> None:
         )
 
 
-def _as_complex(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128)
+def _as_complex(a, error: type = ConfigError) -> np.ndarray:
+    """a as a read-only complex128 array; `error` if a holds anything else."""
+    try:
+        arr = np.array(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise error(f"not an array of complex numbers: {exc}") from exc
     arr.setflags(write=False)
     return arr
 

@@ -29,9 +29,9 @@ from qmeter import (
     rank,
     run_campaign,
     sweep_theta,
-    symmetrizer,
     unlabeled_operators,
 )
+from qmeter.symmetry import symmetrizer
 from qmeter.tensors import Vector
 from qmeter.verify import perp_moment, pure_moment, r_operator, rbar, singlet_pairing_state
 

@@ -37,17 +37,16 @@ from qmeter import (
     outcome_class_index,
     outcome_table,
     pairwise_success_angle,
-    perm_operator,
     rank,
     run_campaign,
     run_trial,
     support_projector,
-    swap,
-    symmetrizer,
+    sweep_to_csv,
     twirl,
     unlabeled_operators,
 )
 from qmeter.comparison import _optimum
+from qmeter.symmetry import perm_operator, swap, symmetrizer
 from qmeter.verify import antisymmetric_state, singlet_pairing_state
 
 HADAMARD = Observable(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -228,6 +227,23 @@ _ST = antisymmetric_state(2)
 def test_a_bad_scenario_or_state_is_a_qmeter_error(call):
     # each of these once ended in a raw AttributeError; the list would also
     # fail the hash of the optimal state's cache with a TypeError
+    with pytest.raises(QmeterError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TestState.from_matrix("abc", 2, 2),
+    lambda: Operator([["a"]], 1, 1),
+    lambda: Vector(["a", "b"], 2, 1),
+    lambda: Observable.qubit_angle("a"),
+    lambda: pairwise_success_angle("a"),
+    lambda: pairwise_success_angle(float("nan")),
+    lambda: sweep_to_csv([1]),
+], ids=["state-matrix", "operator", "vector", "qubit-angle", "angle-law", "angle-law-nan",
+        "sweep-csv"])
+def test_non_numeric_input_is_a_qmeter_error(call):
+    # each of these once ended in a raw ValueError, TypeError or
+    # AttributeError, or (the NaN angle) returned NaN
     with pytest.raises(QmeterError):
         call()
 

@@ -8,6 +8,8 @@ from qmeter import (
     TOL_RANK,
     ConfigError,
     DimensionMismatchError,
+    Observable,
+    Scenario,
     Vector,
     basis_ket,
     haar_unitaries,
@@ -16,14 +18,14 @@ from qmeter import (
     mc_agrees,
     mc_perp_moment,
     mc_twirl,
+    optimal_test_state,
     outcome_class_index,
-    perm_operator,
-    swap,
-    symmetrizer,
+    run_trial,
     twirl,
     unlabeled_operators,
 )
 from qmeter.haar import _MatrixMean, haar_vectors
+from qmeter.symmetry import perm_operator, swap, symmetrizer
 from qmeter.verify import perp_moment, pure_moment, r_operator, rbar
 
 SEED = 20240817
@@ -330,6 +332,29 @@ def test_mc_twirl_rejects_bad_input():
                  lambda: haar_vectors(0, 3), lambda: haar_vectors(2, -1)):
         with pytest.raises(ConfigError):
             draw()
+
+
+_Z2 = Observable.computational(2)
+#: every seeded public call, as a function of its seed
+_SEEDED = {
+    "run_trial": lambda seed: run_trial(Scenario("labeled", 2), _Z2, _Z2,
+                                        optimal_test_state(Scenario("labeled", 2)), rng=seed),
+    "mc_twirl": lambda seed: mc_twirl(np.eye(1, 4), (2,), 2, samples=1, seed=seed),
+    "mc_perp_moment": lambda seed: mc_perp_moment(Vector(np.array([1.0, 0.0]), 2, 1), 2,
+                                                  samples=1, seed=seed),
+    "haar_vectors": lambda seed: haar_vectors(2, 1, seed),
+    "haar_unitaries": lambda seed: haar_unitaries(2, 1, seed),
+    "random_observable": lambda seed: Observable.random(2, seed),
+}
+
+
+@pytest.mark.parametrize("seed", ["x", 2.5, -1, True], ids=repr)
+@pytest.mark.parametrize("call", sorted(_SEEDED))
+def test_every_seeded_call_rejects_a_bad_seed(call, seed):
+    # haar.rng_from is the one seed rule: a string or a float once raised a
+    # raw TypeError, -1 a raw ValueError, and True was taken as seed 1
+    with pytest.raises(ConfigError):
+        _SEEDED[call](seed)
 
 
 def test_mc_agrees_rejects_bad_target():

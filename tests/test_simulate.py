@@ -30,7 +30,6 @@ from qmeter import (
     resolve_test_state,
     run_campaign,
     run_trial,
-    swap,
     sweep_theta,
     sweep_to_csv,
     unlabeled_operators,
@@ -50,6 +49,7 @@ from qmeter.simulate import (
     _sample_rows,
     _shard_counts,
 )
+from qmeter.symmetry import swap
 
 SCHEMA_PATH = "docs/campaign_result.schema.json"
 

@@ -11,14 +11,10 @@ from qmeter import (
     UnsupportedDimensionError,
     antisymmetrizer,
     basis_family,
-    pair_product,
-    perm_operator,
-    phi_minus,
     rank,
-    swap,
-    symmetrizer,
 )
-from qmeter.symmetry import SPLITS, phi_plus, split_pairs, sym_dim
+from qmeter.symmetry import (SPLITS, pair_product, perm_operator, phi_minus, phi_plus, split_pairs,
+                             swap, sym_dim, symmetrizer)
 
 
 @pytest.mark.parametrize("d,k,expected", [

@@ -1,6 +1,7 @@
 import numpy as np
 
-from qmeter import Vector, pair_product, phi_minus, verify
+from qmeter import Vector, verify
+from qmeter.symmetry import pair_product, phi_minus
 from qmeter.verify import all_passed, render_report, run_checks
 
 
