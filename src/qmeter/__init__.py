@@ -39,7 +39,7 @@ from .errors import (
     QmeterError,
     UnsupportedDimensionError,
 )
-from .haar import haar_unitaries, haar_unitary, mc_agrees, mc_perp_moment, mc_twirl, twirl
+from .haar import haar_unitaries, mc_agrees, mc_perp_moment, mc_twirl, twirl
 from .simulate import (
     CampaignConfig,
     CampaignResult,
@@ -75,8 +75,7 @@ __all__ = [
     # symmetry (verify's oracles; the benchmark's workloads read these two)
     "antisymmetrizer", "basis_family",
     # haar
-    "twirl", "mc_twirl", "haar_unitary", "haar_unitaries", "mc_perp_moment",
-    "mc_agrees",
+    "twirl", "mc_twirl", "haar_unitaries", "mc_perp_moment", "mc_agrees",
     # comparison
     "Scenario", "Observable", "TestState", "ClassOperators", "SuccessReport",
     "LABELED_CLASSES", "UNLABELED_CLASSES", "labeled_class_operators",

@@ -130,7 +130,7 @@ class Observable:
     def random(cls, d: int, rng=None) -> "Observable":
         if isinstance(d, (int, np.integer)) and d < 1:
             raise InvalidObservableError(f"basis dimension must be >= 1, got {d}")
-        return cls(_haar.haar_unitary(d, rng))
+        return cls(_haar.haar_unitaries(d, 1, rng)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,20 +191,16 @@ class TestState:
             raise InvalidStateError(f"pure test state is not normalized: {vec.norm()!r}")
         return cls(vec.projector())
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, d: int, n: int) -> "TestState":
-        return cls(Operator(mat, d, n))
-
 
 @dataclass(frozen=True, eq=False)
 class ClassOperators:
-    """Averaged operators of one outcome class under both hypotheses.
+    """Averaged operators of one outcome class under both hypotheses, the
+    value at the class's name in labeled_class_operators or unlabeled_operators.
 
     no_error = support(different) - support(equal): the subspace whose
     states can yield this class, but never for equal devices.
     """
 
-    outcome_class: str
     equal: Operator
     different: Operator
     support_equal: Operator
@@ -220,7 +216,7 @@ def _class_ops(name: str, equal: Operator, different: Operator) -> ClassOperator
             f"no-error subspace of class {name} is not a projector; "
             "support(equal) is not contained in the class domain"
         )
-    return ClassOperators(name, equal, different, sup_eq, q)
+    return ClassOperators(equal, different, sup_eq, q)
 
 
 @lru_cache(maxsize=None)
@@ -357,10 +353,10 @@ def optimal_test_state(scenario: Scenario) -> TestState:
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """Analytic conclusive-class probabilities under the different hypothesis."""
+    """Analytic conclusive-class probabilities under the different hypothesis:
+    per_class maps each conclusive class, in the order of Scenario.classes,
+    to tr(rho O_c^diff), and total is their sum."""
 
-    scenario: Scenario
-    classes: Tuple[str, ...]
     per_class: Mapping[str, float]
     total: float
 
@@ -427,12 +423,8 @@ def analytic_success(scenario: Scenario, state: Optional[TestState] = None) -> S
     if state is None:
         state = optimal_test_state(scenario)
     per_class = _certified(scenario, state)
-    return SuccessReport(
-        scenario=scenario,
-        classes=tuple(per_class),
-        per_class=MappingProxyType(per_class),
-        total=float(sum(per_class.values())),
-    )
+    return SuccessReport(per_class=MappingProxyType(per_class),
+                         total=float(sum(per_class.values())))
 
 
 def pairwise_success_angle(theta: float) -> float:

@@ -172,7 +172,7 @@ from .comparison import (
 )
 from .errors import ConfigError, ConsistencyError
 from .haar import _is_invariant, haar_unitaries, rng_from
-from .tensors import TOL_ABS, TOL_RANK, Vector, _check_int
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
@@ -226,9 +226,9 @@ def _check_trials(trials) -> None:
 
 @dataclass(frozen=True)
 class TruthResult:
-    """Counts from the sub-campaign run under one ground truth."""
+    """Counts from the sub-campaign run under one ground truth, the value at
+    that truth in CampaignResult.results."""
 
-    ground_truth: str
     trials: int
     class_counts: Mapping[str, int]
     different_verdicts: int
@@ -337,7 +337,7 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
             raise ConfigError(
                 f"density matrix in {path!r} has shape {arr.shape}, expected ({dim}, {dim})"
             )
-        return TestState.from_matrix(arr, d, n)
+        return TestState(Operator(arr, d, n))
     raise ConfigError(f"test state file {path!r} must hold a vector or a matrix")
 
 
@@ -636,7 +636,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         else:
             counts = sum(_fixed_law_counts(equal_law, seed, truth, *shard) for shard in shards)
         totals = dict(zip(scen.classes, counts.tolist()))
-        results[truth] = TruthResult(ground_truth=truth, trials=trials, class_counts=totals,
+        results[truth] = TruthResult(trials=trials, class_counts=totals,
                                      different_verdicts=sum(totals[c] for c in conclusive))
     return CampaignResult(config=config, conclusive=conclusive, results=results)
 

@@ -5,12 +5,13 @@ reports a name it cannot find as a missing layer instead of failing; the
 benchmark's workloads call the public API by name, and a name or a keyword
 parameter that is gone turns a benchmark run into a failed run.  So a rename
 or deletion in qmeter would silently drop a layer or a run from the
-benchmark; these tests fail instead.  The last test pins the public surface,
-qmeter.__all__."""
+benchmark; these tests fail instead.  The last two tests pin the public
+surface, qmeter.__all__, and the fields of its result types."""
 import ast
 import importlib
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,8 @@ REMOVED = ("LabeledAverages", "labeled_outcome_probabilities", "labeled_outcome_
            "observable_pair_angle", "optimal_success_over_subspace", "zero", "vkron",
            "SPLITS", "split_pairs", "sym_dim", "phi_plus", "UnambiguityError",
            "singlet_pairing_state", "run_labeled_trial", "run_unlabeled_trial",
-           "perm_operator", "swap", "symmetrizer", "pair_product", "phi_minus")
+           "perm_operator", "swap", "symmetrizer", "pair_product", "phi_minus",
+           "haar_unitary")
 
 
 def _hooks() -> list:
@@ -122,7 +124,18 @@ def test_every_call_the_benchmark_makes_binds():
 
 
 def test_the_public_surface_is_pinned():
-    assert len(qmeter.__all__) == len(set(qmeter.__all__)) == 58
+    assert len(qmeter.__all__) == len(set(qmeter.__all__)) == 57
     assert [name for name in qmeter.__all__ if not hasattr(qmeter, name)] == []
     assert [name for name in REMOVED if hasattr(qmeter, name)] == []
     assert "outcome_table" in qmeter.__all__ and "class_probabilities" in qmeter.__all__
+
+
+def test_each_result_fact_has_one_spelling():
+    # a class is the key of its operators, a truth the key of its counts
+    assert [f.name for f in fields(qmeter.SuccessReport)] == ["per_class", "total"]
+    assert [f.name for f in fields(qmeter.ClassOperators)] == [
+        "equal", "different", "support_equal", "no_error"]
+    assert [f.name for f in fields(qmeter.TruthResult)] == [
+        "trials", "class_counts", "different_verdicts"]
+    assert not hasattr(qmeter.TestState, "from_matrix")
+    assert "out" not in inspect.signature(qmeter.haar.haar_vectors).parameters

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qmeter import (
     TOL_ABS,
     Observable,
+    Operator,
     Scenario,
     TestState,
     Vector,
@@ -59,7 +60,7 @@ def test_a_negative_eigenvalue_does_not_mask_a_leak():
     a = b = 8e-11
     rho = ((1 - a + b) * PHI_Q.projector().mat + a * ETA[1].projector().mat
            - b * ETA[2].projector().mat)
-    _assert_uncertified(TestState.from_matrix(rho, 2, 4))
+    _assert_uncertified(TestState(Operator(rho, 2, 4)))
 
 
 # --- property tests -------------------------------------------------------------
@@ -85,7 +86,7 @@ NO_ERROR_CASES = st.tuples(st.sampled_from(_BUILDERS), SEEDS).map(
 def _state(scen: Scenario, weights, vecs) -> TestState:
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     rho = np.einsum("r,ri,rj->ij", weights, vecs, vecs.conj())
-    return TestState.from_matrix(rho, scen.dim, scen.slots)
+    return TestState(Operator(rho, scen.dim, scen.slots))
 
 
 def _equal_device_tables(scen: Scenario, us, vecs) -> np.ndarray:
@@ -113,7 +114,7 @@ def test_states_inside_the_no_error_subspace_are_certified(case):
     scen, cls, weights, vecs = case
     state = _state(scen, weights, vecs)
     assert cls in conclusive_classes(scen, state)
-    assert cls in analytic_success(scen, state).classes
+    assert cls in tuple(analytic_success(scen, state).per_class)
 
 
 @settings(max_examples=15, deadline=None)

@@ -166,17 +166,17 @@ def test_observable_random_is_seeded():
 
 def test_test_state_validation():
     with pytest.raises(InvalidStateError):
-        TestState.from_matrix(np.eye(4), 2, 2)  # trace 4
+        TestState(Operator(np.eye(4), 2, 2))  # trace 4
     with pytest.raises(InvalidStateError):
-        TestState.from_matrix(np.diag([0.7, 0.5, -0.2, 0.0]), 2, 2)  # negative
+        TestState(Operator(np.diag([0.7, 0.5, -0.2, 0.0]), 2, 2))  # negative
     for bad in (np.nan, np.inf):  # comparisons pass NaN; eigvalsh would raise LinAlgError
         with pytest.raises(InvalidStateError):
-            TestState.from_matrix(np.diag([0.25, 0.25, 0.25, bad]), 2, 2)
+            TestState(Operator(np.diag([0.25, 0.25, 0.25, bad]), 2, 2))
         with pytest.raises(InvalidStateError):
             TestState.pure(Vector(np.full(4, bad), 2, 2))
     with pytest.raises(InvalidStateError):  # once an AttributeError on .mat
         TestState(np.eye(4) / 4)
-    ok = TestState.from_matrix(np.diag([0.25] * 4), 2, 2)
+    ok = TestState(Operator(np.diag([0.25] * 4), 2, 2))
     w, v = ok.pure_components()
     assert w.shape == (4,)
     assert v.shape == (4, 4)
@@ -189,8 +189,8 @@ def test_pure_components_keep_the_structural_zeros():
     # kernel skips them (kappa vectors: 4, 2 and 4 nonzero entries of 16;
     # phi_Q: 6)
     fam = basis_family("kappa")
-    mix = TestState.from_matrix(
-        sum(w * v.projector().mat for w, v in zip((0.5, 0.3, 0.2), fam)), 2, 4)
+    mix = TestState(Operator(
+        sum(w * v.projector().mat for w, v in zip((0.5, 0.3, 0.2), fam)), 2, 4))
     w, v = mix.pure_components()
     assert_allclose(w, (0.2, 0.3, 0.5), rtol=0, atol=1e-12)
     for vec, exact in zip(v, fam[::-1]):
@@ -232,7 +232,7 @@ def test_a_bad_scenario_or_state_is_a_qmeter_error(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: TestState.from_matrix("abc", 2, 2),
+    lambda: TestState(Operator("abc", 2, 2)),
     lambda: Operator([["a"]], 1, 1),
     lambda: Vector(["a", "b"], 2, 1),
     lambda: Observable.qubit_angle("a"),
@@ -433,7 +433,7 @@ def test_outcome_tables_equal_the_np_kron_construction(n, d):
         a, b = Observable.random(d, rng), Observable.random(d, rng)
         w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
         expected = np.real(np.diagonal(w.conj().T @ rho @ w)).reshape((d,) * n)
-        assert np.array_equal(outcome_table(a, b, TestState.from_matrix(rho, d, n)), expected)
+        assert np.array_equal(outcome_table(a, b, TestState(Operator(rho, d, n))), expected)
 
 
 def test_unlabeled_angle_law_on_grid():
@@ -506,4 +506,4 @@ def test_analytic_success_validates_claims():
     # same_same is never conclusive: equal devices can always land there
     scen = Scenario("unlabeled", 2)
     assert "same_same" not in conclusive_classes(scen, optimal_test_state(scen))
-    assert analytic_success(scen).classes == conclusive_classes(scen, optimal_test_state(scen))
+    assert tuple(analytic_success(scen).per_class) == conclusive_classes(scen, optimal_test_state(scen))

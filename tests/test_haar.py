@@ -13,7 +13,6 @@ from qmeter import (
     Vector,
     basis_ket,
     haar_unitaries,
-    haar_unitary,
     labeled_class_operators,
     mc_agrees,
     mc_perp_moment,
@@ -101,7 +100,7 @@ def test_perp_moment_qubit_collapses_to_orthogonal_state():
 
 
 def test_perp_moment_support_avoids_psi():
-    psi = Vector(haar_unitary(3, np.random.default_rng(1))[:, 0], 3, 1)
+    psi = Vector(haar_unitaries(3, 1, np.random.default_rng(1))[0][:, 0], 3, 1)
     m = perp_moment(psi, 2)
     # acting on anything containing |psi> in either slot gives zero
     probe = np.kron(psi.vec.reshape(3, 1), np.eye(3))  # columns |psi> (x) |e_j>
@@ -131,9 +130,9 @@ def test_rbar_completeness(d):
 # --- Haar sampling ----------------------------------------------------------
 
 def test_haar_unitary_is_unitary_and_seeded():
-    u = haar_unitary(3, np.random.default_rng(SEED))
+    u = haar_unitaries(3, 1, np.random.default_rng(SEED))[0]
     assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-    v = haar_unitary(3, np.random.default_rng(SEED))
+    v = haar_unitaries(3, 1, np.random.default_rng(SEED))[0]
     assert_allclose(u, v)
 
 
@@ -259,7 +258,7 @@ def test_mc_pure_moment(d, k):
 
 
 def test_mc_perp_moment():
-    psi = Vector(haar_unitary(2, np.random.default_rng(8))[:, 0], 2, 1)
+    psi = Vector(haar_unitaries(2, 1, np.random.default_rng(8))[0][:, 0], 2, 1)
     mean, se = mc_perp_moment(psi, 2, samples=20000, seed=SEED)
     _assert_moment_agrees(mean, se, perp_moment(psi, 2).mat)
 
@@ -327,7 +326,7 @@ def test_mc_twirl_rejects_bad_input():
             mc_perp_moment(Vector(np.array([1.0, 0.0]), 2, 1), 2, samples=samples, seed=SEED)
     # the draws behind them: numpy's ValueError for a negative size or
     # dimension, and an empty stack for d = 0
-    for draw in (lambda: haar_unitaries(2, -1), lambda: haar_unitary(-2),
+    for draw in (lambda: haar_unitaries(2, -1), lambda: haar_unitaries(-2, 1),
                  lambda: haar_unitaries(0, 3), lambda: haar_unitaries(2.0, 3),
                  lambda: haar_vectors(0, 3), lambda: haar_vectors(2, -1)):
         with pytest.raises(ConfigError):

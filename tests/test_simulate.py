@@ -491,7 +491,7 @@ def _invariant_mixture(d: int, w_sym: float) -> TestState:
     s = swap(1, 2, 2, d).mat
     one = np.eye(d * d)
     rho = w_sym * (one + s) / (d * (d + 1)) + (1 - w_sym) * (one - s) / (d * (d - 1))
-    return TestState.from_matrix(rho, d, 2)
+    return TestState(Operator(rho, d, 2))
 
 
 def _invariant_mixture_file(tmp_path) -> str:
@@ -516,7 +516,7 @@ def _antisymmetric_mixture(d: int, weights, seed: int) -> TestState:
     vecs = (x - x.transpose(0, 2, 1)).reshape(len(weights), -1)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     rho = np.einsum("r,ri,rj->ij", np.asarray(weights), vecs, vecs.conj())
-    return TestState.from_matrix(rho, d, 2)
+    return TestState(Operator(rho, d, 2))
 
 
 def _antisymmetric_mixture_file(tmp_path) -> str:
@@ -534,7 +534,7 @@ def _spin0_mixture() -> TestState:
     pairings = np.stack([np.einsum("ac,bd->abcd", s, s).reshape(-1),
                          np.einsum("ad,bc->abcd", s, s).reshape(-1)], axis=1)
     q, _ = np.linalg.qr(pairings)
-    return TestState.from_matrix(q @ q.conj().T / 2, 2, 4)
+    return TestState(Operator(q @ q.conj().T / 2, 2, 4))
 
 
 def _spin0_mixture_file(tmp_path) -> str:
@@ -686,7 +686,7 @@ def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypat
 def _random_mixed_state(d: int, n: int, rank: int, rng) -> TestState:
     g = rng.normal(size=(d ** n, rank)) + 1j * rng.normal(size=(d ** n, rank))
     rho = g @ g.conj().T
-    return TestState.from_matrix(rho / np.trace(rho).real, d, n)
+    return TestState(Operator(rho / np.trace(rho).real, d, n))
 
 
 def test_invariance_is_read_off_rho(tmp_path):
