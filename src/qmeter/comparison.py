@@ -187,6 +187,8 @@ class TestState:
 
     @classmethod
     def pure(cls, vec: Vector) -> "TestState":
+        if not isinstance(vec, Vector):
+            raise InvalidStateError(f"a pure test state needs a Vector, got {type(vec).__name__}")
         if abs(vec.norm() - 1.0) > TOL_ABS:
             raise InvalidStateError(f"pure test state is not normalized: {vec.norm()!r}")
         return cls(vec.projector())

@@ -24,13 +24,16 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidStateError
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_space
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
 # complex entries in one Monte Carlo batch (16 MB); the batch size follows
 # from the size of one sample
 _MC_BATCH_ENTRIES = 1 << 20
+# complex entries of one haar_vectors or haar_unitaries draw (2 GiB); a
+# campaign's largest, a labeled d = 32 "equal" batch, takes 2**23
+_MAX_DRAW_ENTRIES = 1 << 27
 #: standard errors within which mc_agrees accepts a Monte Carlo mean
 MC_NSIG = 5.0
 #: absolute slack of mc_agrees for entries of structurally zero variance
@@ -46,7 +49,10 @@ def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.
         _check_int("block", b, 1)
     k = sum(blocks)
     _check_space(d, k)
-    diagonals = np.asarray(diagonals, dtype=float)
+    try:
+        diagonals = np.asarray(diagonals, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"twirl needs real diagonals: {exc}") from exc
     if diagonals.ndim != 2 or diagonals.shape[1] != d ** k:
         raise DimensionMismatchError(f"twirl needs diagonals of shape (m, {d ** k}), "
                                      f"got {diagonals.shape}")
@@ -139,6 +145,17 @@ def rng_from(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_draw(d: int, size: int, axes: int) -> None:
+    """Check d, size and the d ** axes * size complex entries of one draw
+    before anything is allocated."""
+    _check_space(d, 1)
+    _check_int("size", size, 0)
+    entries = int(d) ** axes * int(size)  # Python integers, which do not wrap
+    if entries > _MAX_DRAW_ENTRIES:
+        raise ConfigError(f"{size} draws at d={d} take {entries} complex entries; "
+                          f"one call stops at {_MAX_DRAW_ENTRIES}")
+
+
 def _sphere(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Fill the C-contiguous complex128 (d, size) array x with `size` uniform
     unit vectors in C^d, one per column, and return it.
@@ -155,8 +172,7 @@ def haar_vectors(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     """Stack of `size` uniform unit vectors in C^d, as a (d, size) array with
     the batch last: column b is vector b (_sphere).  Every row of a Haar
     unitary has this law, and so does every column."""
-    _check_int("d", d, 1)
-    _check_int("size", size, 0)
+    _check_draw(d, size, 1)
     return _sphere(np.empty((d, size), dtype=np.complex128), rng_from(rng))
 
 
@@ -177,8 +193,7 @@ def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     column of all matrices.  Each level draws x in place, into the column
     it becomes, so a call allocates no buffer but the result.
     """
-    _check_int("d", d, 1)
-    _check_int("size", size, 0)
+    _check_draw(d, size, 2)
     gen = rng_from(rng)
     cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of U_b
     for k in range(1, d + 1):
@@ -300,7 +315,8 @@ def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray) -> tuple:
     structurally zero.  Returns (agrees, worst) where worst is the largest
     deviation measured in standard errors.
     """
-    dev = np.abs(mean - target)
+    dev = np.abs(_as_complex(mean) - _as_complex(target))
+    se = _as_complex(se).real  # a standard error is real
     ok = bool(np.all(dev <= MC_NSIG * se + MC_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(dev <= MC_FLOOR, 0.0, dev / np.maximum(se, MC_FLOOR))

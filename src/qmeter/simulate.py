@@ -117,8 +117,8 @@ no timestamps and sorted keys) are byte-identical across runs and across
 _SUBCHUNK trials, and each batch of B trials draws, in order:
 - labeled "different": one ``standard_exponential`` call of d B draws,
   a (d, B) array filled row by row;
-- labeled "equal": one ``haar_unitaries`` call for U (one ``haar_vectors``
-  call per level k = 1..d, d (d + 1) B normals in all);
+- labeled "equal": one ``haar_unitaries`` call for U (one sphere fill
+  per level k = 1..d, d (d + 1) B normals in all);
 - unlabeled: one ``haar_unitaries`` call for A (6 B normals at d = 2)
   unless A is along z (an invariant state's "different" stream), then one
   for B in a "different" stream;
@@ -151,6 +151,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,6 +163,7 @@ from .comparison import (
     TestState,
     _check_angle,
     _check_scenario,
+    _check_state,
     class_probabilities,
     conclusive_classes,
     kappa_state,
@@ -343,11 +345,18 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
 
 # ---------------------------------------------------------- single trials
 
+@lru_cache(maxsize=8)
+def _trial_certificate(scenario: Scenario, state: TestState) -> Tuple[str, ...]:
+    """conclusive_classes for run_trial, which a caller repeats on one state.
+    A TestState hashes by identity: only the same object is a hit."""
+    return conclusive_classes(scenario, state)
+
+
 def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState,
               rng=None) -> ShotRecord:
     """One trial of the scenario's protocol with fixed devices a and b: one
     outcome record drawn from their Born table (outcome_table) and judged by
-    the state's conclusive_classes, which also check its slots.
+    the state's conclusive_classes, computed once per scenario and state.
 
     In the unlabeled protocol each device's outcomes then pass through an
     unknown, uniformly random relabeling, an XOR with one random bit per
@@ -355,7 +364,9 @@ def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState
     they are unaffected.
     """
     gen = rng_from(rng)
-    conclusive = conclusive_classes(scenario, state)
+    _check_scenario(scenario)  # both before the cache, which cannot hash a list
+    _check_state(state, n=scenario.slots, d=scenario.dim)
+    conclusive = _trial_certificate(scenario, state)
     table = outcome_table(a, b, state)
     idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
     cls = scenario.classes[outcome_class_index(scenario.slots, scenario.dim)[idx]]

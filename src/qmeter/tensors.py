@@ -50,10 +50,10 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _check_space(d: int, n: int) -> None:
-    """Raise ConfigError unless d >= 1 and n >= 0 are integers, and
-    UnsupportedDimensionError unless n slots of dimension d span at most
-    _MAX_SPACE dimensions (labeled d <= 32)."""
+def _check_space(d: int, n: int) -> int:
+    """The dimension d ** n of n slots of dimension d.  Raise ConfigError
+    unless d >= 1 and n >= 0 are integers, and UnsupportedDimensionError
+    unless they span at most _MAX_SPACE dimensions (labeled d <= 32)."""
     _check_int("d", d, 1)
     _check_int("slots", n, 0)
     dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
@@ -62,6 +62,7 @@ def _check_space(d: int, n: int) -> None:
             f"{n} slots of dimension {d} span {dim} dimensions; "
             f"the dense operators stop at {_MAX_SPACE}"
         )
+    return dim
 
 
 def _as_complex(a, error: type = ConfigError) -> np.ndarray:
@@ -74,6 +75,14 @@ def _as_complex(a, error: type = ConfigError) -> np.ndarray:
     return arr
 
 
+def _scalar(value) -> complex:
+    """value as a complex number; ConfigError unless it is one number."""
+    arr = _as_complex(value)
+    if arr.ndim:
+        raise ConfigError(f"expected one number, got an array of shape {arr.shape}")
+    return complex(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """A dense operator on (C^d)^(x)n with its tensor structure attached."""
@@ -83,8 +92,8 @@ class Operator:
     n: int
 
     def __post_init__(self):
+        dim = _check_space(self.d, self.n)
         object.__setattr__(self, "mat", _as_complex(self.mat))
-        dim = self.d ** self.n
         if self.mat.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"operator matrix has shape {self.mat.shape}, "
@@ -127,12 +136,12 @@ class Operator:
         return Operator(self.mat - other.mat, self.d, self.n)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.mat * complex(scalar), self.d, self.n)
+        return Operator(self.mat * _scalar(scalar), self.d, self.n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.mat / complex(scalar), self.d, self.n)
+        return Operator(self.mat / _scalar(scalar), self.d, self.n)
 
     def __matmul__(self, other: Union["Operator", "Vector"]):
         self._check_same(other)
@@ -150,8 +159,8 @@ class Vector:
     n: int
 
     def __post_init__(self):
+        dim = _check_space(self.d, self.n)
         object.__setattr__(self, "vec", _as_complex(self.vec))
-        dim = self.d ** self.n
         if self.vec.shape != (dim,):
             raise DimensionMismatchError(
                 f"vector has shape {self.vec.shape}, "
@@ -185,7 +194,7 @@ class Vector:
         return self.__add__(-1 * other)
 
     def __mul__(self, scalar) -> "Vector":
-        return Vector(self.vec * complex(scalar), self.d, self.n)
+        return Vector(self.vec * _scalar(scalar), self.d, self.n)
 
     __rmul__ = __mul__
 
@@ -208,6 +217,9 @@ def kron_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; both factors must share the local dimension d."""
+    if not (isinstance(a, Operator) and isinstance(b, Operator)):
+        raise ConfigError(f"kron needs two Operators, got {type(a).__name__} "
+                          f"and {type(b).__name__}")
     if a.d != b.d:
         raise DimensionMismatchError(
             f"kron requires equal local dimensions, got {a.d} and {b.d}"
@@ -222,7 +234,8 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
     _check_space(d, n)
     idx = 0
     for dig in digits:
-        if not 0 <= dig < d:
+        _check_int("digit", dig, 0)
+        if dig >= d:
             raise DimensionMismatchError(f"digit {dig} out of range for d={d}")
         idx = idx * d + dig
     v = np.zeros(d ** n)
@@ -233,6 +246,8 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
 def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian operator above the rank
     cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
+    if not isinstance(op, Operator):
+        raise ConfigError(f"expected an Operator, got {type(op).__name__}")
     if not op.is_hermitian():  # a NaN fails too
         raise NotPositiveSemidefiniteError("operator is not Hermitian")
     w, v = np.linalg.eigh((op.mat + op.mat.conj().T) / 2)

@@ -44,7 +44,7 @@ from .comparison import (
     pairwise_success_angle,
     unlabeled_operators,
 )
-from .errors import DimensionMismatchError, InvalidStateError
+from .errors import ConfigError, DimensionMismatchError, InvalidStateError
 from .symmetry import (antisymmetrizer, basis_family, pair_product, phi_minus, split_pairs, swap,
                        sym_dim, symmetrizer)
 from .tensors import (TOL_ABS, Operator, Vector, basis_ket, identity, kron, kron_arrays, rank,
@@ -405,6 +405,8 @@ def all_passed(results: List[CheckResult]) -> bool:
 def render_report(results: List[CheckResult]) -> str:
     lines = []
     for r in results:
+        if not isinstance(r, CheckResult):
+            raise ConfigError(f"render_report needs CheckResults, got {r!r}")
         tag = "PASS" if r.passed else "FAIL"
         lines.append(f"[{tag}] {r.name}  (computed {r.computed}, expected {r.expected}, "
                      f"tol {r.tolerance})")

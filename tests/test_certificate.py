@@ -114,7 +114,7 @@ def test_states_inside_the_no_error_subspace_are_certified(case):
     scen, cls, weights, vecs = case
     state = _state(scen, weights, vecs)
     assert cls in conclusive_classes(scen, state)
-    assert cls in tuple(analytic_success(scen, state).per_class)
+    assert cls in analytic_success(scen, state).per_class
 
 
 @settings(max_examples=15, deadline=None)

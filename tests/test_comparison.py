@@ -31,6 +31,7 @@ from qmeter import (
     kappa_state,
     kron,
     labeled_class_operators,
+    mc_agrees,
     mc_perp_moment,
     mc_twirl,
     optimal_test_state,
@@ -38,6 +39,7 @@ from qmeter import (
     outcome_table,
     pairwise_success_angle,
     rank,
+    render_report,
     run_campaign,
     run_trial,
     support_projector,
@@ -244,6 +246,25 @@ def test_a_bad_scenario_or_state_is_a_qmeter_error(call):
 def test_non_numeric_input_is_a_qmeter_error(call):
     # each of these once ended in a raw ValueError, TypeError or
     # AttributeError, or (the NaN angle) returned NaN
+    with pytest.raises(QmeterError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: twirl("x", (2,), 2),
+    lambda: Vector([1, 0], 2, 1) * "a",
+    lambda: basis_ket("01", 2),
+    lambda: mc_agrees("a", "b", "c"),
+    lambda: Operator(np.eye(2), "2", 1),
+    lambda: kron(identity(2, 1), 3),
+    lambda: support_projector(None),
+    lambda: rank("x"),
+    lambda: TestState.pure("x"),
+    lambda: render_report([1]),
+], ids=["twirl", "vector-scalar", "basis-ket", "mc-agrees", "operator-dim", "kron",
+        "support-projector", "rank", "pure-state", "render-report"])
+def test_a_wrong_argument_type_is_a_qmeter_error(call):
+    # each of these once ended in a raw ValueError, TypeError or AttributeError
     with pytest.raises(QmeterError):
         call()
 
@@ -505,5 +526,6 @@ def test_single_use_is_useless():
 def test_analytic_success_validates_claims():
     # same_same is never conclusive: equal devices can always land there
     scen = Scenario("unlabeled", 2)
-    assert "same_same" not in conclusive_classes(scen, optimal_test_state(scen))
-    assert tuple(analytic_success(scen).per_class) == conclusive_classes(scen, optimal_test_state(scen))
+    conclusive = conclusive_classes(scen, optimal_test_state(scen))
+    assert "same_same" not in conclusive
+    assert tuple(analytic_success(scen).per_class) == conclusive

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from qmeter import (
     TOL_RANK,
     ConfigError,
     DimensionMismatchError,
+    InvalidObservableError,
     Observable,
     Scenario,
     Vector,
@@ -331,6 +335,36 @@ def test_mc_twirl_rejects_bad_input():
                  lambda: haar_vectors(0, 3), lambda: haar_vectors(2, -1)):
         with pytest.raises(ConfigError):
             draw()
+
+
+#: draws past a bound: a 58 TiB stack, twice the entries one call may take,
+#: and dimensions past the dense layer's 1024, which once ran unbounded
+_HUGE_DRAWS = ("qmeter.haar_unitaries(2, 10**12)", "qmeter.haar_unitaries(2, 2**26)",
+               "qmeter.haar.haar_vectors(2, 10**12)", "qmeter.haar.haar_vectors(10**9, 1)",
+               "qmeter.haar_unitaries(2000, 1)", "qmeter.Observable.random(2000)")
+_CHILD = """
+import resource, sys
+import qmeter
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for call in sys.argv[1:]:
+    try:
+        eval(call)
+        print("returned")
+    except Exception as exc:
+        print(type(exc).__name__, isinstance(exc, qmeter.QmeterError))
+"""
+
+
+def test_huge_draws_fail_before_they_allocate():
+    # in a child with 1 GiB of address space and a time limit, so that a
+    # missed bound fails this test and not the session
+    run = subprocess.run([sys.executable, "-c", _CHILD, *_HUGE_DRAWS], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[-1] for line in run.stdout.splitlines()] == ["True"] * len(_HUGE_DRAWS), (
+        run.stdout)
+    with pytest.raises(InvalidObservableError):  # the one bound that was there
+        Observable.random(0)
 
 
 _Z2 = Observable.computational(2)
