@@ -77,10 +77,10 @@ def _as_complex(a, error: type = ConfigError) -> np.ndarray:
 
 def _scalar(value) -> complex:
     """value as a complex number; ConfigError unless it is one number."""
-    arr = _as_complex(value)
-    if arr.ndim:
-        raise ConfigError(f"expected one number, got an array of shape {arr.shape}")
-    return complex(arr)
+    try:
+        return complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected one number, got {value!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)
