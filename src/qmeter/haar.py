@@ -148,7 +148,7 @@ def rng_from(seed: RngLike) -> np.random.Generator:
 def _check_draw(d: int, size: int, axes: int) -> None:
     """Check d, size and the d ** axes * size complex entries of one draw
     before anything is allocated."""
-    _check_space(d, 1)
+    _check_int("d", d, 1)
     _check_int("size", size, 0)
     entries = int(d) ** axes * int(size)  # Python integers, which do not wrap
     if entries > _MAX_DRAW_ENTRIES:
@@ -193,6 +193,7 @@ def haar_unitaries(d: int, size: int, rng: RngLike = None) -> np.ndarray:
     column of all matrices.  Each level draws x in place, into the column
     it becomes, so a call allocates no buffer but the result.
     """
+    _check_space(d, 1)  # d ** 3 size operations: the dense layer's bound
     _check_draw(d, size, 2)
     gen = rng_from(rng)
     cols = np.empty((d, d, size), dtype=np.complex128)  # cols[j, :, b] is column j of U_b

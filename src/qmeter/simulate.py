@@ -151,7 +151,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,7 +162,6 @@ from .comparison import (
     TestState,
     _check_angle,
     _check_scenario,
-    _check_state,
     class_probabilities,
     conclusive_classes,
     kappa_state,
@@ -345,18 +343,11 @@ def _load_state_file(path: str, scenario: Scenario) -> TestState:
 
 # ---------------------------------------------------------- single trials
 
-@lru_cache(maxsize=8)
-def _trial_certificate(scenario: Scenario, state: TestState) -> Tuple[str, ...]:
-    """conclusive_classes for run_trial, which a caller repeats on one state.
-    A TestState hashes by identity: only the same object is a hit."""
-    return conclusive_classes(scenario, state)
-
-
 def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState,
               rng=None) -> ShotRecord:
     """One trial of the scenario's protocol with fixed devices a and b: one
     outcome record drawn from their Born table (outcome_table) and judged by
-    the state's conclusive_classes, computed once per scenario and state.
+    the state's conclusive_classes, which also check its slots.
 
     In the unlabeled protocol each device's outcomes then pass through an
     unknown, uniformly random relabeling, an XOR with one random bit per
@@ -364,9 +355,7 @@ def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState
     they are unaffected.
     """
     gen = rng_from(rng)
-    _check_scenario(scenario)  # both before the cache, which cannot hash a list
-    _check_state(state, n=scenario.slots, d=scenario.dim)
-    conclusive = _trial_certificate(scenario, state)
+    conclusive = conclusive_classes(scenario, state)
     table = outcome_table(a, b, state)
     idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
     cls = scenario.classes[outcome_class_index(scenario.slots, scenario.dim)[idx]]

@@ -54,9 +54,12 @@ def _check_space(d: int, n: int) -> int:
     """The dimension d ** n of n slots of dimension d.  Raise ConfigError
     unless d >= 1 and n >= 0 are integers, and UnsupportedDimensionError
     unless they span at most _MAX_SPACE dimensions (labeled d <= 32)."""
-    _check_int("d", d, 1)
-    _check_int("slots", n, 0)
-    dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
+    if type(d) is int and type(n) is int and d >= 1 and n >= 0:  # the common case, fast
+        dim = d ** n
+    else:
+        _check_int("d", d, 1)
+        _check_int("slots", n, 0)
+        dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
     if dim > _MAX_SPACE:
         raise UnsupportedDimensionError(
             f"{n} slots of dimension {d} span {dim} dimensions; "

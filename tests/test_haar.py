@@ -338,7 +338,8 @@ def test_mc_twirl_rejects_bad_input():
 
 
 #: draws past a bound: a 58 TiB stack, twice the entries one call may take,
-#: and dimensions past the dense layer's 1024, which once ran unbounded
+#: a vector of 10**9 entries, and unitaries and an observable past the dense
+#: layer's d = 1024, which once ran unbounded
 _HUGE_DRAWS = ("qmeter.haar_unitaries(2, 10**12)", "qmeter.haar_unitaries(2, 2**26)",
                "qmeter.haar.haar_vectors(2, 10**12)", "qmeter.haar.haar_vectors(10**9, 1)",
                "qmeter.haar_unitaries(2000, 1)", "qmeter.Observable.random(2000)")
@@ -365,6 +366,13 @@ def test_huge_draws_fail_before_they_allocate():
         run.stdout)
     with pytest.raises(InvalidObservableError):  # the one bound that was there
         Observable.random(0)
+
+
+def test_a_vector_draw_past_the_dense_dimension_is_cheap():
+    # the d <= 1024 bound is for the d ** 3 unitaries; 2000 normals are not
+    x = haar_vectors(2000, 3, rng=np.random.default_rng(SEED))
+    assert x.shape == (2000, 3)
+    assert_allclose(np.linalg.norm(x, axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 _Z2 = Observable.computational(2)

@@ -34,7 +34,7 @@ from qmeter import (
     sweep_to_csv,
     unlabeled_operators,
 )
-from qmeter import comparison, simulate
+from qmeter import simulate
 from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
 from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
@@ -157,20 +157,6 @@ def test_a_trial_decomposes_its_state_once(monkeypatch):
         for seed in range(3):
             run_trial(scen, z, x, state, rng=seed)
     assert calls == []
-
-
-def test_trials_on_one_state_certify_it_once(monkeypatch):
-    # the certificate depends on the scenario and the state alone
-    calls = []
-    leaks = comparison._leaks
-    monkeypatch.setattr(comparison, "_leaks", lambda *a: calls.append(1) or leaks(*a))
-    scen = Scenario("labeled", 5)
-    state = optimal_test_state(scen)  # a new object, so the first trial misses
-    a, b = Observable.random(5, 1), Observable.random(5, 2)
-    rng = np.random.default_rng(3)
-    verdicts = {run_trial(scen, a, b, state, rng=rng).verdict for _ in range(1000)}
-    assert calls == [1]
-    assert verdicts == {Verdict.DIFFERENT, Verdict.INCONCLUSIVE}
 
 
 def test_labeled_trial_equal_devices_never_agree():
