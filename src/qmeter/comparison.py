@@ -37,7 +37,7 @@ from .errors import (
 )
 from .haar import twirl
 from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
-                      kron_arrays, support_projector)
+                      _check_type, kron_arrays, support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -61,14 +61,11 @@ class Scenario:
     dim: int = 2
 
     def __post_init__(self):
+        _check_type("scenario kind", self.kind, str)
         if self.kind not in ("labeled", "unlabeled"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        # a bool is an int, but not a dimension
-        if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool):
-            raise ConfigError(f"dimension must be an integer, got {self.dim!r}")
+        _check_int("dimension", self.dim, 2, error=UnsupportedDimensionError)
         object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 2:
-            raise UnsupportedDimensionError(f"dimension must be >= 2, got {self.dim}")
         if self.kind == "unlabeled" and self.dim != 2:
             raise UnsupportedDimensionError(
                 "the unlabeled two-shot protocol is implemented for qubits (d=2); "
@@ -84,11 +81,6 @@ class Scenario:
     @property
     def classes(self) -> Tuple[str, ...]:
         return LABELED_CLASSES if self.kind == "labeled" else UNLABELED_CLASSES
-
-
-def _check_scenario(scenario) -> None:
-    if not isinstance(scenario, Scenario):
-        raise ConfigError(f"scenario must be a Scenario, got {scenario!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +109,7 @@ class Observable:
 
     @classmethod
     def computational(cls, d: int) -> "Observable":
+        _check_int("basis dimension", d, 1, error=InvalidObservableError)
         return cls(np.eye(d))
 
     @classmethod
@@ -128,8 +121,7 @@ class Observable:
 
     @classmethod
     def random(cls, d: int, rng=None) -> "Observable":
-        if isinstance(d, (int, np.integer)) and d < 1:
-            raise InvalidObservableError(f"basis dimension must be >= 1, got {d}")
+        _check_int("basis dimension", d, 1, error=InvalidObservableError)
         return cls(_haar.haar_unitaries(d, 1, rng)[0])
 
 
@@ -142,8 +134,7 @@ class TestState:
     rho: Operator
 
     def __post_init__(self):
-        if not isinstance(self.rho, Operator):
-            raise InvalidStateError(f"rho must be an Operator, got {type(self.rho).__name__}")
+        _check_type("rho", self.rho, Operator, InvalidStateError)
         m = self.rho.mat
         if not np.all(np.isfinite(m)):
             raise InvalidStateError("density matrix has a non-finite entry")
@@ -187,8 +178,7 @@ class TestState:
 
     @classmethod
     def pure(cls, vec: Vector) -> "TestState":
-        if not isinstance(vec, Vector):
-            raise InvalidStateError(f"a pure test state needs a Vector, got {type(vec).__name__}")
+        _check_type("a pure test state", vec, Vector, InvalidStateError)
         if abs(vec.norm() - 1.0) > TOL_ABS:
             raise InvalidStateError(f"pure test state is not normalized: {vec.norm()!r}")
         return cls(vec.projector())
@@ -227,6 +217,8 @@ def outcome_class_index(n: int, d: int) -> np.ndarray:
     bit per consecutive slot pair, set when its two outcomes differ, first pair
     most significant.  Indexes LABELED_CLASSES (n=2) or UNLABELED_CLASSES (n=4)."""
     _check_space(d, n)
+    if n < 2 or n % 2:
+        raise DimensionMismatchError(f"outcome records pair their slots; got {n} slots")
     digits = np.indices((d,) * n).reshape(n, -1)
     cls = np.zeros(d ** n, dtype=np.intp)
     for differ in digits[0::2] != digits[1::2]:
@@ -270,8 +262,7 @@ def unlabeled_operators(d: int = 2) -> Mapping[str, ClassOperators]:
 def _check_state(state: TestState, n: Optional[int], d: int) -> None:
     """Raise unless state is a TestState on n slots (any number if None) of
     dimension d."""
-    if not isinstance(state, TestState):
-        raise InvalidStateError(f"test state must be a TestState, got {type(state).__name__}")
+    _check_type("test state", state, TestState, InvalidStateError)
     n = state.n if n is None else n
     if (state.n, state.d) != (n, d):
         raise DimensionMismatchError(
@@ -285,6 +276,8 @@ def outcome_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     n/2 slots of the test state and device b the last n/2: n = 2 is one use
     of each device (labeled), n = 4 two uses (unlabeled), before any outcome
     relabeling."""
+    _check_type("device", a, Observable, InvalidObservableError)
+    _check_type("device", b, Observable, InvalidObservableError)
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
     _check_state(state, n=None, d=a.d)
@@ -320,9 +313,7 @@ _KAPPA = tuple(Vector(np.bincount(list(v), list(v.values()), 16), 2, 4) for v in
 
 def kappa_state(j: int) -> TestState:
     """Pure test state on the j-th vector (1-based) of the kappa family."""
-    _check_int("kappa index", j, 1)
-    if j > len(_KAPPA):
-        raise ConfigError(f"kappa index must be 1..{len(_KAPPA)}, got {j}")
+    _check_int("kappa index", j, 1, len(_KAPPA))
     return TestState.pure(_KAPPA[j - 1])
 
 
@@ -345,7 +336,7 @@ def optimal_test_state(scenario: Scenario) -> TestState:
     """The test state of best unambiguous success: the best _optimum over the
     nonempty sets of classes, the first in itertools.combinations order on a
     tie.  A mixture certifies only what all its parts do, so none does better."""
-    _check_scenario(scenario)  # before the cache, which cannot hash a list
+    _check_type("scenario", scenario, Scenario)  # before the cache, which cannot hash a list
     classes = scenario.classes
     groups = (g for k in range(1, len(classes) + 1) for g in itertools.combinations(classes, k))
     return TestState(max((_optimum(scenario, g) for g in groups), key=lambda best: best[0])[1])
@@ -368,7 +359,7 @@ def _class_probability(op: Operator, state: TestState) -> float:
 
 
 def _operators_for(scenario: Scenario) -> Mapping[str, ClassOperators]:
-    _check_scenario(scenario)
+    _check_type("scenario", scenario, Scenario)
     if scenario.kind == "labeled":
         return labeled_class_operators(scenario.dim)
     return unlabeled_operators(scenario.dim)

@@ -19,12 +19,14 @@ U_k for every fixed unitary W.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidStateError
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space
+from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
+                      _check_type)
 
 RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -43,6 +45,7 @@ MC_FLOOR = 1e-12
 def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.ndarray]:
     """Check the blocks, d and the space they span before anything is
     allocated, then the shape and finiteness of the diagonals."""
+    _check_type("blocks", blocks, Collection)
     if len(blocks) == 0:
         raise ConfigError("a twirl needs at least one block of slots")
     for b in blocks:
@@ -290,6 +293,7 @@ def mc_twirl(diagonals: np.ndarray, blocks: Sequence[int], d: int, samples: int,
 
 def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
     """Seeded MC estimate of E[(phi phi^dag)^(x)k] for Haar phi orthogonal to psi."""
+    _check_type("psi", psi, Vector, InvalidStateError)
     d = psi.d
     _check_int("k", k, 1)
     _check_space(d, k)
@@ -316,8 +320,12 @@ def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray) -> tuple:
     structurally zero.  Returns (agrees, worst) where worst is the largest
     deviation measured in standard errors.
     """
-    dev = np.abs(_as_complex(mean) - _as_complex(target))
-    se = _as_complex(se).real  # a standard error is real
+    mean, se, target = _as_complex(mean), _as_complex(se).real, _as_complex(target)
+    try:
+        np.broadcast_shapes(mean.shape, se.shape, target.shape)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"mc_agrees needs shapes that broadcast: {exc}") from exc
+    dev = np.abs(mean - target)
     ok = bool(np.all(dev <= MC_NSIG * se + MC_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(dev <= MC_FLOOR, 0.0, dev / np.maximum(se, MC_FLOOR))

@@ -148,6 +148,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -161,7 +162,6 @@ from .comparison import (
     Scenario,
     TestState,
     _check_angle,
-    _check_scenario,
     class_probabilities,
     conclusive_classes,
     kappa_state,
@@ -172,7 +172,7 @@ from .comparison import (
 )
 from .errors import ConfigError, ConsistencyError
 from .haar import _is_invariant, haar_unitaries, rng_from
-from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int
+from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_type
 
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
@@ -181,6 +181,7 @@ CAMPAIGN_FORMAT = "qmeter.campaign/12"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
+_MAX_TRIALS = np.iinfo(np.int64).max  # what the int64 class counts hold
 
 
 class Verdict(str, Enum):
@@ -207,21 +208,14 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_scenario(self.scenario)
-        _check_trials(self.trials)
+        _check_type("scenario", self.scenario, Scenario)
+        _check_int("trials", self.trials, 1, _MAX_TRIALS)
         _check_int("workers", self.workers, 1)
         _check_int("seed", self.seed, 0)
+        _check_type("ground truth", self.ground_truth, str)
         if self.ground_truth not in ("different", "equal", "both"):
             raise ConfigError(f"unknown ground truth {self.ground_truth!r}")
-        if not isinstance(self.test_state, str):
-            raise ConfigError(f"test_state must be a string, got {self.test_state!r}")
-
-
-def _check_trials(trials) -> None:
-    """Trials are a positive integer that the int64 class counts hold."""
-    _check_int("trials", trials, 1)
-    if trials > np.iinfo(np.int64).max:
-        raise ConfigError(f"trials must be <= 2**63 - 1, got {trials}")
+        _check_type("test_state", self.test_state, str)
 
 
 @dataclass(frozen=True)
@@ -295,9 +289,8 @@ def resolve_test_state(spec: str, scenario: Scenario) -> TestState:
     value is read as a .npy file holding either a state vector or a density
     matrix on the protocol's full space (d^2 for labeled, 16 for unlabeled).
     """
-    _check_scenario(scenario)
-    if not isinstance(spec, str):
-        raise ConfigError(f"test state spec must be a string, got {spec!r}")
+    _check_type("scenario", scenario, Scenario)
+    _check_type("test state spec", spec, str)
     if spec == "optimal":
         return optimal_test_state(scenario)
     if spec == "kappa" or spec.startswith("kappa:"):
@@ -660,8 +653,9 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     fixed within a point, so its class counts are one multinomial draw from
     the clamped class law of the pair (class_probabilities).
     """
-    _check_trials(trials)
+    _check_int("trials", trials, 1, _MAX_TRIALS)
     _check_int("seed", seed, 0)
+    _check_type("thetas", thetas, Iterable)
     thetas = [_check_angle(theta) for theta in thetas]
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
@@ -685,12 +679,12 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     import csv
     import io
 
+    _check_type("points", points, Iterable)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theta", "trials", "empirical", "stderr", "analytic"])
     for p in points:
-        if not isinstance(p, SweepPoint):
-            raise ConfigError(f"sweep_to_csv needs SweepPoints, got {p!r}")
+        _check_type("sweep point", p, SweepPoint)
         writer.writerow([repr(p.theta), p.trials, repr(p.empirical),
                          repr(p.stderr), repr(p.analytic)])
     return buf.getvalue()

@@ -24,8 +24,10 @@ class is clamped to an exact zero.
 """
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,12 +44,23 @@ TOL_RANK = 1e-8
 _MAX_SPACE = 1024
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise ConfigError unless value is an integer (not a bool) >= minimum."""
+def _check_int(name: str, value, minimum: int, maximum: Optional[int] = None,
+               error: type = ConfigError) -> None:
+    """Raise ConfigError unless value is an integer (not a bool), and `error`
+    unless minimum <= value <= maximum (no upper bound if maximum is None)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value}")
+
+
+def _check_type(name: str, value, kind, error: type = ConfigError) -> None:
+    """Raise `error` unless value is an instance of kind (a type or a tuple of types)."""
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be of type {kinds}, got {type(value).__name__}")
 
 
 def _check_space(d: int, n: int) -> int:
@@ -78,6 +91,17 @@ def _as_complex(a, error: type = ConfigError) -> np.ndarray:
     return arr
 
 
+def _checked(a, d: int, n: int, rank: int) -> np.ndarray:
+    """a as the read-only complex128 array of a tensor on n slots of
+    dimension d with `rank` axes; DimensionMismatchError if not that shape."""
+    shape = (_check_space(d, n),) * rank
+    arr = _as_complex(a)
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"array has shape {arr.shape}, expected {shape} "
+                                     f"for d={d}, n={n}")
+    return arr
+
+
 def _scalar(value) -> complex:
     """value as a complex number; ConfigError unless it is one number."""
     try:
@@ -86,26 +110,53 @@ def _scalar(value) -> complex:
         raise ConfigError(f"expected one number, got {value!r}") from exc
 
 
+class _Tensor:
+    """What Operator and Vector share: a tensor on (C^d)^(x)n, read through
+    `_arr`, its operand check, and sums and scalar products of its type."""
+
+    @property
+    def dim(self) -> int:
+        return self.d ** self.n
+
+    def _operand(self, other, kind) -> np.ndarray:
+        """The array of other; ConfigError unless it is a `kind`, and
+        DimensionMismatchError unless it lives on this space."""
+        if not (isinstance(other, kind) and other.d == self.d and other.n == self.n):
+            _check_type("operand", other, kind)
+            raise DimensionMismatchError(f"operands live on different spaces: (d={self.d}, "
+                                         f"n={self.n}) vs (d={other.d}, n={other.n})")
+        return other._arr
+
+    def __add__(self, other):
+        return type(self)(self._arr + self._operand(other, type(self)), self.d, self.n)
+
+    def __sub__(self, other):
+        return type(self)(self._arr - self._operand(other, type(self)), self.d, self.n)
+
+    def __mul__(self, scalar):
+        return type(self)(self._arr * _scalar(scalar), self.d, self.n)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        scalar = _scalar(scalar)
+        if scalar == 0:
+            raise ConfigError("division by zero")
+        return type(self)(self._arr / scalar, self.d, self.n)
+
+
 @dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(_Tensor):
     """A dense operator on (C^d)^(x)n with its tensor structure attached."""
 
     mat: np.ndarray
     d: int
     n: int
 
-    def __post_init__(self):
-        dim = _check_space(self.d, self.n)
-        object.__setattr__(self, "mat", _as_complex(self.mat))
-        if self.mat.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"operator matrix has shape {self.mat.shape}, "
-                f"expected {(dim, dim)} for d={self.d}, n={self.n}"
-            )
+    _arr = property(attrgetter("mat"))
 
-    @property
-    def dim(self) -> int:
-        return self.d ** self.n
+    def __post_init__(self):
+        object.__setattr__(self, "mat", _checked(self.mat, self.d, self.n, 2))
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -120,91 +171,42 @@ class Operator:
 
     def expval(self, state: "Vector") -> complex:
         """<state| self |state>."""
-        self._check_same(state)
-        return complex(state.vec.conj() @ (self.mat @ state.vec))
-
-    def _check_same(self, other) -> None:
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatchError(
-                f"operands live on different spaces: "
-                f"(d={self.d}, n={self.n}) vs (d={other.d}, n={other.n})"
-            )
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same(other)
-        return Operator(self.mat + other.mat, self.d, self.n)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same(other)
-        return Operator(self.mat - other.mat, self.d, self.n)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.mat * _scalar(scalar), self.d, self.n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.mat / _scalar(scalar), self.d, self.n)
+        vec = self._operand(state, Vector)
+        return complex(vec.conj() @ (self.mat @ vec))
 
     def __matmul__(self, other: Union["Operator", "Vector"]):
-        self._check_same(other)
-        if isinstance(other, Vector):
-            return Vector(self.mat @ other.vec, self.d, self.n)
-        return Operator(self.mat @ other.mat, self.d, self.n)
+        """The product with an Operator, or the image of a Vector."""
+        return type(other)(self.mat @ self._operand(other, (Operator, Vector)), self.d, self.n)
 
 
 @dataclass(frozen=True, eq=False)
-class Vector:
+class Vector(_Tensor):
     """A ket on (C^d)^(x)n."""
 
     vec: np.ndarray
     d: int
     n: int
 
-    def __post_init__(self):
-        dim = _check_space(self.d, self.n)
-        object.__setattr__(self, "vec", _as_complex(self.vec))
-        if self.vec.shape != (dim,):
-            raise DimensionMismatchError(
-                f"vector has shape {self.vec.shape}, "
-                f"expected {(dim,)} for d={self.d}, n={self.n}"
-            )
+    _arr = property(attrgetter("vec"))
 
-    @property
-    def dim(self) -> int:
-        return self.d ** self.n
+    def __post_init__(self):
+        object.__setattr__(self, "vec", _checked(self.vec, self.d, self.n, 1))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
     def normalized(self) -> "Vector":
-        return Vector(self.vec / self.norm(), self.d, self.n)
+        return self / self.norm()
 
     def inner(self, other: "Vector") -> complex:
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatchError("inner product between different spaces")
-        return complex(self.vec.conj() @ other.vec)
+        return complex(self.vec.conj() @ self._operand(other, Vector))
 
     def projector(self) -> Operator:
         return Operator(np.outer(self.vec, self.vec.conj()), self.d, self.n)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatchError("sum of vectors from different spaces")
-        return Vector(self.vec + other.vec, self.d, self.n)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self.__add__(-1 * other)
-
-    def __mul__(self, scalar) -> "Vector":
-        return Vector(self.vec * _scalar(scalar), self.d, self.n)
-
-    __rmul__ = __mul__
-
 
 def identity(d: int, n: int) -> Operator:
-    _check_space(d, n)
-    return Operator(np.eye(d ** n), d, n)
+    return Operator(np.eye(_check_space(d, n)), d, n)
 
 
 def kron_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,9 +222,8 @@ def kron_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; both factors must share the local dimension d."""
-    if not (isinstance(a, Operator) and isinstance(b, Operator)):
-        raise ConfigError(f"kron needs two Operators, got {type(a).__name__} "
-                          f"and {type(b).__name__}")
+    _check_type("kron factor", a, Operator)
+    _check_type("kron factor", b, Operator)
     if a.d != b.d:
         raise DimensionMismatchError(
             f"kron requires equal local dimensions, got {a.d} and {b.d}"
@@ -233,6 +234,7 @@ def kron(a: Operator, b: Operator) -> Operator:
 
 def basis_ket(digits: Sequence[int], d: int) -> Vector:
     """Computational basis ket |digits[0] digits[1] ...> (slot 1 first)."""
+    _check_type("digits", digits, Collection)
     n = len(digits)
     _check_space(d, n)
     idx = 0
@@ -249,8 +251,7 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
 def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian operator above the rank
     cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
-    if not isinstance(op, Operator):
-        raise ConfigError(f"expected an Operator, got {type(op).__name__}")
+    _check_type("operator", op, Operator)
     if not op.is_hermitian():  # a NaN fails too
         raise NotPositiveSemidefiniteError("operator is not Hermitian")
     w, v = np.linalg.eigh((op.mat + op.mat.conj().T) / 2)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import List
 
@@ -44,11 +45,11 @@ from .comparison import (
     pairwise_success_angle,
     unlabeled_operators,
 )
-from .errors import ConfigError, DimensionMismatchError, InvalidStateError
+from .errors import DimensionMismatchError, InvalidStateError
 from .symmetry import (antisymmetrizer, basis_family, pair_product, phi_minus, split_pairs, swap,
                        sym_dim, symmetrizer)
-from .tensors import (TOL_ABS, Operator, Vector, basis_ket, identity, kron, kron_arrays, rank,
-                      support_projector)
+from .tensors import (TOL_ABS, Operator, Vector, _check_type, basis_ket, identity, kron,
+                      kron_arrays, rank, support_projector)
 
 
 @dataclass(frozen=True)
@@ -399,14 +400,17 @@ def run_checks() -> List[CheckResult]:
 
 
 def all_passed(results: List[CheckResult]) -> bool:
+    _check_type("results", results, Collection)
+    for r in results:
+        _check_type("a result", r, CheckResult)
     return all(r.passed for r in results)
 
 
 def render_report(results: List[CheckResult]) -> str:
+    _check_type("results", results, Collection)
     lines = []
     for r in results:
-        if not isinstance(r, CheckResult):
-            raise ConfigError(f"render_report needs CheckResults, got {r!r}")
+        _check_type("a result", r, CheckResult)
         tag = "PASS" if r.passed else "FAIL"
         lines.append(f"[{tag}] {r.name}  (computed {r.computed}, expected {r.expected}, "
                      f"tol {r.tolerance})")

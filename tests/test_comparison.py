@@ -21,6 +21,7 @@ from qmeter import (
     UNLABELED_CLASSES,
     UnsupportedDimensionError,
     Vector,
+    all_passed,
     analytic_success,
     antisymmetrizer,
     basis_family,
@@ -43,6 +44,7 @@ from qmeter import (
     run_campaign,
     run_trial,
     support_projector,
+    sweep_theta,
     sweep_to_csv,
     twirl,
     unlabeled_operators,
@@ -261,10 +263,43 @@ def test_non_numeric_input_is_a_qmeter_error(call):
     lambda: rank("x"),
     lambda: TestState.pure("x"),
     lambda: render_report([1]),
+    lambda: identity(2, 1) + 3,
+    lambda: identity(2, 1) - 3,
+    lambda: identity(2, 1) @ 3,
+    lambda: identity(2, 1) + Vector([1, 0], 2, 1),
+    lambda: identity(2, 1).expval(3),
+    lambda: Vector([1, 0], 2, 1).inner(3),
+    lambda: Vector([1, 0], 2, 1) + 3,
+    lambda: Vector([1, 0], 2, 1) - 3,
+    lambda: outcome_table(1, 2, 3),
+    lambda: class_probabilities(1, HADAMARD, _ST),
+    lambda: run_trial(_LABELED, HADAMARD, 1, _ST, rng=1),
+    lambda: all_passed([1]),
+    lambda: basis_ket(5, 2),
+    lambda: twirl(np.ones((1, 4)), 5, 2),
+    lambda: Observable.computational(2.5),
+    lambda: Observable.computational(-1),
+    lambda: sweep_theta(5, 10, 1),
+    lambda: sweep_to_csv(5),
+    lambda: render_report(5),
+    lambda: mc_agrees(np.ones(2), np.ones(3), np.ones(2)),
+    lambda: mc_perp_moment(3, 1, 10, 1),
+    lambda: Scenario(np.ones(3), 2),
+    lambda: CampaignConfig(Scenario("labeled", 2), 10, 1, ground_truth=np.ones(3)),
+    lambda: outcome_class_index(0, 2),
+    lambda: outcome_class_index(3, 2),
 ], ids=["twirl", "vector-scalar", "basis-ket", "mc-agrees", "operator-dim", "kron",
-        "support-projector", "rank", "pure-state", "render-report"])
+        "support-projector", "rank", "pure-state", "render-report", "operator-plus-int",
+        "operator-minus-int", "operator-matmul-int", "operator-plus-vector", "expval-int",
+        "inner-int", "vector-plus-int", "vector-minus-int", "outcome-table-device",
+        "class-probabilities-device", "trial-device", "all-passed", "basis-ket-int",
+        "twirl-blocks", "computational-float", "computational-negative", "sweep-thetas",
+        "sweep-csv-int", "render-report-int", "mc-agrees-shapes",
+        "perp-moment-psi", "scenario-kind", "ground-truth", "class-index-no-slots",
+        "class-index-odd-slots"])
 def test_a_wrong_argument_type_is_a_qmeter_error(call):
-    # each of these once ended in a raw ValueError, TypeError or AttributeError
+    # each of these once ended in a raw ValueError, TypeError or AttributeError,
+    # or (an odd slot count) returned a meaningless class index
     with pytest.raises(QmeterError):
         call()
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qmeter.tensors import kron_arrays
 from qmeter import (
+    ConfigError,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     Operator,
@@ -37,6 +38,28 @@ def test_operator_arithmetic_and_matmul():
     assert_allclose((a @ b).mat, np.array([[0, 1], [2, 0]], dtype=complex))
     v = Vector(np.array([1.0, 0.0]), 2, 1)
     assert_allclose((b @ v).vec, np.array([0, 1], dtype=complex))
+
+
+def test_a_sum_keeps_its_type_and_an_operator_maps_a_vector_to_a_vector():
+    op, v = identity(2, 1), Vector([3.0, 4.0], 2, 1)
+    assert type(op @ v) is Vector
+    assert type(v / 2) is Vector
+    assert_allclose((v / 2).vec, [1.5, 2.0])
+    with pytest.raises(ConfigError):
+        op + v
+    with pytest.raises(ConfigError):
+        v - op
+
+
+@pytest.mark.parametrize("call", [
+    lambda: identity(2, 1) / 0,
+    lambda: Vector([0, 0], 2, 1) / 0.0j,
+    lambda: Vector([0, 0], 2, 1).normalized(),
+], ids=["operator", "vector", "normalized"])
+def test_division_by_zero_is_a_config_error(call):
+    # once an array of inf or nan entries with a RuntimeWarning
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_operator_matrices_are_read_only():
