@@ -109,7 +109,9 @@ class Observable:
 
     @classmethod
     def computational(cls, d: int) -> "Observable":
-        _check_int("basis dimension", d, 1, error=InvalidObservableError)
+        # its d^2 entries stop where one Haar draw does
+        _check_int("basis dimension", d, 1, math.isqrt(_haar._MAX_DRAW_ENTRIES),
+                   error=InvalidObservableError)
         return cls(np.eye(d))
 
     @classmethod

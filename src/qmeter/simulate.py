@@ -73,11 +73,12 @@ quadratic form in the terms of A's axis n and B's axis m, the real 7 x 7
 matrix of ``_bloch_form``, built once per campaign, and
 ``_bloch_class_law`` evaluates it over a batch: no Born table and no
 component.  A trial draws each device as a Haar unitary
-(``haar_unitaries``), as every stream with a device does, and reads its
-axis off column 0 (``_bloch_terms``); an "equal" trial reuses A's.  The
-law of an equal-device trial is a mixture of the components' laws, each at
-most TOL_ABS/2 in a conclusive class; the form rounds at about 1e-15, so
-the clamp sets the class to exactly 0.
+(``haar_unitaries``) and reads its axis off column 0 (``_bloch_terms``),
+unless the state's symmetry fixes part of the axis (the next two
+sections); an "equal" trial reuses A's.  The law of an equal-device trial
+is a mixture of the components' laws, each at most TOL_ABS/2 in a
+conclusive class; the form rounds at about 1e-15, so the clamp sets the
+class to exactly 0.
 
 Invariant test states
 ---------------------
@@ -92,6 +93,28 @@ W = U^dag V, and W is Haar when U and V are independent Haar (Mezzadri,
 arXiv:math-ph/0609050).  So in an unlabeled "different" trial device A
 measures along z and only B = W is drawn.  With equal devices W = I, so
 every trial has the same table, diag(rho).
+
+z-invariant test states
+-----------------------
+A four-qubit state is z-invariant if it commutes with D^(x)4 for every
+diagonal unitary D, every rotation about z: it has no entry between kets
+of different Hamming weight.  ``run_campaign`` reads this off rho once,
+within TOL_ABS, next to the full invariance (``_is_z_invariant``).  The
+kappa states, all their mixtures and the invariant states are z-invariant;
+a dense random mixture is not.
+The Born table of (DU, DV) is then the table of (U, V), so the class law
+of the Bloch axes satisfies L(Rn, Rm) = L(n, m) for every rotation R about
+z.  Rotate each trial about z until A's axis has azimuth 0.  A's axis n
+is uniform on the sphere, so after the rotation it is
+(sqrt(1 - z^2), 0, z) with z = n_z uniform on [-1, 1] (Archimedes), one
+uniform per trial (``_meridian_terms``).  In a "different" trial B's axis
+m is uniform and independent of n, so the rotated R m is too, whatever
+the angle: B stays one ``haar_unitaries`` draw.  An "equal" trial has
+m = n, so it reuses A's meridian axis and draws no Haar value at all.  The
+law of each trial is still the class law of one device pair, so the
+clamp keeps every conclusive class at exactly 0.  An invariant state is
+z-invariant too, but its "different" trials keep device A along z
+(above), which draws nothing for A.
 
 Fixed "equal" laws
 ------------------
@@ -119,12 +142,14 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
   a (d, B) array filled row by row;
 - labeled "equal": one ``haar_unitaries`` call for U (one sphere fill
   per level k = 1..d, d (d + 1) B normals in all);
-- unlabeled: one ``haar_unitaries`` call for A (6 B normals at d = 2)
-  unless A is along z (an invariant state's "different" stream), then one
-  for B in a "different" stream;
+- unlabeled: device A first, one ``haar_unitaries`` call (6 B normals at
+  d = 2), or one ``uniform(-1, 1)`` call of B draws, its z on the meridian,
+  for a z-invariant state, or nothing if A is along z (an invariant
+  state's "different" stream); then, in a "different" stream, one
+  ``haar_unitaries`` call for B;
 then one uniform per trial for its class.  An "equal" shard of a fixed law
 draws one multinomial instead, or nothing.  The batch size, these draws,
-the Haar construction, the invariance test, the component order, the class
+the Haar construction, the two invariance tests, the component order, the class
 laws, the class order of ``Scenario.classes`` and the resolved test
 state's matrix, to the last bit (a multinomial turns roundoff in a fixed
 law into other counts), make up CAMPAIGN_FORMAT; a change to any of them
@@ -177,7 +202,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_typ
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/12"
+CAMPAIGN_FORMAT = "qmeter.campaign/13"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
@@ -432,6 +457,14 @@ def _bloch_terms(us: np.ndarray) -> tuple:
     return x * x, y * y, z * z, x * y, x * z, y * z
 
 
+def _meridian_terms(z: np.ndarray) -> tuple:
+    """The Bloch terms of the axes n = (sqrt(1 - z^2), 0, z) on the meridian
+    of azimuth 0, one array over the batch per term and the number 0 for
+    each term with a factor n_y."""
+    xx = 1.0 - z * z
+    return xx, 0.0, z * z, 0.0, np.sqrt(xx) * z, 0.0
+
+
 def _weigh(coefs, terms):
     """sum_k coefs[k] * terms[k], leaving out every coefficient that is the
     number zero; an array coefficient is always kept.  The kappa states'
@@ -519,6 +552,20 @@ def _equal_law(scen: Scenario, conclusive: Tuple[str, ...], invariant: bool,
     return None
 
 
+def _is_z_invariant(rho: Operator) -> bool:
+    """Whether rho commutes with D^(x)n for every diagonal unitary D, for
+    qubits every rotation about z.  D^(x)n multiplies a ket by one phase
+    per digit, so by a phase that depends only on how often each digit
+    occurs in it, and rho commutes with every such product iff it has no
+    entry between kets of different digit counts (for qubits, of different
+    Hamming weight).  This is an identity check on an input, so it holds
+    within TOL_ABS."""
+    digits = np.indices((rho.d,) * rho.n).reshape(rho.n, -1)
+    counts = ((rho.n + 1) ** digits).sum(axis=0)  # the digit counts in base n + 1
+    mixed = rho.mat[counts[:, None] != counts[None, :]]
+    return bool(np.all(np.abs(mixed) <= TOL_ABS))  # a NaN fails too
+
+
 def _shard_rng(seed: int, stream: str, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM[stream], shard)))
 
@@ -542,12 +589,13 @@ def _shard_counts(task: tuple) -> np.ndarray:
     """Simulate one shard that draws devices and return its class counts,
     in the order of Scenario.classes.
 
-    `task` = (kind, d, truth, invariant, form, weights, vecs, seed, shard,
-    count): (weights, vecs) are the test state's pure components and `form`
-    its Bloch form (_bloch_form), None for a labeled campaign.
+    `task` = (kind, d, truth, invariant, z_invariant, form, weights, vecs,
+    seed, shard, count): the two symmetry decisions of the test state
+    (_is_invariant, _is_z_invariant), its pure components (weights, vecs)
+    and its Bloch form (_bloch_form), None for a labeled campaign.
     Deterministic in (seed, truth, shard) alone.
     """
-    kind, d, truth, invariant, form, weights, vecs, seed, shard, count = task
+    kind, d, truth, invariant, z_invariant, form, weights, vecs, seed, shard, count = task
     gen = _shard_rng(seed, truth, shard)
     scen = Scenario(kind, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
@@ -555,9 +603,13 @@ def _shard_counts(task: tuple) -> np.ndarray:
         step = min(_SUBCHUNK, count - done)
         if kind == "unlabeled":
             # the table of (U, V) is that of (I, U^dag V) for an invariant
-            # state, so device A measures along z and only B is drawn
+            # state, so device A measures along z and only B is drawn; a
+            # z-invariant state's law is that of both devices rotated about
+            # z until A's axis has azimuth 0, which leaves z uniform
             if invariant and truth == "different":
                 en = _Z_TERMS
+            elif z_invariant:
+                en = _meridian_terms(gen.uniform(-1.0, 1.0, step))
             else:
                 en = _bloch_terms(haar_unitaries(2, step, gen))
             em = en if truth == "equal" else _bloch_terms(haar_unitaries(2, step, gen))
@@ -598,6 +650,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     conclusive = conclusive_classes(scen, state)
     weights, vecs = state.pure_components()
     invariant = _is_invariant(state.rho)
+    z_invariant = scen.kind == "unlabeled" and _is_z_invariant(state.rho)
     equal_law = _equal_law(scen, conclusive, invariant, weights, vecs)
     form = _bloch_form(weights, vecs) if scen.kind == "unlabeled" else None
 
@@ -612,8 +665,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     # gets no more than there are such shards or CPUs to run them, and none
     # for a single one.
     drawn = [truth for truth in truths if truth == "different" or equal_law is None]
-    tasks = [(scen.kind, scen.dim, truth, invariant, form, weights, vecs, seed, shard, count)
-             for truth in drawn for shard, count in shards]
+    tasks = [(scen.kind, scen.dim, truth, invariant, z_invariant, form, weights, vecs, seed,
+              shard, count) for truth in drawn for shard, count in shards]
     workers = min(config.workers, _usable_cpus(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

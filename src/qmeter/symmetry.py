@@ -22,9 +22,9 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .comparison import _KAPPA
-from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .errors import ConfigError, DimensionMismatchError, UnsupportedDimensionError
 from .haar import _slot_targets
-from .tensors import Operator, Vector, _check_space
+from .tensors import Operator, Vector, _check_int, _check_space
 
 #: the three ways to split four slots into two ordered pairs
 SPLITS = ("12-34", "13-24", "14-23")
@@ -37,12 +37,21 @@ def sym_dim(d: int, k: int) -> int:
     return math.comb(d + k - 1, k)
 
 
-def _check_slots(slots: Sequence[int], n: int) -> Tuple[int, ...]:
-    slots = tuple(slots)
-    if len(slots) == 0 or len(set(slots)) != len(slots):
-        raise DimensionMismatchError(f"slot subset {slots} must be nonempty and unique")
-    if any(not 1 <= s <= n for s in slots):
-        raise DimensionMismatchError(f"slot subset {slots} out of range for n={n}")
+def _check_slots(slots: Iterable[int], n: int) -> Tuple[int, ...]:
+    """slots as a tuple: DimensionMismatchError if it is empty, repeats a
+    slot or leaves 1..n, checked in that order, and ConfigError if a slot
+    is not an integer (or is a bool)."""
+    try:
+        slots = tuple(slots)
+        if len(slots) == 0 or len(set(slots)) != len(slots):
+            raise DimensionMismatchError(f"slot subset {slots} must be nonempty and unique")
+        if any(not 1 <= s <= n for s in slots):
+            raise DimensionMismatchError(f"slot subset {slots} out of range for n={n}")
+    except TypeError as exc:  # not iterable, or a slot unhashable or not comparable with n
+        raise ConfigError(f"slots must be integers 1..n, got {slots!r} and n={n!r}") from exc
+    for s in slots:
+        if type(s) is not int:  # the common case skips the call
+            _check_int("slot", s, 1)
     return slots
 
 

@@ -118,6 +118,10 @@ class _Tensor:
     def dim(self) -> int:
         return self.d ** self.n
 
+    def __reduce__(self):
+        # unpickle through the constructor, so the array is checked and read-only
+        return type(self), (self._arr, self.d, self.n)
+
     def _operand(self, other, kind) -> np.ndarray:
         """The array of other; ConfigError unless it is a `kind`, and
         DimensionMismatchError unless it lives on this space."""

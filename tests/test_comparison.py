@@ -288,6 +288,9 @@ def test_non_numeric_input_is_a_qmeter_error(call):
     lambda: CampaignConfig(Scenario("labeled", 2), 10, 1, ground_truth=np.ones(3)),
     lambda: outcome_class_index(0, 2),
     lambda: outcome_class_index(3, 2),
+    lambda: antisymmetrizer((1.5, 2), 2, 2),
+    lambda: antisymmetrizer([[1], [2]], 2, 2),
+    lambda: Observable.computational(10 ** 6),
 ], ids=["twirl", "vector-scalar", "basis-ket", "mc-agrees", "operator-dim", "kron",
         "support-projector", "rank", "pure-state", "render-report", "operator-plus-int",
         "operator-minus-int", "operator-matmul-int", "operator-plus-vector", "expval-int",
@@ -296,12 +299,22 @@ def test_non_numeric_input_is_a_qmeter_error(call):
         "twirl-blocks", "computational-float", "computational-negative", "sweep-thetas",
         "sweep-csv-int", "render-report-int", "mc-agrees-shapes",
         "perp-moment-psi", "scenario-kind", "ground-truth", "class-index-no-slots",
-        "class-index-odd-slots"])
+        "class-index-odd-slots", "antisymmetrizer-float-slot", "antisymmetrizer-list-slots",
+        "computational-huge"])
 def test_a_wrong_argument_type_is_a_qmeter_error(call):
-    # each of these once ended in a raw ValueError, TypeError or AttributeError,
-    # or (an odd slot count) returned a meaningless class index
+    # each of these once ended in a raw ValueError, TypeError, IndexError,
+    # AttributeError or MemoryError (a 7.28 TiB np.eye), or (an odd slot
+    # count) returned a meaningless class index
     with pytest.raises(QmeterError):
         call()
+
+
+def test_a_computational_basis_stops_where_one_haar_draw_does():
+    # d^2 <= haar._MAX_DRAW_ENTRIES: d = 11585 is the largest such d, and
+    # d = 2000 (64 MB) stays a valid basis
+    assert Observable.computational(2000).d == 2000
+    with pytest.raises(InvalidObservableError, match="<= 11585"):
+        Observable.computational(11586)
 
 
 _LABELED = Scenario("labeled", 2)

@@ -44,8 +44,10 @@ from qmeter.simulate import (
     _bloch_form,
     _bloch_terms,
     _is_invariant,
+    _is_z_invariant,
     _labeled_equal_law,
     _labeled_probs_row,
+    _meridian_terms,
     _sample_rows,
     _shard_counts,
 )
@@ -424,7 +426,7 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     d, trials = 3, 4000
     anti = optimal_test_state(Scenario("labeled", d))
     w, v = anti.pure_components()
-    equal = _shard_counts(("labeled", d, "equal", False, None, w, v, 99, 0, trials))
+    equal = _shard_counts(("labeled", d, "equal", False, False, None, w, v, 99, 0, trials))
     assert equal.tolist() == [0, trials]
 
     def no_call(*args, **kwargs):
@@ -441,7 +443,8 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     expected = np.bincount(drawn, minlength=2).tolist()
     for state in (anti, mixture):
         w, v = state.pure_components()
-        counts = _shard_counts(("labeled", d, "different", False, None, w, v, 99, 0, trials))
+        counts = _shard_counts(("labeled", d, "different", False, False, None, w, v, 99, 0,
+                                trials))
         assert counts.tolist() == expected
 
 
@@ -458,7 +461,7 @@ def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
                         lambda p, gen: laws.append(p[0].copy()) or sample(p, gen))
     w, v = optimal_test_state(Scenario("labeled", d)).pure_components()
     trials = 2 * SHARD_SIZE
-    _shard_counts(("labeled", d, "different", True, None, w, v, 300 + d, 0, trials))
+    _shard_counts(("labeled", d, "different", True, False, None, w, v, 300 + d, 0, trials))
     p = np.concatenate(laws)
     assert len(p) == trials
     for power, moment in ((1, 1 / d), (2, 2 / (d * (d + 1)))):
@@ -577,7 +580,8 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
     # same Haar devices and uniforms as before, and the Bloch class law is
     # their Born table's class law); any change to
     # the random streams, the kernels, the sampler or the outcome-to-class
-    # map shows up here
+    # map shows up here.  Format 13 draws device A of a z-invariant state on
+    # its meridian, which moves the kappa:2 blocks alone.
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22696, "diff": 45840},
@@ -589,10 +593,10 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
                                                 "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22696, "diff": 45840},
                                 "equal": {"same": 0, "diff": 68536}},
-        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30325, "same_diff": 15345,
-                                                    "diff_same": 15263, "diff_diff": 7603},
-                                      "equal": {"same_same": 22656, "same_diff": 23043,
-                                                "diff_same": 22837, "diff_diff": 0}},
+        ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30267, "same_diff": 15209,
+                                                    "diff_same": 15342, "diff_diff": 7718},
+                                      "equal": {"same_same": 22910, "same_diff": 23148,
+                                                "diff_same": 22478, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest rows of the labeled pins
         ("labeled", 2, "optimal"): {"different": {"same": 34307, "diff": 34229},
                                     "equal": {"same": 0, "diff": 68536}},
@@ -611,12 +615,13 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
     # (format qmeter.campaign/9), the certified labeled "equal" block draws
     # nothing (formats 8 to 11), the uncertified one samples the labeled
     # mixture law (format 10) and the labeled "different" blocks are the
-    # d exponentials per trial of format 11
+    # d exponentials per trial of format 11; the kappa mixture is
+    # z-invariant, so format 13 draws its device A on the meridian
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
-            "different": {"same_same": 30325, "same_diff": 15340, "diff_same": 15374,
-                          "diff_diff": 7497},
-            "equal": {"same_same": 22673, "same_diff": 22928, "diff_same": 22935,
+            "different": {"same_same": 30419, "same_diff": 15161, "diff_same": 15324,
+                          "diff_diff": 7632},
+            "equal": {"same_same": 22898, "same_diff": 22910, "diff_same": 22728,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
             "different": {"same": 17065, "diff": 51471},
@@ -645,7 +650,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     assert conclusive_classes(Scenario("labeled", 3), state) == ()
     trials = 3000
     counts = dict(zip(("same", "diff"),
-                      _shard_counts(("labeled", 3, "equal", False, None, w, v, 12, 0,
+                      _shard_counts(("labeled", 3, "equal", False, False, None, w, v, 12, 0,
                                      trials)).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     prepared = TestState(Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2))
@@ -676,8 +681,8 @@ def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypat
     law = simulate._labeled_equal_law
     monkeypatch.setattr(simulate, "_labeled_equal_law", lambda *a: laws.append(1) or law(*a))
     trials = 2 * SHARD_SIZE
-    counts = [_shard_counts(("labeled", 3, "equal", False, None, w, v, 77, shard, SHARD_SIZE))
-              for shard in range(trials // SHARD_SIZE)]
+    counts = [_shard_counts(("labeled", 3, "equal", False, False, None, w, v, 77, shard,
+                             SHARD_SIZE)) for shard in range(trials // SHARD_SIZE)]
     assert len(laws) == trials // simulate._SUBCHUNK
     assert sum(c[1] for c in counts) == trials  # (same, diff)
     assert sum(c[0] for c in counts) == 0
@@ -907,7 +912,7 @@ def test_an_invariant_different_shard_draws_device_b_alone():
     w, v = state.pure_components()
     form = _bloch_form(w, v)
     trials = 5000
-    task = ("unlabeled", 2, "different", True, form, w, v, 33, 0, trials)
+    task = ("unlabeled", 2, "different", True, True, form, w, v, 33, 0, trials)
     counts = dict(zip(scen.classes, _shard_counts(task).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
     em = _bloch_terms(haar_unitaries(2, trials, gen))
@@ -920,27 +925,91 @@ def test_an_invariant_different_shard_draws_device_b_alone():
 
 @pytest.mark.parametrize("spec,truth,devices", [("kappa:2", "different", 2),
                                                 ("kappa:2", "equal", 1),
-                                                ("optimal", "different", 1)])
-def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeypatch, spec, truth,
-                                                                         devices):
-    # each batch draws d (d + 1) = 6 step normals per Haar device it draws
-    # (A then B for a non-invariant "different" stream, A alone for "equal",
-    # B alone for an invariant state), then step uniforms, and nothing else:
-    # a twin generator that draws just that ends in the same state
+                                                ("optimal", "different", 1),
+                                                ("dense_mix", "different", 2),
+                                                ("dense_mix", "equal", 1)])
+def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeypatch, tmp_path,
+                                                                         spec, truth, devices):
+    # each batch draws its devices, A first (B alone for an invariant
+    # state's "different" stream), then step uniforms for the classes, and
+    # nothing else: a Haar device takes d (d + 1) = 6 step normals, and A of
+    # a z-invariant state step uniforms, its z on the meridian.  A twin
+    # generator that draws just that ends in the same state
     scen = Scenario("unlabeled", 2)
-    state = resolve_test_state(spec, scen)
+    state = resolve_test_state(_dense_mixture_file(tmp_path) if spec == "dense_mix" else spec,
+                               scen)
     w, v = state.pure_components()
     trials = simulate._SUBCHUNK + 1000  # a full batch and a short one
     gen = np.random.default_rng(5)
     monkeypatch.setattr(simulate, "_shard_rng", lambda *args: gen)
-    _shard_counts(("unlabeled", 2, truth, _is_invariant(state.rho), _bloch_form(w, v), w, v,
-                   5, 0, trials))
+    _shard_counts(("unlabeled", 2, truth, _is_invariant(state.rho), _is_z_invariant(state.rho),
+                   _bloch_form(w, v), w, v, 5, 0, trials))
     twin = np.random.default_rng(5)
     for step in (simulate._SUBCHUNK, 1000):
-        for _ in range(devices):
-            twin.standard_normal(6 * step)
+        for device in range(devices):
+            if device == 0 and spec == "kappa:2":
+                twin.random(step)
+            else:
+                twin.standard_normal(6 * step)
         twin.random(step)
     assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def _z_invariant_states(tmp_path) -> dict:
+    scen = Scenario("unlabeled", 2)
+    states = {f"kappa:{j}": kappa_state(j) for j in (1, 2, 3)}
+    states["kappa_mix"] = resolve_test_state(_kappa_mixture_file(tmp_path), scen)
+    states["optimal"] = optimal_test_state(scen)
+    states["spin0"] = _spin0_mixture()
+    return states
+
+
+def test_z_invariance_is_read_off_rho(tmp_path):
+    # the kappa states, their mixtures and the invariant states have no
+    # entry between kets of different Hamming weight; a dense mixture has.
+    # Oracle: rho equals D^(x)4 rho D^dag(x)4 for random diagonal unitaries
+    # D exactly when it is z-invariant
+    states = _z_invariant_states(tmp_path)
+    states["dense_mix"] = resolve_test_state(_dense_mixture_file(tmp_path),
+                                             Scenario("unlabeled", 2))
+    rng = np.random.default_rng(14)
+    for name, state in states.items():
+        assert _is_z_invariant(state.rho) == (name != "dense_mix"), name
+        for phase in rng.uniform(0, 2 * np.pi, size=5):
+            d4 = np.exp(1j * phase * np.indices((2,) * 4).reshape(4, -1).sum(axis=0))
+            drift = np.max(np.abs(d4[:, None] * state.rho.mat * d4.conj() - state.rho.mat))
+            assert (drift <= 1e-12) == (name != "dense_mix"), name
+    # within TOL_ABS: an entry between weights 1 and 2 far below it keeps
+    # the decision, a visible one does not
+    rho = kappa_state(2).rho.mat.copy()
+    for eps, kept in ((1e-13, True), (1e-6, False)):
+        h = np.zeros((16, 16), dtype=complex)
+        h[1, 3], h[3, 1] = eps, eps  # |0001><0011| + h.c.
+        assert _is_z_invariant(Operator(rho + h, 2, 4)) == kept
+
+
+@pytest.mark.parametrize("name", ["kappa:1", "kappa:2", "kappa:3", "kappa_mix", "optimal",
+                                  "spin0"])
+def test_a_z_invariant_state_measures_device_a_on_its_meridian(tmp_path, name):
+    # rotating both devices about z by minus A's azimuth phi leaves the Born
+    # table of a z-invariant state unchanged, so the law with A's terms at
+    # _meridian_terms(n_z) and B rotated, D V with D = diag(1, e^(-i phi)),
+    # is the class law of the unrotated pair (U, V), and of (U, U) with B
+    # also on the meridian
+    state = _z_invariant_states(tmp_path)[name]
+    form = _bloch_form(*state.pure_components())
+    rng = np.random.default_rng(91)
+    for _ in range(20):
+        u, v = haar_unitaries(2, 2, rng)
+        a, b = Observable(u), Observable(v)
+        # n_x + i n_y = 2 conj(u_00) u_10 and n_z = |u_00|^2 - |u_10|^2
+        phi = np.angle(np.conj(u[0, 0]) * u[1, 0])
+        rot = np.diag([1.0, np.exp(-1j * phi)])
+        en = _meridian_terms(abs(u[0, 0]) ** 2 - abs(u[1, 0]) ** 2)
+        law = _bloch_class_law(form, en, _bloch_terms_of(Observable(rot @ v)))
+        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(_bloch_class_law(form, en, en), class_probabilities(a, a, state),
+                        rtol=0, atol=1e-12)
 
 
 def _labeled_states():
@@ -1004,6 +1073,8 @@ def test_sampler_matches_an_inverse_cdf_built_by_cumsum():
 @pytest.mark.parametrize("kind,dim,spec", [
     ("labeled", 3, "anti3"), ("unlabeled", 2, "kappa_mix"), ("unlabeled", 2, "dense_mix"),
     ("labeled", 4, "anti_mix4"),
+    # z-invariant states: device A on its meridian, one uniform per trial
+    ("unlabeled", 2, "kappa:1"), ("unlabeled", 2, "kappa:3"),
     # uncertified, non-invariant labeled mixtures: the "equal" stream samples
     # the mixture law p(same | U) per trial
     ("labeled", 2, "dense"), ("labeled", 3, "rank2_mix3"),

@@ -92,6 +92,12 @@ def test_antisymmetrizer_pair():
         assert_allclose(a.mat + symmetrizer((1, 2), 2, d).mat, np.eye(d * d), atol=1e-12)
     with pytest.raises(UnsupportedDimensionError):
         antisymmetrizer((1, 2, 3), 3, 2)
+    # a repeated or out-of-range slot is a DimensionMismatchError, before
+    # the slots' types are checked
+    for slots in ((1, 1), (0, 3), (1.5, 1.5), (5.5, 1)):
+        with pytest.raises(DimensionMismatchError):
+            antisymmetrizer(slots, 2, 2)
+    assert_allclose(antisymmetrizer((np.int64(2), 1), 2, 2).mat, antisymmetrizer((1, 2), 2, 2).mat)
 
 
 def test_split_pairs():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -69,6 +71,12 @@ def test_operator_matrices_are_read_only():
     v = basis_ket((0,), 2)
     with pytest.raises(ValueError):
         v.vec[1] = 1.0
+    # and after a pickle round trip, which goes through the constructor
+    for x, arr in ((op, "mat"), (v, "vec")):
+        y = pickle.loads(pickle.dumps(x))
+        assert (type(y), y.d, y.n) == (type(x), x.d, x.n)
+        assert np.array_equal(getattr(y, arr), getattr(x, arr))
+        assert not getattr(y, arr).flags.writeable
 
 
 def test_vector_norm_inner_projector():
