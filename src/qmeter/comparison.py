@@ -103,6 +103,10 @@ class Observable:
         if not np.max(np.abs(gram - np.eye(b.shape[0]))) <= TOL_ABS:
             raise InvalidObservableError("basis columns are not orthonormal")
 
+    def __reduce__(self):
+        # unpickle through the constructor, so the basis is checked and read-only
+        return type(self), (self.basis,)
+
     @property
     def d(self) -> int:
         return self.basis.shape[0]
@@ -148,6 +152,10 @@ class TestState:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TOL_ABS:
             raise InvalidStateError(f"density matrix has trace {tr!r}, expected 1")
+
+    def __reduce__(self):
+        # unpickle through the constructor: checked, without the cached _eigen
+        return type(self), (self.rho,)
 
     @property
     def d(self) -> int:

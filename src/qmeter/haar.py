@@ -19,12 +19,14 @@ U_k for every fixed unitary W.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Collection
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidStateError
+from .errors import (ConfigError, DimensionMismatchError, InvalidStateError,
+                     UnsupportedDimensionError)
 from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
                       _check_type)
 
@@ -36,6 +38,10 @@ _MC_BATCH_ENTRIES = 1 << 20
 # complex entries of one haar_vectors or haar_unitaries draw (2 GiB); a
 # campaign's largest, a labeled d = 32 "equal" batch, takes 2**23
 _MAX_DRAW_ENTRIES = 1 << 27
+# entries of the boolean array in which _project compares the P index maps
+# pairwise, P^2 d^k bytes for P = prod(b!) over the blocks; the unlabeled
+# (3, 3) row, S_6 at d = 3, takes 378 MB
+_MAX_GRAM_ENTRIES = 1 << 30
 #: standard errors within which mc_agrees accepts a Monte Carlo mean
 MC_NSIG = 5.0
 #: absolute slack of mc_agrees for entries of structurally zero variance
@@ -78,7 +84,14 @@ def _slot_targets(images, n: int, d: int) -> np.ndarray:
 
 
 def _block_targets(blocks: Sequence[int], d: int) -> np.ndarray:
-    """Index maps t_s, shape (P, d**k), of the slot permutations that keep each block in place."""
+    """Index maps t_s, shape (P, d**k), of the slot permutations that keep
+    each block in place.  UnsupportedDimensionError, before any is
+    enumerated, if _project would compare more than _MAX_GRAM_ENTRIES."""
+    entries = math.prod(math.factorial(b) for b in blocks) ** 2 * d ** sum(blocks)
+    if entries > _MAX_GRAM_ENTRIES:
+        raise UnsupportedDimensionError(
+            f"blocks {tuple(blocks)} at d={d} compare their slot permutations in "
+            f"{entries} entries; the twirl stops at {_MAX_GRAM_ENTRIES}")
     starts = np.cumsum((0,) + tuple(blocks))
     block_perms = (itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, blocks))
     images = np.array([sum(p, ()) for p in itertools.product(*block_perms)])
@@ -318,7 +331,7 @@ def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray) -> tuple:
 
     The floor absorbs roundoff in entries whose sample variance is
     structurally zero.  Returns (agrees, worst) where worst is the largest
-    deviation measured in standard errors.
+    deviation measured in standard errors, (True, 0.0) for empty arrays.
     """
     mean, se, target = _as_complex(mean), _as_complex(se).real, _as_complex(target)
     try:
@@ -329,4 +342,4 @@ def mc_agrees(mean: np.ndarray, se: np.ndarray, target: np.ndarray) -> tuple:
     ok = bool(np.all(dev <= MC_NSIG * se + MC_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(dev <= MC_FLOOR, 0.0, dev / np.maximum(se, MC_FLOOR))
-    return ok, float(np.max(sigmas))
+    return ok, float(np.max(sigmas, initial=0.0))

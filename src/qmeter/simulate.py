@@ -72,49 +72,46 @@ n_x n_z, n_y n_z.  So a trial's four class probabilities are a fixed
 quadratic form in the terms of A's axis n and B's axis m, the real 7 x 7
 matrix of ``_bloch_form``, built once per campaign, and
 ``_bloch_class_law`` evaluates it over a batch: no Born table and no
-component.  A trial draws each device as a Haar unitary
-(``haar_unitaries``) and reads its axis off column 0 (``_bloch_terms``),
-unless the state's symmetry fixes part of the axis (the next two
-sections); an "equal" trial reuses A's.  The law of an equal-device trial
-is a mixture of the components' laws, each at most TOL_ABS/2 in a
-conclusive class; the form rounds at about 1e-15, so the clamp sets the
-class to exactly 0.
+component.  A trial draws each device's axis as far as the state's
+symmetry leaves it free (the next section); an "equal" trial reuses A's.
+The law of an equal-device trial is a mixture of the components' laws,
+each at most TOL_ABS/2 in a conclusive class; the form rounds at about
+1e-15, so the clamp sets the class to exactly 0.
 
-Invariant test states
+Symmetric test states
 ---------------------
 The optimal test states, the antisymmetric projector (labeled) and the
-crossed-singlet pairing state (unlabeled), commute with U^(x)n for every
-unitary U.  By Schur-Weyl duality these are the states in the span of the
-slot permutations, so ``run_campaign`` reads the property off rho once, as
-rho equal to its projection onto that span within TOL_ABS: the projection
-that ``haar.twirl`` takes (``haar._is_invariant``).  For such a state the
-Born table of the device pair (U, V) equals the table of (I, W) with
-W = U^dag V, and W is Haar when U and V are independent Haar (Mezzadri,
-arXiv:math-ph/0609050).  So in an unlabeled "different" trial device A
-measures along z and only B = W is drawn.  With equal devices W = I, so
-every trial has the same table, diag(rho).
+crossed-singlet pairing state (unlabeled), are invariant: they commute
+with X^(x)n for every unitary X.  By Schur-Weyl duality these are the
+states in the span of the slot permutations, so ``run_campaign`` reads the
+property off rho once, as rho equal to its projection onto that span
+within TOL_ABS: the projection that ``haar.twirl`` takes
+(``haar._is_invariant``).  A four-qubit state is z-invariant if it
+commutes with X^(x)4 for every diagonal unitary X, every rotation about
+z: it has no entry between kets of different Hamming weight
+(``_is_z_invariant``, also within TOL_ABS).  The kappa states, all their
+mixtures and the invariant states are z-invariant; a dense random mixture
+is not.  For such an X the Born table of (XU, XV) is the table of (U, V),
+so the class law of the Bloch axes n of A and m of B satisfies
+L(Rn, Rm) = L(n, m) for every rotation R (invariant) or every R about z
+(z-invariant).
 
-z-invariant test states
------------------------
-A four-qubit state is z-invariant if it commutes with D^(x)4 for every
-diagonal unitary D, every rotation about z: it has no entry between kets
-of different Hamming weight.  ``run_campaign`` reads this off rho once,
-within TOL_ABS, next to the full invariance (``_is_z_invariant``).  The
-kappa states, all their mixtures and the invariant states are z-invariant;
-a dense random mixture is not.
-The Born table of (DU, DV) is then the table of (U, V), so the class law
-of the Bloch axes satisfies L(Rn, Rm) = L(n, m) for every rotation R about
-z.  Rotate each trial about z until A's axis has azimuth 0.  A's axis n
-is uniform on the sphere, so after the rotation it is
-(sqrt(1 - z^2), 0, z) with z = n_z uniform on [-1, 1] (Archimedes), one
-uniform per trial (``_meridian_terms``).  In a "different" trial B's axis
-m is uniform and independent of n, so the rotated R m is too, whatever
-the angle: B stays one ``haar_unitaries`` draw.  An "equal" trial has
-m = n, so it reuses A's meridian axis and draws no Haar value at all.  The
-law of each trial is still the class law of one device pair, so the
-clamp keeps every conclusive class at exactly 0.  An invariant state is
-z-invariant too, but its "different" trials keep device A along z
-(above), which draws nothing for A.
+An unlabeled state's symmetry level ``free`` is 0 if it is invariant, 1 if
+it is z-invariant and 2 otherwise.  Each trial is turned by such an R
+before it is drawn, which leaves its law exact:
+- level 2 turns nothing, and each device is a Haar unitary;
+- level 1 turns A's axis about z to azimuth 0.  A uniform n becomes
+  (sqrt(1 - z^2), 0, z) with z = n_z uniform on [-1, 1] (Archimedes), one
+  uniform per trial (``_meridian_terms``).  B's axis in a "different"
+  trial stays uniform and independent of it, a Haar unitary;
+- level 0 turns A's axis to z (``_Z_TERMS``, no draw), then about z until
+  B's axis has azimuth 0.  B is then (sqrt(1 - c^2), 0, c) with c = n.m,
+  uniform on [-1, 1] for independent uniform axes: one uniform per trial.
+So device A draws ``free`` coordinates and B in a "different" trial
+min(free + 1, 2) (``_axis_terms``).  An "equal" trial reuses A's axis, and
+an invariant state's "equal" stream keeps its fixed law (below).  Each
+trial's law is still the class law of one device pair, so the clamp keeps
+every conclusive class at exactly 0.
 
 Fixed "equal" laws
 ------------------
@@ -123,10 +120,10 @@ trial (``_equal_law``).  If exactly one class is not conclusive, every
 equal-device trial falls into it, because a conclusive class is clamped
 to zero (see above) and the sampler never draws a class of probability 0:
 a certified labeled state is "diff" in every trial.
-Otherwise, for an invariant state, the law is that of the clamped
-diag(rho).  Such a stream runs in the calling process, one multinomial
-per shard over its classes of nonzero probability, or no draw at all for
-a point mass.  Its counts are those the per-trial draws give: for a
+Otherwise, for an invariant state, the table of (U, U) is that of (I, I)
+(X = U^dag above), so the law is that of the clamped diag(rho).  Such a
+stream runs in the calling process, one multinomial per shard over its
+classes of nonzero probability, or no draw at all for a point mass.  Its counts are those the per-trial draws give: for a
 point mass they are the same numbers, for diag(rho) the same law.
 
 Determinism contract
@@ -142,14 +139,13 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
   a (d, B) array filled row by row;
 - labeled "equal": one ``haar_unitaries`` call for U (one sphere fill
   per level k = 1..d, d (d + 1) B normals in all);
-- unlabeled: device A first, one ``haar_unitaries`` call (6 B normals at
-  d = 2), or one ``uniform(-1, 1)`` call of B draws, its z on the meridian,
-  for a z-invariant state, or nothing if A is along z (an invariant
-  state's "different" stream); then, in a "different" stream, one
-  ``haar_unitaries`` call for B;
+- unlabeled: device A, then in a "different" stream device B, each by
+  its number of free coordinates (``_axis_terms``): nothing for none, one
+  ``uniform(-1, 1)`` call of B draws for one, and one ``haar_unitaries``
+  call (6 B normals at d = 2) for two;
 then one uniform per trial for its class.  An "equal" shard of a fixed law
 draws one multinomial instead, or nothing.  The batch size, these draws,
-the Haar construction, the two invariance tests, the component order, the class
+the Haar construction, the symmetry level, the component order, the class
 laws, the class order of ``Scenario.classes`` and the resolved test
 state's matrix, to the last bit (a multinomial turns roundoff in a fixed
 law into other counts), make up CAMPAIGN_FORMAT; a change to any of them
@@ -202,7 +198,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_typ
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/13"
+CAMPAIGN_FORMAT = "qmeter.campaign/14"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
@@ -465,6 +461,16 @@ def _meridian_terms(z: np.ndarray) -> tuple:
     return xx, 0.0, z * z, 0.0, np.sqrt(xx) * z, 0.0
 
 
+def _axis_terms(free: int, step: int, gen: np.random.Generator) -> tuple:
+    """The Bloch terms of `step` device axes with `free` coordinates to draw
+    (module docstring): the z axis, on the meridian of azimuth 0, uniform."""
+    if free == 0:
+        return _Z_TERMS
+    if free == 1:
+        return _meridian_terms(gen.uniform(-1.0, 1.0, step))
+    return _bloch_terms(haar_unitaries(2, step, gen))
+
+
 def _weigh(coefs, terms):
     """sum_k coefs[k] * terms[k], leaving out every coefficient that is the
     number zero; an array coefficient is always kept.  The kappa states'
@@ -589,31 +595,22 @@ def _shard_counts(task: tuple) -> np.ndarray:
     """Simulate one shard that draws devices and return its class counts,
     in the order of Scenario.classes.
 
-    `task` = (kind, d, truth, invariant, z_invariant, form, weights, vecs,
-    seed, shard, count): the two symmetry decisions of the test state
-    (_is_invariant, _is_z_invariant), its pure components (weights, vecs)
-    and its Bloch form (_bloch_form), None for a labeled campaign.
-    Deterministic in (seed, truth, shard) alone.
+    `task` = (kind, d, truth, free, form, weights, vecs, seed, shard,
+    count): the symmetry level of the test state (module docstring), its
+    pure components (weights, vecs) and its Bloch form (_bloch_form), None
+    for a labeled campaign.  Deterministic in (seed, truth, shard) alone.
     """
-    kind, d, truth, invariant, z_invariant, form, weights, vecs, seed, shard, count = task
+    kind, d, truth, free, form, weights, vecs, seed, shard, count = task
     gen = _shard_rng(seed, truth, shard)
     scen = Scenario(kind, d)
     counts = np.zeros(len(scen.classes), dtype=np.int64)
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
         if kind == "unlabeled":
-            # the table of (U, V) is that of (I, U^dag V) for an invariant
-            # state, so device A measures along z and only B is drawn; a
-            # z-invariant state's law is that of both devices rotated about
-            # z until A's axis has azimuth 0, which leaves z uniform
-            if invariant and truth == "different":
-                en = _Z_TERMS
-            elif z_invariant:
-                en = _meridian_terms(gen.uniform(-1.0, 1.0, step))
-            else:
-                en = _bloch_terms(haar_unitaries(2, step, gen))
-            em = en if truth == "equal" else _bloch_terms(haar_unitaries(2, step, gen))
-            p = _bloch_class_law(form, en, em)
+            en = _axis_terms(free, step, gen)
+            em = en if truth == "equal" else _axis_terms(min(free + 1, 2), step, gen)
+            # a column per trial, also for a law that reads no drawn term (I/16)
+            p = np.broadcast_to(_bloch_class_law(form, en, em).reshape(4, -1), (4, step))
         elif truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
@@ -645,12 +642,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     not depend on the worker count, which is capped at the CPUs this
     process may use.
     """
+    _check_type("config", config, CampaignConfig)
     scen = config.scenario
     state = resolve_test_state(config.test_state, scen)
     conclusive = conclusive_classes(scen, state)
     weights, vecs = state.pure_components()
     invariant = _is_invariant(state.rho)
-    z_invariant = scen.kind == "unlabeled" and _is_z_invariant(state.rho)
+    free = 0 if invariant else 1 if scen.kind == "unlabeled" and _is_z_invariant(state.rho) else 2
     equal_law = _equal_law(scen, conclusive, invariant, weights, vecs)
     form = _bloch_form(weights, vecs) if scen.kind == "unlabeled" else None
 
@@ -665,8 +663,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     # gets no more than there are such shards or CPUs to run them, and none
     # for a single one.
     drawn = [truth for truth in truths if truth == "different" or equal_law is None]
-    tasks = [(scen.kind, scen.dim, truth, invariant, z_invariant, form, weights, vecs, seed,
-              shard, count) for truth in drawn for shard, count in shards]
+    tasks = [(scen.kind, scen.dim, truth, free, form, weights, vecs, seed, shard, count)
+             for truth in drawn for shard, count in shards]
     workers = min(config.workers, _usable_cpus(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -42,6 +42,9 @@ TOL_RANK = 1e-8
 #: the largest space, d ** n, that the dense layer works on: each operator
 #: takes 16 (d ** n) ** 2 bytes, and the twirl several times that
 _MAX_SPACE = 1024
+#: the most slots: every d >= 2 passes _MAX_SPACE by 11 slots, and numpy
+#: stops at 64 axes, which d = 1 would reach first
+_MAX_SLOTS = 10
 
 
 def _check_int(name: str, value, minimum: int, maximum: Optional[int] = None,
@@ -66,12 +69,13 @@ def _check_type(name: str, value, kind, error: type = ConfigError) -> None:
 def _check_space(d: int, n: int) -> int:
     """The dimension d ** n of n slots of dimension d.  Raise ConfigError
     unless d >= 1 and n >= 0 are integers, and UnsupportedDimensionError
-    unless they span at most _MAX_SPACE dimensions (labeled d <= 32)."""
-    if type(d) is int and type(n) is int and d >= 1 and n >= 0:  # the common case, fast
+    unless n <= _MAX_SLOTS and they span at most _MAX_SPACE dimensions
+    (labeled d <= 32).  n is bounded before the power is taken."""
+    if type(d) is int and type(n) is int and d >= 1 and 0 <= n <= _MAX_SLOTS:  # fast
         dim = d ** n
     else:
         _check_int("d", d, 1)
-        _check_int("slots", n, 0)
+        _check_int("slots", n, 0, _MAX_SLOTS, UnsupportedDimensionError)
         dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
     if dim > _MAX_SPACE:
         raise UnsupportedDimensionError(

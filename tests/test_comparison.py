@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_scenario_validation():
                  id="antisymmetrizer"),
     pytest.param(lambda: outcome_class_index(40, 2), UnsupportedDimensionError,
                  id="outcome-class-index"),
+    # n is bounded before d ** n is taken: 2 ** 15000 once broke the error
+    # message (Python's 4,300-digit limit), and at d = 1 numpy's 64 axes
+    # were the only bound
+    pytest.param(lambda: identity(2, 15000), UnsupportedDimensionError, id="identity-15000-slots"),
+    pytest.param(lambda: outcome_class_index(100, 1), UnsupportedDimensionError,
+                 id="outcome-class-index-d1"),
+    pytest.param(lambda: antisymmetrizer((1, 2), 100, 1), UnsupportedDimensionError,
+                 id="antisymmetrizer-d1"),
+    # 8! slot permutations compared pairwise over 256 kets: 416 GB
+    pytest.param(lambda: twirl(np.ones((1, 256)), (8,), 2), UnsupportedDimensionError,
+                 id="twirl-permutation-gram"),
 ])
 def test_the_dense_operators_stop_at_1024_dimensions(call, error):
     # d ** slots <= 1024: labeled d = 32, unlabeled qubits (16) and the
@@ -291,6 +303,7 @@ def test_non_numeric_input_is_a_qmeter_error(call):
     lambda: antisymmetrizer((1.5, 2), 2, 2),
     lambda: antisymmetrizer([[1], [2]], 2, 2),
     lambda: Observable.computational(10 ** 6),
+    lambda: run_campaign(3),
 ], ids=["twirl", "vector-scalar", "basis-ket", "mc-agrees", "operator-dim", "kron",
         "support-projector", "rank", "pure-state", "render-report", "operator-plus-int",
         "operator-minus-int", "operator-matmul-int", "operator-plus-vector", "expval-int",
@@ -300,13 +313,32 @@ def test_non_numeric_input_is_a_qmeter_error(call):
         "sweep-csv-int", "render-report-int", "mc-agrees-shapes",
         "perp-moment-psi", "scenario-kind", "ground-truth", "class-index-no-slots",
         "class-index-odd-slots", "antisymmetrizer-float-slot", "antisymmetrizer-list-slots",
-        "computational-huge"])
+        "computational-huge", "campaign-config"])
 def test_a_wrong_argument_type_is_a_qmeter_error(call):
     # each of these once ended in a raw ValueError, TypeError, IndexError,
     # AttributeError or MemoryError (a 7.28 TiB np.eye), or (an odd slot
     # count) returned a meaningless class index
     with pytest.raises(QmeterError):
         call()
+
+
+def test_observables_and_test_states_unpickle_through_their_constructors():
+    # unpickling once restored the instance dict without __post_init__: an
+    # Observable came back with a writable basis, and a TestState unchecked
+    # and with the cached eigendecomposition it had computed
+    a = Observable.random(3, 8)
+    b = pickle.loads(pickle.dumps(a))
+    assert np.array_equal(b.basis, a.basis)
+    assert not b.basis.flags.writeable
+    state = optimal_test_state(Scenario("unlabeled", 2))
+    state.pure_components()  # fills the cache
+    data = pickle.dumps(state)
+    assert b"_eigen" not in data
+    copy = pickle.loads(data)
+    assert np.array_equal(copy.rho.mat, state.rho.mat)
+    assert not copy.rho.mat.flags.writeable
+    for x, y in zip(copy.pure_components(), state.pure_components()):
+        assert np.array_equal(x, y)
 
 
 def test_a_computational_basis_stops_where_one_haar_draw_does():

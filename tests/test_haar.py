@@ -339,10 +339,12 @@ def test_mc_twirl_rejects_bad_input():
 
 #: draws past a bound: a 58 TiB stack, twice the entries one call may take,
 #: a vector of 10**9 entries, and unitaries and an observable past the dense
-#: layer's d = 1024, which once ran unbounded
+#: layer's d = 1024, which once ran unbounded; and two dense builders whose
+#: d ** n with n = 10**12 once ran without end
 _HUGE_DRAWS = ("qmeter.haar_unitaries(2, 10**12)", "qmeter.haar_unitaries(2, 2**26)",
                "qmeter.haar.haar_vectors(2, 10**12)", "qmeter.haar.haar_vectors(10**9, 1)",
-               "qmeter.haar_unitaries(2000, 1)", "qmeter.Observable.random(2000)")
+               "qmeter.haar_unitaries(2000, 1)", "qmeter.Observable.random(2000)",
+               "qmeter.identity(2, 10**12)", "qmeter.outcome_class_index(10**12, 2)")
 _CHILD = """
 import resource, sys
 import qmeter
@@ -402,3 +404,10 @@ def test_mc_agrees_rejects_bad_target():
     mean, se = mc_twirl(np.eye(1, 4), (2,), 2, samples=5000, seed=5)
     ok, _ = mc_agrees(mean, se, np.eye(4) / 4)
     assert not ok
+
+
+def test_mc_agrees_on_empty_arrays_agrees_with_no_deviation():
+    # no entry can disagree; the largest deviation once raised numpy's raw
+    # zero-size ValueError
+    assert mc_agrees(np.zeros(0), np.zeros(0), np.zeros(0)) == (True, 0.0)
+    assert mc_agrees(np.zeros((2, 0)), np.zeros((2, 0)), 0.0) == (True, 0.0)

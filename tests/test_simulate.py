@@ -426,7 +426,7 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     d, trials = 3, 4000
     anti = optimal_test_state(Scenario("labeled", d))
     w, v = anti.pure_components()
-    equal = _shard_counts(("labeled", d, "equal", False, False, None, w, v, 99, 0, trials))
+    equal = _shard_counts(("labeled", d, "equal", 2, None, w, v, 99, 0, trials))
     assert equal.tolist() == [0, trials]
 
     def no_call(*args, **kwargs):
@@ -443,8 +443,7 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     expected = np.bincount(drawn, minlength=2).tolist()
     for state in (anti, mixture):
         w, v = state.pure_components()
-        counts = _shard_counts(("labeled", d, "different", False, False, None, w, v, 99, 0,
-                                trials))
+        counts = _shard_counts(("labeled", d, "different", 2, None, w, v, 99, 0, trials))
         assert counts.tolist() == expected
 
 
@@ -461,7 +460,7 @@ def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
                         lambda p, gen: laws.append(p[0].copy()) or sample(p, gen))
     w, v = optimal_test_state(Scenario("labeled", d)).pure_components()
     trials = 2 * SHARD_SIZE
-    _shard_counts(("labeled", d, "different", True, False, None, w, v, 300 + d, 0, trials))
+    _shard_counts(("labeled", d, "different", 0, None, w, v, 300 + d, 0, trials))
     p = np.concatenate(laws)
     assert len(p) == trials
     for power, moment in ((1, 1 / d), (2, 2 / (d * (d + 1)))):
@@ -581,14 +580,16 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
     # their Born table's class law); any change to
     # the random streams, the kernels, the sampler or the outcome-to-class
     # map shows up here.  Format 13 draws device A of a z-invariant state on
-    # its meridian, which moves the kappa:2 blocks alone.
+    # its meridian, which moves the kappa:2 blocks alone, and format 14 B of
+    # an invariant state's "different" trial, which moves the optimal
+    # "different" block alone.
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
         ("labeled", 3, "optimal"): {"different": {"same": 22696, "diff": 45840},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
-        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30341, "same_diff": 15206,
-                                                    "diff_same": 15327, "diff_diff": 7662},
+        ("unlabeled", 2, "optimal"): {"different": {"same_same": 30446, "same_diff": 15199,
+                                                    "diff_same": 15305, "diff_diff": 7586},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
         ("labeled", 3, anti3): {"different": {"same": 22696, "diff": 45840},
@@ -650,7 +651,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     assert conclusive_classes(Scenario("labeled", 3), state) == ()
     trials = 3000
     counts = dict(zip(("same", "diff"),
-                      _shard_counts(("labeled", 3, "equal", False, False, None, w, v, 12, 0,
+                      _shard_counts(("labeled", 3, "equal", 2, None, w, v, 12, 0,
                                      trials)).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(1, 0)))
     prepared = TestState(Operator((v.T * (w / w.sum())) @ v.conj(), 3, 2))
@@ -681,7 +682,7 @@ def test_a_certified_mixed_state_never_reports_equal_devices_different(monkeypat
     law = simulate._labeled_equal_law
     monkeypatch.setattr(simulate, "_labeled_equal_law", lambda *a: laws.append(1) or law(*a))
     trials = 2 * SHARD_SIZE
-    counts = [_shard_counts(("labeled", 3, "equal", False, False, None, w, v, 77, shard,
+    counts = [_shard_counts(("labeled", 3, "equal", 2, None, w, v, 77, shard,
                              SHARD_SIZE)) for shard in range(trials // SHARD_SIZE)]
     assert len(laws) == trials // simulate._SUBCHUNK
     assert sum(c[1] for c in counts) == trials  # (same, diff)
@@ -887,40 +888,66 @@ def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
 
 @pytest.mark.parametrize("name", ["phi_q", "spin0"])
 def test_an_invariant_state_measures_device_a_along_z(name):
-    # the table of (U, V) is the table of (I, W) with W = U^dag V, and device
-    # A in the computational basis has Bloch axis z: the law with A's terms
-    # fixed at _Z_TERMS is the class law of (I, W) and of (U, V)
+    # the law of an invariant state is the same for both axes turned by any
+    # one rotation: turning A's axis n to z and then B's axis m about z to
+    # azimuth 0 puts B on the meridian at height c = n.m, read here off
+    # |<u_0|v_0>|^2 = (1 + n.m) / 2.  So the law with A's terms at _Z_TERMS
+    # and B's at _meridian_terms(c) is the class law of the unturned pair
+    # (U, V); so is the law of (I, W) with W = U^dag V, A's axis z
     state = optimal_test_state(Scenario("unlabeled", 2)) if name == "phi_q" else _spin0_mixture()
     assert _is_invariant(state.rho)
     form = _bloch_form(*state.pure_components())
     rng = np.random.default_rng(90)
+    pairs = [haar_unitaries(2, 2, rng) for _ in range(200)]
+    c = np.array([2 * abs(np.vdot(u[:, 0], v[:, 0])) ** 2 - 1 for u, v in pairs])
+    expected = np.transpose([class_probabilities(Observable(u), Observable(v), state)
+                             for u, v in pairs])
+    assert_allclose(_bloch_class_law(form, _Z_TERMS, _meridian_terms(c)), expected,
+                    rtol=0, atol=1e-12)
     eye = Observable.computational(2)
-    for _ in range(20):
-        u, v = haar_unitaries(2, 2, rng)
-        a, b, w = Observable(u), Observable(v), Observable(u.conj().T @ v)
+    for (u, v), law_uv in zip(pairs[:20], expected.T):
+        w = Observable(u.conj().T @ v)
         law = _bloch_class_law(form, _Z_TERMS, _bloch_terms_of(w))
         assert_allclose(law, class_probabilities(eye, w, state), rtol=0, atol=1e-12)
-        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(law, law_uv, rtol=0, atol=1e-12)
 
 
 def test_an_invariant_different_shard_draws_device_b_alone():
-    # a batch draws device B's Haar unitary and one uniform per trial for its
-    # class, with A along z; replaying that stream by hand gives the shard's
-    # counts, and the campaign's
+    # with A along z, a batch draws B's height c = n.m on the meridian, one
+    # uniform per trial, and one uniform per trial for its class; replaying
+    # that stream by hand gives the shard's counts, and the campaign's
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     w, v = state.pure_components()
     form = _bloch_form(w, v)
     trials = 5000
-    task = ("unlabeled", 2, "different", True, True, form, w, v, 33, 0, trials)
+    task = ("unlabeled", 2, "different", 0, form, w, v, 33, 0, trials)
     counts = dict(zip(scen.classes, _shard_counts(task).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
-    em = _bloch_terms(haar_unitaries(2, trials, gen))
+    em = _meridian_terms(gen.uniform(-1.0, 1.0, trials))
     drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, em), gen)
     assert counts == dict(zip(scen.classes, np.bincount(drawn, minlength=4).tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
     assert dict(res.results["different"].class_counts) == counts
+
+
+def test_a_law_that_reads_no_drawn_term_still_samples_every_trial(tmp_path):
+    # the maximally mixed state's class law is 1/4 per class for every pair
+    # of devices, so it reads none of the axis terms a batch draws; its
+    # "different" stream once got one law for the whole batch, and the
+    # sampler failed with a raw IndexError
+    path = tmp_path / "mixed16.npy"
+    np.save(path, np.eye(16) / 16)
+    trials = 40_000
+    res = run_campaign(CampaignConfig(Scenario("unlabeled", 2), trials=trials, seed=3,
+                                      test_state=str(path)))
+    assert res.conclusive == ()
+    se = np.sqrt(0.25 * 0.75 / trials)
+    for truth in ("different", "equal"):
+        counts = res.results[truth].class_counts
+        assert sum(counts.values()) == trials
+        assert all(abs(count / trials - 0.25) <= 5 * se for count in counts.values()), counts
 
 
 @pytest.mark.parametrize("spec,truth,devices", [("kappa:2", "different", 2),
@@ -930,11 +957,12 @@ def test_an_invariant_different_shard_draws_device_b_alone():
                                                 ("dense_mix", "equal", 1)])
 def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeypatch, tmp_path,
                                                                          spec, truth, devices):
-    # each batch draws its devices, A first (B alone for an invariant
-    # state's "different" stream), then step uniforms for the classes, and
-    # nothing else: a Haar device takes d (d + 1) = 6 step normals, and A of
-    # a z-invariant state step uniforms, its z on the meridian.  A twin
-    # generator that draws just that ends in the same state
+    # each batch draws its devices, A first, then step uniforms for the
+    # classes, and nothing else.  A device draws the axis coordinates that
+    # the state's symmetry leaves free, B in a "different" stream one more
+    # than A: none (A of an invariant state, along z), one (step uniforms
+    # on the meridian) or two (a Haar device, d (d + 1) = 6 step normals).
+    # A twin generator that draws just that ends in the same state
     scen = Scenario("unlabeled", 2)
     state = resolve_test_state(_dense_mixture_file(tmp_path) if spec == "dense_mix" else spec,
                                scen)
@@ -942,12 +970,14 @@ def test_an_unlabeled_batch_draws_its_devices_then_one_uniform_per_trial(monkeyp
     trials = simulate._SUBCHUNK + 1000  # a full batch and a short one
     gen = np.random.default_rng(5)
     monkeypatch.setattr(simulate, "_shard_rng", lambda *args: gen)
-    _shard_counts(("unlabeled", 2, truth, _is_invariant(state.rho), _is_z_invariant(state.rho),
-                   _bloch_form(w, v), w, v, 5, 0, trials))
+    free = 0 if _is_invariant(state.rho) else 1 if _is_z_invariant(state.rho) else 2
+    _shard_counts(("unlabeled", 2, truth, free, _bloch_form(w, v), w, v, 5, 0, trials))
+    coords = [c for c in (free, min(free + 1, 2))[:1 if truth == "equal" else 2] if c]
+    assert len(coords) == devices
     twin = np.random.default_rng(5)
     for step in (simulate._SUBCHUNK, 1000):
-        for device in range(devices):
-            if device == 0 and spec == "kappa:2":
+        for c in coords:
+            if c == 1:
                 twin.random(step)
             else:
                 twin.standard_normal(6 * step)
