@@ -208,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--test-state", default="optimal",
                        help="'optimal', 'kappa' / 'kappa:J' (unlabeled), or a .npy file")
     p_sim.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes, at most the usable CPUs "
+                       help="the most worker processes to use, capped at the usable CPUs; "
+                            "a pool starts only when the first drawn shard, "
+                            "run and timed in this process, says it pays "
                             "(results are identical for any count)")
     p_sim.add_argument("--out", help="write campaign JSON here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -133,7 +133,8 @@ count.  Shard s of the ground-truth stream t uses
 ``np.random.SeedSequence(seed, spawn_key=(t, s))``, and only integer counts
 are aggregated, so campaign results (and their serialized form, which has
 no timestamps and sorted keys) are byte-identical across runs and across
---workers settings.  Every scenario walks its shard in batches of
+--workers settings.  Which process runs a shard, the caller or a pool
+worker, never changes a count.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch of B trials draws, in order:
 - labeled "different": one ``standard_exponential`` call of d B draws,
   a (d, B) array filled row by row;
@@ -169,6 +170,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -203,6 +205,12 @@ CAMPAIGN_FORMAT = "qmeter.campaign/14"
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
 _MAX_TRIALS = np.iinfo(np.int64).max  # what the int64 class counts hold
+#: seconds a process pool adds to a campaign beyond the split of its shards
+#: (forking, shipping tasks and results, closing), measured as
+#: t(--workers 2) - t(--workers 1) / 2 on real campaigns: 15 to 39 ms for
+#: 131,072 kappa or 1,048,576 optimal-state trials on a shared 2-vCPU host,
+#: 34 to 61 ms in an earlier measurement there
+_POOL_START_S = 0.040
 
 
 class Verdict(str, Enum):
@@ -623,6 +631,14 @@ def _shard_counts(task: tuple) -> np.ndarray:
     return counts
 
 
+def _pool_pays(first_s: float, rest: int, workers: int) -> bool:
+    """Whether `rest` more shards, each taken to cost `first_s` seconds here,
+    finish sooner split over `workers` <= `rest` processes: the time the
+    split saves must exceed _POOL_START_S."""
+    serial_s = first_s * rest
+    return serial_s - serial_s / workers > _POOL_START_S
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's CPU count."""
@@ -638,9 +654,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     "equal" samples one device used twice; "both" runs the two sub-campaigns
     on independent seed streams.  Labeled "different" trials, "equal"
     streams whose class law is fixed and test states that commute with
-    every U^(x)n take the shortcuts of the module docstring.  The counts do
-    not depend on the worker count, which is capped at the CPUs this
-    process may use.
+    every U^(x)n take the shortcuts of the module docstring.  The worker
+    count is a cap, also capped at the CPUs this process may use: a pool
+    starts only when the first drawn shard, run here, says it pays.  The
+    counts depend on neither.
     """
     _check_type("config", config, CampaignConfig)
     scen = config.scenario
@@ -659,16 +676,24 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     # An "equal" stream of a fixed class law draws no device, and its shards
     # take well under a millisecond each, less than shipping one to a
     # worker, so they are summed here.  The shards of every other stream are
-    # one map; a fork-based pool starts all of its workers up front, so it
-    # gets no more than there are such shards or CPUs to run them, and none
-    # for a single one.
+    # one list.  With more than one worker allowed, the first of them runs
+    # here and is timed, and it prices the rest: a pool starts for them only
+    # if splitting them saves more than its start-up (_pool_pays).  A
+    # fork-based pool starts all of its workers up front, so it gets no
+    # more than there are shards left or CPUs to run them, and none for a
+    # single shard left.
     drawn = [truth for truth in truths if truth == "different" or equal_law is None]
     tasks = [(scen.kind, scen.dim, truth, free, form, weights, vecs, seed, shard, count)
              for truth in drawn for shard, count in shards]
-    workers = min(config.workers, _usable_cpus(), len(tasks))
+    workers = min(config.workers, _usable_cpus(), len(tasks) - 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_shard_counts, tasks))
+        t0 = time.perf_counter()
+        partials = [_shard_counts(tasks[0])]
+        if _pool_pays(time.perf_counter() - t0, len(tasks) - 1, workers):
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                partials += pool.map(_shard_counts, tasks[1:])
+        else:
+            partials += map(_shard_counts, tasks[1:])
     else:
         partials = list(map(_shard_counts, tasks))
 

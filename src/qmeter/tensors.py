@@ -24,6 +24,7 @@ class is clamped to an exact zero.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Collection
 from dataclasses import dataclass
 from operator import attrgetter
@@ -47,6 +48,17 @@ _MAX_SPACE = 1024
 _MAX_SLOTS = 10
 
 
+def _shown(value: int) -> str:
+    """An integer in decimal, or by its digit count where str() refuses it
+    (Python's int-to-str limit, 4,300 digits by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(int(value))
+        digits = int(size.bit_length() * math.log10(2)) + 1  # exact or one too many
+        return f"an integer of {digits - (10 ** (digits - 1) > size)} digits"
+
+
 def _check_int(name: str, value, minimum: int, maximum: Optional[int] = None,
                error: type = ConfigError) -> None:
     """Raise ConfigError unless value is an integer (not a bool), and `error`
@@ -54,9 +66,9 @@ def _check_int(name: str, value, minimum: int, maximum: Optional[int] = None,
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
+        raise error(f"{name} must be >= {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise error(f"{name} must be <= {maximum}, got {value}")
+        raise error(f"{name} must be <= {maximum}, got {_shown(value)}")
 
 
 def _check_type(name: str, value, kind, error: type = ConfigError) -> None:
@@ -79,7 +91,7 @@ def _check_space(d: int, n: int) -> int:
         dim = int(d) ** int(n)  # in Python integers, which a numpy d ** n would wrap
     if dim > _MAX_SPACE:
         raise UnsupportedDimensionError(
-            f"{n} slots of dimension {d} span {dim} dimensions; "
+            f"{n} slots of dimension {_shown(d)} span {_shown(dim)} dimensions; "
             f"the dense operators stop at {_MAX_SPACE}"
         )
     return dim

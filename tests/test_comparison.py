@@ -304,6 +304,9 @@ def test_non_numeric_input_is_a_qmeter_error(call):
     lambda: antisymmetrizer([[1], [2]], 2, 2),
     lambda: Observable.computational(10 ** 6),
     lambda: run_campaign(3),
+    lambda: identity(2, 10 ** 5000),
+    lambda: identity(10 ** 5000, 1),
+    lambda: identity(10 ** 431, 10),
 ], ids=["twirl", "vector-scalar", "basis-ket", "mc-agrees", "operator-dim", "kron",
         "support-projector", "rank", "pure-state", "render-report", "operator-plus-int",
         "operator-minus-int", "operator-matmul-int", "operator-plus-vector", "expval-int",
@@ -313,11 +316,13 @@ def test_non_numeric_input_is_a_qmeter_error(call):
         "sweep-csv-int", "render-report-int", "mc-agrees-shapes",
         "perp-moment-psi", "scenario-kind", "ground-truth", "class-index-no-slots",
         "class-index-odd-slots", "antisymmetrizer-float-slot", "antisymmetrizer-list-slots",
-        "computational-huge", "campaign-config"])
+        "computational-huge", "campaign-config", "identity-slots-past-str",
+        "identity-dim-past-str", "identity-space-past-str"])
 def test_a_wrong_argument_type_is_a_qmeter_error(call):
     # each of these once ended in a raw ValueError, TypeError, IndexError,
     # AttributeError or MemoryError (a 7.28 TiB np.eye), or (an odd slot
-    # count) returned a meaningless class index
+    # count) returned a meaningless class index; the last three put an
+    # integer past Python's 4,300-digit str() limit into their message
     with pytest.raises(QmeterError):
         call()
 

@@ -295,11 +295,14 @@ def test_campaign_seed_determinism_and_worker_independence():
 
 
 def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
-    # both truths share one pool, and a fork pool starts every worker up
-    # front, so it must not get more workers than there are shards to send;
-    # the "equal" shards of an invariant state draw no device and never go.
-    # The host's CPUs are taken as plenty, so only the task count caps.
+    # both truths share one pool for the shards after the first, which runs
+    # here, and a fork pool starts every worker up front, so it must not get
+    # more workers than there are shards left to send; the "equal" shards of
+    # an invariant state draw no device and never go.  The host's CPUs are
+    # taken as plenty, so only the task count caps, and a start-up cost of 0
+    # makes a pool pay for any split.
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(simulate, "_POOL_START_S", 0.0)
     pools = []
 
     class RecordingPool(simulate.ProcessPoolExecutor):
@@ -312,23 +315,28 @@ def test_one_pool_per_campaign_capped_at_the_task_count(monkeypatch):
             return super().map(fn, tasks, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    cfg = CampaignConfig(Scenario("unlabeled", 2), trials=3000, seed=5, workers=3,
+    cfg = CampaignConfig(Scenario("unlabeled", 2), trials=SHARD_SIZE + 1, seed=5, workers=4,
                          test_state="kappa:2")
     pooled = run_campaign(cfg).to_json()
-    assert pools == [[2, [("different", 0), ("equal", 0)]]]  # one shard per truth
+    # two shards per truth, and ("different", 0) ran here
+    assert pools == [[3, [("different", 1), ("equal", 0), ("equal", 1)]]]
     assert pooled == run_campaign(replace(cfg, workers=1)).to_json()
     assert len(pools) == 1  # workers=1 opens no pool
+    run_campaign(replace(cfg, trials=3000))
+    assert len(pools) == 1  # one shard per truth leaves one to send, and one is no split
     optimal = replace(cfg, test_state="optimal")
     run_campaign(optimal)
-    assert len(pools) == 1  # a single shard draws devices
-    pooled = run_campaign(replace(optimal, trials=SHARD_SIZE + 1)).to_json()
-    assert pools[1] == [2, [("different", 0), ("different", 1)]]
-    assert pooled == run_campaign(replace(optimal, trials=SHARD_SIZE + 1, workers=1)).to_json()
+    assert len(pools) == 1  # two shards draw devices, the same
+    pooled = run_campaign(replace(optimal, trials=2 * SHARD_SIZE + 1)).to_json()
+    assert pools[1] == [2, [("different", 1), ("different", 2)]]
+    assert pooled == run_campaign(replace(optimal, trials=2 * SHARD_SIZE + 1, workers=1)).to_json()
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     # a worker count far above the CPUs would fork that many processes for
-    # output that is the same at any count; the stand-in pool starts none
+    # output that is the same at any count; the stand-in pool starts none,
+    # and a start-up cost of 0 makes it pay for any split
+    monkeypatch.setattr(simulate, "_POOL_START_S", 0.0)
     sizes = []
 
     class StandInPool:
@@ -342,7 +350,9 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, list(tasks))
+            tasks = list(tasks)
+            sizes.append(len(tasks))
+            return map(fn, tasks)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", StandInPool)
     cfg = CampaignConfig(Scenario("labeled", 2), trials=4 * SHARD_SIZE + 1, seed=3,
@@ -359,7 +369,52 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert run_campaign(cfg).to_json() == serial
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     assert run_campaign(cfg).to_json() == serial
-    assert sizes == [3, 4]
+    assert sizes == [3, 4, 4, 4]  # (workers, shards sent) twice; the first shard ran here
+
+
+@pytest.mark.parametrize("first_s, rest, workers, pays", [
+    (1000.0, 1, 1, False),  # one shard left is never split
+    (0.016, 3, 2, False),  # 131,072-trial kappa:2: saves 24 ms
+    (0.0045, 15, 2, False),  # 1,048,576-trial optimal: saves 34 ms
+    (0.012, 31, 2, True),  # 1,048,576-trial kappa:2: saves 186 ms
+    (0.040, 2, 2, False),  # saves 40 ms, not more
+    (0.041, 2, 2, True),
+    (0.010, 8, 2, False),  # saves 40 ms on two workers
+    (0.010, 8, 8, True),  # and 70 ms on eight
+])
+def test_the_pool_starts_only_when_the_split_saves_its_start_up(monkeypatch, first_s, rest,
+                                                                 workers, pays):
+    # the rest are priced at the first shard's time each, split over the
+    # workers, against a start-up cost of 40 ms; the first cases follow
+    # campaigns measured on a 2-vCPU host
+    monkeypatch.setattr(simulate, "_POOL_START_S", 0.040)
+    assert simulate._pool_pays(first_s, rest, workers) is pays
+
+
+@pytest.mark.parametrize("start_up_s", [0.0, float("inf")], ids=["forced", "refused"])
+@pytest.mark.parametrize("kind, dim, state, trials", [
+    ("labeled", 3, "optimal", 3 * SHARD_SIZE + 5),
+    ("unlabeled", 2, "kappa:2", 2 * SHARD_SIZE + 5),
+], ids=["labeled-d3", "kappa2"])
+def test_campaign_bytes_do_not_depend_on_whether_the_pool_starts(monkeypatch, start_up_s, kind,
+                                                                  dim, state, trials):
+    # which process runs a shard never changes a count: the same bytes come
+    # from one process, from a pool that always pays and from one that never
+    # does, across several shards of each drawn truth
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(**kwargs)
+
+    cfg = CampaignConfig(Scenario(kind, dim), trials=trials, seed=31, workers=1, test_state=state)
+    serial = run_campaign(cfg).to_json()
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_POOL_START_S", start_up_s)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    assert run_campaign(replace(cfg, workers=2)).to_json() == serial
+    assert started == ([2] if start_up_s == 0 else [])
 
 
 def test_campaign_single_truth_blocks():
