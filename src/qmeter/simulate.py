@@ -10,19 +10,25 @@ One sampler, closed-form class laws
 -----------------------------------
 A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
-measures and whose last n/2 device B measures.  A single trial, whose
-record carries the outcomes, draws one entry of its fixed devices' table
-(``comparison.outcome_table``) with ``_sample_rows``, and in the unlabeled
-protocol then relabels each device's outcomes.  A campaign reports
-only class counts, so it builds no table: each stream that draws per
-trial evaluates its class law in closed form over a batch (the labeled
-row and "equal" laws and the unlabeled Bloch law below), and
-``_sample_rows`` draws one class per trial from it.  Trials that share
-one law, a fixed "equal" law or a sweep point's ``class_probabilities``,
-take one multinomial instead (``_fixed_law_counts``).  Probabilities at
-or below TOL_ABS are clamped to zero and the law renormalized
-(``_clamped``), and the inverse CDF pins its trailing plateau to 1, so a
-category or class of clamped probability 0 is never drawn.  A conclusive
+measures and whose last n/2 device B measures.  ``_sample_rows`` draws
+one category per column of a category-first table by inverse CDF, one
+uniform per column, and returns how many columns drew each category: a
+column draws a category above k iff its uniform reaches the running sum
+through k, so the count of each category is a difference of two counts of
+uniforms, and no per-trial index is built.  A single trial, whose record
+carries the outcomes, samples its fixed devices' table
+(``comparison.outcome_table``) as one column and reads its entry off the
+one nonzero count, and in the unlabeled protocol then relabels each
+device's outcomes.  A campaign reports only class counts, so it builds no
+table: each stream that draws per trial evaluates its class law in closed
+form over a batch (the labeled row and "equal" laws and the unlabeled
+Bloch law below), and ``_sample_rows`` counts the classes its trials
+draw.  Trials that share one law, a fixed "equal" law or a sweep point's
+``class_probabilities``, take one multinomial instead
+(``_fixed_law_counts``).  Probabilities at or below TOL_ABS are clamped
+to zero and the law renormalized (``_clamped``), and the inverse CDF
+counts its trailing plateau as 1, so a category or class of clamped
+probability 0 is never drawn.  A conclusive
 class has equal-device probability at most TOL_ABS/2 in every trial (the
 leak bound of ``conclusive_classes``), so it is clamped to exactly 0:
 unambiguity is exact in sampled campaigns, not just up to floating noise.
@@ -53,15 +59,17 @@ depends on U and j alone, and B's outcome k then has probability
 |<v_k|chi_j>|^2 = |x_k|^2 with x = V^dag chi_j.  V is Haar and independent
 of U, so x is uniform on the unit sphere of C^d for every psi, U and j,
 and the class law given j is the same for every j.  The trial reads only
-(|x_0|^2, sum_k>=1 |x_k|^2), and the moduli |x_k|^2 of a uniform unit
-vector follow the flat Dirichlet law, (E_0, ..., E_d-1) / sum(E) for E_k
-i.i.d. Exp(1): x = g / |g| for a standard complex Gaussian vector g, and
-the |g_k|^2 are i.i.d. exponential.  So a labeled "different" trial draws
-d exponentials and samples its class from (E_0, sum_k>=1 E_k) / sum(E)
-(``_labeled_probs_row``), with A's outcome taken as 0: no unit vector, no
-device, no component and no Born table.  This is exact in law, and the
-"same" class has probability E|x_0|^2 = 1/d, the paper's O_same^diff = I/d
-for every state.
+p = |x_0|^2 and 1 - p.  The moduli |x_k|^2 of a uniform unit vector follow
+the flat Dirichlet law, (E_0, ..., E_d-1) / sum(E) for E_k i.i.d. Exp(1):
+x = g / |g| for a standard complex Gaussian vector g, and the |g_k|^2 are
+i.i.d. exponential.  So p, the first coordinate of a flat Dirichlet, is
+Beta(1, d - 1): P(p <= t) = 1 - (1 - t)^(d-1), whose inverse at a uniform
+v, taken as 1 - v, gives 1 - p = v^(1/(d-1)), just v at d = 2.  A labeled
+"different" trial draws that one uniform and samples its class from
+(p, 1 - p) (``_labeled_probs_row``), with A's outcome taken as 0: no unit
+vector, no device, no component and no Born table.  This is exact in law,
+and the "same" class has probability E|x_0|^2 = 1/d, the paper's
+O_same^diff = I/d for every state.
 
 Unlabeled qubit trials
 ----------------------
@@ -136,15 +144,16 @@ no timestamps and sorted keys) are byte-identical across runs and across
 --workers settings.  Which process runs a shard, the caller or a pool
 worker, never changes a count.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch of B trials draws, in order:
-- labeled "different": one ``standard_exponential`` call of d B draws,
-  a (d, B) array filled row by row;
+- labeled "different": one ``random`` call of B draws, the uniforms v of
+  the rows 1 - p = v^(1/(d-1));
 - labeled "equal": one ``haar_unitaries`` call for U (one sphere fill
   per level k = 1..d, d (d + 1) B normals in all);
 - unlabeled: device A, then in a "different" stream device B, each by
   its number of free coordinates (``_axis_terms``): nothing for none, one
   ``uniform(-1, 1)`` call of B draws for one, and one ``haar_unitaries``
   call (6 B normals at d = 2) for two;
-then one uniform per trial for its class.  An "equal" shard of a fixed law
+then one ``random`` call of B draws, a uniform per trial for its class,
+which ``_sample_rows`` counts.  An "equal" shard of a fixed law
 draws one multinomial instead, or nothing.  The batch size, these draws,
 the Haar construction, the symmetry level, the component order, the class
 laws, the class order of ``Scenario.classes`` and the resolved test
@@ -156,14 +165,14 @@ Sweep point i draws one multinomial over its four classes on stream (2, i).
 Batch layout
 ------------
 The batch of trials is the last, contiguous axis throughout: the labeled
-"different" exponentials are a (d, size) array, ``haar_unitaries``
-returns views of a (d, d, size) buffer, ``_bloch_terms`` one array per
-term, and every class law is a class-first (k, size) table, from
-``_labeled_probs_row``, ``_labeled_equal_law`` and ``_bloch_class_law``
-through ``_clamped`` and ``_sample_rows``; the law of fixed devices is a
-(k, 1) column.  Every step is then a vector operation over many trials
-instead of a loop over tiny matrices, and no step calls BLAS, so the pool
-workers run one thread each.
+"different" rows are a (2, size) array, ``haar_unitaries`` returns views
+of a (d, d, size) buffer, ``_bloch_terms`` one array per term, and every
+class law is a class-first (k, size) table, from ``_labeled_probs_row``,
+``_labeled_equal_law`` and ``_bloch_class_law`` through ``_clamped`` and
+``_sample_rows``, which reduces the batch axis to k counts; the law of
+fixed devices is a (k, 1) column.  Every step is then a vector operation
+over many trials instead of a loop over tiny matrices, and no step calls
+BLAS, so the pool workers run one thread each.
 """
 from __future__ import annotations
 
@@ -200,7 +209,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_typ
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/14"
+CAMPAIGN_FORMAT = "qmeter.campaign/15"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
@@ -379,7 +388,7 @@ def run_trial(scenario: Scenario, a: Observable, b: Observable, state: TestState
     gen = rng_from(rng)
     conclusive = conclusive_classes(scenario, state)
     table = outcome_table(a, b, state)
-    idx = int(_sample_rows(table.reshape(-1, 1), gen)[0])
+    idx = int(np.flatnonzero(_sample_rows(table.reshape(-1, 1), gen))[0])
     cls = scenario.classes[outcome_class_index(scenario.slots, scenario.dim)[idx]]
     verdict = Verdict.DIFFERENT if cls in conclusive else Verdict.INCONCLUSIVE
     outcomes = tuple(int(x) for x in np.unravel_index(idx, table.shape))
@@ -405,7 +414,8 @@ def _labeled_probs_row(q: np.ndarray) -> np.ndarray:
     """Labeled class law given device A's outcome 0, where column b of the
     batch-last (d, size) array q holds nonnegative weights proportional to
     B's outcome law |x_k|^2, x = V_b^dag chi_b (module docstring): the
-    moduli themselves, or d exponentials.  So (same, diff) =
+    moduli themselves, or the pair (|x_0|^2, 1 - |x_0|^2) that a campaign
+    draws.  So (same, diff) =
     (q_0, sum_k>=1 q_k) / sum_k q_k, a class-first (2, size) table."""
     rest = q[1:].sum(axis=0)
     total = q[0] + rest
@@ -438,15 +448,19 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _Z_TERMS = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
+#: the operators X_0..X_6 on one device's two slots: X_0 = 1 and
+#: X_k = sigma_i (x) sigma_j + sigma_j (x) sigma_i for the k-th axis pair
+#: (i, j) of _PAIRS, halved when i = j
+_PAIR_OPS = np.array([np.eye(4)] + [(np.kron(_PAULI[i], _PAULI[j])
+                                     + np.kron(_PAULI[j], _PAULI[i])) / (1 + (i == j))
+                                    for i, j in _PAIRS])
+
+
 def _bloch_form(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The real 7 x 7 matrix G[a, b] = tr(rho X_a (x) X_b) of the prepared
-    mixture rho = sum_r w_r psi_r psi_r^dag / sum(w), where on one device's
-    two slots X_0 = 1 and X_k = sigma_i (x) sigma_j + sigma_j (x) sigma_i
-    for the k-th axis pair (i, j) of _PAIRS, halved when i = j."""
+    mixture rho = sum_r w_r psi_r psi_r^dag / sum(w), X_a of _PAIR_OPS."""
     rho = (vecs.T * (weights / weights.sum())) @ vecs.conj()
-    xs = [np.eye(4)] + [(np.kron(_PAULI[i], _PAULI[j]) + np.kron(_PAULI[j], _PAULI[i]))
-                        / (1 + (i == j)) for i, j in _PAIRS]
-    return np.einsum("abcd,xca,ydb->xy", rho.reshape(4, 4, 4, 4), xs, xs).real
+    return np.einsum("abcd,xca,ydb->xy", rho.reshape(4, 4, 4, 4), _PAIR_OPS, _PAIR_OPS).real
 
 
 def _bloch_terms(us: np.ndarray) -> tuple:
@@ -531,18 +545,22 @@ def _clamped(p: np.ndarray) -> np.ndarray:
 
 def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Draw one category per column of the category-first table p by
-    inverse CDF, one uniform per column."""
+    inverse CDF, one uniform per column, and return how many columns drew
+    each category, an int64 count per row of p."""
     # the running sum category by category: np.cumsum's order, at a tenth
     # of its time over the strided axis
     cum = _clamped(p)
     for k in range(1, len(cum)):
         cum[k] += cum[k - 1]
-    # The columns sum to 1 only up to rounding.  Pinning the whole trailing
-    # plateau (the last nonzero category and the zeros after it) to 1 sends
-    # a draw in the rounding gap to that last nonzero category.
-    cum[cum >= cum[-1]] = 1.0
     u = gen.random(p.shape[1])
-    return (u >= cum).sum(axis=0)
+    # A column draws a category above k iff u >= cum[k], for the running
+    # sum never decreases.  The columns sum to 1 only up to rounding, so
+    # the whole trailing plateau (the last nonzero category and the zeros
+    # after it) counts as 1, which no uniform reaches: a draw in the
+    # rounding gap goes to that last nonzero category, and a clamped
+    # category, whose cum[k] equals cum[k - 1], is never drawn.
+    above = [np.count_nonzero((u >= c) & (c < cum[-1])) for c in cum[:-1]]
+    return -np.diff([p.shape[1], *above, 0])
 
 
 def _equal_law(scen: Scenario, conclusive: Tuple[str, ...], invariant: bool,
@@ -622,12 +640,13 @@ def _shard_counts(task: tuple) -> np.ndarray:
         elif truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
-            # taken as j = 0 and not drawn; the moduli |x_k|^2 are flat
-            # Dirichlet, d exponentials over their sum
-            p = _labeled_probs_row(gen.standard_exponential((d, step)))
+            # taken as j = 0 and not drawn; |x_0|^2 is Beta(1, d - 1), so
+            # 1 - |x_0|^2 is a uniform to the power 1 / (d - 1)
+            rest = gen.random(step) ** (1.0 / (d - 1))
+            p = _labeled_probs_row(np.stack((1.0 - rest, rest)))
         else:
             p = _labeled_equal_law(haar_unitaries(d, step, gen), weights, vecs)
-        counts += np.bincount(_sample_rows(p, gen), minlength=len(counts))
+        counts += _sample_rows(p, gen)
     return counts
 
 

@@ -471,13 +471,13 @@ def test_kappa_equal_streams_give_no_false_positive_in_a_million_trials(tmp_path
     assert sum(res.results["equal"].class_counts.values()) == 1 << 20
 
 
-def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch):
-    # a labeled "different" batch draws d exponentials per trial, one
-    # (d, B) array, and one uniform per trial for its class, sampled from
-    # the two-class law (E_0, sum_k>=1 E_k) / sum(E): no unitary, no
-    # component and no equal-device law, even for a mixed state that is not
-    # invariant.  With equal devices the antisymmetric state's law puts
-    # every trial in "diff".
+def test_labeled_different_shard_draws_one_uniform_per_trial_for_its_row(monkeypatch):
+    # a labeled "different" batch draws one uniform v per trial for its
+    # row, 1 - |x_0|^2 = v^(1 / (d - 1)), and then one uniform per trial
+    # for its class, sampled from the two-class law (1 - r, r): no
+    # unitary, no component and no equal-device law, even for a mixed
+    # state that is not invariant.  With equal devices the antisymmetric
+    # state's law puts every trial in "diff".
     d, trials = 3, 4000
     anti = optimal_test_state(Scenario("labeled", d))
     w, v = anti.pure_components()
@@ -492,10 +492,8 @@ def test_labeled_different_shard_draws_one_exponential_row_per_trial(monkeypatch
     mixture = _antisymmetric_mixture(d, (0.7, 0.3), 8)
     assert not _is_invariant(mixture.rho)
     gen = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(0, 0)))
-    e = gen.standard_exponential((d, trials))  # one batch: trials < _SUBCHUNK
-    rest = e[1:].sum(axis=0)
-    drawn = _sample_rows(np.stack((e[0], rest)) / (e[0] + rest), gen)
-    expected = np.bincount(drawn, minlength=2).tolist()
+    rest = gen.random(trials) ** (1 / (d - 1))  # one batch: trials < _SUBCHUNK
+    expected = _sample_rows(np.stack((1 - rest, rest)), gen).tolist()
     for state in (anti, mixture):
         w, v = state.pure_components()
         counts = _shard_counts(("labeled", d, "different", 2, None, w, v, 99, 0, trials))
@@ -522,6 +520,27 @@ def test_labeled_different_draw_has_the_moments_of_a_haar_row(monkeypatch, d):
         x = p ** power
         se = x.std() / np.sqrt(trials)
         assert abs(x.mean() - moment) <= 5 * se, (power, x.mean(), moment, se)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_labeled_different_draw_follows_the_law_of_a_haar_row(monkeypatch, d):
+    # |x_0|^2 of a uniform unit vector in C^d is the first coordinate of a
+    # flat Dirichlet, Beta(1, d - 1), with CDF 1 - (1 - t)^(d - 1): the
+    # "same" probability of a labeled "different" trial must follow it at
+    # every t, not only in its first two moments
+    laws = []
+    sample = simulate._sample_rows
+    monkeypatch.setattr(simulate, "_sample_rows",
+                        lambda p, gen: laws.append(p[0].copy()) or sample(p, gen))
+    w, v = optimal_test_state(Scenario("labeled", d)).pure_components()
+    trials = 2 * SHARD_SIZE
+    _shard_counts(("labeled", d, "different", 0, None, w, v, 400 + d, 0, trials))
+    p = np.concatenate(laws)
+    assert len(p) == trials
+    for t in (0.05, 0.1, 0.25, 0.5, 0.75):
+        cdf = 1 - (1 - t) ** (d - 1)
+        se = np.sqrt(cdf * (1 - cdf) / trials)
+        assert abs(np.mean(p <= t) - cdf) <= 5 * se, (t, np.mean(p <= t), cdf, se)
 
 
 def _antisymmetric_qutrit_file(tmp_path) -> str:
@@ -635,28 +654,29 @@ def test_two_shard_class_counts_are_pinned(tmp_path):
     # their Born table's class law); any change to
     # the random streams, the kernels, the sampler or the outcome-to-class
     # map shows up here.  Format 13 draws device A of a z-invariant state on
-    # its meridian, which moves the kappa:2 blocks alone, and format 14 B of
+    # its meridian, which moves the kappa:2 blocks alone, format 14 B of
     # an invariant state's "different" trial, which moves the optimal
-    # "different" block alone.
+    # "different" block alone, and format 15 a labeled "different" trial's
+    # row as one uniform, which moves the labeled "different" blocks alone.
     anti3 = _antisymmetric_qutrit_file(tmp_path)
     expected = {
-        ("labeled", 3, "optimal"): {"different": {"same": 22696, "diff": 45840},
+        ("labeled", 3, "optimal"): {"different": {"same": 22738, "diff": 45798},
                                     "equal": {"same": 0, "diff": 68536}},
         # the "equal" block draws no device, so it is the format-3 count
         ("unlabeled", 2, "optimal"): {"different": {"same_same": 30446, "same_diff": 15199,
                                                     "diff_same": 15305, "diff_diff": 7586},
                                       "equal": {"same_same": 45794, "same_diff": 0,
                                                 "diff_same": 0, "diff_diff": 22742}},
-        ("labeled", 3, anti3): {"different": {"same": 22696, "diff": 45840},
+        ("labeled", 3, anti3): {"different": {"same": 22738, "diff": 45798},
                                 "equal": {"same": 0, "diff": 68536}},
         ("unlabeled", 2, "kappa:2"): {"different": {"same_same": 30267, "same_diff": 15209,
                                                     "diff_same": 15342, "diff_diff": 7718},
                                       "equal": {"same_same": 22910, "same_diff": 23148,
                                                 "diff_same": 22478, "diff_diff": 0}},
         # d = 2 and 5 are the shortest and longest rows of the labeled pins
-        ("labeled", 2, "optimal"): {"different": {"same": 34307, "diff": 34229},
+        ("labeled", 2, "optimal"): {"different": {"same": 34288, "diff": 34248},
                                     "equal": {"same": 0, "diff": 68536}},
-        ("labeled", 5, "optimal"): {"different": {"same": 13666, "diff": 54870},
+        ("labeled", 5, "optimal"): {"different": {"same": 13578, "diff": 54958},
                                     "equal": {"same": 0, "diff": 68536}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -671,8 +691,8 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
     # (format qmeter.campaign/9), the certified labeled "equal" block draws
     # nothing (formats 8 to 11), the uncertified one samples the labeled
     # mixture law (format 10) and the labeled "different" blocks are the
-    # d exponentials per trial of format 11; the kappa mixture is
-    # z-invariant, so format 13 draws its device A on the meridian
+    # one-uniform rows of format 15; the kappa mixture is z-invariant, so
+    # format 13 draws its device A on the meridian
     expected = {
         ("unlabeled", 2, _kappa_mixture_file(tmp_path)): {
             "different": {"same_same": 30419, "same_diff": 15161, "diff_same": 15324,
@@ -680,10 +700,10 @@ def test_mixed_state_class_counts_are_pinned(tmp_path):
             "equal": {"same_same": 22898, "same_diff": 22910, "diff_same": 22728,
                       "diff_diff": 0}},
         ("labeled", 4, _antisymmetric_mixture_file(tmp_path)): {
-            "different": {"same": 17065, "diff": 51471},
+            "different": {"same": 17119, "diff": 51417},
             "equal": {"same": 0, "diff": 68536}},
         ("labeled", 3, _rank2_qutrit_mixture_file(tmp_path)): {
-            "different": {"same": 22696, "diff": 45840},
+            "different": {"same": 22738, "diff": 45798},
             "equal": {"same": 23205, "diff": 45331}},
     }
     for (kind, dim, spec), counts in expected.items():
@@ -713,7 +733,7 @@ def test_a_mixed_shard_prepares_one_component_per_trial(tmp_path):
     devices = [Observable(u) for u in haar_unitaries(3, trials, gen)]
     same = [np.trace(outcome_table(a, a, prepared)) for a in devices]
     drawn = _sample_rows(np.stack((same, np.subtract(1.0, same))), gen)
-    assert counts == dict(zip(("same", "diff"), np.bincount(drawn, minlength=2).tolist()))
+    assert counts == dict(zip(("same", "diff"), drawn.tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(Scenario("labeled", 3), trials=trials, seed=12,
                                       ground_truth="equal",
@@ -981,7 +1001,7 @@ def test_an_invariant_different_shard_draws_device_b_alone():
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
     em = _meridian_terms(gen.uniform(-1.0, 1.0, trials))
     drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, em), gen)
-    assert counts == dict(zip(scen.classes, np.bincount(drawn, minlength=4).tolist()))
+    assert counts == dict(zip(scen.classes, drawn.tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
     assert dict(res.results["different"].class_counts) == counts
@@ -1130,29 +1150,88 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
         assert_allclose(law.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+def _inverse_cdf_draws(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # the category each column of p draws at its uniform u, by an inverse
+    # CDF built with np.cumsum whose trailing plateau is pinned to 1
+    cum = np.cumsum(simulate._clamped(p), axis=0)
+    cum[cum >= cum[-1]] = 1.0
+    return (u >= cum).sum(axis=0)
+
+
+def _drawn_category(column: np.ndarray, gen) -> int:
+    # the one category a one-column table draws: its one nonzero count
+    counts = _sample_rows(column.reshape(-1, 1), gen)
+    assert counts.sum() == 1
+    return int(np.flatnonzero(counts)[0])
+
+
 def test_sampling_in_row_blocks_keeps_the_stream():
-    # one uniform per row, in row order, for outcome records and for the
-    # class laws campaigns sample: consecutive row blocks draw what one call
-    # would
+    # one uniform per column, in column order, for outcome records and for
+    # the class laws campaigns sample: one-column tables drawn one after
+    # another each take the category of the inverse CDF at their uniform,
+    # and consecutive column blocks count what one call counts
     gen = np.random.default_rng(31)
     us, vs = haar_unitaries(2, 1000, gen), haar_unitaries(2, 1000, gen)
     form = _bloch_form(*optimal_test_state(Scenario("unlabeled", 2)).pure_components())
     for table in (gen.dirichlet(np.full(16, 0.3), size=1000).T,
                   _bloch_class_law(form, _bloch_terms(us), _bloch_terms(vs))):
+        one_by_one = np.random.default_rng(7)
+        drawn = np.array([_drawn_category(column, one_by_one) for column in table.T])
+        reference = _inverse_cdf_draws(table, np.random.default_rng(7).random(1000))
+        assert np.array_equal(drawn, reference)
         whole = _sample_rows(table, np.random.default_rng(7))
+        assert np.array_equal(whole, np.bincount(drawn, minlength=len(table)))
         blocks = np.random.default_rng(7)
-        pieces = [_sample_rows(table[:, lo:lo + 300], blocks) for lo in range(0, 1000, 300)]
-        assert np.array_equal(np.concatenate(pieces), whole)
+        for lo in range(0, 1000, 300):
+            assert np.array_equal(_sample_rows(table[:, lo:lo + 300], blocks),
+                                  np.bincount(drawn[lo:lo + 300], minlength=len(table)))
 
 
 def test_sampler_matches_an_inverse_cdf_built_by_cumsum():
     # the sampler sums the clamped table row by row, which is np.cumsum's
-    # order, so its draws equal the reference built with np.cumsum
+    # order, so its counts are those of the draws of the reference built
+    # with np.cumsum
     p = np.random.default_rng(12).dirichlet(np.full(16, 0.3), size=5000).T
-    cum = np.cumsum(simulate._clamped(p), axis=0)
-    cum[cum >= cum[-1]] = 1.0
-    reference = (np.random.default_rng(3).random(p.shape[1]) >= cum).sum(axis=0)
-    assert np.array_equal(_sample_rows(p, np.random.default_rng(3)), reference)
+    reference = _inverse_cdf_draws(p, np.random.default_rng(3).random(p.shape[1]))
+    assert np.array_equal(_sample_rows(p, np.random.default_rng(3)),
+                          np.bincount(reference, minlength=16))
+
+
+@pytest.mark.parametrize("uniforms", ["seeded", "top", "ties"])
+def test_counting_sampler_matches_the_cumsum_reference_on_clamped_tables(uniforms):
+    # the sampler counts each category from the running sum and never
+    # builds a per-column draw; on tables with clamped entries (at or below
+    # TOL_ABS, inside a column and at its end) and with trailing zero
+    # plateaus its counts must still be the bincount of the reference's
+    # draws: under seeded uniforms, under the largest uniform below 1,
+    # which lands in the rounding gap above the last nonzero category, and
+    # under uniforms that equal a value of the running sum, where a draw
+    # goes to the category above it
+    rng = np.random.default_rng(45)
+    k, n = 6, 6000
+    p = rng.dirichlet(np.full(k, 0.4), size=n).T
+    p[rng.random((k, n)) < 0.2] = TOL_ABS / 2  # clamped anywhere
+    for tail in (1, 2, 3):  # zero plateaus of 1 to 3 categories
+        p[k - tail:, tail * 1000:(tail + 1) * 1000] = 0.0
+    p[k - 1, 4000:5000] = TOL_ABS  # a clamped last category
+    p /= p.sum(axis=0)
+    assert (p[-1] == 0.0).sum() >= 3000 and (p <= TOL_ABS).sum() > n
+    if uniforms == "ties":
+        cum = np.cumsum(simulate._clamped(p), axis=0)
+        u = np.minimum(cum[rng.integers(0, k, n), np.arange(n)], np.nextafter(1.0, 0.0))
+        assert (u < cum[-1]).sum() > n / 2
+        gens = _FixedUniforms(u), _FixedUniforms(u)
+    elif uniforms == "top":
+        gens = _TopOfRangeGenerator(), _TopOfRangeGenerator()
+    else:
+        gens = np.random.default_rng(17), np.random.default_rng(17)
+    reference = _inverse_cdf_draws(p, gens[0].random(n))
+    counts = _sample_rows(p, gens[1])
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(reference, minlength=k))
+    if uniforms == "top":  # every column drew its last category above TOL_ABS
+        last = k - 1 - np.argmax(p[::-1] > TOL_ABS, axis=0)
+        assert np.array_equal(counts, np.bincount(last, minlength=k))
 
 
 @pytest.mark.parametrize("kind,dim,spec", [
@@ -1199,6 +1278,17 @@ class _TopOfRangeGenerator:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+class _FixedUniforms:
+    """Stands in for np.random.Generator: the uniforms are the given ones."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_clamp_rejects_a_non_finite_born_row(bad):
     # a NaN total fails every comparison; it must still fail the row-sum guard
@@ -1218,8 +1308,8 @@ def test_sampler_never_draws_a_clamped_category():
     equal_devices = [outcome_table(a, a, st).reshape(-1)
                      for a in (Observable.random(3, rng) for _ in range(500))]
     tables = np.vstack([uniform_pairs] + equal_devices)
-    idx = _sample_rows(tables.T, _TopOfRangeGenerator())
-    assert np.all(tables[np.arange(len(tables)), idx] > TOL_ABS)
+    for table in tables:  # one column each, so every draw is seen
+        assert table[_drawn_category(table, _TopOfRangeGenerator())] > TOL_ABS
 
 
 @pytest.mark.parametrize("kind,dim,spec", [("labeled", 3, "optimal"), ("unlabeled", 2, "optimal"),
@@ -1243,8 +1333,11 @@ def test_class_sampler_never_draws_a_conclusive_class(tmp_path, kind, dim, spec)
     else:
         terms = _bloch_terms(us)  # device B's axis is A's
         law = _bloch_class_law(_bloch_form(w, v), terms, terms)
-    drawn = _sample_rows(law, _TopOfRangeGenerator())
-    assert not np.isin(np.array(scen.classes)[drawn], conclusive_classes(scen, state)).any()
+    # the conclusive classes are the same in every trial, so their counts
+    # are 0 iff no trial drew one
+    counts = _sample_rows(law, _TopOfRangeGenerator())
+    assert counts.sum() == 2000
+    assert not counts[np.isin(scen.classes, conclusive_classes(scen, state))].any()
 
 
 # --- sweep ----------------------------------------------------------------------
