@@ -12,11 +12,12 @@ A shot of either protocol is one draw from the Born table of a test state on
 n slots (n = 2 labeled, n = 4 unlabeled) whose first n/2 slots device A
 measures and whose last n/2 device B measures.  ``_sample_rows`` draws
 one category per column of a category-first table by inverse CDF, one
-uniform per column, and returns how many columns drew each category: a
-column draws a category above k iff its uniform reaches the running sum
-through k, so the count of each category is a difference of two counts of
-uniforms, and no per-trial index is built.  A single trial, whose record
-carries the outcomes, samples its fixed devices' table
+uniform per column scaled to the column's total, and returns how many
+columns drew each category: a column draws a category above k iff its
+scaled uniform reaches the running sum through k, so the count of each
+category is a difference of two counts of uniforms, and neither a
+per-trial index nor a renormalized table is built.  A single trial, whose
+record carries the outcomes, samples its fixed devices' table
 (``comparison.outcome_table``) as one column and reads its entry off the
 one nonzero count, and in the unlabeled protocol then relabels each
 device's outcomes.  A campaign reports only class counts, so it builds no
@@ -25,10 +26,13 @@ form over a batch (the labeled row and "equal" laws and the unlabeled
 Bloch law below), and ``_sample_rows`` counts the classes its trials
 draw.  Trials that share one law, a fixed "equal" law or a sweep point's
 ``class_probabilities``, take one multinomial instead
-(``_fixed_law_counts``).  Probabilities at or below TOL_ABS are clamped
-to zero and the law renormalized (``_clamped``), and the inverse CDF
-counts its trailing plateau as 1, so a category or class of clamped
-probability 0 is never drawn.  A conclusive
+(``_fixed_law_counts``) of their law renormalized (``_clamped``).  Every
+sampled law follows one rule: probabilities at or below TOL_ABS are
+clamped to zero, and each clamped column must sum to 1 within TOL_RANK
+(``_check_totals``), or the campaign stops with a ConsistencyError.  The
+inverse CDF counts its trailing plateau as the column's total, which no
+scaled uniform reaches, so a category or class of clamped probability 0 is
+never drawn.  A conclusive
 class has equal-device probability at most TOL_ABS/2 in every trial (the
 leak bound of ``conclusive_classes``), so it is clamped to exactly 0:
 unambiguity is exact in sampled campaigns, not just up to floating noise.
@@ -145,7 +149,7 @@ no timestamps and sorted keys) are byte-identical across runs and across
 worker, never changes a count.  Every scenario walks its shard in batches of
 _SUBCHUNK trials, and each batch of B trials draws, in order:
 - labeled "different": one ``random`` call of B draws, the uniforms v of
-  the rows 1 - p = v^(1/(d-1));
+  the rows (1 - r, r) with r = 1 - p = v^(1/(d-1)), not renormalized;
 - labeled "equal": one ``haar_unitaries`` call for U (one sphere fill
   per level k = 1..d, d (d + 1) B normals in all);
 - unlabeled: device A, then in a "different" stream device B, each by
@@ -153,26 +157,30 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
   ``uniform(-1, 1)`` call of B draws for one, and one ``haar_unitaries``
   call (6 B normals at d = 2) for two;
 then one ``random`` call of B draws, a uniform per trial for its class,
-which ``_sample_rows`` counts.  An "equal" shard of a fixed law
-draws one multinomial instead, or nothing.  The batch size, these draws,
-the Haar construction, the symmetry level, the component order, the class
-laws, the class order of ``Scenario.classes`` and the resolved test
-state's matrix, to the last bit (a multinomial turns roundoff in a fixed
-law into other counts), make up CAMPAIGN_FORMAT; a change to any of them
-changes the counts and needs a new format version.
+which ``_sample_rows`` scales to the trial's clamped total and counts
+against the running sum (format 16; up to format 15 the table was
+renormalized and the uniform compared as drawn).  An "equal" shard of a
+fixed law draws one multinomial instead, or nothing.  The batch size,
+these draws, the Haar construction, the symmetry level, the component
+order, the class laws and their arithmetic, the inverse CDF's arithmetic,
+the class order of ``Scenario.classes`` and the resolved test state's
+matrix, to the last bit (a multinomial turns roundoff in a fixed law into
+other counts), make up CAMPAIGN_FORMAT; a change to any of them can
+change the counts and needs a new format version.
 Sweep point i draws one multinomial over its four classes on stream (2, i).
 
 Batch layout
 ------------
-The batch of trials is the last, contiguous axis throughout: the labeled
-"different" rows are a (2, size) array, ``haar_unitaries`` returns views
-of a (d, d, size) buffer, ``_bloch_terms`` one array per term, and every
-class law is a class-first (k, size) table, from ``_labeled_probs_row``,
-``_labeled_equal_law`` and ``_bloch_class_law`` through ``_clamped`` and
-``_sample_rows``, which reduces the batch axis to k counts; the law of
-fixed devices is a (k, 1) column.  Every step is then a vector operation
-over many trials instead of a loop over tiny matrices, and no step calls
-BLAS, so the pool workers run one thread each.
+The batch of trials is the last, contiguous axis throughout:
+``haar_unitaries`` returns views of a (d, d, size) buffer,
+``_bloch_terms`` one array per term, and every class law is a class-first
+(k, size) table, from ``_labeled_probs_row`` and ``_bloch_class_law``,
+each of which fills one preallocated array row by row, and
+``_labeled_equal_law``, to ``_sample_rows``, which clamps a copy, sums it
+in place and reduces the batch axis to k counts; the law of fixed devices
+is a (k, 1) column.  Every step is then a vector operation over many
+trials instead of a loop over tiny matrices, and no step calls BLAS, so
+the pool workers run one thread each.
 """
 from __future__ import annotations
 
@@ -209,7 +217,7 @@ from .tensors import TOL_ABS, TOL_RANK, Operator, Vector, _check_int, _check_typ
 #: trials per deterministic shard (fixed; independent of worker count)
 SHARD_SIZE = 1 << 16
 #: the "format" field of every campaign JSON
-CAMPAIGN_FORMAT = "qmeter.campaign/15"
+CAMPAIGN_FORMAT = "qmeter.campaign/16"
 
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
@@ -410,16 +418,16 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _labeled_probs_row(q: np.ndarray) -> np.ndarray:
-    """Labeled class law given device A's outcome 0, where column b of the
-    batch-last (d, size) array q holds nonnegative weights proportional to
-    B's outcome law |x_k|^2, x = V_b^dag chi_b (module docstring): the
-    moduli themselves, or the pair (|x_0|^2, 1 - |x_0|^2) that a campaign
-    draws.  So (same, diff) =
-    (q_0, sum_k>=1 q_k) / sum_k q_k, a class-first (2, size) table."""
-    rest = q[1:].sum(axis=0)
-    total = q[0] + rest
-    return np.stack((q[0] / total, rest / total))
+def _labeled_probs_row(r: np.ndarray) -> np.ndarray:
+    """Labeled class law given device A's outcome 0, where r over the batch
+    is 1 - |x_0|^2, x = V_b^dag chi_b (module docstring), the probability
+    that B's outcome differs from A's: (same, diff) = (1 - r, r), a
+    class-first (2, size) table.  A campaign draws r, so the row sums to 1
+    up to rounding and is not renormalized."""
+    law = np.empty((2, len(r)))
+    np.subtract(1.0, r, out=law[0])
+    law[1] = r
+    return law
 
 
 def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -493,16 +501,21 @@ def _axis_terms(free: int, step: int, gen: np.random.Generator) -> tuple:
     return _bloch_terms(haar_unitaries(2, step, gen))
 
 
-def _weigh(coefs, terms):
-    """sum_k coefs[k] * terms[k], leaving out every coefficient that is the
-    number zero; an array coefficient is always kept.  The kappa states'
-    forms have 30 to 40 zeros in 49 entries, and at kappa:2 the skip takes
-    the class law of a batch from about 0.7 ms to 0.25 ms."""
-    total = 0.0
+def _products_sum(coefs, terms):
+    """sum_k coefs[k] * terms[k] over the products with no factor that is
+    the number zero (a Python or numpy float; an array always counts), in
+    order of k: an array over the batch, or a number if no array enters it.
+    The kappa states' forms have 30 to 40 zeros in 49 entries, and a fixed
+    or meridian axis has zero terms, so most products are skipped."""
+    total = None
     for c, t in zip(coefs, terms):
-        if np.ndim(c) or c:
+        if isinstance(c, float) and not c or isinstance(t, float) and not t:
+            continue
+        if total is None:
+            total = c * t
+        else:
             total += c * t  # in place once total is an array
-    return total
+    return 0.0 if total is None else total
 
 
 def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
@@ -511,16 +524,25 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
     p(A same) = sum_a G[a, 0] e_a(n) / 2, p(B same) = sum_b G[0, b] e_b(m) / 2
     and p(same_same) = e(n)^T G e(m) / 4, the other classes by
     inclusion-exclusion.  en and em hold e_1..e_6, each an array over the
-    batch or a number (a fixed axis).  The result is a class-first
-    (4, size) table, or the 4 classes alone for two fixed axes."""
+    batch or a number (a fixed axis).  The result is one class-first
+    (4, size) array, filled row by row, also for a law that reads no drawn
+    term (I/16), or the 4 classes alone for two fixed axes."""
+    g = form.tolist()  # plain floats, whose zeros are read without numpy
     en, em = (1.0, *en), (1.0, *em)
+    size = next((len(t) for t in (*en, *em) if not isinstance(t, float)), 0)
+    law = np.empty((4, max(size, 1)))
     # h_b = sum_a G[a, b] e_a(n), the number 0 for a zero column of G
-    h = [_weigh(col, en) for col in form.T]
-    both = 0.25 * _weigh(h, em)
-    a_same = 0.5 * h[0]
-    b_same = 0.5 * _weigh(form[0], em)
-    return np.stack(np.broadcast_arrays(
-        both, a_same - both, b_same - both, 1.0 - a_same - b_same + both))
+    h = [_products_sum(col, en) for col in zip(*g)]
+    both, a_same, b_same, neither = law
+    np.multiply(_products_sum(h, em), 0.25, out=both)
+    np.multiply(h[0], 0.5, out=a_same)
+    np.multiply(_products_sum(g[0], em), 0.5, out=b_same)
+    np.subtract(1.0, a_same, out=neither)
+    neither -= b_same
+    neither += both
+    a_same -= both
+    b_same -= both
+    return law if size else law[:, 0]
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
@@ -530,36 +552,48 @@ _unlabeled_probs = _bloch_class_law
 _labeled_probs_antisym = _labeled_probs_row
 
 
-def _clamped(p: np.ndarray) -> np.ndarray:
-    """The category-first table p, each column (one trial's law) checked to
-    sum to 1 within TOL_RANK, with the entries at or below TOL_ABS set to
-    zero and renormalized.  Each step runs over all columns at once."""
-    totals = p.sum(axis=0)
+def _check_totals(totals: np.ndarray) -> None:
+    """The rule of every sampled law: each column of the table, with the
+    entries at or below TOL_ABS set to zero, sums to 1 within TOL_RANK.  A
+    NaN total fails too."""
     worst = np.argmax(np.abs(totals - 1.0))
-    if not abs(totals[worst] - 1.0) <= TOL_RANK:  # a NaN total fails too
+    if not abs(totals[worst] - 1.0) <= TOL_RANK:
         raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """The category-first table p with the entries at or below TOL_ABS set
+    to zero, each column checked to sum to 1 within TOL_RANK
+    (_check_totals) and renormalized: the fixed laws that one multinomial
+    samples."""
     q = np.where(p <= TOL_ABS, 0.0, p)
-    q /= q.sum(axis=0)
+    totals = q.sum(axis=0)
+    _check_totals(totals)
+    q /= totals
     return q
 
 
 def _sample_rows(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Draw one category per column of the category-first table p by
     inverse CDF, one uniform per column, and return how many columns drew
-    each category, an int64 count per row of p."""
+    each category, an int64 count per row of p.  The table is clamped and
+    checked as in _clamped, but not renormalized: a column's uniform is
+    scaled to its total instead."""
     # the running sum category by category: np.cumsum's order, at a tenth
     # of its time over the strided axis
-    cum = _clamped(p)
+    cum = np.where(p <= TOL_ABS, 0.0, p)
     for k in range(1, len(cum)):
         cum[k] += cum[k - 1]
+    total = cum[-1]
+    _check_totals(total)
     u = gen.random(p.shape[1])
+    u *= total
     # A column draws a category above k iff u >= cum[k], for the running
-    # sum never decreases.  The columns sum to 1 only up to rounding, so
-    # the whole trailing plateau (the last nonzero category and the zeros
-    # after it) counts as 1, which no uniform reaches: a draw in the
-    # rounding gap goes to that last nonzero category, and a clamped
-    # category, whose cum[k] equals cum[k - 1], is never drawn.
-    above = [np.count_nonzero((u >= c) & (c < cum[-1])) for c in cum[:-1]]
+    # sum never decreases.  The whole trailing plateau (the last nonzero
+    # category and the zeros after it) is masked out, so a clamped
+    # category, whose cum[k] equals cum[k - 1], is never drawn, however
+    # u * total rounds.
+    above = [np.count_nonzero((u >= c) & (c < total)) for c in cum[:-1]]
     return -np.diff([p.shape[1], *above, 0])
 
 
@@ -635,15 +669,13 @@ def _shard_counts(task: tuple) -> np.ndarray:
         if kind == "unlabeled":
             en = _axis_terms(free, step, gen)
             em = en if truth == "equal" else _axis_terms(min(free + 1, 2), step, gen)
-            # a column per trial, also for a law that reads no drawn term (I/16)
-            p = np.broadcast_to(_bloch_class_law(form, en, em).reshape(4, -1), (4, step))
+            p = _bloch_class_law(form, en, em)
         elif truth == "different":
             # x = V^dag chi_j is uniform on the sphere for every test state,
             # U and j, and so is the class law given j, so A's outcome is
             # taken as j = 0 and not drawn; |x_0|^2 is Beta(1, d - 1), so
             # 1 - |x_0|^2 is a uniform to the power 1 / (d - 1)
-            rest = gen.random(step) ** (1.0 / (d - 1))
-            p = _labeled_probs_row(np.stack((1.0 - rest, rest)))
+            p = _labeled_probs_row(gen.random(step) ** (1.0 / (d - 1)))
         else:
             p = _labeled_equal_law(haar_unitaries(d, step, gen), weights, vecs)
         counts += _sample_rows(p, gen)

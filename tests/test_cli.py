@@ -36,7 +36,7 @@ def test_simulate_writes_campaign_json(capsys, tmp_path):
     ], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == "qmeter.campaign/15"
+    assert doc["format"] == "qmeter.campaign/16"
     assert doc["seed"] == 12
     assert doc["results"]["equal"]["false_positives"] == 0
     assert "workers" not in doc
@@ -187,10 +187,10 @@ def test_report_accepts_the_valid_template(capsys, tmp_path):
 
 
 def test_report_reads_format_1(capsys, tmp_path):
-    # formats 2 to 15 changed the random stream behind the counts, not the
+    # formats 2 to 16 changed the random stream behind the counts, not the
     # layout, so every listed format gives the same report
-    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 16))
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/15"
+    assert REPORT_FORMATS == tuple(f"qmeter.campaign/{n}" for n in range(1, 17))
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/16"
     reports = []
     for fmt in REPORT_FORMATS:
         path = tmp_path / f"{fmt.rsplit('/', 1)[1]}.json"
@@ -222,13 +222,13 @@ def test_report_rejects_an_unknown_format(capsys, tmp_path):
     assert "qmeter.campaign/99" in err
 
 
-@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/16", "qmeter.campaign/09",
+@pytest.mark.parametrize("fmt", ["qmeter.campaign/0", "qmeter.campaign/17", "qmeter.campaign/09",
                                  "qmeter.campaign/+9", "qmeter.campaign/ 9", "qmeter.campaign/9.0",
                                  "qmeter.campaign/\u0669", "qmeter.verify/1", "qmeter.campaign/"])
 def test_report_reads_only_decimal_formats_up_to_the_current_one(capsys, tmp_path, fmt):
     # the rule: qmeter.campaign/N for 1 <= N <= the current N, written in
     # decimal without a leading zero (U+0669 is an Arabic-Indic nine)
-    assert CAMPAIGN_FORMAT == "qmeter.campaign/15"
+    assert CAMPAIGN_FORMAT == "qmeter.campaign/16"
     path = tmp_path / "campaign.json"
     path.write_text(_campaign_doc(format=fmt))
     code, out, err = run_cli(["report", str(path)], capsys)

@@ -828,9 +828,9 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
     # device A's outcome j leaves B's slot in chi_j, the normalized
     # (<u_j| (x) 1) psi, and B's law given j is |V^dag chi_j|^2: row j of
     # the Born table of (U, V) (dense oracle), divided by its sum, for any
-    # pure state.  B agrees with j with probability |x_j|^2, which the row
-    # kernel reads off the moduli of x = V^dag chi_j with entry j moved to
-    # the front
+    # pure state.  B agrees with j with probability |x_j|^2, so the row
+    # kernel, given r = 1 - |x_j|^2 read off the moduli of x = V^dag chi_j,
+    # gives that row's law
     rng = np.random.default_rng(70 + d)
     us, vs = haar_unitaries(d, 20, rng), haar_unitaries(d, 20, rng)
     for _ in range(3):
@@ -849,11 +849,8 @@ def test_labeled_born_row_is_the_law_of_v_dagger_chi(d):
             moduli = np.abs(x[:, j]) ** 2
             assert_allclose(moduli, row, rtol=0, atol=1e-12)
             law = np.stack((row[:, j], 1.0 - row[:, j]))
-            # the kernel normalizes its weights, so a multiple of the
-            # moduli (as d exponentials are of a Dirichlet row) gives the law
-            for scale in (1.0, 3.5):
-                assert_allclose(_labeled_probs_row(scale * np.roll(moduli, -j, axis=1).T), law,
-                                rtol=0, atol=1e-12)
+            r = 1.0 - moduli[:, j] / moduli.sum(axis=1)
+            assert_allclose(_labeled_probs_row(r), law, rtol=0, atol=1e-12)
 
 
 def test_labeled_different_counts_do_not_depend_on_the_test_state(tmp_path):
@@ -1150,12 +1147,19 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
         assert_allclose(law.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+def _running_sum(p: np.ndarray) -> np.ndarray:
+    # np.cumsum of the table clamped at TOL_ABS, not renormalized
+    return np.cumsum(np.where(p <= TOL_ABS, 0.0, p), axis=0)
+
+
 def _inverse_cdf_draws(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     # the category each column of p draws at its uniform u, by an inverse
-    # CDF built with np.cumsum whose trailing plateau is pinned to 1
-    cum = np.cumsum(simulate._clamped(p), axis=0)
-    cum[cum >= cum[-1]] = 1.0
-    return (u >= cum).sum(axis=0)
+    # CDF built with np.cumsum: u scaled to the column's clamped total, and
+    # the trailing plateau pinned to infinity, which no scaled uniform reaches
+    cum = _running_sum(p)
+    total = cum[-1].copy()
+    cum[cum >= total] = np.inf
+    return (u * total >= cum).sum(axis=0)
 
 
 def _drawn_category(column: np.ndarray, gen) -> int:
@@ -1204,9 +1208,10 @@ def test_counting_sampler_matches_the_cumsum_reference_on_clamped_tables(uniform
     # TOL_ABS, inside a column and at its end) and with trailing zero
     # plateaus its counts must still be the bincount of the reference's
     # draws: under seeded uniforms, under the largest uniform below 1,
-    # which lands in the rounding gap above the last nonzero category, and
-    # under uniforms that equal a value of the running sum, where a draw
-    # goes to the category above it
+    # which scaled to the total lands just below it, in the last nonzero
+    # category, and
+    # under uniforms that, scaled to the total, equal a value of the running
+    # sum, where a draw goes to the category above it
     rng = np.random.default_rng(45)
     k, n = 6, 6000
     p = rng.dirichlet(np.full(k, 0.4), size=n).T
@@ -1217,9 +1222,11 @@ def test_counting_sampler_matches_the_cumsum_reference_on_clamped_tables(uniform
     p /= p.sum(axis=0)
     assert (p[-1] == 0.0).sum() >= 3000 and (p <= TOL_ABS).sum() > n
     if uniforms == "ties":
-        cum = np.cumsum(simulate._clamped(p), axis=0)
-        u = np.minimum(cum[rng.integers(0, k, n), np.arange(n)], np.nextafter(1.0, 0.0))
-        assert (u < cum[-1]).sum() > n / 2
+        cum = _running_sum(p)
+        total = cum[-1]
+        target = cum[rng.integers(0, k, n), np.arange(n)]
+        u = np.minimum(target / total, np.nextafter(1.0, 0.0))
+        assert ((u * total == target) & (target < total)).sum() > n / 2
         gens = _FixedUniforms(u), _FixedUniforms(u)
     elif uniforms == "top":
         gens = _TopOfRangeGenerator(), _TopOfRangeGenerator()
@@ -1296,6 +1303,29 @@ def test_clamp_rejects_a_non_finite_born_row(bad):
     rows = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, bad, 0.25, 0.25]])
     with pytest.raises(ConsistencyError):
         _sample_rows(rows.T, np.random.default_rng(0))
+
+
+def test_every_sampled_law_must_sum_to_1_after_the_clamp(monkeypatch):
+    # the rule of every sampled law: the clamped column sums to 1 within
+    # TOL_RANK.  A column whose raw entries sum to 1 only through a negative
+    # entry must fail it, in the sampler, in the clamp of a fixed law and in
+    # a campaign's fixed "equal" law, and a NaN entry fails it too
+    with pytest.raises(ConsistencyError):
+        simulate._clamped(np.array([[1.5], [-0.5]]))
+    with pytest.raises(ConsistencyError):
+        simulate._clamped(np.array([[0.5], [np.nan]]))
+    with pytest.raises(ConsistencyError):
+        _sample_rows(np.array([[1.5, 0.7], [-0.5, 0.3]]), np.random.default_rng(0))
+    # the unlabeled optimal state is invariant, so its "equal" law is the
+    # clamped diag(rho); components that put 1.5 and -0.5 on two kets sum
+    # to 1 before the clamp
+    equal_law = simulate._equal_law
+    kets = np.eye(16)[:2]
+    monkeypatch.setattr(simulate, "_equal_law", lambda scen, conclusive, invariant, w, v:
+                        equal_law(scen, conclusive, invariant, np.array([1.5, -0.5]), kets))
+    config = CampaignConfig(Scenario("unlabeled", 2), trials=100, seed=1, ground_truth="equal")
+    with pytest.raises(ConsistencyError):
+        run_campaign(config)
 
 
 def test_sampler_never_draws_a_clamped_category():
