@@ -30,7 +30,9 @@ from .errors import (ConfigError, DimensionMismatchError, InvalidStateError,
 from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
                       _check_type)
 
-RngLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
+# forward references, so that importing qmeter does not load numpy.random;
+# numpy loads it at the first seeded call (rng_from)
+RngLike = Union[None, int, "np.random.SeedSequence", "np.random.Generator"]
 
 # complex entries in one Monte Carlo batch (16 MB); the batch size follows
 # from the size of one sample

@@ -187,9 +187,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple
@@ -223,11 +223,12 @@ _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
 _MAX_TRIALS = np.iinfo(np.int64).max  # what the int64 class counts hold
 #: seconds a process pool adds to a campaign beyond the split of its shards
-#: (forking, shipping tasks and results, closing), measured as
-#: t(--workers 2) - t(--workers 1) / 2 on real campaigns: 15 to 39 ms for
-#: 131,072 kappa or 1,048,576 optimal-state trials on a shared 2-vCPU host,
-#: 34 to 61 ms in an earlier measurement there
-_POOL_START_S = 0.040
+#: (loading the pool's modules, forking, shipping tasks and results,
+#: closing), measured as t(--workers 2) - t(--workers 1) / 2 on real
+#: campaigns in fresh interpreters that had started no pool: 32 to 58 ms for
+#: 1,048,576 optimal-state trials on a shared 2-vCPU host, of which loading
+#: the modules takes 16 to 23 ms (15 to 39 ms with them already loaded)
+_POOL_START_S = 0.060
 
 
 class Verdict(str, Enum):
@@ -682,6 +683,19 @@ def _shard_counts(task: tuple) -> np.ndarray:
     return counts
 
 
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on first access and bind it in this
+    module (PEP 562), so that a process that starts no pool never loads
+    multiprocessing.  run_campaign starts its pool through this module
+    attribute, so whatever is bound to it, the real class or a stand-in set
+    with setattr, is what starts."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _pool_pays(first_s: float, rest: int, workers: int) -> bool:
     """Whether `rest` more shards, each taken to cost `first_s` seconds here,
     finish sooner split over `workers` <= `rest` processes: the time the
@@ -708,7 +722,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     every U^(x)n take the shortcuts of the module docstring.  The worker
     count is a cap, also capped at the CPUs this process may use: a pool
     starts only when the first drawn shard, run here, says it pays.  The
-    counts depend on neither.
+    counts depend on neither.  The pool's modules (concurrent.futures'
+    process pool, multiprocessing) load when the process starts its first
+    pool, not at import.
     """
     _check_type("config", config, CampaignConfig)
     scen = config.scenario
@@ -738,10 +754,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
              for truth in drawn for shard, count in shards]
     workers = min(config.workers, _usable_cpus(), len(tasks) - 1)
     if workers > 1:
+        # numpy loads its random module at the first seeded call, a one-time
+        # cost that must not price every shard after the first
+        import numpy.random  # noqa: F401
         t0 = time.perf_counter()
         partials = [_shard_counts(tasks[0])]
         if _pool_pays(time.perf_counter() - t0, len(tasks) - 1, workers):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
                 partials += pool.map(_shard_counts, tasks[1:])
         else:
             partials += map(_shard_counts, tasks[1:])

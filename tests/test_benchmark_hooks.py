@@ -5,12 +5,16 @@ reports a name it cannot find as a missing layer instead of failing; the
 benchmark's workloads call the public API by name, and a name or a keyword
 parameter that is gone turns a benchmark run into a failed run.  So a rename
 or deletion in qmeter would silently drop a layer or a run from the
-benchmark; these tests fail instead.  The last two tests pin the public
-surface, qmeter.__all__, and the fields of its result types."""
+benchmark; these tests fail instead.  The next two tests pin the public
+surface, qmeter.__all__, and the fields of its result types; the last one
+pins what a fresh process loads and the lazy pool name the tracer wraps."""
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,3 +143,46 @@ def test_each_result_fact_has_one_spelling():
         "trials", "class_counts", "different_verdicts"]
     assert not hasattr(qmeter.TestState, "from_matrix")
     assert "out" not in inspect.signature(qmeter.haar.haar_vectors).parameters
+
+
+#: a fresh interpreter that imports qmeter and its CLI, runs the analytic
+#: checks and one analytic rate, then reads the pool class off simulate, and
+#: last runs a campaign that times its first shard to price a pool
+_LAZY_CHILD = """
+import sys, time, types
+import qmeter, qmeter.cli
+from qmeter import simulate
+qmeter.run_checks()
+qmeter.analytic_success(qmeter.Scenario("unlabeled", 2))
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing", "numpy.random")
+             if m in sys.modules))
+import concurrent.futures
+print(getattr(simulate, "ProcessPoolExecutor") is concurrent.futures.ProcessPoolExecutor,
+      "ProcessPoolExecutor" in vars(simulate))
+loaded = []
+def perf_counter():
+    loaded.append("numpy.random" in sys.modules)
+    return time.perf_counter()
+simulate.time = types.SimpleNamespace(perf_counter=perf_counter)
+simulate._usable_cpus = lambda: 2
+simulate._POOL_START_S = float("inf")
+simulate.run_campaign(simulate.CampaignConfig(qmeter.Scenario("labeled", 2),
+                                              2 * simulate.SHARD_SIZE + 1, seed=1,
+                                              ground_truth="different", workers=2))
+print(loaded)
+"""
+
+
+def test_a_fresh_process_loads_the_pool_and_numpy_random_only_when_it_uses_them():
+    # The pool class is bound in simulate's module dict on first access, where
+    # the tracer finds it by identity and tests replace it; a lazy name that
+    # never landed there would drop the simulate.pool layer from every trace.
+    # numpy.random loads at the first seeded call, and a campaign loads it
+    # before it times the first shard, whose time prices the pool.
+    src = str(Path(qmeter.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", _LAZY_CHILD], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": path,
+                                           "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True True", "[True, True]"], run.stdout
