@@ -19,6 +19,7 @@ import numpy as np
 
 from .comparison import Scenario
 from .errors import ConfigError, QmeterError
+from .haar import _MAX_DRAW_ENTRIES
 from .simulate import CAMPAIGN_FORMAT, CampaignConfig, run_campaign, sweep_theta, sweep_to_csv
 from .verify import all_passed, render_report, run_checks
 
@@ -55,11 +56,11 @@ def parse_theta_grid(spec: str) -> np.ndarray:
             raise ConfigError(f"could not parse theta grid {spec!r}")
         if count < 2:
             raise ConfigError("theta grid needs at least 2 points")
-        try:
-            with np.errstate(invalid="ignore"):  # an infinite end gives NaN steps
-                return np.linspace(start, stop, count)
-        except ValueError as exc:  # numpy: "array is too big"
-            raise ConfigError(f"theta grid of {count} points cannot be built: {exc}") from exc
+        if count > _MAX_DRAW_ENTRIES:
+            raise ConfigError(f"theta grid of {count} points cannot be built: "
+                              f"one array stops at {_MAX_DRAW_ENTRIES} entries")
+        with np.errstate(invalid="ignore"):  # an infinite end gives NaN steps
+            return np.linspace(start, stop, count)
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:

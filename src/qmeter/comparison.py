@@ -36,8 +36,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .haar import twirl
-from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
-                      _check_type, kron_arrays, support_projector)
+from .tensors import (_MAX_SPACE, TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int,
+                      _check_space, _check_type, kron_arrays, support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -83,6 +83,14 @@ class Scenario:
         return LABELED_CLASSES if self.kind == "labeled" else UNLABELED_CLASSES
 
 
+def _check_basis_dimension(d) -> None:
+    """InvalidObservableError unless 1 <= d <= _MAX_SPACE, checked before a
+    d x d array is built: every protocol state spans at most _MAX_SPACE
+    dimensions, so no larger device can be compared, and the orthonormality
+    check alone takes several d x d arrays and a d^3 product."""
+    _check_int("basis dimension", d, 1, _MAX_SPACE, error=InvalidObservableError)
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A sharp non-degenerate measurement: the orthonormal basis it projects onto.
@@ -97,6 +105,7 @@ class Observable:
         object.__setattr__(self, "basis", b)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
             raise InvalidObservableError(f"basis must be square and nonempty, got shape {b.shape}")
+        _check_basis_dimension(b.shape[0])
         if not np.all(np.isfinite(b)):
             raise InvalidObservableError("basis has a non-finite entry")
         gram = b.conj().T @ b
@@ -113,9 +122,7 @@ class Observable:
 
     @classmethod
     def computational(cls, d: int) -> "Observable":
-        # its d^2 entries stop where one Haar draw does
-        _check_int("basis dimension", d, 1, math.isqrt(_haar._MAX_DRAW_ENTRIES),
-                   error=InvalidObservableError)
+        _check_basis_dimension(d)
         return cls(np.eye(d))
 
     @classmethod
@@ -127,7 +134,7 @@ class Observable:
 
     @classmethod
     def random(cls, d: int, rng=None) -> "Observable":
-        _check_int("basis dimension", d, 1, error=InvalidObservableError)
+        _check_basis_dimension(d)
         return cls(_haar.haar_unitaries(d, 1, rng)[0])
 
 
@@ -156,14 +163,6 @@ class TestState:
     def __reduce__(self):
         # unpickle through the constructor: checked, without the cached _eigen
         return type(self), (self.rho,)
-
-    @property
-    def d(self) -> int:
-        return self.rho.d
-
-    @property
-    def n(self) -> int:
-        return self.rho.n
 
     @cached_property
     def _eigen(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,10 +272,11 @@ def _check_state(state: TestState, n: Optional[int], d: int) -> None:
     """Raise unless state is a TestState on n slots (any number if None) of
     dimension d."""
     _check_type("test state", state, TestState, InvalidStateError)
-    n = state.n if n is None else n
-    if (state.n, state.d) != (n, d):
+    rho = state.rho
+    n = rho.n if n is None else n
+    if (rho.n, rho.d) != (n, d):
         raise DimensionMismatchError(
-            f"test state lives on {state.n} slots of dimension {state.d}, "
+            f"test state lives on {rho.n} slots of dimension {rho.d}, "
             f"expected {n} slots of dimension {d}"
         )
 
@@ -291,7 +291,7 @@ def outcome_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     if a.d != b.d:
         raise DimensionMismatchError("devices act on different dimensions")
     _check_state(state, n=None, d=a.d)
-    n = state.n
+    n = state.rho.n
     if n % 2 or not n:
         raise DimensionMismatchError(f"test state lives on {n} slots; two devices need a "
                                      "positive even number of slots")
@@ -364,10 +364,6 @@ class SuccessReport:
     total: float
 
 
-def _class_probability(op: Operator, state: TestState) -> float:
-    return float(np.trace(state.rho.mat @ op.mat).real)
-
-
 def _operators_for(scenario: Scenario) -> Mapping[str, ClassOperators]:
     _check_type("scenario", scenario, Scenario)
     if scenario.kind == "labeled":
@@ -399,7 +395,7 @@ def _certified(scenario: Scenario, state: TestState) -> Mapping[str, float]:
     certified = {}
     for name, cls in ops.items():
         if leaks[name] <= TOL_ABS / 2:
-            success = _class_probability(cls.different, state)
+            success = float(np.trace(state.rho.mat @ cls.different.mat).real)
             if success > TOL_ABS:
                 certified[name] = success
     return certified

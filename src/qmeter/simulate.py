@@ -116,11 +116,13 @@ before it is drawn, which leaves its law exact:
   (sqrt(1 - z^2), 0, z) with z = n_z uniform on [-1, 1] (Archimedes), one
   uniform per trial (``_meridian_terms``).  B's axis in a "different"
   trial stays uniform and independent of it, a Haar unitary;
-- level 0 turns A's axis to z (``_Z_TERMS``, no draw), then about z until
-  B's axis has azimuth 0.  B is then (sqrt(1 - c^2), 0, c) with c = n.m,
-  uniform on [-1, 1] for independent uniform axes: one uniform per trial.
+- level 0 turns A's axis to z, the meridian's pole z = 1 (no draw), then
+  about z until B's axis has azimuth 0.  B is then (sqrt(1 - c^2), 0, c)
+  with c = n.m, uniform on [-1, 1] for independent uniform axes: one
+  uniform per trial.
 So device A draws ``free`` coordinates and B in a "different" trial
-min(free + 1, 2) (``_axis_terms``).  An "equal" trial reuses A's axis, and
+min(free + 1, 2) (``_axis_terms``), and every axis with at most one free
+coordinate is a point of the meridian.  An "equal" trial reuses A's axis, and
 an invariant state's "equal" stream keeps its fixed law (below).  Each
 trial's law is still the class law of one device pair, so the clamp keeps
 every conclusive class at exactly 0.
@@ -158,8 +160,7 @@ _SUBCHUNK trials, and each batch of B trials draws, in order:
   call (6 B normals at d = 2) for two;
 then one ``random`` call of B draws, a uniform per trial for its class,
 which ``_sample_rows`` scales to the trial's clamped total and counts
-against the running sum (format 16; up to format 15 the table was
-renormalized and the uniform compared as drawn).  An "equal" shard of a
+against the running sum.  An "equal" shard of a
 fixed law draws one multinomial instead, or nothing.  The batch size,
 these draws, the Haar construction, the symmetry level, the component
 order, the class laws and their arithmetic, the inverse CDF's arithmetic,
@@ -453,8 +454,6 @@ def _labeled_equal_law(us: np.ndarray, weights: np.ndarray, vecs: np.ndarray) ->
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 #: the axis pairs (i, j) of the Bloch terms e_1..e_6 = n_i n_j, in order
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-#: the Bloch terms of the z axis
-_Z_TERMS = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 #: the operators X_0..X_6 on one device's two slots: X_0 = 1 and
@@ -484,22 +483,22 @@ def _bloch_terms(us: np.ndarray) -> tuple:
     return x * x, y * y, z * z, x * y, x * z, y * z
 
 
-def _meridian_terms(z: np.ndarray) -> tuple:
+def _meridian_terms(z) -> tuple:
     """The Bloch terms of the axes n = (sqrt(1 - z^2), 0, z) on the meridian
     of azimuth 0, one array over the batch per term and the number 0 for
-    each term with a factor n_y."""
+    each term with a factor n_y; at the number z = 1, the pole, the terms
+    of the z axis, each a number."""
     xx = 1.0 - z * z
     return xx, 0.0, z * z, 0.0, np.sqrt(xx) * z, 0.0
 
 
 def _axis_terms(free: int, step: int, gen: np.random.Generator) -> tuple:
     """The Bloch terms of `step` device axes with `free` coordinates to draw
-    (module docstring): the z axis, on the meridian of azimuth 0, uniform."""
-    if free == 0:
-        return _Z_TERMS
-    if free == 1:
-        return _meridian_terms(gen.uniform(-1.0, 1.0, step))
-    return _bloch_terms(haar_unitaries(2, step, gen))
+    (module docstring): on the meridian of azimuth 0, at its pole z = 1 for
+    none and at a uniform height for one, or uniform."""
+    if free == 2:
+        return _bloch_terms(haar_unitaries(2, step, gen))
+    return _meridian_terms(gen.uniform(-1.0, 1.0, step) if free else 1.0)
 
 
 def _products_sum(coefs, terms):
@@ -525,13 +524,13 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
     p(A same) = sum_a G[a, 0] e_a(n) / 2, p(B same) = sum_b G[0, b] e_b(m) / 2
     and p(same_same) = e(n)^T G e(m) / 4, the other classes by
     inclusion-exclusion.  en and em hold e_1..e_6, each an array over the
-    batch or a number (a fixed axis).  The result is one class-first
-    (4, size) array, filled row by row, also for a law that reads no drawn
-    term (I/16), or the 4 classes alone for two fixed axes."""
+    batch or a number (a fixed axis), and at least one of them an array.
+    The result is one class-first (4, size) array, filled row by row, also
+    for a law that reads no drawn term (I/16)."""
     g = form.tolist()  # plain floats, whose zeros are read without numpy
     en, em = (1.0, *en), (1.0, *em)
-    size = next((len(t) for t in (*en, *em) if not isinstance(t, float)), 0)
-    law = np.empty((4, max(size, 1)))
+    size = next(len(t) for t in (*en, *em) if not isinstance(t, float))
+    law = np.empty((4, size))
     # h_b = sum_a G[a, b] e_a(n), the number 0 for a zero column of G
     h = [_products_sum(col, en) for col in zip(*g)]
     both, a_same, b_same, neither = law
@@ -543,7 +542,7 @@ def _bloch_class_law(form: np.ndarray, en, em) -> np.ndarray:
     neither += both
     a_same -= both
     b_same -= both
-    return law if size else law[:, 0]
+    return law
 
 
 # The benchmark's tracer (perfbench/tracer.py) books the Born layer under
@@ -663,8 +662,7 @@ def _shard_counts(task: tuple) -> np.ndarray:
     """
     kind, d, truth, free, form, weights, vecs, seed, shard, count = task
     gen = _shard_rng(seed, truth, shard)
-    scen = Scenario(kind, d)
-    counts = np.zeros(len(scen.classes), dtype=np.int64)
+    counts = 0  # the first batch's int64 counts, one per class
     for done in range(0, count, _SUBCHUNK):
         step = min(_SUBCHUNK, count - done)
         if kind == "unlabeled":

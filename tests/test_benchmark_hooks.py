@@ -142,6 +142,11 @@ def test_each_result_fact_has_one_spelling():
     assert [f.name for f in fields(qmeter.TruthResult)] == [
         "trials", "class_counts", "different_verdicts"]
     assert not hasattr(qmeter.TestState, "from_matrix")
+    # a state's dimension and slots are its matrix's, one overlap has one
+    # expression, and the z axis is the meridian's pole
+    assert not any(hasattr(qmeter.TestState, name) for name in ("d", "n"))
+    assert not hasattr(qmeter.comparison, "_class_probability")
+    assert not hasattr(qmeter.simulate, "_Z_TERMS")
     assert "out" not in inspect.signature(qmeter.haar.haar_vectors).parameters
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -264,8 +267,8 @@ def test_parse_theta_grid():
     for bad in ("0:1", "a:b:5", "0:1:1", "", "x,y"):
         with pytest.raises(ConfigError):
             parse_theta_grid(bad)
-    # more points than an array can hold: numpy refuses before it allocates,
-    # and its ValueError once ended the CLI in a traceback
+    # more points than one array may hold are refused before numpy
+    # allocates; numpy's own ValueError once ended the CLI in a traceback
     with pytest.raises(ConfigError, match="cannot be built"):
         parse_theta_grid(f"0:1:{2 ** 62}")
     # a non-finite angle parses, and sweep_theta, which the CLI calls,
@@ -276,6 +279,29 @@ def test_parse_theta_grid():
             sweep_theta(parse_theta_grid(bad), trials=10, seed=1)
     with pytest.raises(ConfigError):  # once float()'s ValueError
         sweep_theta(["a"], trials=10, seed=1)
+
+
+#: the CLI in a child with 1 GiB of address space, so that a missed bound
+#: fails the test and not the whole test run
+_CLI_CHILD = """
+import resource, sys
+from qmeter.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("count", [10 ** 11, 2 ** 27 + 1])
+def test_a_huge_theta_grid_fails_before_it_allocates(count):
+    # a grid past the one-array bound of a Haar draw is a ConfigError;
+    # 10**11 points once ended in numpy's MemoryError and a traceback
+    run = subprocess.run([sys.executable, "-c", _CLI_CHILD, "sweep", "--theta-grid",
+                          f"0:1:{count}", "--seed", "1", "--trials", "10"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("error:") and "cannot be built" in run.stderr
 
 
 @pytest.mark.parametrize("grid", ["nan,1", "inf"])

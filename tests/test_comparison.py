@@ -347,11 +347,12 @@ def test_observables_and_test_states_unpickle_through_their_constructors():
 
 
 def test_a_computational_basis_stops_where_one_haar_draw_does():
-    # d^2 <= haar._MAX_DRAW_ENTRIES: d = 11585 is the largest such d, and
-    # d = 2000 (64 MB) stays a valid basis
-    assert Observable.computational(2000).d == 2000
-    with pytest.raises(InvalidObservableError, match="<= 11585"):
-        Observable.computational(11586)
+    # d <= 1024, the dense layer's bound, where a Haar unitary draw stops
+    # too: every protocol state spans at most 1024 dimensions, so no larger
+    # device can be compared
+    assert Observable.computational(1024).d == 1024
+    with pytest.raises(InvalidObservableError, match="<= 1024"):
+        Observable.computational(1025)
 
 
 _LABELED = Scenario("labeled", 2)
@@ -590,6 +591,48 @@ def test_unlabeled_optimum_detects_every_pair_of_distinct_observables():
         for same in (a, Observable(a.basis[:, ::-1])):
             _, sd, ds, _ = class_probabilities(a, same, st)
             assert abs(sd + ds) <= 1e-12
+
+
+def _qubit_device(polar: float, azimuth: float) -> Observable:
+    """The qubit observable whose outcome-0 vector has the Bloch axis at
+    this polar angle and azimuth."""
+    c, s, phase = np.cos(polar / 2), np.sin(polar / 2), np.exp(1j * azimuth)
+    return Observable(np.array([[c, -s * phase.conjugate()], [s * phase, c]]))
+
+
+def _blind_pairs(j: int) -> list:
+    """(a, b, n.m): distinct device pairs that kappa:j never certifies, the
+    named witness first.  kappa:1 and kappa:3 miss two axes in the
+    xy-plane, kappa:2 every axis of B with A along +z or -z."""
+    rng = np.random.default_rng(70 + j)
+    if j == 2:
+        axes = [(0.0, 1.2, 0.7)] + [(np.pi * rng.integers(2), *rng.uniform(0, np.pi, 2))
+                                    for _ in range(200)]
+        return [(_qubit_device(pa, 0.0), _qubit_device(pb, az), np.cos(pa) * np.cos(pb))
+                for pa, pb, az in axes]
+    azimuths = [(0.3, 1.9)] + [tuple(rng.uniform(0, 2 * np.pi, 2)) for _ in range(200)]
+    return [(_qubit_device(np.pi / 2, p), _qubit_device(np.pi / 2, q), np.cos(p - q))
+            for p, q in azimuths]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_each_kappa_state_is_blind_to_pairs_the_optimum_detects(j):
+    # each kappa state certifies diff_diff alone, at 1/9 on Haar average,
+    # yet gives it 0 (roundoff squared) on a family of distinct pairs; the
+    # optimal state detects each of them at (2/3)(1 - (n.m)^2), 2/3 at the
+    # xy-plane witness
+    scen = Scenario("unlabeled", 2)
+    kappa, best = kappa_state(j), optimal_test_state(scen)
+    assert conclusive_classes(scen, kappa) == ("diff_diff",)
+    assert analytic_success(scen, kappa).total == pytest.approx(1 / 9, abs=1e-12)
+    for a, b, cos_nm in _blind_pairs(j):
+        assert class_probabilities(a, b, kappa)[3] <= 1e-30
+        _, sd, ds, _ = class_probabilities(a, b, best)
+        assert sd + ds == pytest.approx(2 / 3 * (1 - cos_nm ** 2), abs=1e-12)
+        assert sd + ds > 0
+    if j != 2:
+        a, b, _ = _blind_pairs(j)[0]
+        assert class_probabilities(a, b, kappa) == pytest.approx([0.5, 0.25, 0.25, 0], abs=1e-12)
 
 
 def test_single_use_is_useless():

@@ -339,14 +339,18 @@ def test_mc_twirl_rejects_bad_input():
 
 #: draws past a bound: a 58 TiB stack, twice the entries one call may take,
 #: a vector of 10**9 entries, and unitaries and an observable past the dense
-#: layer's d = 1024, which once ran unbounded; and two dense builders whose
-#: d ** n with n = 10**12 once ran without end
+#: layer's d = 1024, which once ran unbounded; a computational and a given
+#: basis past it, whose orthonormality check once built several d x d arrays
+#: and a d^3 product; and two dense builders whose d ** n with n = 10**12
+#: once ran without end
 _HUGE_DRAWS = ("qmeter.haar_unitaries(2, 10**12)", "qmeter.haar_unitaries(2, 2**26)",
                "qmeter.haar.haar_vectors(2, 10**12)", "qmeter.haar.haar_vectors(10**9, 1)",
                "qmeter.haar_unitaries(2000, 1)", "qmeter.Observable.random(2000)",
+               "qmeter.Observable.computational(2000)", "qmeter.Observable(np.eye(2000))",
                "qmeter.identity(2, 10**12)", "qmeter.outcome_class_index(10**12, 2)")
 _CHILD = """
 import resource, sys
+import numpy as np
 import qmeter
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 for call in sys.argv[1:]:

@@ -39,7 +39,6 @@ from qmeter.cli import DEFAULT_THETA_GRID, parse_theta_grid
 from qmeter.haar import haar_unitaries
 from qmeter.simulate import (
     SHARD_SIZE,
-    _Z_TERMS,
     _bloch_class_law,
     _bloch_form,
     _bloch_terms,
@@ -926,9 +925,9 @@ def test_invariant_equal_shard_draws_no_device(monkeypatch, tmp_path):
 
 
 def _bloch_terms_of(device: Observable) -> tuple:
-    """The Bloch terms e_1..e_6 of one fixed qubit device, as a campaign
-    reads them off its unitary (_bloch_terms)."""
-    return tuple(t[0] for t in _bloch_terms(device.basis[None]))
+    """The Bloch terms e_1..e_6 of one fixed qubit device as a batch of one
+    trial, as a campaign reads them off its unitary (_bloch_terms)."""
+    return _bloch_terms(device.basis[None])
 
 
 def _unlabeled_states() -> list:
@@ -951,9 +950,9 @@ def test_the_bloch_class_law_is_the_born_table_summed_into_classes(state):
     pairs += [(a, a) for a, _ in pairs]
     for a, b in pairs:
         law = _bloch_class_law(form, _bloch_terms_of(a), _bloch_terms_of(b))
-        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(law[:, 0], class_probabilities(a, b, state), rtol=0, atol=1e-12)
     # and over a batch, one column per pair
-    terms = [np.array([_bloch_terms_of(x) for x in side]).T for side in zip(*pairs)]
+    terms = [_bloch_terms(np.array([x.basis for x in side])) for side in zip(*pairs)]
     expected = np.transpose([class_probabilities(a, b, state) for a, b in pairs])
     assert_allclose(_bloch_class_law(form, *terms), expected, rtol=0, atol=1e-12)
 
@@ -963,9 +962,10 @@ def test_an_invariant_state_measures_device_a_along_z(name):
     # the law of an invariant state is the same for both axes turned by any
     # one rotation: turning A's axis n to z and then B's axis m about z to
     # azimuth 0 puts B on the meridian at height c = n.m, read here off
-    # |<u_0|v_0>|^2 = (1 + n.m) / 2.  So the law with A's terms at _Z_TERMS
-    # and B's at _meridian_terms(c) is the class law of the unturned pair
-    # (U, V); so is the law of (I, W) with W = U^dag V, A's axis z
+    # |<u_0|v_0>|^2 = (1 + n.m) / 2.  So the law with A's terms at the
+    # meridian's pole, _meridian_terms(1.0), and B's at _meridian_terms(c)
+    # is the class law of the unturned pair (U, V); so is the law of (I, W)
+    # with W = U^dag V, A's axis z
     state = optimal_test_state(Scenario("unlabeled", 2)) if name == "phi_q" else _spin0_mixture()
     assert _is_invariant(state.rho)
     form = _bloch_form(*state.pure_components())
@@ -974,12 +974,13 @@ def test_an_invariant_state_measures_device_a_along_z(name):
     c = np.array([2 * abs(np.vdot(u[:, 0], v[:, 0])) ** 2 - 1 for u, v in pairs])
     expected = np.transpose([class_probabilities(Observable(u), Observable(v), state)
                              for u, v in pairs])
-    assert_allclose(_bloch_class_law(form, _Z_TERMS, _meridian_terms(c)), expected,
+    z_axis = _meridian_terms(1.0)
+    assert_allclose(_bloch_class_law(form, z_axis, _meridian_terms(c)), expected,
                     rtol=0, atol=1e-12)
     eye = Observable.computational(2)
     for (u, v), law_uv in zip(pairs[:20], expected.T):
         w = Observable(u.conj().T @ v)
-        law = _bloch_class_law(form, _Z_TERMS, _bloch_terms_of(w))
+        law = _bloch_class_law(form, z_axis, _bloch_terms_of(w))[:, 0]
         assert_allclose(law, class_probabilities(eye, w, state), rtol=0, atol=1e-12)
         assert_allclose(law, law_uv, rtol=0, atol=1e-12)
 
@@ -997,7 +998,7 @@ def test_an_invariant_different_shard_draws_device_b_alone():
     counts = dict(zip(scen.classes, _shard_counts(task).tolist()))
     gen = np.random.default_rng(np.random.SeedSequence(33, spawn_key=(0, 0)))
     em = _meridian_terms(gen.uniform(-1.0, 1.0, trials))
-    drawn = _sample_rows(_bloch_class_law(form, _Z_TERMS, em), gen)
+    drawn = _sample_rows(_bloch_class_law(form, _meridian_terms(1.0), em), gen)
     assert counts == dict(zip(scen.classes, drawn.tolist()))
     assert min(counts.values()) > 0
     res = run_campaign(CampaignConfig(scen, trials=trials, seed=33, ground_truth="different"))
@@ -1107,10 +1108,10 @@ def test_a_z_invariant_state_measures_device_a_on_its_meridian(tmp_path, name):
         # n_x + i n_y = 2 conj(u_00) u_10 and n_z = |u_00|^2 - |u_10|^2
         phi = np.angle(np.conj(u[0, 0]) * u[1, 0])
         rot = np.diag([1.0, np.exp(-1j * phi)])
-        en = _meridian_terms(abs(u[0, 0]) ** 2 - abs(u[1, 0]) ** 2)
+        en = _meridian_terms(np.array([abs(u[0, 0]) ** 2 - abs(u[1, 0]) ** 2]))
         law = _bloch_class_law(form, en, _bloch_terms_of(Observable(rot @ v)))
-        assert_allclose(law, class_probabilities(a, b, state), rtol=0, atol=1e-12)
-        assert_allclose(_bloch_class_law(form, en, en), class_probabilities(a, a, state),
+        assert_allclose(law[:, 0], class_probabilities(a, b, state), rtol=0, atol=1e-12)
+        assert_allclose(_bloch_class_law(form, en, en)[:, 0], class_probabilities(a, a, state),
                         rtol=0, atol=1e-12)
 
 
@@ -1135,7 +1136,7 @@ def test_labeled_equal_law_matches_the_oracle_on_sparse_and_dense_states(state):
     # over the prepared mixture; it must be the dense oracle's fixed-pair
     # success, on the batch-last views that haar_unitaries returns and on
     # C-contiguous (size, d, d) stacks
-    d = state.d
+    d = state.rho.d
     w, v = state.pure_components()
     prepared = TestState(Operator((v.T * (w / w.sum())) @ v.conj(), d, 2))
     us = haar_unitaries(d, 16, np.random.default_rng(d))
