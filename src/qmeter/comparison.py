@@ -37,7 +37,7 @@ from .errors import (
 )
 from .haar import twirl
 from .tensors import (_MAX_SPACE, TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int,
-                      _check_space, _check_type, kron_arrays, support_projector)
+                      _check_space, _check_type, support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -91,6 +91,25 @@ def _check_basis_dimension(d) -> None:
     _check_int("basis dimension", d, 1, _MAX_SPACE, error=InvalidObservableError)
 
 
+def _check_bases(bases: np.ndarray) -> np.ndarray:
+    """The nonempty (m, d, d) stack bases; InvalidObservableError unless each
+    basis is finite with orthonormal columns, within TOL_ABS."""
+    if not np.all(np.isfinite(bases)):
+        raise InvalidObservableError("basis has a non-finite entry")
+    gram = np.swapaxes(bases.conj(), 1, 2) @ bases
+    if not np.max(np.abs(gram - np.eye(bases.shape[1]))) <= TOL_ABS:
+        raise InvalidObservableError("basis columns are not orthonormal")
+    return bases
+
+
+def _rotations(thetas) -> np.ndarray:
+    """The (m, 2, 2) stack of qubit bases rotated by each angle, the angles
+    checked and the bases not.  math's cos and sin, one angle at a time,
+    keep the bits free of numpy's vectorized kernels."""
+    cs = [(math.cos(t), math.sin(t)) for t in map(_check_angle, thetas)]
+    return np.array([[[c, -s], [s, c]] for c, s in cs], dtype=np.complex128).reshape(-1, 2, 2)
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A sharp non-degenerate measurement: the orthonormal basis it projects onto.
@@ -106,11 +125,7 @@ class Observable:
         if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
             raise InvalidObservableError(f"basis must be square and nonempty, got shape {b.shape}")
         _check_basis_dimension(b.shape[0])
-        if not np.all(np.isfinite(b)):
-            raise InvalidObservableError("basis has a non-finite entry")
-        gram = b.conj().T @ b
-        if not np.max(np.abs(gram - np.eye(b.shape[0]))) <= TOL_ABS:
-            raise InvalidObservableError("basis columns are not orthonormal")
+        _check_bases(b[None])
 
     def __reduce__(self):
         # unpickle through the constructor, so the basis is checked and read-only
@@ -128,9 +143,7 @@ class Observable:
     @classmethod
     def qubit_angle(cls, theta: float) -> "Observable":
         """Qubit basis rotated by theta from the computational one."""
-        theta = _check_angle(theta)
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(np.array([[c, -s], [s, c]]))
+        return cls(_rotations([theta])[0])
 
     @classmethod
     def random(cls, d: int, rng=None) -> "Observable":
@@ -281,11 +294,42 @@ def _check_state(state: TestState, n: Optional[int], d: int) -> None:
         )
 
 
+def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron_arrays of the matching matrices of two (m, ., .) stacks."""
+    (m, i, j), (_, k, l) = a.shape, b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, i * k, j * l)
+
+
+def _pair_tables(a_bases: np.ndarray, b_bases: np.ndarray, state: TestState) -> np.ndarray:
+    """The flat outcome_table, shape (m, d ** n), of each of m device pairs
+    stacked in a_bases and b_bases, shape (m, d, d), in one unchecked pass:
+    the products of a pair alone, in its order, so bit for bit its table."""
+    k = state.rho.n // 2
+    w = _kron_stacks(reduce(_kron_stacks, [a_bases] * k), reduce(_kron_stacks, [b_bases] * k))
+    return np.real(np.diagonal(np.swapaxes(w.conj(), 1, 2) @ state.rho.mat @ w, 0, 1, 2))
+
+
+def _pair_laws(tables: np.ndarray, state: TestState) -> np.ndarray:
+    """Flat tables of the state summed into outcome classes, one row each,
+    by one bincount whose bins run on row by row."""
+    (m, _), classes = tables.shape, 2 ** (state.rho.n // 2)
+    index = outcome_class_index(state.rho.n, state.rho.d) + classes * np.arange(m)[:, None]
+    return np.bincount(index.reshape(-1), tables.reshape(-1), m * classes).reshape(m, classes)
+
+
+def _angle_laws(thetas, state: TestState) -> np.ndarray:
+    """The class laws of the pairs (computational, rotated by theta) for a
+    nonempty sequence of angles, the rotated bases checked."""
+    bases = _check_bases(_rotations(thetas))
+    z = np.broadcast_to(np.eye(2, dtype=np.complex128), bases.shape)
+    return _pair_laws(_pair_tables(z, bases, state), state)
+
+
 def outcome_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     """Born probabilities p[j_1, ..., j_n] when device a measures the first
     n/2 slots of the test state and device b the last n/2: n = 2 is one use
     of each device (labeled), n = 4 two uses (unlabeled), before any outcome
-    relabeling."""
+    relabeling.  A stacked pass (_pair_tables) of one pair."""
     _check_type("device", a, Observable, InvalidObservableError)
     _check_type("device", b, Observable, InvalidObservableError)
     if a.d != b.d:
@@ -295,19 +339,14 @@ def outcome_table(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     if n % 2 or not n:
         raise DimensionMismatchError(f"test state lives on {n} slots; two devices need a "
                                      "positive even number of slots")
-    w = kron_arrays(reduce(kron_arrays, [a.basis] * (n // 2)),
-                    reduce(kron_arrays, [b.basis] * (n // 2)))
-    p = np.real(np.diagonal(w.conj().T @ state.rho.mat @ w))
-    return p.reshape((a.d,) * n)
+    return _pair_tables(a.basis[None], b.basis[None], state)[0].reshape((a.d,) * n)
 
 
 def class_probabilities(a: Observable, b: Observable, state: TestState) -> np.ndarray:
     """The outcome table of fixed devices a and b summed into outcome
     classes (outcome_class_index), in the order of Scenario.classes:
     LABELED_CLASSES for a two-slot state, UNLABELED_CLASSES for four slots."""
-    table = outcome_table(a, b, state)
-    n = table.ndim
-    return np.bincount(outcome_class_index(n, a.d), table.reshape(-1), 2 ** (n // 2))
+    return _pair_laws(outcome_table(a, b, state).reshape(1, -1), state)[0]
 
 
 _S = 1 / math.sqrt(2)

@@ -25,7 +25,8 @@ table: each stream that draws per trial evaluates its class law in closed
 form over a batch (the labeled row and "equal" laws and the unlabeled
 Bloch law below), and ``_sample_rows`` counts the classes its trials
 draw.  Trials that share one law, a fixed "equal" law or a sweep point's
-``class_probabilities``, take one multinomial instead
+class law (one row of a stacked Born pass over the sweep's device pairs,
+``comparison._pair_laws``), take one multinomial instead
 (``_fixed_law_counts``) of their law renormalized (``_clamped``).  Every
 sampled law follows one rule: probabilities at or below TOL_ABS are
 clamped to zero, and each clamped column must sum to 1 within TOL_RANK
@@ -202,8 +203,8 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    _angle_laws,
     _check_angle,
-    class_probabilities,
     conclusive_classes,
     kappa_state,
     optimal_test_state,
@@ -223,6 +224,8 @@ CAMPAIGN_FORMAT = "qmeter.campaign/16"
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
 _MAX_TRIALS = np.iinfo(np.int64).max  # what the int64 class counts hold
+#: sweep points per stacked Born pass: 256 complex entries a point, 1 MB an array
+_SWEEP_CHUNK = (1 << 16) // 256
 #: seconds a process pool adds to a campaign beyond the split of its shards
 #: (loading the pool's modules, forking, shipping tasks and results,
 #: closing), measured as t(--workers 2) - t(--workers 1) / 2 on real
@@ -795,7 +798,8 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     Point i measures the pair (computational, rotated by theta_i) with the
     optimal test state, `trials` times, on seed stream (2, i).  Devices are
     fixed within a point, so its class counts are one multinomial draw from
-    the clamped class law of the pair (class_probabilities).
+    the clamped class law of the pair (class_probabilities), bit for bit,
+    from one stacked Born pass (comparison._pair_tables) per _SWEEP_CHUNK points.
     """
     _check_int("trials", trials, 1, _MAX_TRIALS)
     _check_int("seed", seed, 0)
@@ -804,10 +808,10 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     scen = Scenario("unlabeled", 2)
     state = optimal_test_state(scen)
     conclusive = [scen.classes.index(name) for name in conclusive_classes(scen, state)]
-    a = Observable.computational(2)
+    laws = (law for start in range(0, len(thetas), _SWEEP_CHUNK)
+            for law in _angle_laws(thetas[start:start + _SWEEP_CHUNK], state))
     points = []
-    for i, theta in enumerate(thetas):
-        law = class_probabilities(a, Observable.qubit_angle(theta), state)
+    for i, (theta, law) in enumerate(zip(thetas, laws)):
         counts = _fixed_law_counts(_clamped(law[:, None])[:, 0], int(seed), "sweep", i, trials)
         emp = int(counts[conclusive].sum()) / trials
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))

@@ -35,6 +35,7 @@ from .comparison import (
     Observable,
     Scenario,
     TestState,
+    _angle_laws,
     _optimum,
     analytic_success,
     class_probabilities,
@@ -236,17 +237,17 @@ def run_checks() -> List[CheckResult]:
     bat.below("R12-34 P34+ is PSD", max(0.0, -float(np.min(np.linalg.eigvalsh(rp.mat)))), 1e-12)
     bat.maxdiff("support(R12-34 P34+) = P12+ (x) P34+", support_projector(rp).mat, p12x34.mat, tol_eig)
 
-    # ---- rbar
-    rb_s = rbar("same", 2)
-    rb_d = rbar("diff", 2)
-    bat.maxdiff("rbar(same,2) = P+/3", rb_s.mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
+    # ---- rbar, each (kind, d) built once per call
+    rb = {(which, d): rbar(which, d) for d in (2, 3, 4, 5) for which in ("same", "diff")}
+    bat.maxdiff("rbar(same,2) = P+/3", rb["same", 2].mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
     bat.maxdiff("rbar(diff,2) = 1/2 - P+/3",
-                rb_d.mat, np.eye(4) / 2 - symmetrizer((1, 2), 2, 2).mat / 3, tol)
-    bat.maxdiff("2 rbar(same,2) + 2 rbar(diff,2) = 1", 2 * rb_s.mat + 2 * rb_d.mat, np.eye(4), tol)
+                rb["diff", 2].mat, np.eye(4) / 2 - symmetrizer((1, 2), 2, 2).mat / 3, tol)
+    bat.maxdiff("2 rbar(same,2) + 2 rbar(diff,2) = 1",
+                2 * rb["same", 2].mat + 2 * rb["diff", 2].mat, np.eye(4), tol)
     for d in (2, 3, 4):
-        comb = d * rbar("same", d).mat + d * rbar("diff", d).mat
+        comb = d * rb["same", d].mat + d * rb["diff", d].mat
         bat.maxdiff(f"d rbar(same) + d rbar(diff) = 1 (d={d})", comb, np.eye(d * d), tol)
-        bat.close(f"trace rbar(diff,{d}) = d-1", rbar("diff", d).trace().real, d - 1, tol)
+        bat.close(f"trace rbar(diff,{d}) = d-1", rb["diff", d].trace().real, d - 1, tol)
 
     # ---- hypothesis operator families
     ops = unlabeled_operators(2)
@@ -274,7 +275,7 @@ def run_checks() -> List[CheckResult]:
         first, second = c.split("_")
         bat.maxdiff(f"O_{c} equal = {label}", ops[c].equal.mat, closed, tol)
         bat.maxdiff(f"O_{c} different = 4 rbar({first}) (x) rbar({second})", ops[c].different.mat,
-                    4 * kron(rbar(first, 2), rbar(second, 2)).mat, tol)
+                    4 * kron(rb[first, 2], rb[second, 2]).mat, tol)
 
     # ---- no-error bases vs the named families
     phi = singlet_pairing_state()
@@ -363,7 +364,7 @@ def run_checks() -> List[CheckResult]:
         bat.maxdiff(f"labeled O_same, O_diff = d rbar (equal), 1/d, (d-1)/d (different) (d={d})",
                     [lab["same"].equal.mat, lab["diff"].equal.mat,
                      lab["same"].different.mat, lab["diff"].different.mat],
-                    [d * rbar("same", d).mat, d * rbar("diff", d).mat,
+                    [d * rb["same", d].mat, d * rb["diff", d].mat,
                      eye / d, eye * (d - 1) / d], tol)
         bat.maxdiff(f"optimal_test_state(labeled) = antisymmetric state (d={d})",
                     optimal_test_state(Scenario("labeled", d)).rho.mat, st.rho.mat, tol)
@@ -376,10 +377,9 @@ def run_checks() -> List[CheckResult]:
     bat.close("angle law at theta=pi/6: (2/3) sin^2(pi/3) = 1/2",
               pairwise_success_angle(np.pi / 6), 0.5, tol)
     worst = 0.0
-    for theta in np.linspace(0.0, np.pi / 2, 33):
-        _, sd, ds, _ = class_probabilities(z_obs, Observable.qubit_angle(float(theta)),
-                                           state_for_phi)
-        worst = max(worst, abs(sd + ds - pairwise_success_angle(float(theta))))
+    grid = np.linspace(0.0, np.pi / 2, 33).tolist()
+    for theta, (_, sd, ds, _) in zip(grid, _angle_laws(grid, state_for_phi)):
+        worst = max(worst, abs(sd + ds - pairwise_success_angle(theta)))
     bat.below("direct Born evaluation matches (2/3) sin^2(2 theta) on 33-point grid",
               worst, 1e-9)
     # arccos |<a_0|b_0>|; relabeling either basis maps theta to pi/2 - theta,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 from functools import reduce
 
@@ -50,7 +51,7 @@ from qmeter import (
     twirl,
     unlabeled_operators,
 )
-from qmeter.comparison import _optimum
+from qmeter.comparison import _check_bases, _optimum, _pair_laws, _pair_tables, _rotations
 from qmeter.symmetry import perm_operator, swap, symmetrizer
 from qmeter.verify import antisymmetric_state, singlet_pairing_state
 
@@ -541,6 +542,56 @@ def test_outcome_tables_equal_the_np_kron_construction(n, d):
         w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
         expected = np.real(np.diagonal(w.conj().T @ rho @ w)).reshape((d,) * n)
         assert np.array_equal(outcome_table(a, b, TestState(Operator(rho, d, n))), expected)
+
+
+def _mixed_state(rng, d, n, rank):
+    vecs = rng.normal(size=(rank, d ** n)) + 1j * rng.normal(size=(rank, d ** n))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = rng.uniform(size=rank)
+    return TestState(Operator((vecs.T * weights / weights.sum()) @ vecs.conj(), d, n))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2)])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("m", [1, 33])
+def test_stacked_pair_laws_equal_the_single_pair_ones(n, d, rank, m):
+    # bit for bit: a pair's table and class law do not depend on the stack,
+    # and each table equals the np.kron construction
+    rng = np.random.default_rng([n, d, rank, m])
+    state = _mixed_state(rng, d, n, rank)
+    pairs = [(Observable.random(d, rng), Observable.random(d, rng)) for _ in range(m)]
+    a_bases, b_bases = (np.stack([p[side].basis for p in pairs]) for side in (0, 1))
+    tables = _pair_tables(a_bases, b_bases, state)
+    laws = _pair_laws(tables, state)
+    assert tables.shape == (m, d ** n) and laws.shape == (m, 2 ** (n // 2))
+    for (a, b), table, law in zip(pairs, tables, laws):
+        w = np.kron(reduce(np.kron, [a.basis] * (n // 2)), reduce(np.kron, [b.basis] * (n // 2)))
+        assert np.array_equal(table, np.real(np.diagonal(w.conj().T @ state.rho.mat @ w)))
+        assert np.array_equal(table, outcome_table(a, b, state).reshape(-1))
+        assert np.array_equal(law, class_probabilities(a, b, state))
+
+
+def test_the_rotation_stack_is_the_qubit_angle_basis():
+    thetas = [0.0, 1e-300, -0.3, np.pi / 4, 2.5, 1e6, np.float64(0.7), 3]
+    stack = _rotations(thetas)
+    assert stack.shape == (len(thetas), 2, 2) and stack.dtype == np.complex128
+    for theta, basis in zip(thetas, stack):
+        c, s = math.cos(theta), math.sin(theta)
+        assert np.array_equal(basis, np.array([[c, -s], [s, c]], dtype=complex))
+        assert np.array_equal(basis, Observable.qubit_angle(theta).basis)
+    assert _rotations([]).shape == (0, 2, 2)
+    with pytest.raises(ConfigError, match="non-finite"):
+        _rotations([0.1, np.nan])
+
+
+def test_a_stack_with_one_non_orthonormal_basis_raises():
+    stack = _rotations(np.linspace(0.0, 1.0, 33).tolist())
+    _check_bases(stack)
+    for bad in (np.array([[1, 1], [0, 1]]), np.array([[np.inf, 0], [0, 1]])):
+        spoiled = stack.copy()
+        spoiled[17] = bad
+        with pytest.raises(InvalidObservableError):
+            _check_bases(spoiled)
 
 
 def test_unlabeled_angle_law_on_grid():

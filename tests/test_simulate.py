@@ -1399,6 +1399,22 @@ def test_default_sweep_csv_is_pinned():
         "7c66619152c4ed80ee2225b96d71a1e1b910ea9ab92922440f211920b7e91bf7")
 
 
+def test_an_empty_theta_grid_sweeps_nothing():
+    assert sweep_theta([], trials=10, seed=1) == ()
+    assert sweep_theta(np.array([]), trials=10, seed=1) == ()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_sweep_bytes_do_not_depend_on_the_stack_size(monkeypatch, chunk):
+    # 33 points in stacks of 1 or of 7 (the last one short) give the CSV of
+    # one stack
+    thetas = np.linspace(0.0, np.pi / 2, 33)
+    assert len(thetas) <= simulate._SWEEP_CHUNK
+    whole = sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5))
+    monkeypatch.setattr(simulate, "_SWEEP_CHUNK", chunk)
+    assert sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5)) == whole
+
+
 def test_sweep_endpoints_are_exactly_inconclusive():
     # theta = 0 means identical observables: no conclusive outcome can fire
     pts = sweep_theta(np.array([0.0]), trials=5000, seed=3)

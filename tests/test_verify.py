@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from qmeter import Vector, verify
@@ -9,6 +11,35 @@ def test_battery_passes():
     results = run_checks()
     assert len(results) >= 30
     assert all_passed(results), [r.name for r in results if not r.passed]
+
+
+def test_battery_shape_is_pinned():
+    # the names, expected values and tolerances of all 107 checks, in order;
+    # the computed strings are left out, since their roundoff may differ
+    # between numpy builds
+    results = run_checks()
+    assert len(results) == 107
+    assert all_passed(results), [r.name for r in results if not r.passed]
+    triples = "".join(f"{r.name}\t{r.expected}\t{r.tolerance}\n" for r in results)
+    assert hashlib.sha256(triples.encode()).hexdigest() == (
+        "26b82776c9ab17eedbbf00b1d6e4b726e5fafc6c2008d53c2f4a6e5b1848ac9f")
+
+
+def test_each_rbar_is_built_once_per_battery_call(monkeypatch):
+    # eight distinct (kind, d), one symmetrizer each, and every call builds
+    # them afresh: nothing is cached from one call to the next
+    rbars, syms = [], []
+    for name, seen in (("rbar", rbars), ("symmetrizer", syms)):
+        def counted(*args, _built=getattr(verify, name), _seen=seen):
+            _seen.append(args)
+            return _built(*args)
+        monkeypatch.setattr(verify, name, counted)
+    for _ in range(2):
+        rbars.clear()
+        syms.clear()
+        assert all_passed(run_checks())
+        assert sorted(rbars) == sorted({(w, d) for w in ("same", "diff") for d in (2, 3, 4, 5)})
+        assert len(syms) == 49
 
 
 def test_report_renders_one_line_per_check():
