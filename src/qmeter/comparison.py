@@ -37,7 +37,8 @@ from .errors import (
 )
 from .haar import twirl
 from .tensors import (_MAX_SPACE, TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int,
-                      _check_space, _check_type, support_projector)
+                      _check_space, _check_type, _projectors, _support_projectors,
+                      support_projector)
 from . import haar as _haar
 
 LABELED_CLASSES = ("same", "diff")
@@ -221,18 +222,6 @@ class ClassOperators:
     no_error: Operator
 
 
-def _class_ops(name: str, equal: Operator, different: Operator) -> ClassOperators:
-    domain = support_projector(different)
-    sup_eq = support_projector(equal)
-    q = domain - sup_eq
-    if not q.is_projector():
-        raise ConsistencyError(
-            f"no-error subspace of class {name} is not a projector; "
-            "support(equal) is not contained in the class domain"
-        )
-    return ClassOperators(equal, different, sup_eq, q)
-
-
 @lru_cache(maxsize=None)
 def outcome_class_index(n: int, d: int) -> np.ndarray:
     """Class of every flat n-slot outcome record (slot 1 most significant): one
@@ -252,13 +241,23 @@ def outcome_class_index(n: int, d: int) -> np.ndarray:
 def _hypothesis_operators(names: Tuple[str, ...], n: int, d: int) -> Mapping[str, ClassOperators]:
     """Twirl each class indicator over one Haar basis used by both devices
     (blocks (n,)) and over independent bases for the two devices (blocks
-    (n/2, n/2))."""
+    (n/2, n/2)).  The 2m supports come from one stacked pass, and the m
+    no-error subspaces are checked to be projectors in one stacked product:
+    support(equal) must lie inside the class domain support(different)."""
     indicators = (outcome_class_index(n, d) == np.arange(len(names))[:, None]).astype(float)
-    equal = twirl(indicators, (n,), d)
-    different = twirl(indicators, (n // 2, n // 2), d)
+    equal = [Operator(eq, d, n) for eq in twirl(indicators, (n,), d)]
+    different = [Operator(ne, d, n) for ne in twirl(indicators, (n // 2, n // 2), d)]
+    supports = _support_projectors([op for pair in zip(different, equal) for op in pair])
+    no_error = [domain - sup_eq for domain, sup_eq in zip(supports[0::2], supports[1::2])]
+    projector = _projectors(np.array([op.mat for op in no_error]))
+    if not projector.all():
+        raise ConsistencyError(
+            f"no-error subspace of class {names[int(np.argmin(projector))]} is not a "
+            "projector; support(equal) is not contained in the class domain"
+        )
     return MappingProxyType({
-        c: _class_ops(c, Operator(eq, d, n), Operator(ne, d, n))
-        for c, eq, ne in zip(names, equal, different)
+        c: ClassOperators(eq, ne, sup_eq, q_c)
+        for c, eq, ne, sup_eq, q_c in zip(names, equal, different, supports[1::2], no_error)
     })
 
 

@@ -224,6 +224,10 @@ CAMPAIGN_FORMAT = "qmeter.campaign/16"
 _STREAM = {"different": 0, "equal": 1, "sweep": 2}
 _SUBCHUNK = 8192  # trials per draw, class law and sampling block
 _MAX_TRIALS = np.iinfo(np.int64).max  # what the int64 class counts hold
+#: trials per truth in one campaign: run_campaign lists its shards and tasks
+#: before it runs one, about 350 bytes a shard with both truths drawn, 92 MB
+#: at this bound
+_MAX_CAMPAIGN_TRIALS = SHARD_SIZE << 18
 #: sweep points per stacked Born pass: 256 complex entries a point, 1 MB an array
 _SWEEP_CHUNK = (1 << 16) // 256
 #: seconds a process pool adds to a campaign beyond the split of its shards
@@ -260,7 +264,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         _check_type("scenario", self.scenario, Scenario)
-        _check_int("trials", self.trials, 1, _MAX_TRIALS)
+        _check_int("trials", self.trials, 1, _MAX_CAMPAIGN_TRIALS)
         _check_int("workers", self.workers, 1)
         _check_int("seed", self.seed, 0)
         _check_type("ground truth", self.ground_truth, str)
@@ -561,7 +565,7 @@ def _check_totals(totals: np.ndarray) -> None:
     NaN total fails too."""
     worst = np.argmax(np.abs(totals - 1.0))
     if not abs(totals[worst] - 1.0) <= TOL_RANK:
-        raise ConsistencyError(f"outcome probabilities sum to at worst {totals[worst]!r}")
+        raise ConsistencyError(f"outcome probabilities sum to at worst {float(totals[worst])!r}")
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
@@ -799,7 +803,9 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     optimal test state, `trials` times, on seed stream (2, i).  Devices are
     fixed within a point, so its class counts are one multinomial draw from
     the clamped class law of the pair (class_probabilities), bit for bit,
-    from one stacked Born pass (comparison._pair_tables) per _SWEEP_CHUNK points.
+    from one stacked Born pass (comparison._pair_tables) and one clamp
+    (_clamped) per _SWEEP_CHUNK points, which checks every law of the stack
+    before any of its points is sampled.
     """
     _check_int("trials", trials, 1, _MAX_TRIALS)
     _check_int("seed", seed, 0)
@@ -809,10 +815,10 @@ def sweep_theta(thetas: Sequence[float], trials: int, seed: int) -> Tuple[SweepP
     state = optimal_test_state(scen)
     conclusive = [scen.classes.index(name) for name in conclusive_classes(scen, state)]
     laws = (law for start in range(0, len(thetas), _SWEEP_CHUNK)
-            for law in _angle_laws(thetas[start:start + _SWEEP_CHUNK], state))
+            for law in _clamped(_angle_laws(thetas[start:start + _SWEEP_CHUNK], state).T).T)
     points = []
     for i, (theta, law) in enumerate(zip(thetas, laws)):
-        counts = _fixed_law_counts(_clamped(law[:, None])[:, 0], int(seed), "sweep", i, trials)
+        counts = _fixed_law_counts(law, int(seed), "sweep", i, trials)
         emp = int(counts[conclusive].sum()) / trials
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
         points.append(SweepPoint(

@@ -28,7 +28,7 @@ import math
 from collections.abc import Collection
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -165,6 +165,18 @@ class _Tensor:
         return type(self)(self._arr / scalar, self.d, self.n)
 
 
+def _hermitian(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (or the one matrix) equals its adjoint
+    within TOL_ABS; a NaN fails."""
+    return np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2)), axis=(-2, -1)) <= TOL_ABS
+
+
+def _projectors(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (or the one matrix) is a Hermitian
+    idempotent within TOL_ABS; a NaN fails."""
+    return _hermitian(mats) & (np.max(np.abs(mats @ mats - mats), axis=(-2, -1)) <= TOL_ABS)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator(_Tensor):
     """A dense operator on (C^d)^(x)n with its tensor structure attached."""
@@ -182,12 +194,10 @@ class Operator(_Tensor):
         return complex(np.trace(self.mat))
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= TOL_ABS)
+        return bool(_hermitian(self.mat))
 
     def is_projector(self) -> bool:
-        return self.is_hermitian() and bool(
-            np.max(np.abs(self.mat @ self.mat - self.mat)) <= TOL_ABS
-        )
+        return bool(_projectors(self.mat))
 
     def expval(self, state: "Vector") -> complex:
         """<state| self |state>."""
@@ -268,16 +278,47 @@ def basis_ket(digits: Sequence[int], d: int) -> Vector:
     return Vector(v, d, n)
 
 
-def _spectrum(op: Operator) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian operator above the rank
-    cutoff |w| > TOL_RANK * max|w|; none if max|w| <= TOL_ABS."""
-    _check_type("operator", op, Operator)
-    if not op.is_hermitian():  # a NaN fails too
-        raise NotPositiveSemidefiniteError("operator is not Hermitian")
-    w, v = np.linalg.eigh((op.mat + op.mat.conj().T) / 2)
-    lam = float(np.max(np.abs(w)))
+def _spectra(ops: Sequence[Operator], psd: bool = False) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvectors above the rank cutoff |w| > TOL_RANK * max|w|
+    (none if max|w| <= TOL_ABS) of each of a stack of Hermitian operators on
+    one space, from one eigh over the stack.  A stacked eigh runs the same
+    LAPACK call on each matrix, so a member's bits are those of its own pass.
+    The first member that fails raises what its own pass raises:
+    NotPositiveSemidefiniteError if it is not Hermitian (a NaN fails too) or,
+    with psd, if an eigenvalue below the cutoff's negative is left."""
+    for op in ops:
+        _check_type("operator", op, Operator)
+    if not ops:
+        return []
+    mats = np.array([op.mat for op in ops])
+    hermitian = _hermitian(mats)
+    good = len(ops) if hermitian.all() else int(np.argmin(hermitian))
+    w, v = np.linalg.eigh((mats[:good] + np.swapaxes(mats[:good].conj(), 1, 2)) / 2)
+    lam = np.max(np.abs(w), axis=1, keepdims=True)
     keep = (np.abs(w) > TOL_RANK * lam) & (lam > TOL_ABS)
-    return w[keep], v[:, keep]
+    spectra = []
+    for w_i, v_i, keep_i in zip(w, v, keep):
+        w_i = w_i[keep_i]
+        if psd and w_i.size and w_i[0] < 0:
+            raise NotPositiveSemidefiniteError(
+                f"negative eigenvalue {w_i[0]:.3e} (largest magnitude {np.max(np.abs(w_i)):.3e})"
+            )
+        spectra.append((w_i, v_i[:, keep_i]))
+    if good < len(ops):
+        raise NotPositiveSemidefiniteError("operator is not Hermitian")
+    return spectra
+
+
+def _support_projectors(ops: Sequence[Operator]) -> List[Operator]:
+    """support_projector of each of a stack of operators on one space, from
+    one _spectra pass."""
+    spectra = _spectra(ops, psd=True)
+    return [Operator(v @ v.conj().T, op.d, op.n) for op, (_, v) in zip(ops, spectra)]
+
+
+def _ranks(ops: Sequence[Operator]) -> List[int]:
+    """rank of each of a stack of operators on one space, from one _spectra pass."""
+    return [len(w) for w, _ in _spectra(ops)]
 
 
 def support_projector(op: Operator) -> Operator:
@@ -287,14 +328,9 @@ def support_projector(op: Operator) -> Operator:
     zero operator has the zero projector.  Raises NotPositiveSemidefiniteError
     if `op` is not Hermitian or an eigenvalue below -TOL_RANK * max|w| exists.
     """
-    w, v = _spectrum(op)
-    if w.size and w[0] < 0:
-        raise NotPositiveSemidefiniteError(
-            f"negative eigenvalue {w[0]:.3e} (largest magnitude {np.max(np.abs(w)):.3e})"
-        )
-    return Operator(v @ v.conj().T, op.d, op.n)
+    return _support_projectors([op])[0]
 
 
 def rank(op: Operator) -> int:
     """Numerical rank of a Hermitian operator: eigenvalues above the rank cutoff."""
-    return len(_spectrum(op)[0])
+    return _ranks([op])[0]

@@ -49,8 +49,8 @@ from .comparison import (
 from .errors import DimensionMismatchError, InvalidStateError
 from .symmetry import (antisymmetrizer, basis_family, pair_product, phi_minus, split_pairs, swap,
                        sym_dim, symmetrizer)
-from .tensors import (TOL_ABS, Operator, Vector, _check_type, basis_ket, identity, kron,
-                      kron_arrays, rank, support_projector)
+from .tensors import (TOL_ABS, Operator, Vector, _check_type, _ranks, basis_ket, identity, kron,
+                      kron_arrays, support_projector)
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,22 @@ def run_checks() -> List[CheckResult]:
     p234 = symmetrizer((2, 3, 4), 4, 2)
     p1234 = symmetrizer((1, 2, 3, 4), 4, 2)
     p12x34 = Operator(p12.mat @ p34.mat, 2, 4)
-    bat.close("trace(P1234+) = 5", p1234.trace().real, 5.0, tol)
-    bat.equal_int("rank(P1234+) = 5", rank(p1234), 5)
-    bat.equal_int("rank(P12+ (x) 1) = 12", rank(p12), 12)
-    bat.equal_int("rank(P12+ (x) P34+) = 9", rank(p12x34), 9)
-    bat.equal_int("rank(P123+) = 8", rank(p123), 8)
     q123 = p123 - p1234
     q124 = p124 - p1234
-    bat.equal_int("rank(Q123 = P123+ - P1234+) = 3", rank(q123), 3)
-    bat.equal_int("rank(Q124) = 3", rank(q124), 3)
-    bat.equal_int("rank(P12+ (x) 1 - P1234+) = 7", rank(p12 - p1234), 7)
+    ops = unlabeled_operators(2)
+    # the battery's 14 ranks, all of 16x16 operators, from one stacked pass,
+    # in the order they are reported
+    ranks = iter(_ranks([p1234, p12, p12x34, p123, q123, q124, p12 - p1234,
+                         *(ops[c].support_equal for c in ("same_same", "same_diff", "diff_diff")),
+                         *(ops[c].no_error for c in ops)]))
+    bat.close("trace(P1234+) = 5", p1234.trace().real, 5.0, tol)
+    bat.equal_int("rank(P1234+) = 5", next(ranks), 5)
+    bat.equal_int("rank(P12+ (x) 1) = 12", next(ranks), 12)
+    bat.equal_int("rank(P12+ (x) P34+) = 9", next(ranks), 9)
+    bat.equal_int("rank(P123+) = 8", next(ranks), 8)
+    bat.equal_int("rank(Q123 = P123+ - P1234+) = 3", next(ranks), 3)
+    bat.equal_int("rank(Q124) = 3", next(ranks), 3)
+    bat.equal_int("rank(P12+ (x) 1 - P1234+) = 7", next(ranks), 7)
     bat.maxdiff("nesting: P123+ P1234+ = P1234+", p123.mat @ p1234.mat, p1234.mat, tol)
     bat.maxdiff("nesting: P12+ P123+ = P123+", p12.mat @ p123.mat, p123.mat, tol)
 
@@ -250,18 +256,17 @@ def run_checks() -> List[CheckResult]:
         bat.close(f"trace rbar(diff,{d}) = d-1", rb["diff", d].trace().real, d - 1, tol)
 
     # ---- hypothesis operator families
-    ops = unlabeled_operators(2)
     eq_sum = sum(c.equal.mat for c in ops.values())
     ne_sum = sum(c.different.mat for c in ops.values())
     bat.maxdiff("equal-hypothesis class operators sum to 1", eq_sum, np.eye(16), tol)
     bat.maxdiff("different-hypothesis class operators sum to 1", ne_sum, np.eye(16), tol)
-    bat.equal_int("rank support(O_ss equal) = 9", rank(ops["same_same"].support_equal), 9)
-    bat.equal_int("rank support(O_sd equal) = 11", rank(ops["same_diff"].support_equal), 11)
-    bat.equal_int("rank support(O_dd equal) = 13", rank(ops["diff_diff"].support_equal), 13)
-    bat.equal_int("rank Q_ss = 0", rank(ops["same_same"].no_error), 0)
-    bat.equal_int("rank Q_sd = 1", rank(ops["same_diff"].no_error), 1)
-    bat.equal_int("rank Q_ds = 1", rank(ops["diff_same"].no_error), 1)
-    bat.equal_int("rank Q_dd = 3", rank(ops["diff_diff"].no_error), 3)
+    bat.equal_int("rank support(O_ss equal) = 9", next(ranks), 9)
+    bat.equal_int("rank support(O_sd equal) = 11", next(ranks), 11)
+    bat.equal_int("rank support(O_dd equal) = 13", next(ranks), 13)
+    bat.equal_int("rank Q_ss = 0", next(ranks), 0)
+    bat.equal_int("rank Q_sd = 1", next(ranks), 1)
+    bat.equal_int("rank Q_ds = 1", next(ranks), 1)
+    bat.equal_int("rank Q_dd = 3", next(ranks), 3)
 
     # ---- twirled class operators vs the hand-derived closed forms (d=2, d4=5)
     p23, p24 = symmetrizer((2, 3), 4, 2).mat, symmetrizer((2, 4), 4, 2).mat

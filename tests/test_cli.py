@@ -304,6 +304,18 @@ def test_a_huge_theta_grid_fails_before_it_allocates(count):
     assert run.stderr.startswith("error:") and "cannot be built" in run.stderr
 
 
+def test_a_huge_campaign_fails_before_it_plans_its_shards():
+    # 2**62 trials once listed 2**46 shards and ended in a MemoryError
+    run = subprocess.run([sys.executable, "-c", _CLI_CHILD, "simulate", "--scenario", "labeled",
+                          "--trials", str(2 ** 62), "--seed", "1"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "trials must be <=" in run.stderr
+
+
 @pytest.mark.parametrize("grid", ["nan,1", "inf"])
 def test_sweep_rejects_a_non_finite_angle(capsys, grid):
     code, out, err = run_cli(["sweep", "--theta-grid", grid, "--trials", "10", "--seed", "1"],

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from qmeter import (
     CampaignConfig,
     ConfigError,
+    ConsistencyError,
     DimensionMismatchError,
     InvalidObservableError,
     InvalidStateError,
@@ -51,7 +52,9 @@ from qmeter import (
     twirl,
     unlabeled_operators,
 )
-from qmeter.comparison import _check_bases, _optimum, _pair_laws, _pair_tables, _rotations
+from qmeter import comparison
+from qmeter.comparison import (_check_bases, _hypothesis_operators, _optimum, _pair_laws,
+                               _pair_tables, _rotations)
 from qmeter.symmetry import perm_operator, swap, symmetrizer
 from qmeter.verify import antisymmetric_state, singlet_pairing_state
 
@@ -446,6 +449,38 @@ def test_unlabeled_class_operators_complete(d):
             # raises NotPositiveSemidefiniteError on a negative eigenvalue
             # beyond the rank cutoff
             support_projector(getattr(ops[c], hyp))
+
+
+@pytest.mark.parametrize("names,n,d", [(LABELED_CLASSES, 2, d) for d in (2, 3, 4, 5)]
+                         + [(UNLABELED_CLASSES, 4, 2)])
+def test_stacked_supports_equal_the_one_member_ones(names, n, d):
+    # the class operators rebuilt one support_projector call at a time
+    ops = labeled_class_operators(d) if n == 2 else unlabeled_operators(d)
+    indicators = (outcome_class_index(n, d) == np.arange(len(names))[:, None]).astype(float)
+    equal = twirl(indicators, (n,), d)
+    different = twirl(indicators, (n // 2, n // 2), d)
+    for c, eq, ne in zip(names, equal, different):
+        sup_eq = support_projector(Operator(eq, d, n))
+        no_error = support_projector(Operator(ne, d, n)) - sup_eq
+        for field, rebuilt in (("equal", eq), ("different", ne), ("support_equal", sup_eq.mat),
+                               ("no_error", no_error.mat)):
+            assert np.array_equal(getattr(ops[c], field).mat, rebuilt), (c, field)
+
+
+@pytest.mark.parametrize("broken", ["same_same", "same_diff", "diff_same"])
+def test_the_consistency_error_names_the_class_that_fails(monkeypatch, broken):
+    # a full-rank equal-device operator leaves each of these classes' domains
+    index = UNLABELED_CLASSES.index(broken)
+
+    def leaky(indicators, blocks, d, _twirl=comparison.twirl):
+        out = np.array(_twirl(indicators, blocks, d))
+        if blocks == (4,):
+            out[index] = np.eye(16) / 16
+        return out
+
+    monkeypatch.setattr(comparison, "twirl", leaky)
+    with pytest.raises(ConsistencyError, match=f"class {broken} is not a projector"):
+        _hypothesis_operators(UNLABELED_CLASSES, 4, 2)
 
 
 @pytest.mark.parametrize("cls,expected", [

@@ -69,8 +69,8 @@ def test_config_rejects_bad_values():
         CampaignConfig(scen, trials=10, seed=True)
     with pytest.raises(ConfigError):
         CampaignConfig(scen, trials=10, seed=1, workers=0)
-    # counts and seeds are integers, and a bool is not one; class counts are
-    # int64, so trials stop at 2**63 - 1, the bound sweep_theta shares
+    # counts and seeds are integers, and a bool is not one; a campaign's
+    # trials stop at 2**34 per truth, far inside the int64 class counts
     for bad in ({"trials": 2.5}, {"trials": True}, {"workers": 2.5}, {"workers": True},
                 {"seed": 1.0}, {"trials": "10"}, {"test_state": None}, {"test_state": 3},
                 {"trials": 2 ** 63}, {"trials": 10 ** 19}):
@@ -1413,6 +1413,32 @@ def test_sweep_bytes_do_not_depend_on_the_stack_size(monkeypatch, chunk):
     whole = sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5))
     monkeypatch.setattr(simulate, "_SWEEP_CHUNK", chunk)
     assert sweep_to_csv(sweep_theta(thetas, trials=20000, seed=5)) == whole
+
+
+def test_a_bad_law_in_a_sweep_stack_fails_before_any_point_is_sampled(monkeypatch):
+    # one clamp checks the whole stack, so the bad fourth law stops the
+    # sweep before the first three points draw
+    def short_law(thetas, state, _laws=simulate._angle_laws):
+        laws = np.array(_laws(thetas, state))
+        laws[3] *= 0.9
+        return laws
+
+    def no_draw(*args):
+        raise AssertionError("a point was sampled")
+
+    monkeypatch.setattr(simulate, "_angle_laws", short_law)
+    monkeypatch.setattr(simulate, "_fixed_law_counts", no_draw)
+    with pytest.raises(ConsistencyError, match=r"sum to at worst 0\.899"):
+        sweep_theta(np.linspace(0.1, 1.4, 6), trials=100, seed=1)
+
+
+def test_a_campaign_stops_at_2_to_the_34_trials_per_truth():
+    # run_campaign lists every shard before it runs one, about 350 bytes a
+    # shard; 2**34 trials take 2**18 shards.  Neither config is run.
+    scen = Scenario("labeled", 2)
+    assert CampaignConfig(scen, trials=SHARD_SIZE << 18, seed=1).trials == 2 ** 34
+    with pytest.raises(ConfigError, match="trials must be <= 17179869184"):
+        CampaignConfig(scen, trials=2 ** 34 + 1, seed=1)
 
 
 def test_sweep_endpoints_are_exactly_inconclusive():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmeter.tensors import kron_arrays
+from qmeter.tensors import _ranks, _support_projectors, kron_arrays
 from qmeter import (
     ConfigError,
     DimensionMismatchError,
@@ -162,6 +162,71 @@ def test_rank_and_support_read_the_one_hermiticity_rule():
         rank(op)
     with pytest.raises(NotPositiveSemidefiniteError):
         support_projector(op)
+
+
+def _psd_stack(count, seed):
+    """`count` random PSD operators of ranks 0..3 on two qubits."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for k in range(count):
+        x = rng.normal(size=(4, k % 4)) + 1j * rng.normal(size=(4, k % 4))
+        ops.append(Operator(x @ x.conj().T, 2, 2))
+    return ops
+
+
+def test_a_stacked_pass_equals_the_one_member_ones():
+    ops = _psd_stack(9, 5) + [Operator(np.diag([1.0, -1e-9, 1e-9, 0.0]), 2, 2)]
+    for got, op in zip(_support_projectors(ops), ops):
+        assert np.array_equal(got.mat, support_projector(op).mat)
+    assert _ranks(ops) == [rank(op) for op in ops] == [0, 1, 2, 3] * 2 + [0, 1]
+    assert _support_projectors([]) == _ranks([]) == []
+
+
+def _nan():
+    return Operator(np.full((4, 4), np.nan), 2, 2)
+
+
+def _skew():
+    mat = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    mat[0, 1] = 1.5e-10
+    return Operator(mat, 2, 2)
+
+
+def _negative():
+    return Operator(np.diag([1.0, -1e-7, 0.0, 0.0]), 2, 2)
+
+
+def _message(call, *args):
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        call(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", [_nan, _skew, _negative])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_stack_raises_what_its_failing_member_raises(bad, where):
+    ops = _psd_stack(5, where)
+    ops[where] = bad()
+    assert _message(_support_projectors, ops) == _message(support_projector, ops[where])
+    if bad is not _negative:  # rank reads no sign
+        assert _message(_ranks, ops) == _message(rank, ops[where])
+    else:
+        assert _ranks(ops)[where] == rank(ops[where]) == 2
+
+
+def test_the_first_failing_member_of_a_stack_raises():
+    # a negative eigenvalue before a non-Hermitian member, and the reverse
+    good = _psd_stack(1, 7)
+    neg, skew = _message(support_projector, _negative()), _message(support_projector, _skew())
+    assert neg != skew
+    assert _message(_support_projectors, good + [_negative(), _skew()]) == neg
+    assert _message(_support_projectors, good + [_skew(), _negative()]) == skew
+    assert _message(_support_projectors, [_nan(), _negative()]) == skew
+
+
+def test_a_stack_checks_the_type_of_each_member():
+    with pytest.raises(ConfigError):
+        _support_projectors([identity(2, 2), np.eye(4)])
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3,), (5,)),

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 
-from qmeter import Vector, verify
+from qmeter import Vector, rank, verify
 from qmeter.symmetry import pair_product, phi_minus
 from qmeter.verify import all_passed, render_report, run_checks
 
@@ -40,6 +40,24 @@ def test_each_rbar_is_built_once_per_battery_call(monkeypatch):
         assert all_passed(run_checks())
         assert sorted(rbars) == sorted({(w, d) for w in ("same", "diff") for d in (2, 3, 4, 5)})
         assert len(syms) == 49
+
+
+def test_the_stacked_battery_ranks_are_the_one_at_a_time_ones(monkeypatch):
+    # one stacked pass of 14 16x16 operators, each rank as rank() reads it
+    passes = []
+
+    def recorded(ops, _ranks=verify._ranks):
+        passes.append((list(ops), _ranks(ops)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(verify, "_ranks", recorded)
+    results = run_checks()
+    assert all_passed(results)
+    [(ops, ranks)] = passes
+    assert len(ops) == 14 and all(op.dim == 16 for op in ops)
+    assert ranks == [rank(op) for op in ops]
+    reported = [int(r.computed) for r in results if r.name.startswith("rank")]
+    assert reported == ranks == [5, 12, 9, 8, 3, 3, 7, 9, 11, 13, 0, 1, 1, 3]
 
 
 def test_report_renders_one_line_per_check():
