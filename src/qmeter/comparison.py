@@ -37,7 +37,7 @@ from .errors import (
 )
 from .haar import twirl
 from .tensors import (_MAX_SPACE, TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int,
-                      _check_space, _check_type, _projectors, _support_projectors,
+                      _check_space, _check_type, _projectors, _support_projectors, kron_arrays,
                       support_projector)
 from . import haar as _haar
 
@@ -293,18 +293,12 @@ def _check_state(state: TestState, n: Optional[int], d: int) -> None:
         )
 
 
-def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron_arrays of the matching matrices of two (m, ., .) stacks."""
-    (m, i, j), (_, k, l) = a.shape, b.shape
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, i * k, j * l)
-
-
 def _pair_tables(a_bases: np.ndarray, b_bases: np.ndarray, state: TestState) -> np.ndarray:
     """The flat outcome_table, shape (m, d ** n), of each of m device pairs
     stacked in a_bases and b_bases, shape (m, d, d), in one unchecked pass:
     the products of a pair alone, in its order, so bit for bit its table."""
     k = state.rho.n // 2
-    w = _kron_stacks(reduce(_kron_stacks, [a_bases] * k), reduce(_kron_stacks, [b_bases] * k))
+    w = kron_arrays(reduce(kron_arrays, [a_bases] * k), reduce(kron_arrays, [b_bases] * k))
     return np.real(np.diagonal(np.swapaxes(w.conj(), 1, 2) @ state.rho.mat @ w, 0, 1, 2))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Collection
+from functools import reduce
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatchError, InvalidStateError,
                      UnsupportedDimensionError)
 from .tensors import (TOL_ABS, TOL_RANK, Operator, Vector, _as_complex, _check_int, _check_space,
-                      _check_type)
+                      _check_type, kron_arrays)
 
 # forward references, so that importing qmeter does not load numpy.random;
 # numpy loads it at the first seeded call (rng_from)
@@ -61,9 +62,13 @@ def _check_diagonals(diagonals, blocks: Sequence[int], d: int) -> Tuple[int, np.
     k = sum(blocks)
     _check_space(d, k)
     try:
-        diagonals = np.asarray(diagonals, dtype=float)
+        diagonals = np.asarray(diagonals)
+        if diagonals.dtype.kind != "c":  # a cast would drop the imaginary parts
+            diagonals = diagonals.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"twirl needs real diagonals: {exc}") from exc
+    if diagonals.dtype != float:
+        raise ConfigError("twirl needs real diagonals")
     if diagonals.ndim != 2 or diagonals.shape[1] != d ** k:
         raise DimensionMismatchError(f"twirl needs diagonals of shape (m, {d ** k}), "
                                      f"got {diagonals.shape}")
@@ -312,6 +317,8 @@ def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
     d = psi.d
     _check_int("k", k, 1)
     _check_space(d, k)
+    if psi.n != 1:
+        raise DimensionMismatchError(f"mc_perp_moment needs a single-slot psi, got n={psi.n}")
     if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
         raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
     gen = rng_from(seed)
@@ -320,10 +327,8 @@ def mc_perp_moment(psi: Vector, k: int, samples: int, seed: RngLike):
 
     def draw(n: int) -> np.ndarray:
         phi = haar_vectors(d - 1, n, gen).T @ q.T  # (n, d), orthogonal to psi
-        power = phi
-        for _ in range(k - 1):
-            power = (power[:, :, None] * phi[:, None, :]).reshape(n, -1)
-        return power[:, :, None] * power[:, None, :].conj()
+        power = reduce(kron_arrays, [phi[:, :, None]] * k)  # (n, d ** k, 1)
+        return power * np.swapaxes(power.conj(), 1, 2)
 
     return _mc_mean(draw, (d ** k, d ** k), samples)
 

@@ -240,14 +240,15 @@ def identity(d: int, n: int) -> Operator:
 
 
 def kron_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two arrays of equal rank as one broadcast outer
-    product.  Every entry is the single product a[i...] * b[j...], as in
-    np.kron, so the result equals np.kron bit for bit; only np.kron's
-    generic axis bookkeeping is skipped, which dominates at these sizes."""
-    split_a = sum(((m, 1) for m in a.shape), ())
-    split_b = sum(((1, m) for m in b.shape), ())
-    shape = tuple(m * k for m, k in zip(a.shape, b.shape))
-    return (a.reshape(split_a) * b.reshape(split_b)).reshape(shape)
+    """Kronecker product over the last two axes, broadcast over any leading
+    axes: two (m, ., .) stacks give the products of matching matrices, a
+    stack and one matrix the product of each member with it.  Each entry is
+    the single product a[..., i, j] * b[..., k, l], as in np.kron, so each
+    matrix equals np.kron bit for bit, without np.kron's generic axis
+    bookkeeping, which dominates at these sizes."""
+    (i, j), (k, l) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (i * k, j * l))
 
 
 def kron(a: Operator, b: Operator) -> Operator:

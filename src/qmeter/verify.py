@@ -27,6 +27,7 @@ import itertools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass
+from functools import reduce
 from typing import List
 
 import numpy as np
@@ -119,10 +120,7 @@ def perp_moment(psi: Vector, k: int) -> Operator:
     coeff = 1.0 / sym_dim(d - 1, k)
     sym = symmetrizer(range(1, k + 1), k, d)
     comp = np.eye(d) - np.outer(psi.vec, psi.vec.conj())
-    power = comp
-    for _ in range(k - 1):
-        power = kron_arrays(power, comp)
-    return Operator(coeff * power @ sym.mat, d, k)
+    return Operator(coeff * reduce(kron_arrays, [comp] * k) @ sym.mat, d, k)
 
 
 def r_operator(split: str, d: int) -> Operator:

@@ -322,6 +322,13 @@ def test_mc_twirl_is_reproducible():
 def test_mc_twirl_rejects_bad_input():
     with pytest.raises(DimensionMismatchError):
         mc_twirl(np.ones((1, 8)), (2,), 2, samples=10, seed=SEED)
+    with pytest.raises(DimensionMismatchError):
+        mc_perp_moment(basis_ket((0, 0), 2), 1, samples=1, seed=SEED)
+    # a cast to float dropped the imaginary parts with only a ComplexWarning
+    for twirled in (lambda x: twirl(x, (2,), 2), lambda x: mc_twirl(x, (2,), 2, 10, SEED)):
+        for diagonals in (np.full((1, 4), 1j), np.ones((1, 4), dtype=complex), [[1j] * 4]):
+            with pytest.raises(ConfigError, match="twirl needs real diagonals"):
+                twirled(diagonals)
     # zero samples gave a NaN mean and no error, True one sample
     for samples in (0, -5, 2.5, True):
         with pytest.raises(ConfigError):

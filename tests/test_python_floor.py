@@ -21,6 +21,17 @@ def test_the_ci_matrix_starts_at_the_declared_python_floor():
     assert versions and versions[0] == min(versions) == _declared_floor(), versions
 
 
+def test_a_ci_leg_pins_the_declared_numpy_floor_at_the_python_floor():
+    """pyproject.toml's numpy>=X.Y is tested: one CI leg installs numpy X.Y.*
+    on the declared Python floor, after the install that takes the latest."""
+    floor = re.search(r'"numpy\s*>=\s*(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text())[1]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    legs = re.findall(r'- python-version:\s*"(\d+)\.(\d+)"\s*\n\s*numpy:\s*"([^"]+)"', workflow)
+    assert [(int(major), int(minor), numpy) for major, minor, numpy in legs] == [
+        _declared_floor() + (f"{floor}.*",)], legs
+    assert 'pip install "numpy==${{ matrix.numpy }}"' in workflow
+
+
 def test_every_source_file_parses_at_the_declared_python_floor():
     """Every .py file of src/, tests/ and perfbench/ parses with the grammar
     of the Python that pyproject.toml declares as its floor.

@@ -229,11 +229,22 @@ def test_a_stack_checks_the_type_of_each_member():
         _support_projectors([identity(2, 2), np.eye(4)])
 
 
-@pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((3,), (5,)),
-                                             ((2, 3), (4, 1))])
+@pytest.mark.parametrize("shape_a,shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 3), (4, 1)),
+                                             ((5, 2, 3), (5, 4, 2)), ((5, 2, 2), (3, 1)),
+                                             ((3, 1), (5, 2, 2))])
 def test_kron_arrays_equals_np_kron_bitwise(shape_a, shape_b):
+    """Each matrix of the result, of one pair or of a stack against a stack
+    or one matrix, is np.kron of its factors bit for bit."""
     rng = np.random.default_rng(len(shape_a) + shape_b[0])
     a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
     b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
-    assert np.array_equal(kron_arrays(a, b), np.kron(a, b))
-    assert np.array_equal(kron_arrays(a.real, b), np.kron(a.real, b))
+    m = max(shape_a[:-2] + shape_b[:-2], default=1)
+
+    def stack(x):
+        return np.broadcast_to(x, (m,) + x.shape[-2:])
+
+    for left in (a, a.real):
+        out = kron_arrays(left, b)
+        assert out.shape[:-2] == np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+        for o, x, y in zip(out.reshape((m,) + out.shape[-2:]), stack(left), stack(b)):
+            assert np.array_equal(o, np.kron(x, y))
