@@ -3,21 +3,22 @@ the closed forms that the verify battery checks the class operators against.
 
 A slot permutation is fully described by its index map, the target of each
 of the d**n basis kets (``haar._slot_targets``).  Every permutation operator
-here is one weighted ``bincount`` at the cells (target[i], i) of one or more
-maps (``_scatter``): one map for ``perm_operator``, the identity and the swap
-for ``antisymmetrizer``, and all |S|! maps of a slot subset S for its
-symmetrizer.  The scatter is kept apart from ``haar._project`` so that these
-oracles share no code with ``haar.twirl``.  The four-qubit basis families
-(eta, kappa, omega and their primed variants) are the exact vectors used to
-analyse the no-error subspaces; kappa is ``comparison._KAPPA``, the vectors
-that campaigns use.
+here is one weighted ``bincount`` at the cells (member, target[i], i) of the
+maps of one or more members (``_scatter``): one map for ``perm_operator``,
+the identity and the swap for ``antisymmetrizer``, and the |S|! maps of
+each slot subset S of a stack, one member per subset, for ``_symmetrizers``
+(``symmetrizer`` is its one-member case).  The scatter is kept apart from
+``haar._project`` so that these oracles share no code with ``haar.twirl``.
+The four-qubit basis families (eta, kappa, omega and their primed variants)
+are the exact vectors used to analyse the no-error subspaces; kappa is
+``comparison._KAPPA``, the vectors that campaigns use.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,11 @@ from .tensors import Operator, Vector, _check_int, _check_space
 
 #: the three ways to split four slots into two ordered pairs
 SPLITS = ("12-34", "13-24", "14-23")
+#: int64 entries of one _symmetrizers call: per member, its |S|! slot images
+#: and their index maps (|S|! (n + d**n)) and its counts (d**2n); 128 MiB at
+#: the bound, where all 8 slots of 8 qubits take 10.7M entries and all 9 of
+#: 9 qubits 190M
+_MAX_SCATTER_ENTRIES = 1 << 24
 
 
 def sym_dim(d: int, k: int) -> int:
@@ -55,15 +61,23 @@ def _check_slots(slots: Iterable[int], n: int) -> Tuple[int, ...]:
     return slots
 
 
-def _scatter(images, n: int, d: int, weights=None) -> np.ndarray:
-    """Dense sum_s w_s P_s of the slot permutations in the stack `images`
-    (P, n): one bincount of w_s at the cells (t_s[i], i) of their index maps.
-    Without weights every w_s is 1 and the entries are integer counts."""
+def _scatter(images, n: int, d: int, sizes: Optional[Sequence[int]] = None,
+             weights=None) -> np.ndarray:
+    """Dense sums sum_s w_s P_s, shape (M, d**n, d**n), of the slot
+    permutations in the stack `images` (P, n), member m summing the next
+    sizes[m] of them (without sizes, one member sums all P): one bincount of
+    w_s at the cells (m, t_s[i], i) of their index maps.  Without weights
+    every w_s is 1 and the entries are integer counts."""
     dim = d ** n
-    cells = _slot_targets(images, n, d) * dim + np.arange(dim)
+    cells = _slot_targets(images, n, d)
+    if sizes is not None:
+        cells += np.repeat(np.arange(len(sizes)) * dim, sizes)[:, None]
+    cells *= dim
+    cells += np.arange(dim)
     if weights is not None:
         weights = np.repeat(weights, dim)
-    return np.bincount(cells.ravel(), weights, dim * dim).reshape(dim, dim)
+    members = 1 if sizes is None else len(sizes)
+    return np.bincount(cells.ravel(), weights, members * dim * dim).reshape(members, dim, dim)
 
 
 def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
@@ -77,7 +91,7 @@ def perm_operator(images: Sequence[int], n: int, d: int) -> Operator:
     if sorted(images) != list(range(1, n + 1)):
         raise DimensionMismatchError(f"{images} is not a permutation of 1..{n}")
     _check_space(d, n)
-    return Operator(_scatter([images], n, d), d, n)
+    return Operator(_scatter([images], n, d)[0], d, n)
 
 
 def swap(a: int, b: int, n: int, d: int) -> Operator:
@@ -85,6 +99,32 @@ def swap(a: int, b: int, n: int, d: int) -> Operator:
     images = list(range(1, n + 1))
     images[a - 1], images[b - 1] = b, a
     return perm_operator(images, n, d)
+
+
+def _symmetrizers(slot_sets: Iterable[Iterable[int]], n: int, d: int) -> List[Operator]:
+    """symmetrizer(slots, n, d) of every slot subset in `slot_sets`, in order,
+    from one scatter.  The subsets are checked in order, so the first bad one
+    raises what its own symmetrizer call raises; then the space, and then,
+    before any permutation is enumerated, UnsupportedDimensionError if the
+    scatter would pass _MAX_SCATTER_ENTRIES."""
+    slot_sets = [_check_slots(slots, n) for slots in slot_sets]
+    dim = _check_space(d, n)
+    sizes = [math.factorial(len(slots)) for slots in slot_sets]
+    entries = sum(sizes) * (n + dim) + len(sizes) * dim * dim
+    if entries > _MAX_SCATTER_ENTRIES:
+        raise UnsupportedDimensionError(
+            f"symmetrizers of {len(sizes)} slot subsets on {n} slots at d={d} scatter "
+            f"{entries} entries; one call stops at {_MAX_SCATTER_ENTRIES}")
+    if not slot_sets:
+        return []
+    images = np.tile(np.arange(1, n + 1), (sum(sizes), 1))
+    start = 0
+    for slots, size in zip(slot_sets, sizes):
+        images[start:start + size, np.subtract(slots, 1)] = list(itertools.permutations(slots))
+        start += size
+    # entry (m, a, b) counts the permutations of member m that send ket b to ket a
+    counts = _scatter(images, n, d, sizes)
+    return [Operator(c / size, d, n) for c, size in zip(counts, sizes)]
 
 
 def symmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
@@ -95,13 +135,7 @@ def symmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
     the totally symmetric subspace, of rank sym_dim(d, n) ; a sub-block of k
     slots has rank sym_dim(d, k) * d**(n-k).
     """
-    slots = _check_slots(slots, n)
-    _check_space(d, n)
-    sigmas = list(itertools.permutations(slots))
-    images = np.tile(np.arange(1, n + 1), (len(sigmas), 1))
-    images[:, np.subtract(slots, 1)] = sigmas
-    # entry (a, b) counts the permutations that send ket b to ket a
-    return Operator(_scatter(images, n, d) / len(sigmas), d, n)
+    return _symmetrizers([slots], n, d)[0]
 
 
 def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
@@ -114,7 +148,7 @@ def antisymmetrizer(slots: Iterable[int], n: int, d: int) -> Operator:
     _check_space(d, n)
     images = np.tile(np.arange(1, n + 1), (2, 1))
     images[1, np.subtract(slots, 1)] = slots[::-1]  # the identity, then the swap
-    return Operator(_scatter(images, n, d, (0.5, -0.5)), d, n)
+    return Operator(_scatter(images, n, d, weights=(0.5, -0.5))[0], d, n)
 
 
 def split_pairs(split: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:

@@ -20,6 +20,12 @@ twirled operators (battery) and for haar.mc_twirl (acceptance gate):
                         sum_(j!=k) E[A_j (x) A_k] / d   = 1/d - P+/d2
 
 So do the paper's optimal test states, as oracles for optimal_test_state.
+
+Each oracle checks its arguments, builds its symmetrizers and hands them to
+a private twin (_pure_moment, _perp_moment, _r_operator, _rbar) that only
+combines them.  The battery builds each distinct symmetrizer once per call,
+the eleven on four qubits in one stacked pass, and hands the same ones to
+every twin that needs them.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ import math
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import reduce
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,10 +54,10 @@ from .comparison import (
     unlabeled_operators,
 )
 from .errors import DimensionMismatchError, InvalidStateError
-from .symmetry import (antisymmetrizer, basis_family, pair_product, phi_minus, split_pairs, swap,
-                       sym_dim, symmetrizer)
-from .tensors import (TOL_ABS, Operator, Vector, _check_type, _ranks, basis_ket, identity, kron,
-                      kron_arrays, support_projector)
+from .symmetry import (SPLITS, _symmetrizers, antisymmetrizer, basis_family, pair_product,
+                       phi_minus, split_pairs, swap, sym_dim, symmetrizer)
+from .tensors import (TOL_ABS, Operator, Vector, _check_int, _check_type, _ranks, basis_ket,
+                      identity, kron, kron_arrays, support_projector)
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,24 @@ class _Battery:
 
 # ------------------------------------------------ closed-form Haar moments
 
+def _pure_moment(sym: Operator) -> Operator:
+    """pure_moment(k, d) from sym = symmetrizer(range(1, k + 1), k, d)."""
+    return sym / sym_dim(sym.d, sym.n)
+
+
 def pure_moment(k: int, d: int) -> Operator:
     """E[(psi psi^dag)^(x)k] over Haar psi: symmetrizer over k slots / sym_dim(d,k)."""
-    if k < 1 or d < 2:
-        raise DimensionMismatchError(f"pure_moment needs k >= 1 and d >= 2, got k={k}, d={d}")
-    return symmetrizer(range(1, k + 1), k, d) / sym_dim(d, k)
+    _check_int("k", k, 1, error=DimensionMismatchError)
+    _check_int("d", d, 2, error=DimensionMismatchError)
+    return _pure_moment(symmetrizer(range(1, k + 1), k, d))
+
+
+def _perp_moment(psi: Vector, sym: Operator) -> Operator:
+    """perp_moment(psi, k) from sym = symmetrizer(range(1, k + 1), k, psi.d)."""
+    d, k = sym.d, sym.n
+    coeff = 1.0 / sym_dim(d - 1, k)
+    comp = np.eye(d) - np.outer(psi.vec, psi.vec.conj())
+    return Operator(coeff * reduce(kron_arrays, [comp] * k) @ sym.mat, d, k)
 
 
 def perp_moment(psi: Vector, k: int) -> Operator:
@@ -111,16 +130,29 @@ def perp_moment(psi: Vector, k: int) -> Operator:
     projector of the complement divided by sym_dim(d-1, k), which in the full
     space reads (1/sym_dim(d-1,k)) (1-psi psi^dag)^(x)k P+_(1..k).
     """
+    _check_int("k", k, 1, error=DimensionMismatchError)
     d = psi.d
-    if k < 1 or d < 2 or psi.n != 1:
+    if d < 2 or psi.n != 1:
         raise DimensionMismatchError(f"perp moment needs k >= 1 and a single-slot psi with "
                                      f"d >= 2, got k={k}, d={d}, n={psi.n}")
     if not abs(psi.norm() - 1.0) <= TOL_ABS:  # NaN-safe
         raise InvalidStateError(f"psi is not normalized: |psi| = {psi.norm():.12f}")
-    coeff = 1.0 / sym_dim(d - 1, k)
-    sym = symmetrizer(range(1, k + 1), k, d)
-    comp = np.eye(d) - np.outer(psi.vec, psi.vec.conj())
-    return Operator(coeff * reduce(kron_arrays, [comp] * k) @ sym.mat, d, k)
+    return _perp_moment(psi, symmetrizer(range(1, k + 1), k, d))
+
+
+def _r_slots(split: str) -> Tuple[Tuple[int, ...], ...]:
+    """The slot sets of r_operator's four symmetrizers, in the order
+    _r_operator takes them: pair1, all four slots, and pair1 with either
+    slot of pair2."""
+    pair1, pair2 = split_pairs(split)
+    return (pair1, (1, 2, 3, 4), *(tuple(sorted(pair1 + (q,))) for q in pair2))
+
+
+def _r_operator(pair: Operator, full: Operator, left: Operator, right: Operator) -> Operator:
+    """r_operator from its four symmetrizers on the slot sets of _r_slots."""
+    d = pair.d
+    d2, d3, d4 = sym_dim(d, 2), sym_dim(d, 3), sym_dim(d, 4)
+    return pair / d2 + full / d4 - left / d3 - right / d3
 
 
 def r_operator(split: str, d: int) -> Operator:
@@ -133,12 +165,16 @@ def r_operator(split: str, d: int) -> Operator:
     with psi Haar and phi Haar-orthogonal to psi; its support is
     P+_pair1 (x) P+_pair2.
     """
-    pair1, pair2 = split_pairs(split)
-    d2, d3, d4 = sym_dim(d, 2), sym_dim(d, 3), sym_dim(d, 4)
-    acc = symmetrizer(pair1, 4, d) / d2 + symmetrizer(range(1, 5), 4, d) / d4
-    for q in pair2:
-        acc = acc - symmetrizer(sorted(pair1 + (q,)), 4, d) / d3
-    return acc
+    slots = _r_slots(split)
+    _check_int("d", d, 1, error=DimensionMismatchError)
+    return _r_operator(*_symmetrizers(slots, 4, d))
+
+
+def _rbar(which: str, sym: Operator) -> Operator:
+    """rbar(which, d) from sym = symmetrizer((1, 2), 2, d)."""
+    d = sym.d
+    same = sym / sym_dim(d, 2)
+    return same if which == "same" else identity(d, 2) / d - same
 
 
 def rbar(which: str, d: int) -> Operator:
@@ -152,8 +188,7 @@ def rbar(which: str, d: int) -> Operator:
     """
     if which not in ("same", "diff"):
         raise DimensionMismatchError(f'rbar kind must be "same" or "diff", got {which!r}')
-    sym = symmetrizer((1, 2), 2, d) / sym_dim(d, 2)
-    return sym if which == "same" else identity(d, 2) / d - sym
+    return _rbar(which, symmetrizer((1, 2), 2, d))
 
 
 def antisymmetric_state(d: int) -> TestState:
@@ -179,13 +214,15 @@ def run_checks() -> List[CheckResult]:
     bat.equal_int("sym_dim(2,2) = 3", sym_dim(2, 2), 3)
     bat.equal_int("sym_dim(2,3) = 4", sym_dim(2, 3), 4)
     bat.equal_int("sym_dim(2,4) = 5", sym_dim(2, 4), 5)
-    p12 = symmetrizer((1, 2), 4, 2)
-    p34 = symmetrizer((3, 4), 4, 2)
-    p123 = symmetrizer((1, 2, 3), 4, 2)
-    p124 = symmetrizer((1, 2, 4), 4, 2)
-    p134 = symmetrizer((1, 3, 4), 4, 2)
-    p234 = symmetrizer((2, 3, 4), 4, 2)
-    p1234 = symmetrizer((1, 2, 3, 4), 4, 2)
+    # every symmetrizer of the battery, each built once: the four-qubit ones
+    # in one stacked pass, P+ on two slots at d = 2..5, and the moments' own
+    qubit_slots = ((1, 2), (3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4),
+                   (2, 3), (2, 4), (1, 3), (1, 4))
+    q = dict(zip(qubit_slots, _symmetrizers(qubit_slots, 4, 2)))
+    p12, p34, p123, p124, p134, p234, p1234 = (q[s] for s in qubit_slots[:7])
+    pair = {d: symmetrizer((1, 2), 2, d) for d in (2, 3, 4, 5)}
+    moments = {k: _pure_moment(sym) for k, sym in (
+        (1, symmetrizer((1,), 1, 2)), (2, pair[2]), (3, symmetrizer((1, 2, 3), 3, 2)), (4, p1234))}
     p12x34 = Operator(p12.mat @ p34.mat, 2, 4)
     q123 = p123 - p1234
     q124 = p124 - p1234
@@ -213,17 +250,16 @@ def run_checks() -> List[CheckResult]:
     bat.maxdiff("S34 = S24 S23 S24", s34.mat, s24.mat @ s23.mat @ s24.mat, tol)
 
     # ---- moment operators
-    bat.maxdiff("pure_moment(1,2) = 1/2", pure_moment(1, 2).mat, np.eye(2) / 2, tol)
-    bat.maxdiff("pure_moment(2,2) = P+/3",
-                pure_moment(2, 2).mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
-    bat.maxdiff("pure_moment(4,2) = P1234+/5", pure_moment(4, 2).mat, p1234.mat / 5, tol)
+    bat.maxdiff("pure_moment(1,2) = 1/2", moments[1].mat, np.eye(2) / 2, tol)
+    bat.maxdiff("pure_moment(2,2) = P+/3", moments[2].mat, pair[2].mat / 3, tol)
+    bat.maxdiff("pure_moment(4,2) = P1234+/5", moments[4].mat, p1234.mat / 5, tol)
     for k in (1, 2, 3, 4):
-        bat.close(f"trace pure_moment({k},2) = 1", pure_moment(k, 2).trace().real, 1.0, tol)
-    perp22 = perp_moment(basis_ket((0,), 2), 2)
+        bat.close(f"trace pure_moment({k},2) = 1", moments[k].trace().real, 1.0, tol)
+    perp22 = _perp_moment(basis_ket((0,), 2), pair[2])
     e11 = np.zeros((4, 4))
     e11[3, 3] = 1.0
     bat.maxdiff("perp moment d=2: psi=|0> -> (|1><1|)^(x)2", perp22.mat, e11, tol)
-    perp32 = perp_moment(basis_ket((0,), 3), 2)
+    perp32 = _perp_moment(basis_ket((0,), 3), pair[3])
     bat.close("perp moment d=3,k=2 has trace 1", perp32.trace().real, 1.0, tol)
     probe = np.zeros(9)
     probe[0] = 1.0  # |0 0> component: must be annihilated (support _|_ psi)
@@ -231,9 +267,7 @@ def run_checks() -> List[CheckResult]:
               float(np.max(np.abs(perp32.mat @ probe))), tol)
 
     # ---- R operators
-    r12 = r_operator("12-34", 2)
-    r13 = r_operator("13-24", 2)
-    r14 = r_operator("14-23", 2)
+    r12, r13, r14 = (_r_operator(*(q[s] for s in _r_slots(split))) for split in SPLITS)
     bat.maxdiff("R13-24 = S23 R12-34 S23", r13.mat, s23.mat @ r12.mat @ s23.mat, tol)
     bat.maxdiff("R14-23 = S34 R13-24 S34", r14.mat, s34.mat @ r13.mat @ s34.mat, tol)
     bat.maxdiff("[R12-34, P34+] = 0", r12.mat @ p34.mat, p34.mat @ r12.mat, tol)
@@ -241,11 +275,11 @@ def run_checks() -> List[CheckResult]:
     bat.below("R12-34 P34+ is PSD", max(0.0, -float(np.min(np.linalg.eigvalsh(rp.mat)))), 1e-12)
     bat.maxdiff("support(R12-34 P34+) = P12+ (x) P34+", support_projector(rp).mat, p12x34.mat, tol_eig)
 
-    # ---- rbar, each (kind, d) built once per call
-    rb = {(which, d): rbar(which, d) for d in (2, 3, 4, 5) for which in ("same", "diff")}
-    bat.maxdiff("rbar(same,2) = P+/3", rb["same", 2].mat, symmetrizer((1, 2), 2, 2).mat / 3, tol)
+    # ---- rbar, each (kind, d) built once per call, both kinds from one P+
+    rb = {(which, d): _rbar(which, pair[d]) for d in (2, 3, 4, 5) for which in ("same", "diff")}
+    bat.maxdiff("rbar(same,2) = P+/3", rb["same", 2].mat, pair[2].mat / 3, tol)
     bat.maxdiff("rbar(diff,2) = 1/2 - P+/3",
-                rb["diff", 2].mat, np.eye(4) / 2 - symmetrizer((1, 2), 2, 2).mat / 3, tol)
+                rb["diff", 2].mat, np.eye(4) / 2 - pair[2].mat / 3, tol)
     bat.maxdiff("2 rbar(same,2) + 2 rbar(diff,2) = 1",
                 2 * rb["same", 2].mat + 2 * rb["diff", 2].mat, np.eye(4), tol)
     for d in (2, 3, 4):
@@ -267,7 +301,7 @@ def run_checks() -> List[CheckResult]:
     bat.equal_int("rank Q_dd = 3", next(ranks), 3)
 
     # ---- twirled class operators vs the hand-derived closed forms (d=2, d4=5)
-    p23, p24 = symmetrizer((2, 3), 4, 2).mat, symmetrizer((2, 4), 4, 2).mat
+    p23, p24 = q[2, 3].mat, q[2, 4].mat
     p4 = p1234.mat
     for c, label, closed in (
         ("same_same", "(2/5) P1234+ + 2 R12-34 P34+", 0.4 * p4 + 2 * r12.mat @ p34.mat),
@@ -283,7 +317,7 @@ def run_checks() -> List[CheckResult]:
     # ---- no-error bases vs the named families
     phi = singlet_pairing_state()
     bat.close("|phi_Q| = 1", phi.norm(), 1.0, tol)
-    kill = max(float(np.max(np.abs(symmetrizer(trip, 4, 2).mat @ phi.vec)))
+    kill = max(float(np.max(np.abs(q[trip].mat @ phi.vec)))
                for trip in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
     bat.below("three-slot symmetrizers annihilate phi_Q", kill, tol)
     bat.maxdiff("P12+ (x) P34+ phi_Q = phi_Q", p12x34.mat @ phi.vec, phi.vec, tol)
@@ -295,8 +329,8 @@ def run_checks() -> List[CheckResult]:
     span = sum(np.outer(v.vec, v.vec.conj()) for v in kap)
     bat.maxdiff("Q_dd = span(kappa)", ops["diff_diff"].no_error.mat, span, tol_eig)
     k2p = basis_family("kappa_prime")[0]
-    p13x24 = Operator(symmetrizer((1, 3), 4, 2).mat @ symmetrizer((2, 4), 4, 2).mat, 2, 4)
-    p14x23 = Operator(symmetrizer((1, 4), 4, 2).mat @ symmetrizer((2, 3), 4, 2).mat, 2, 4)
+    p13x24 = Operator(q[1, 3].mat @ q[2, 4].mat, 2, 4)
+    p14x23 = Operator(q[1, 4].mat @ q[2, 3].mat, 2, 4)
     bat.close("<kappa_2'| P13+ (x) P24+ |kappa_2'> = 1/4",
               p13x24.expval(k2p).real, 0.25, tol)
     bat.close("<kappa_2'| P14+ (x) P23+ |kappa_2'> = 1/4",

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from qmeter import (
     basis_family,
     rank,
 )
-from qmeter.symmetry import (SPLITS, pair_product, perm_operator, phi_minus, phi_plus, split_pairs,
-                             swap, sym_dim, symmetrizer)
+from qmeter.symmetry import (SPLITS, _symmetrizers, pair_product, perm_operator, phi_minus,
+                             phi_plus, split_pairs, swap, sym_dim, symmetrizer)
 
 
 @pytest.mark.parametrize("d,k,expected", [
@@ -230,3 +233,75 @@ def test_perm_operator_and_symmetrizer_equal_dense_construction(n, d):
         for slots in itertools.combinations(range(1, n + 1), size):
             assert np.array_equal(symmetrizer(slots, n, d).mat,
                                   _dense_symmetrizer(slots, n, d))
+
+
+# --- stacked symmetrizers ------------------------------------------------------
+
+def _subsets(n):
+    return [slots for size in range(1, n + 1)
+            for slots in itertools.combinations(range(1, n + 1), size)]
+
+
+@pytest.mark.parametrize("slot_sets,n,d", [
+    # every subset of four qubit slots, mixed sizes, largest first
+    (_subsets(4)[::-1], 4, 2),
+    *(([(1,), (2,), (1, 2), (2, 1)], 2, d) for d in (2, 3, 4, 5)),
+])
+def test_each_stacked_symmetrizer_is_its_one_member_build(slot_sets, n, d):
+    # bit for bit: each member is integer counts divided by |slots|!, as the
+    # one-member build and the ket-by-ket construction are
+    stack = _symmetrizers(slot_sets, n, d)
+    assert len(stack) == len(slot_sets)
+    for slots, member in zip(slot_sets, stack):
+        assert (member.d, member.n) == (d, n)
+        assert np.array_equal(member.mat, symmetrizer(slots, n, d).mat)
+        assert np.array_equal(member.mat, _dense_symmetrizer(slots, n, d))
+
+
+def test_an_empty_stack_builds_nothing():
+    assert _symmetrizers([], 4, 2) == []
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (1, 5), (1.5, 2)])
+@pytest.mark.parametrize("first", [True, False])
+def test_the_first_bad_stack_member_raises_its_own_error(bad, first):
+    # a repeated, an out-of-range and a float slot, first in the stack (with
+    # another bad member after it, never reached) or last
+    with pytest.raises(Exception) as alone:
+        symmetrizer(bad, 4, 2)
+    good = [(1, 2), (3, 4), (2, 3, 4)]
+    slot_sets = [bad, *good, (4, 4)] if first else [*good, bad]
+    with pytest.raises(alone.type) as stacked:
+        _symmetrizers(slot_sets, 4, 2)
+    assert str(stacked.value) == str(alone.value)
+
+
+#: stacks past the scatter bound, each refused before a permutation is
+#: enumerated: all ten slots of ten qubits, which once built 10! images and a
+#: 3.6M x 1024 index map, all nine of nine qubits, all ten slots at d = 1,
+#: and two stacks of all eight slots of eight qubits, each under the bound alone
+_HUGE_STACKS = ("symmetrizer(range(1, 11), 10, 2)", "symmetrizer(range(1, 10), 9, 2)",
+                "symmetrizer(range(1, 11), 10, 1)", "_symmetrizers([range(1, 9)] * 2, 8, 2)")
+_CHILD = """
+import resource, sys
+import qmeter
+from qmeter.symmetry import _symmetrizers, symmetrizer
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+print(round(symmetrizer(range(1, 9), 8, 2).trace().real))  # just under the bound
+for call in sys.argv[1:]:
+    try:
+        eval(call)
+        print("returned")
+    except qmeter.QmeterError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_huge_symmetrizer_stacks_fail_before_they_allocate():
+    # in a child with 1 GiB of address space and a time limit, so that a
+    # missed bound fails this test and not the session
+    run = subprocess.run([sys.executable, "-c", _CHILD, *_HUGE_STACKS], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    assert run.stdout.split() == [str(sym_dim(2, 8))] + ["UnsupportedDimensionError"] * len(
+        _HUGE_STACKS), run.stdout

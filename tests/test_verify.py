@@ -1,8 +1,9 @@
 import hashlib
 
 import numpy as np
+import pytest
 
-from qmeter import Vector, rank, verify
+from qmeter import ConfigError, Vector, basis_ket, rank, symmetry, verify
 from qmeter.symmetry import pair_product, phi_minus
 from qmeter.verify import all_passed, render_report, run_checks
 
@@ -26,20 +27,44 @@ def test_battery_shape_is_pinned():
 
 
 def test_each_rbar_is_built_once_per_battery_call(monkeypatch):
-    # eight distinct (kind, d), one symmetrizer each, and every call builds
-    # them afresh: nothing is cached from one call to the next
-    rbars, syms = [], []
-    for name, seen in (("rbar", rbars), ("symmetrizer", syms)):
-        def counted(*args, _built=getattr(verify, name), _seen=seen):
-            _seen.append(args)
-            return _built(*args)
-        monkeypatch.setattr(verify, name, counted)
+    # every distinct symmetrizer (slots, n, d) the battery needs is built
+    # exactly once per call, counting each member of a stacked build, and the
+    # eight rbar (kind, d) are combined once each from the P+ of their d;
+    # every call builds them afresh: nothing is cached from one call to the next
+    rbars, built = [], []
+
+    def counted_rbar(which, sym, _rbar=verify._rbar):
+        rbars.append((which, sym.d))
+        return _rbar(which, sym)
+
+    def recorded(slot_sets, n, d, _build=symmetry._symmetrizers):
+        slot_sets = list(slot_sets)
+        built.extend((tuple(slots), n, d) for slots in slot_sets)
+        return _build(slot_sets, n, d)
+
+    monkeypatch.setattr(verify, "_rbar", counted_rbar)
+    for module in (symmetry, verify):  # symmetrizer's lookup and the battery's
+        monkeypatch.setattr(module, "_symmetrizers", recorded)
+    qubits = [(1, 2), (3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4),
+              (2, 3), (2, 4), (1, 3), (1, 4)]
+    expected = ([(slots, 4, 2) for slots in qubits] + [((1,), 1, 2), ((1, 2, 3), 3, 2)]
+                + [((1, 2), 2, d) for d in (2, 3, 4, 5)])
     for _ in range(2):
         rbars.clear()
-        syms.clear()
+        built.clear()
         assert all_passed(run_checks())
         assert sorted(rbars) == sorted({(w, d) for w in ("same", "diff") for d in (2, 3, 4, 5)})
-        assert len(syms) == 49
+        assert sorted(built) == sorted(expected) and len(expected) == 17
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify.pure_moment(1.5, 2), lambda: verify.pure_moment(2, "2"),
+    lambda: verify.pure_moment(True, 2), lambda: verify.r_operator("12-34", 2.5),
+    lambda: verify.r_operator("12-34", "2"), lambda: verify.perp_moment(basis_ket((0,), 2), 1.5),
+])
+def test_moment_oracles_reject_a_non_integer_k_or_d(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_the_stacked_battery_ranks_are_the_one_at_a_time_ones(monkeypatch):
